@@ -15,14 +15,12 @@ codes: 0 success, 1 usage, 2 assertion failure, 3 I/O.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import density as density_mod
 from . import verify as verify_mod
+from ._primes import is_prime
 from .fields import enumerate_family, record_from_line, record_to_line
 from .lfunctions import KUMMER, PAPER_LITERAL
 
@@ -90,8 +88,16 @@ def _validate(cfg: RunConfig) -> str | None:
         return "--x must be at least 1000"
     if not 0.0 < cfg.beta < 1.0:
         return "--beta must lie strictly between 0 and 1"
-    if cfg.command == "charsum" and 3 in cfg.primes:
-        return "chi_p is undefined at p = 3; drop it from --primes"
+    if cfg.command == "verify" and not cfg.s > 1.0:
+        return "--s must exceed 1; the Euler products diverge at s <= 1"
+    if cfg.command == "charsum":
+        if 3 in cfg.primes:
+            return "chi_p is undefined at p = 3; drop it from --primes"
+        not_prime = [p for p in cfg.primes if not is_prime(p)]
+        if not_prime:
+            return f"--primes takes primes only; {not_prime[0]} is not prime"
+        if cfg.ymax < 10:
+            return "--ymax must be at least 10"
     return None
 
 
@@ -150,7 +156,7 @@ def cmd_density(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     reports = verify_mod.run_probe_suite(charsum_y=cfg.ymax,
                                          genseries_p0=(cfg.p0 // 10, cfg.p0),
-                                         genseries_primes=(5, 13))
+                                         genseries_primes=(5, 13), s=cfg.s)
     lines = [f"# cyclocubic verification report",
              f"# p0={cfg.p0} ymax={cfg.ymax} s={cfg.s}"]
     failed = 0
@@ -166,8 +172,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_charsum(cfg: RunConfig) -> int:
-    decades = int(round(math.log10(cfg.ymax)))
-    grid = sorted(set(int(round(10**e)) for e in np.linspace(1, decades, 10 * (decades - 1) + 1)))
+    grid = verify_mod.log_grid(cfg.ymax)
     lines = [f"# cyclocubic character pair-sums",
              f"# ymax={cfg.ymax} grid=" + ",".join(str(y) for y in grid),
              "p,Y,value_a,value_b,magnitude,fitted_exponent"]

@@ -108,17 +108,8 @@ class EisensteinInteger:
         q = EisensteinInteger(_round_div(num.a, n), _round_div(num.b, n))
         return q, self - q * other
 
-    def __floordiv__(self, other: "EisensteinInteger") -> "EisensteinInteger":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "EisensteinInteger") -> "EisensteinInteger":
         return divmod(self, other)[1]
-
-    def divide_exact(self, other: "EisensteinInteger") -> "EisensteinInteger":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError(f"{other} does not divide {self}")
-        return q
 
     # -- plumbing -------------------------------------------------------------
 
@@ -330,13 +321,9 @@ class ResidueField:
 
 
 @lru_cache(maxsize=None)
-def _cached_field(P: PrimeAbove) -> ResidueField:
-    return ResidueField(P)
-
-
 def residue_map(P: PrimeAbove) -> ResidueField:
     """The residue field of P with its reduction homomorphism."""
-    return _cached_field(P)
+    return ResidueField(P)
 
 
 class CubicSymbol:

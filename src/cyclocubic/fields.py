@@ -14,11 +14,12 @@ discriminant in [X, 2X], sieving by conductor rather than by D.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from ._primes import factorize, primes_up_to
-from .eisenstein import LAMBDA, ONE, EisensteinInteger, prime_above
+from .eisenstein import LAMBDA, EisensteinInteger, prime_above
 
 
 class Not3SplitError(ValueError):
@@ -40,13 +41,8 @@ class FieldLabel(NamedTuple):
 
 
 class ThreeSplitFactorization(NamedTuple):
-    """D = sign * d1 * d2 over Z[omega], d2 the conjugate of d1.
+    """D = d1 * d2 over Z[omega], d2 the conjugate of d1."""
 
-    With registry generators the sign is always +1; it is carried anyway so
-    the factorization type states the full invariant.
-    """
-
-    sign: int
     d1: EisensteinInteger
     d2: EisensteinInteger
 
@@ -110,7 +106,7 @@ def three_split_factorization(label: FieldLabel) -> ThreeSplitFactorization:
         d1_part = d1_part * g * g
     d2_part = d1_part.conjugate()
     assert d1_part * d2_part == EisensteinInteger(label.D)
-    return ThreeSplitFactorization(1, d1_part, d2_part)
+    return ThreeSplitFactorization(d1_part, d2_part)
 
 
 def defining_polynomial(label: FieldLabel) -> tuple[int, int]:
@@ -123,7 +119,7 @@ def defining_polynomial(label: FieldLabel) -> tuple[int, int]:
     return label.D, label.D * fact.d1.trace()
 
 
-def _squarefree_3split_with_factors(lo: int, hi: int) -> list[tuple[int, tuple[int, ...]]]:
+def squarefree_3split_with_factors(lo: int, hi: int) -> list[tuple[int, tuple[int, ...]]]:
     """(n, prime factors) for squarefree n in [lo, hi] with all factors = 1 mod 3.
 
     Includes n = 1 when lo <= 1.  Ascending in n.
@@ -148,17 +144,27 @@ def _squarefree_3split_with_factors(lo: int, hi: int) -> list[tuple[int, tuple[i
     return out
 
 
-def _labels_for_product(n_factors: tuple[int, ...]) -> Iterable[tuple[int, int]]:
-    """All ordered splittings of a squarefree product into coprime (d1, d2)."""
-    k = len(n_factors)
-    for mask in range(1 << k):
-        d1 = d2 = 1
-        for i, q in enumerate(n_factors):
-            if mask >> i & 1:
-                d1 *= q
-            else:
-                d2 *= q
-        yield d1, d2
+def _canonical_labels(f_lo: int, f_hi: int) -> list[FieldLabel]:
+    """Canonical labels with conductor in [f_lo, f_hi], sorted by (conductor, D).
+
+    A conductor is n or 9n with n squarefree 3-split; each ordered splitting
+    n = d1 * d2 gives a label, with both 3-exponents of D at the 9n scale,
+    and the partner test keeps one label per field.
+    """
+    out: list[tuple[int, int, FieldLabel]] = []
+    for scale, exponents in ((1, (0,)), (9, (1, 2))):
+        for n, fac in squarefree_3split_with_factors(-(-f_lo // scale), f_hi // scale):
+            divisors = [1]
+            for q in fac:
+                divisors += [d * q for d in divisors]
+            for d1 in divisors:
+                for e3 in exponents:
+                    label = FieldLabel(e3, d1, n // d1)
+                    D = label.D
+                    if D < partner(label).D:
+                        out.append((scale * n, D, label))
+    out.sort()
+    return [label for _, _, label in out]
 
 
 def _make_record(label: FieldLabel) -> FieldRecord:
@@ -170,64 +176,18 @@ def _make_record(label: FieldLabel) -> FieldRecord:
 def enumerate_family(X: int) -> list[FieldRecord]:
     """Canonical records of all fields with discriminant in [X, 2X].
 
-    Sieves the conductor window [sqrt(X), sqrt(2X)]: conductors without a
-    9-part are the squarefree 3-split integers n > 1 themselves, those with
-    one come from n in the ninth-scale window (with both 3-exponents of D
-    represented before canonical deduplication).  Sorted by (conductor, D);
-    output is deterministic down to the byte.
+    Sieves the conductor window [sqrt(X), sqrt(2X)] rather than D.  Sorted
+    by (conductor, D); output is deterministic down to the byte.
     """
     if X < 2:
         raise ValueError("X must be at least 2")
-    f_lo = _ceil_sqrt(X)
-    f_hi = _floor_sqrt(2 * X)
-    records: list[FieldRecord] = []
-
-    for n, fac in _squarefree_3split_with_factors(max(f_lo, 2), f_hi):
-        for d1, d2 in _labels_for_product(fac):
-            label = FieldLabel(0, d1, d2)
-            if label.D < partner(label).D:
-                records.append(_make_record(label))
-
-    lo9 = -(-f_lo // 9)  # ceil
-    for n, fac in _squarefree_3split_with_factors(lo9, f_hi // 9):
-        for d1, d2 in _labels_for_product(fac):
-            for e3 in (1, 2):
-                label = FieldLabel(e3, d1, d2)
-                if label.D < partner(label).D:
-                    records.append(_make_record(label))
-
-    records.sort(key=lambda r: (r.conductor, r.D))
-    return records
+    return [_make_record(label)
+            for label in _canonical_labels(math.isqrt(X - 1) + 1, math.isqrt(2 * X))]
 
 
-def labels_up_to_conductor(f_max: int, coprime_to_3: bool = False) -> list[FieldLabel]:
+def labels_up_to_conductor(f_max: int) -> list[FieldLabel]:
     """Canonical labels with conductor <= f_max, sorted by (conductor, D)."""
-    out: list[tuple[int, int, FieldLabel]] = []
-    for n, fac in _squarefree_3split_with_factors(2, f_max):
-        for d1, d2 in _labels_for_product(fac):
-            label = FieldLabel(0, d1, d2)
-            if label.D < partner(label).D:
-                out.append((n, label.D, label))
-    if not coprime_to_3:
-        for n, fac in _squarefree_3split_with_factors(1, f_max // 9):
-            for d1, d2 in _labels_for_product(fac):
-                for e3 in (1, 2):
-                    label = FieldLabel(e3, d1, d2)
-                    if label.D < partner(label).D:
-                        out.append((9 * n, label.D, label))
-    out.sort()
-    return [label for _, _, label in out]
-
-
-def _ceil_sqrt(n: int) -> int:
-    r = _floor_sqrt(n)
-    return r if r * r == n else r + 1
-
-
-def _floor_sqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
+    return _canonical_labels(1, f_max)
 
 
 # -- catalog serialization ------------------------------------------------------

@@ -27,8 +27,6 @@ Lambda(n) n^-s: 2 at split primes for every m, -1 at inert primes unless
 
 from __future__ import annotations
 
-import math
-
 from .eisenstein import (
     CubicSymbol,
     EisensteinInteger,
@@ -74,9 +72,16 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
 
 
-def _registry_prime(p: int, conjugate_prime: bool) -> PrimeAbove:
+def _prime_and_factor(p: int, label: FieldLabel, conjugate_prime: bool,
+                      swap_factors: bool) -> tuple[PrimeAbove, EisensteinInteger]:
+    """The registry prime P above p and the factor (D1, or D2 when swapped) to symbolize."""
+    if p == 3:
+        raise ValueError("p = 3 is handled by the local cube test, not the symbol")
     P = prime_above(p)
-    return P.conjugate() if conjugate_prime else P
+    if conjugate_prime:
+        P = P.conjugate()
+    fact = three_split_factorization(label)
+    return P, fact.d2 if swap_factors else fact.d1
 
 
 def kummer_symbol(p: int, label: FieldLabel, *, conjugate_prime: bool = False,
@@ -87,23 +92,14 @@ def kummer_symbol(p: int, label: FieldLabel, *, conjugate_prime: bool = False,
     the roles of D1 and D2 exchanged; the splitting they induce is provably
     identical, which the verification probes exercise.
     """
-    if p == 3:
-        raise ValueError("p = 3 is handled by the local cube test, not the symbol")
-    P = _registry_prime(p, conjugate_prime)
-    fact = three_split_factorization(label)
-    d1 = fact.d2 if swap_factors else fact.d1
-    d2 = d1.conjugate()
-    return cubic_residue_symbol(d1, P) * cubic_residue_symbol(d2, P) ** 2
+    P, d1 = _prime_and_factor(p, label, conjugate_prime, swap_factors)
+    return cubic_residue_symbol(d1, P) * cubic_residue_symbol(d1.conjugate(), P) ** 2
 
 
 def paper_chi(p: int, label: FieldLabel, *, conjugate_prime: bool = False,
               swap_factors: bool = False) -> CubicSymbol:
     """chi_p(D) = (D1 / P)_3, completely multiplicative in 3-split arguments."""
-    if p == 3:
-        raise ValueError("p = 3 is handled by the local cube test, not the symbol")
-    P = _registry_prime(p, conjugate_prime)
-    fact = three_split_factorization(label)
-    d1 = fact.d2 if swap_factors else fact.d1
+    P, d1 = _prime_and_factor(p, label, conjugate_prime, swap_factors)
     return cubic_residue_symbol(d1, P)
 
 
@@ -111,7 +107,7 @@ def splitting_at_three(label: FieldLabel) -> SplittingType:
     """Splitting of 3: ramified iff 3 | D, else decided by the local cube test."""
     if label.e3 > 0:
         return RAMIFIED
-    c = _kummer_argument(label)
+    c = kummer_argument(label)
     v = max(lambda_valuation(c - EisensteinInteger(1)),
             lambda_valuation(c + EisensteinInteger(1)))
     if v < 3:
@@ -121,9 +117,10 @@ def splitting_at_three(label: FieldLabel) -> SplittingType:
     return SPLIT if v >= 4 else INERT
 
 
-def _kummer_argument(label: FieldLabel) -> EisensteinInteger:
-    fact = three_split_factorization(label)
-    return fact.d1 * fact.d2 * fact.d2
+def kummer_argument(label: FieldLabel) -> EisensteinInteger:
+    """c = D1 * D2^2; the field is the real subfield of Q(omega, c^(1/3))."""
+    d1, d2 = three_split_factorization(label)
+    return d1 * d2 * d2
 
 
 def splitting_type(p: int, label: FieldLabel, mode: str = KUMMER, *,
@@ -145,6 +142,11 @@ def lambda_coefficient(p: int, m: int, label: FieldLabel, mode: str = KUMMER, *,
         raise ValueError("prime-power exponent must be >= 1")
     st = splitting_type(p, label, mode,
                         conjugate_prime=conjugate_prime, swap_factors=swap_factors)
+    return lambda_from_splitting(st, m)
+
+
+def lambda_from_splitting(st: SplittingType, m: int) -> int:
+    """lambda(p^m) for a prime p of splitting type `st`."""
     if st == RAMIFIED:
         return 0
     if st == SPLIT:
@@ -176,7 +178,3 @@ def euler_value(s: float, label: FieldLabel, p0: int, mode: str = KUMMER) -> flo
         value *= local_factor(p, s, label, mode)
     return value
 
-
-def lambda_series_tail_bound(p0: int, s: float) -> float:
-    """Crude bound on the effect of primes beyond p0 on log L_D(s)."""
-    return 2.0 * p0 ** (1.0 - s) / ((s - 1.0) * math.log(p0))

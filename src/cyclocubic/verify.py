@@ -38,7 +38,7 @@ from .fields import (
     FieldLabel,
     defining_polynomial,
     labels_up_to_conductor,
-    three_split_factorization,
+    squarefree_3split_with_factors,
 )
 from .lfunctions import (
     INERT,
@@ -47,7 +47,9 @@ from .lfunctions import (
     RAMIFIED,
     SPLIT,
     SplittingType,
+    kummer_argument,
     lambda_coefficient,
+    lambda_from_splitting,
     splitting_at_three,
     splitting_type,
 )
@@ -231,9 +233,7 @@ def ramification_audit_at_3(label: FieldLabel, k_star: int = 4) -> ProbeReport:
         return ProbeReport(f"ramification_audit[D={label.D}]", PASS,
                            [{"skipped": "3 divides D; the field is ramified at 3"}],
                            {"skipped": 1})
-    fact = three_split_factorization(label)
-    c = fact.d1 * fact.d2 * fact.d2
-    probe_i = cube_solvable_mod_lambda(c, k_star)
+    probe_i = cube_solvable_mod_lambda(kummer_argument(label), k_star)
     a_coef, b_coef = defining_polynomial(label)
     stable = stable_root_count_mod_3k(a_coef, b_coef)
     if stable is None:
@@ -261,9 +261,7 @@ def calibrate_cube_exponent(labels: list[FieldLabel], candidates=range(3, 9)) ->
     for k in candidates:
         ok = True
         for label in labels:
-            fact = three_split_factorization(label)
-            c = fact.d1 * fact.d2 * fact.d2
-            if cube_solvable_mod_lambda(c, k) != targets[label]:
+            if cube_solvable_mod_lambda(kummer_argument(label), k) != targets[label]:
                 ok = False
                 break
         if ok:
@@ -306,17 +304,17 @@ def _zeta_prime_power_coefficient(st: SplittingType, j: int) -> int:
     return 1  # ramified
 
 
-def _l_prime_power_coefficients(p: int, label: FieldLabel, j_max: int) -> list[int]:
+def _l_prime_power_coefficients(p: int, st: SplittingType, j_max: int) -> list[int]:
     """Coefficients of L_D at p^j, j <= j_max, by the Newton recurrence on lambda.
 
     j * b_j = sum_{i=1..j} lambda(p^i) b_{j-i}; the division must be exact.
     """
-    lam = [lambda_coefficient(p, i, label, KUMMER) for i in range(1, j_max + 1)]
+    lam = [lambda_from_splitting(st, i) for i in range(1, j_max + 1)]
     b = [1]
     for j in range(1, j_max + 1):
         s = sum(lam[i - 1] * b[j - i] for i in range(1, j + 1))
         if s % j:
-            raise RuntimeError(f"non-integral L coefficient at {p}^{j} for {label}")
+            raise RuntimeError(f"non-integral L coefficient at {p}^{j} of type {st}")
         b.append(s // j)
     return b
 
@@ -334,7 +332,7 @@ def ideal_count_crosscheck(label: FieldLabel, n_max: int = 10**4) -> ProbeReport
 
     zeta_pp = {p: [_zeta_prime_power_coefficient(st, j) for j in range(j_cap + 1)]
                for p, st in splits.items()}
-    l_pp = {p: _l_prime_power_coefficients(p, label, j_cap) for p in splits}
+    l_pp = {p: _l_prime_power_coefficients(p, st, j_cap) for p, st in splits.items()}
 
     a = [0, 1] + [0] * (n_max - 1)
     b = [0, 1] + [0] * (n_max - 1)
@@ -370,24 +368,6 @@ class CharSumValue:
     pairs: int
 
 
-def _squarefree_split_numbers(y: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Squarefree integers <= y with every prime factor = 1 mod 3 (including 1)."""
-    qs = [p for p in primes_up_to(y) if p % 3 == 1]
-    out = [(1, ())]
-    stack = [(1, (), 0)]
-    while stack:
-        n, fac, i = stack.pop()
-        for j in range(i, len(qs)):
-            q = qs[j]
-            m = n * q
-            if m > y:
-                break
-            out.append((m, fac + (q,)))
-            stack.append((m, fac + (q,), j + 1))
-    out.sort()
-    return out
-
-
 def char_sum(p: int, y: int, *, conjugate_prime: bool = False) -> CharSumValue:
     """S_p(Y): sum of chi_p(d1 * d2^2) over coprime squarefree 3-split pairs.
 
@@ -403,7 +383,7 @@ def char_sum(p: int, y: int, *, conjugate_prime: bool = False) -> CharSumValue:
     P = prime_above(p)
     if conjugate_prime:
         P = P.conjugate()
-    numbers = _squarefree_split_numbers(y)
+    numbers = squarefree_3split_with_factors(1, y)
     exponents: dict[int, int | None] = {}
     for q in {q for _, fac in numbers for q in fac}:
         g = prime_above(q).generator
@@ -518,14 +498,13 @@ def genseries_sides(p: int, s: float, p0: int) -> tuple[float, float]:
         if ell % 3 == 1:
             x = ell ** (-s)
             gen = prime_above(ell).generator
-            for g in (gen, gen.conjugate()):
-                chi = _chi_complex(g, P)
+            chi_reg = _chi_complex(gen, P)
+            for chi in (chi_reg, _chi_complex(gen.conjugate(), P)):
                 if chi != 0:
                     l_chi /= 1.0 - chi * x
                     l_chi2 /= 1.0 - chi**2 * x
                     c = (chi + chi**2).real
                     h *= (1.0 - chi * x) * (1.0 - chi**2 * x) * (1.0 + c * x)
-            chi_reg = _chi_complex(gen, P)
             c_reg = (chi_reg + chi_reg**2).real if chi_reg != 0 else 0.0
             lhs *= 1.0 + c_reg * ell ** (-s)
         elif ell * ell <= p0:
@@ -588,8 +567,12 @@ def run_probe_suite(pairs: int = 1000, audit_size: int = 50,
                     charsum_y: int = 10**3,
                     genseries_primes: tuple[int, ...] = (5, 13),
                     genseries_p0: tuple[int, int] = (10**5, 10**6),
+                    s: float = 2.0,
                     scaling_grid: tuple[int, ...] = (10**6, 10**7, 10**8)) -> list[ProbeReport]:
-    """The default verification battery, deterministic end to end."""
+    """The default verification battery, deterministic end to end.
+
+    Both generating-series probes evaluate their Euler products at real `s`.
+    """
     reports = [splitting_oracle_probe()]
     reports.append(choice_invariance_probe(probe_pairs(pairs)))
     reports.append(ramification_audit_suite(audit_size))
@@ -603,6 +586,6 @@ def run_probe_suite(pairs: int = 1000, audit_size: int = 50,
             f"charsum_conjugation[p={p}]", PASS if ok else FAIL, [],
             {"y": charsum_y, "value": str(plain.value), "magnitude": plain.magnitude}))
     for p in genseries_primes:
-        reports.append(genseries_compare(p, 2.0, genseries_p0))
+        reports.append(genseries_compare(p, s, genseries_p0))
     reports.append(family_count_scaling(list(scaling_grid)))
     return reports

@@ -1,5 +1,7 @@
 """Command-line behavior: determinism, formats, exit codes."""
 
+import hashlib
+
 import pytest
 
 from cyclocubic import cli
@@ -45,6 +47,13 @@ def test_usage_errors(capsys):
     assert code == cli.EXIT_USAGE
     code, _, err = run(["charsum", "--primes", "3,7"], capsys)
     assert code == cli.EXIT_USAGE and "p = 3" in err
+    code, _, err = run(["charsum", "--primes", "8"], capsys)
+    assert code == cli.EXIT_USAGE and "8 is not prime" in err
+    code, _, err = run(["charsum", "--ymax", "1"], capsys)
+    assert code == cli.EXIT_USAGE and "--ymax" in err
+    for s in ("1", "0", "-2"):
+        code, _, err = run(["verify", "--s", s], capsys)
+        assert code == cli.EXIT_USAGE and "--s" in err
 
 
 def test_density_table(tmp_path, capsys):
@@ -113,15 +122,20 @@ def test_verify_command(tmp_path, capsys, monkeypatch):
     # shrink the battery so the test stays quick
     import cyclocubic.verify as verify_mod
 
+    seen = {}
+
     def tiny_suite(**kwargs):
+        seen.update(kwargs)
         return [verify_mod.splitting_oracle_probe(60, 60),
                 verify_mod.family_count_scaling([10**4, 10**5, 10**6])]
 
     monkeypatch.setattr(cli.verify_mod, "run_probe_suite", tiny_suite)
     out = tmp_path / "report.txt"
-    code, _, _ = run(["verify", "--out", str(out)], capsys)
+    code, _, _ = run(["verify", "--s", "3", "--out", str(out)], capsys)
     assert code == 0
+    assert seen["s"] == 3.0
     text = out.read_text()
+    assert "s=3.0" in text
     assert "splitting_oracle: PASS" in text
     assert text.count("\n") >= 4  # one summary line per probe plus header
 
@@ -135,3 +149,17 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.verify_mod, "run_probe_suite", failing_suite)
     code, _, _ = run(["verify", "--out", str(tmp_path / "r.txt")], capsys)
     assert code == cli.EXIT_ASSERTION
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["enumerate", "--x", "100000000"],
+     "547203777580b4a1a7691d78257f0ea8fa19d27287e281a3e76a8c7513ce8f2c"),
+    (["charsum", "--primes", "7,13", "--ymax", "1000"],
+     "979875225a0335c8528c91606fff4e6c5b532ecce186059ac3cd2f028a091032"),
+])
+def test_golden_outputs(tmp_path, capsys, argv, sha256):
+    # pinned bytes: refactors must leave these outputs identical
+    out = tmp_path / "out.txt"
+    code, _, _ = run(argv + ["--out", str(out)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

@@ -136,6 +136,22 @@ def test_ideal_count_crosscheck():
     assert rep.status == PASS and rep.numbers["mismatches"] == 0
 
 
+def test_ideal_count_crosscheck_catches_bad_lambda(monkeypatch):
+    # drop the 3 | m rule, so inert lambda(p^3) = -1 instead of 2; 2 is inert
+    # for D = 3, so the coefficient at n = 8 must mismatch
+    import cyclocubic.verify as verify_mod
+
+    real = verify_mod.lambda_from_splitting
+
+    def corrupt(st, m):
+        return -1 if st == INERT else real(st, m)
+
+    monkeypatch.setattr(verify_mod, "lambda_from_splitting", corrupt)
+    rep = ideal_count_crosscheck(FieldLabel(1, 1, 1))
+    assert rep.status == FAIL
+    assert rep.details[0]["n"] == 8
+
+
 def test_ideal_count_coefficient_values():
     # n = 17 for D = 3: split prime, three ideals of norm 17
     label = FieldLabel(1, 1, 1)
