@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from . import density as density_mod
 from . import verify as verify_mod
 from ._primes import is_prime
-from .fields import enumerate_family, record_from_line, record_to_line
+from .fields import (canonicalize, enumerate_family, make_record, parse_label,
+                     record_from_line, record_to_line)
 from .lfunctions import KUMMER, PAPER_LITERAL
 
 EXIT_OK = 0
@@ -118,15 +119,40 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 
 
 def _load_records(cfg: RunConfig):
-    if cfg.catalog:
-        with open(cfg.catalog) as fh:
-            return [record_from_line(line) for line in fh
-                    if line.strip() and not line.startswith("#")]
-    return enumerate_family(cfg.x)
+    """The family from --catalog, each line checked, or else enumerated afresh.
+
+    A catalog record must equal the record rebuilt from its D, carry the
+    canonical label, and have its discriminant in [X, 2X]; any other line
+    raises ValueError naming the file and line number.
+    """
+    if not cfg.catalog:
+        return enumerate_family(cfg.x)
+    records = []
+    with open(cfg.catalog) as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip() or line.startswith("#"):
+                continue
+            try:
+                rec = record_from_line(line)
+                if rec != make_record(parse_label(rec.D)):
+                    raise ValueError(f"record for D={rec.D} differs from the one rebuilt from D")
+                if not canonicalize(rec.label)[1]:
+                    raise ValueError(f"D={rec.D} is not the canonical label of its field")
+                if not cfg.x <= rec.discriminant <= 2 * cfg.x:
+                    raise ValueError(f"discriminant {rec.discriminant} lies outside "
+                                     f"[{cfg.x}, {2 * cfg.x}]")
+            except ValueError as exc:
+                raise ValueError(f"{cfg.catalog}:{number}: {exc}") from None
+            records.append(rec)
+    return records
 
 
 def cmd_density(cfg: RunConfig) -> int:
-    records = _load_records(cfg)
+    try:
+        records = _load_records(cfg)
+    except ValueError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_USAGE
     if not records:
         sys.stderr.write(f"no fields with discriminant in [{cfg.x}, {2 * cfg.x}]\n")
         return EXIT_USAGE

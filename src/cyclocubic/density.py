@@ -277,13 +277,13 @@ def gamma_term(label: FieldLabel, tf: TestFunctionPair, tol: float = 1e-10) -> f
 def prime_sum(label: FieldLabel, tf: TestFunctionPair, mode: str = KUMMER) -> float:
     """(2/log Delta) sum over p^m < Delta^beta, m <= 2, of the lambda terms.
 
-    Terms are accumulated in increasing p^m order with exact compensated
-    summation, so the value is reproducible bit for bit.
+    The terms are summed with math.fsum, which rounds the exact sum once, so
+    the value is reproducible bit for bit whatever the order of the terms.
     """
     _, disc = conductor_discriminant(label)
     log_disc = math.log(disc)
     cut = tf.beta * log_disc
-    terms: list[tuple[int, float]] = []
+    terms: list[float] = []
     for p in primes_up_to(int(math.exp(cut)) + 1):
         logp = math.log(p)
         if logp >= cut:
@@ -294,10 +294,8 @@ def prime_sum(label: FieldLabel, tf: TestFunctionPair, mode: str = KUMMER) -> fl
                 arg = m * logp
                 if arg >= cut:
                     break
-                pm = p**m
-                terms.append((pm, lam * logp / math.sqrt(pm) * float(tf.fhat(arg / log_disc))))
-    terms.sort()
-    return 2.0 / log_disc * math.fsum(t for _, t in terms)
+                terms.append(lam * logp / math.sqrt(p**m) * float(tf.fhat(arg / log_disc)))
+    return 2.0 / log_disc * math.fsum(terms)
 
 
 @dataclass(frozen=True)

@@ -18,37 +18,23 @@ residue symbols are evaluated by modular exponentiation in the residue field
 of the chosen prime.
 
 All values are immutable after construction and the registry is append-only,
-so every operation is safe for concurrent callers.  Coefficients are capped
-at 64 bits: a blown bound raises instead of silently corrupting a symbol.
+so every operation is safe for concurrent callers.  The value types are
+NamedTuples and coefficients are unbounded Python ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ._primes import is_prime, sqrt_mod
 
-_COEFF_LIMIT = (1 << 63) - 1
 
-
-class CoefficientOverflowError(OverflowError):
-    """A coefficient left the supported 64-bit envelope."""
-
-
-class EisensteinInteger:
+class EisensteinInteger(NamedTuple):
     """a + b*omega with exact integer coefficients."""
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int = 0):
-        if abs(a) > _COEFF_LIMIT or abs(b) > _COEFF_LIMIT:
-            raise CoefficientOverflowError(f"coefficient out of range: ({a}, {b})")
-        object.__setattr__(self, "a", int(a))
-        object.__setattr__(self, "b", int(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EisensteinInteger is immutable")
+    a: int
+    b: int = 0
 
     # -- ring operations ----------------------------------------------------
 
@@ -94,9 +80,6 @@ class EisensteinInteger:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
     # -- Euclidean structure -------------------------------------------------
 
     def __divmod__(self, other: "EisensteinInteger"):
@@ -112,16 +95,6 @@ class EisensteinInteger:
         return divmod(self, other)[1]
 
     # -- plumbing -------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EisensteinInteger)
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
 
     def __repr__(self) -> str:
         return f"EisensteinInteger({self.a}, {self.b})"
@@ -213,8 +186,7 @@ def lambda_valuation(z: EisensteinInteger) -> int:
 # -- the prime registry -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeAbove:
+class PrimeAbove(NamedTuple):
     """The chosen prime of Z[omega] above a rational prime p."""
 
     p: int
@@ -326,16 +298,10 @@ def residue_map(P: PrimeAbove) -> ResidueField:
     return ResidueField(P)
 
 
-class CubicSymbol:
+class CubicSymbol(NamedTuple):
     """Value of a cubic residue symbol: 0 or omega^k, k in {0, 1, 2}."""
 
-    __slots__ = ("exponent",)
-
-    def __init__(self, exponent):
-        object.__setattr__(self, "exponent", exponent)  # None encodes 0
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CubicSymbol is immutable")
+    exponent: int | None  # None encodes 0
 
     @property
     def is_zero(self) -> bool:
@@ -368,12 +334,6 @@ class CubicSymbol:
         if self.is_zero:
             return 0j
         return (1, -0.5 + 0.8660254037844386j, -0.5 - 0.8660254037844386j)[self.exponent]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CubicSymbol) and self.exponent == other.exponent
-
-    def __hash__(self) -> int:
-        return hash(("CubicSymbol", self.exponent))
 
     def __repr__(self) -> str:
         return "CubicSymbol(0)" if self.is_zero else f"CubicSymbol(w^{self.exponent})"

@@ -167,7 +167,7 @@ def _canonical_labels(f_lo: int, f_hi: int) -> list[FieldLabel]:
     return [label for _, _, label in out]
 
 
-def _make_record(label: FieldLabel) -> FieldRecord:
+def make_record(label: FieldLabel) -> FieldRecord:
     f, disc = conductor_discriminant(label)
     a, b = defining_polynomial(label)
     return FieldRecord(label, label.D, f, disc, a, b)
@@ -181,7 +181,7 @@ def enumerate_family(X: int) -> list[FieldRecord]:
     """
     if X < 2:
         raise ValueError("X must be at least 2")
-    return [_make_record(label)
+    return [make_record(label)
             for label in _canonical_labels(math.isqrt(X - 1) + 1, math.isqrt(2 * X))]
 
 

@@ -27,6 +27,8 @@ Lambda(n) n^-s: 2 at split primes for every m, -1 at inert primes unless
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .eisenstein import (
     CubicSymbol,
     EisensteinInteger,
@@ -43,23 +45,14 @@ PAPER_LITERAL = "paper"
 _MODES = (KUMMER, PAPER_LITERAL)
 
 
-class SplittingType(tuple):
-    """(e, f, g) with e*f*g = 3."""
+class SplittingType(NamedTuple):
+    """(e, f, g) with e*f*g = 3; prints as the bare tuple, e.g. (1, 1, 3)."""
 
-    def __new__(cls, e, f, g):
-        return super().__new__(cls, (e, f, g))
+    e: int
+    f: int
+    g: int
 
-    @property
-    def e(self):
-        return self[0]
-
-    @property
-    def f(self):
-        return self[1]
-
-    @property
-    def g(self):
-        return self[2]
+    __repr__ = tuple.__repr__
 
 
 SPLIT = SplittingType(1, 1, 3)

@@ -87,7 +87,7 @@ def polynomial_splitting_oracle(p: int, label: FieldLabel) -> SplittingType | No
     if gate % p == 0:
         return None
     x = np.arange(p, dtype=np.int64)
-    vals = ((x * x % p) * x - (3 * a_coef % p) * x - b_coef) % p
+    vals = ((x * x % p) * x - (3 * a_coef % p) * x - b_coef % p) % p
     roots = int(np.count_nonzero(vals == 0))
     if roots == 3:
         return SPLIT

@@ -1,11 +1,13 @@
 """Command-line behavior: determinism, formats, exit codes."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from cyclocubic import cli
-from cyclocubic.fields import enumerate_family, record_from_line
+from cyclocubic.fields import (enumerate_family, make_record, partner, record_from_line,
+                               record_to_line)
 
 
 def run(argv, capsys):
@@ -102,6 +104,34 @@ def test_density_catalog_reuse(tmp_path, capsys):
     assert code == 0
     run(["density", "--x", "200000", "--out", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_density_catalog_rejects_bad_lines(tmp_path, capsys):
+    records = enumerate_family(200000)
+    bad_lines = [
+        "D=7 e3=0 d1=7",  # truncated
+        record_to_line(records[0]).replace("conductor=", "conductor=x"),  # not an integer
+        # disagrees with the record rebuilt from D
+        record_to_line(dataclasses.replace(records[0], conductor=records[0].conductor + 1)),
+        record_to_line(make_record(partner(records[0].label))),  # not canonical
+    ]
+    cat = tmp_path / "bad.txt"
+    for bad in bad_lines:
+        lines = ["# cyclocubic catalog", record_to_line(records[1]), bad,
+                 record_to_line(records[2])]
+        cat.write_text("\n".join(lines) + "\n")
+        code, out, err = run(["density", "--x", "200000", "--catalog", str(cat)], capsys)
+        assert code == cli.EXIT_USAGE and out == "", bad
+        assert err.startswith(f"{cat}:3: ") and "Traceback" not in err, bad
+
+
+def test_density_catalog_outside_window(tmp_path, capsys):
+    # a catalog enumerated at X = 1e5 holds no field of the X = 1e8 window
+    cat = tmp_path / "cat.txt"
+    run(["enumerate", "--x", "100000", "--out", str(cat)], capsys)
+    code, out, err = run(["density", "--x", "100000000", "--catalog", str(cat)], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert f"{cat}:4:" in err and "[100000000, 200000000]" in err
 
 
 def test_charsum_output(tmp_path, capsys):

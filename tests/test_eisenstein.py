@@ -1,9 +1,12 @@
 """Exact arithmetic, the prime registry, and cubic residue symbols."""
 
+import math
 import random
 
 import pytest
 
+from cyclocubic._primes import primes_up_to
+from cyclocubic.density import fejer_pair, prime_sum
 from cyclocubic.eisenstein import (
     LAMBDA,
     ONE,
@@ -11,7 +14,6 @@ from cyclocubic.eisenstein import (
     SYMBOL_ONE,
     SYMBOL_ZERO,
     UNITS,
-    CoefficientOverflowError,
     EisensteinInteger,
     PrimeAbove,
     canonical_associate,
@@ -22,6 +24,9 @@ from cyclocubic.eisenstein import (
     prime_above,
     residue_map,
 )
+from cyclocubic.fields import FieldLabel
+from cyclocubic.lfunctions import INERT, SPLIT, kummer_argument, splitting_at_three, splitting_type
+from cyclocubic.verify import polynomial_splitting_oracle
 
 E = EisensteinInteger
 
@@ -59,10 +64,21 @@ def test_norm_multiplicativity_bulk():
         assert (x * y).norm() == x.norm() * y.norm()
 
 
-def test_overflow_is_loud():
-    big = E(2**62)
-    with pytest.raises(CoefficientOverflowError):
-        big * big
+def test_large_label_beyond_64_bits():
+    # D = 4471123^2, discriminant ~2.0e13: the Kummer argument D1*D2^2 has
+    # coefficients far past 2^63, which Python ints carry exactly
+    label = FieldLabel(0, 1, 4471123)
+    c = kummer_argument(label)
+    assert max(abs(c.a), abs(c.b)) > 2**63
+    assert splitting_at_three(label) in (SPLIT, INERT)
+    assert math.isfinite(prime_sum(label, fejer_pair(0.2)))
+    gated = 0
+    for p in primes_up_to(200):
+        oracle = polynomial_splitting_oracle(p, label)
+        if oracle is not None:
+            gated += 1
+            assert splitting_type(p, label) == oracle
+    assert gated == 43
 
 
 def test_euclidean_division_shrinks():
