@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from . import density as density_mod
 from . import verify as verify_mod
 from ._primes import is_prime
-from .fields import (canonicalize, enumerate_family, make_record, parse_label,
-                     record_from_line, record_to_line)
+from .fields import (canonicalize, enumerate_family, make_record, record_from_line,
+                     record_to_line)
 from .lfunctions import KUMMER, PAPER_LITERAL
 
 EXIT_OK = 0
@@ -121,9 +121,10 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 def _load_records(cfg: RunConfig):
     """The family from --catalog, each line checked, or else enumerated afresh.
 
-    A catalog record must equal the record rebuilt from its D, carry the
-    canonical label, and have its discriminant in [X, 2X]; any other line
-    raises ValueError naming the file and line number.
+    A catalog record must carry a valid label (make_record checks it from d1
+    and d2, without factoring D), equal the record rebuilt from that
+    label, be the canonical label of its field, and have its discriminant in
+    [X, 2X]; any other line raises ValueError naming the file and line number.
     """
     if not cfg.catalog:
         return enumerate_family(cfg.x)
@@ -134,8 +135,9 @@ def _load_records(cfg: RunConfig):
                 continue
             try:
                 rec = record_from_line(line)
-                if rec != make_record(parse_label(rec.D)):
-                    raise ValueError(f"record for D={rec.D} differs from the one rebuilt from D")
+                if rec != make_record(rec.label):
+                    raise ValueError(f"record for D={rec.D} differs from the one rebuilt "
+                                     f"from its label")
                 if not canonicalize(rec.label)[1]:
                     raise ValueError(f"D={rec.D} is not the canonical label of its field")
                 if not cfg.x <= rec.discriminant <= 2 * cfg.x:

@@ -7,12 +7,17 @@ function f with compactly supported transform is
 
 where the prime sum carries lambda_D(p^m) log(p) / sqrt(p^m) weighted by
 fhat(log p^m / log Delta) and the gamma term is the archimedean digamma
-integral rescaled by L = log(Delta) / (2 pi).  The prime sum here keeps the
-m = 1, 2 terms, the ones whose family average discriminates the symmetry
-type; p^m with m >= 3 lie below the square-root barrier and contribute a
-deterministic drift of order 1/log(Delta) that carries no character
-information (dropping them changes `total` by less than
-2 * sum_{p^m < Delta^beta, m >= 3} 2 log p / sqrt(p^m) / log Delta).
+integral rescaled by L = log(Delta) / (2 pi).  The gamma term is computed on
+the transform side: the integral representation of Re psi and Parseval turn
+it into a smooth integral of fhat over u in [0, 4 pi L beta] plus the exact
+tail -fhat(0) log(1 - e^-U), with no truncation in y (the y-space integrand
+decays only like log(y)/y^2).  `gamma_term_quadrature` is the y-space oracle.
+
+The prime sum here keeps the m = 1, 2 terms, the ones whose family average
+discriminates the symmetry type; p^m with m >= 3 lie below the square-root
+barrier and contribute a deterministic drift of order 1/log(Delta) that
+carries no character information (dropping them changes `total` by less
+than 2 * sum_{p^m < Delta^beta, m >= 3} 2 log p / sqrt(p^m) / log Delta).
 
 Family averages over discriminants in [X, 2X] are compared against the
 Katz-Sarnak kernels
@@ -238,37 +243,95 @@ def digamma(x: float) -> float:
     return float(_digamma_array(np.array([x], dtype=complex))[0].real)
 
 
+# (weight, a) of each Re psi(a + ix/2) in the archimedean bracket
+_BRACKET_PAIRS = ((2.0, 0.25), (1.0, 0.75))
+_BRACKET_WEIGHT = sum(w for w, _ in _BRACKET_PAIRS)
+
+
 def _archimedean_bracket(x: np.ndarray) -> np.ndarray:
     """2 G(1/2+ix) + 2 G(1/2-ix) + G(3/2+ix) + G(3/2-ix), G = Gamma_R'/Gamma_R.
 
     Gamma_R(s) = pi^(-s/2) Gamma(s/2) gives G(s) = -log(pi)/2 + psi(s/2)/2;
-    conjugate pairing makes the sum real.
+    conjugate pairing makes the sum real, so the bracket is
+    sum over _BRACKET_PAIRS of w * Re psi(a + ix/2), minus 3 log(pi).
+
+    Open question: the G(3/2 +- ix) pair is the factor Gamma_R(s+1) of an odd
+    character, but cubic characters are even (chi(-1)^2 = 1 = chi(-1)^3).
+    For the cubic character mod 7, mpmath gives |Lambda(s) / conj Lambda(1 -
+    conj s)| = 1.0 at s = 0.3 + 1.7i with Gamma_R(s) and 0.99438 with
+    Gamma_R(s+1), so L_D = L(chi) L(chi-bar) should carry Gamma_R(s)^2, i.e.
+    weights 2 at a = 1/4 and none at a = 3/4.  The pair is kept until that
+    change is made on its own; it moves gamma_term and total, never T.
     """
-    x = np.asarray(x, dtype=float)
-    half_ix = 0.5j * x
-    val = 2.0 * _digamma_array(0.25 + half_ix).real + _digamma_array(0.75 + half_ix).real
-    return val - 3.0 * math.log(math.pi)
+    half_ix = 0.5j * np.asarray(x, dtype=float)
+    val = sum(w * _digamma_array(a + half_ix).real for w, a in _BRACKET_PAIRS)
+    return val - _BRACKET_WEIGHT * math.log(math.pi)
 
 
 def gamma_term(label: FieldLabel, tf: TestFunctionPair, tol: float = 1e-10) -> float:
-    """Rescaled archimedean term: (1/2pi) integral f(L x) * bracket(x) dx.
+    """Rescaled archimedean term (1/2pi) integral f(L x) bracket(x) dx, from fhat.
 
-    Substituting y = L x with L = log(Delta)/(2 pi), integrates over the
-    window |y| <= 50/beta where the Fejer-type tail is negligible; the
-    integrand is even, so only y >= 0 is computed.  Raises if the panel
-    refinement does not stabilize to `tol`.
+    With L = log(Delta)/(2 pi), Re psi(a + it) = -gamma_E + integral_0^inf
+    (e^-u - e^-au cos tu) / (1 - e^-u) du and Parseval give, per pair,
+
+        integral f(y) Re psi(a + iy/(2L)) dy = -gamma_E fhat(0) + I(a),
+        I(a) = integral_0^U (e^-u fhat(0) - e^-au fhat(u/(4 pi L))) / (1 - e^-u) du
+               - fhat(0) log(1 - e^-U),
+
+    where U = 4 pi L beta ends the support of fhat, so the last term is the
+    exact tail of the u-integral.  The weighted pairs, less 3 log(pi) fhat(0),
+    are divided by 2 pi L.  Raises if the panel refinement of the integral
+    over [0, U] does not stabilize to `tol`.
     """
     _, disc = conductor_discriminant(label)
     big_l = math.log(disc) / TWO_PI
-    window = 50.0 / tf.beta
+    rate = 2.0 * TWO_PI * big_l  # u = rate * (argument of fhat)
+    top = rate * tf.beta
+    fh0 = tf.fhat_at_0
+
+    def integrand(u):
+        decay = sum(w * np.exp(-a * u) for w, a in _BRACKET_PAIRS)
+        return (_BRACKET_WEIGHT * fh0 * np.exp(-u) - decay * tf.fhat(u / rate)) / -np.expm1(-u)
+
+    scale = TWO_PI * big_l
+    pairs = (refine_panels(integrand, 0.0, top, tol * scale, start_panels=16)
+             - _BRACKET_WEIGHT * fh0 * (np.euler_gamma + math.log(-math.expm1(-top))))
+    return (pairs - _BRACKET_WEIGHT * math.log(math.pi) * fh0) / scale
+
+
+def gamma_term_quadrature(label: FieldLabel, tf: TestFunctionPair,
+                          periods: int = 100) -> float:
+    """Direct-quadrature oracle for gamma_term; f must be a Fejer pair.
+
+    Integrates (1/pi L) f(y) bracket(y/L) over [0, W], W = periods/beta,
+    and adds the analytic tail over y > W.  There f = (1 - cos wy) h0(y) with
+    w = 2 pi beta, h0 = 1/(2 pi^2 beta^2 y^2), and the bracket is
+    sum w_a (log(y/(2 pi L)) + 2 B2(a) L^2/y^2) + O(y^-4), B2(a) = a^2 - a + 1/6.
+    The mean h0 * bracket integrates in closed form; the oscillating part
+    keeps its first non-vanishing integration-by-parts term, h'(W)/w^2 with
+    h = h0 * bracket, since sin(wW) = 0 (the remainder is O(W^-5 log W)).
+    For a combine_pairs mixture, combine the oracles: the term is linear in f.
+    """
+    _, disc = conductor_discriminant(label)
+    big_l = math.log(disc) / TWO_PI
+    beta = tf.beta
+    width = periods / beta
+    omega = TWO_PI * beta
+    h0 = 1.0 / (2.0 * math.pi**2 * beta**2)
 
     def integrand(y):
         return tf.f(y) * _archimedean_bracket(y / big_l)
 
     scale = 1.0 / (math.pi * big_l)  # 2/(2 pi L): doubled for the even half
-    body = refine_panels(integrand, 0.0, window, tol / scale,
-                         start_panels=max(64, int(window)))
-    return scale * body
+    body = refine_panels(integrand, 0.0, width, 1e-12 / scale, start_panels=2 * periods)
+    log_w = math.log(width / (TWO_PI * big_l))
+    mean = h0 * math.fsum(w * ((log_w + 1.0) / width
+                               + 2.0 * (a * a - a + 1.0 / 6.0) * big_l**2 / (3.0 * width**3))
+                          for w, a in _BRACKET_PAIRS)
+    # h'(W) = h0 (bracket'(W) W - 2 bracket(W)) / W^3, bracket'(y) ~ (sum w_a) / y
+    bracket_w = float(_archimedean_bracket(width / big_l))
+    slope = h0 * (_BRACKET_WEIGHT - 2.0 * bracket_w) / width**3
+    return scale * (body + mean + slope / omega**2)
 
 
 # -- the explicit-formula statistics ----------------------------------------------

@@ -47,10 +47,18 @@ class EisensteinInteger(NamedTuple):
     def __neg__(self) -> "EisensteinInteger":
         return EisensteinInteger(-self.a, -self.b)
 
-    def __mul__(self, other: "EisensteinInteger") -> "EisensteinInteger":
+    def __mul__(self, other: "EisensteinInteger | int") -> "EisensteinInteger":
+        try:
+            c, d = other.a, other.b
+        except AttributeError:  # an int n is n + 0*omega; the hot path stays check-free
+            if not isinstance(other, int):
+                return NotImplemented
+            c, d = other, 0
         # omega^2 = -1 - omega
-        a, b, c, d = self.a, self.b, other.a, other.b
+        a, b = self.a, self.b
         return EisensteinInteger(a * c - b * d, a * d + b * c - b * d)
+
+    __rmul__ = __mul__  # else int * z would repeat the tuple
 
     def __pow__(self, n: int) -> "EisensteinInteger":
         if n < 0:
@@ -95,6 +103,11 @@ class EisensteinInteger(NamedTuple):
         return divmod(self, other)[1]
 
     # -- plumbing -------------------------------------------------------------
+
+    def _unordered(self, other):
+        raise TypeError("Eisenstein integers are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __repr__(self) -> str:
         return f"EisensteinInteger({self.a}, {self.b})"

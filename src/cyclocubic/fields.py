@@ -97,13 +97,28 @@ def conductor_discriminant(label: FieldLabel) -> tuple[int, int]:
 
 
 def three_split_factorization(label: FieldLabel) -> ThreeSplitFactorization:
-    """Conjugate factorization of D built from registry prime generators."""
-    d1_part = LAMBDA**label.e3
-    for q in factorize(label.d1):
-        d1_part = d1_part * prime_above(q).generator
-    for q in factorize(label.d2):
-        g = prime_above(q).generator
-        d1_part = d1_part * g * g
+    """Conjugate factorization of D built from registry prime generators.
+
+    Checks the label on the way, from the factorizations of d1 and d2 that it
+    needs anyway, so no caller has to factor D: raises ValueError unless e3
+    is 0, 1 or 2 and d1, d2 are coprime, squarefree, and made of primes
+    = 1 (mod 3).
+    """
+    e3, d1, d2 = label
+    if e3 not in (0, 1, 2):
+        raise ValueError(f"e3 must be 0, 1 or 2, got {e3}")
+    if math.gcd(d1, d2) != 1:
+        raise NotCubeFreeError(f"d1={d1} and d2={d2} share a factor, so its cube divides D")
+    d1_part = LAMBDA**e3
+    for power, part in ((1, d1), (2, d2)):
+        for q, e in factorize(part).items():
+            if q % 3 == 2:
+                raise Not3SplitError(f"d{power}={part} has the factor {q} = 2 (mod 3)")
+            if q == 3 or e > 1:
+                raise ValueError(f"d{power}={part} is not squarefree and prime to 3")
+            g = prime_above(q).generator
+            for _ in range(power):
+                d1_part = d1_part * g
     d2_part = d1_part.conjugate()
     assert d1_part * d2_part == EisensteinInteger(label.D)
     return ThreeSplitFactorization(d1_part, d2_part)

@@ -111,9 +111,11 @@ def test_density_catalog_rejects_bad_lines(tmp_path, capsys):
     bad_lines = [
         "D=7 e3=0 d1=7",  # truncated
         record_to_line(records[0]).replace("conductor=", "conductor=x"),  # not an integer
-        # disagrees with the record rebuilt from D
+        # disagrees with the record rebuilt from its label
         record_to_line(dataclasses.replace(records[0], conductor=records[0].conductor + 1)),
         record_to_line(make_record(partner(records[0].label))),  # not canonical
+        # d1 = 5 * 103 has the factor 5 = 2 (mod 3); discriminant 515^2 is in the window
+        "D=515 e3=0 d1=515 d2=1 conductor=515 discriminant=265225 polyA=515 polyB=0",
     ]
     cat = tmp_path / "bad.txt"
     for bad in bad_lines:

@@ -14,6 +14,7 @@ from cyclocubic.density import (
     family_average,
     fejer_pair,
     gamma_term,
+    gamma_term_quadrature,
     kernel_integral,
     kernel_integral_quadrature,
     kernel_value,
@@ -139,6 +140,22 @@ def test_gamma_term_linearity():
     direct = gamma_term(label, mix)
     split = 0.6 * gamma_term(label, f1) + 1.7 * gamma_term(label, f2)
     assert abs(direct - split) < 1e-8
+
+
+def test_gamma_term_matches_quadrature_oracle():
+    # the transform-side closed form against y-space quadrature plus its
+    # analytic tail; the first field at X = 1e9 has Delta = 1000267129
+    first_1e9 = FieldLabel(0, 31627, 1)
+    for beta in (0.2, 0.4):
+        tf = fejer_pair(beta)
+        for label in (FieldLabel(0, 91, 1), FieldLabel(0, 9841, 1), first_1e9):
+            assert abs(gamma_term(label, tf) - gamma_term_quadrature(label, tf)) < 1e-9
+    assert gamma_term(first_1e9, fejer_pair(0.2)) == pytest.approx(-2.1727707586875, abs=1e-12)
+    # a mixture: the oracle combines linearly, since the term is linear in f
+    f1, f2 = fejer_pair(0.2), fejer_pair(0.4)
+    mix = combine_pairs((0.6, 1.7), (f1, f2))
+    oracle = 0.6 * gamma_term_quadrature(first_1e9, f1) + 1.7 * gamma_term_quadrature(first_1e9, f2)
+    assert abs(gamma_term(first_1e9, mix) - oracle) < 1e-9
 
 
 def test_prime_sum_support():

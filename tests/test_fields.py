@@ -51,6 +51,20 @@ def test_three_split_factorization():
     assert fact713.d1 * fact713.d2 == EisensteinInteger(FieldLabel(0, 7, 13).D)
 
 
+@pytest.mark.parametrize("label", [
+    FieldLabel(3, 7, 1),    # e3 outside 0..2
+    FieldLabel(0, 7, 7),    # d1, d2 share 7, so 7^3 | D
+    FieldLabel(0, 49, 1),   # d1 not squarefree
+    FieldLabel(0, 21, 1),   # 3 belongs to e3, not d1
+    FieldLabel(0, 1, 35),   # 5 = 2 (mod 3)
+    FieldLabel(0, 0, 7),    # not positive
+])
+def test_three_split_factorization_rejects_bad_labels(label):
+    # catalog loading relies on this check instead of factoring D
+    with pytest.raises(ValueError):
+        three_split_factorization(label)
+
+
 def test_partner_and_canonicalize():
     assert partner(FieldLabel(0, 7, 1)) == FieldLabel(0, 1, 7)  # 7 <-> 49
     assert partner(FieldLabel(1, 7, 1)) == FieldLabel(2, 1, 7)  # 21 <-> 441

@@ -92,6 +92,18 @@ def test_values_hash_by_value_and_stay_immutable(x, y):
         prime_above(7).generator = ONE
 
 
+@laws
+@given(elements, coeffs)
+def test_integer_scaling_and_no_order(x, n):
+    # a NamedTuple would repeat itself under int * x and compare lexicographically
+    assert n * x == x * n == x * E(n) == E(x.a * n, x.b * n)
+    for compare in (x.__lt__, x.__le__, x.__gt__, x.__ge__):
+        with pytest.raises(TypeError):
+            compare(E(n))
+    with pytest.raises(TypeError):
+        sorted([x, E(n)])
+
+
 # -- Kummer registry invariance on labels past the old 64-bit envelope ----------
 
 SPLIT_PRIMES = [q for q in primes_up_to(10**5) if q % 3 == 1 and q > 3 * 10**4]
