@@ -299,11 +299,14 @@ def gamma_term(label: FieldLabel, tf: TestFunctionPair, tol: float = 1e-10) -> f
     return (pairs - _BRACKET_WEIGHT * math.log(math.pi) * fh0) / scale
 
 
-def gamma_term_quadrature(label: FieldLabel, tf: TestFunctionPair,
-                          periods: int = 100) -> float:
+# beta * W for the oracle's window [0, W]: a whole number, so sin(2 pi beta W) = 0
+_ORACLE_PERIODS = 100
+
+
+def gamma_term_quadrature(label: FieldLabel, tf: TestFunctionPair) -> float:
     """Direct-quadrature oracle for gamma_term; f must be a Fejer pair.
 
-    Integrates (1/pi L) f(y) bracket(y/L) over [0, W], W = periods/beta,
+    Integrates (1/pi L) f(y) bracket(y/L) over [0, W], W = _ORACLE_PERIODS/beta,
     and adds the analytic tail over y > W.  There f = (1 - cos wy) h0(y) with
     w = 2 pi beta, h0 = 1/(2 pi^2 beta^2 y^2), and the bracket is
     sum w_a (log(y/(2 pi L)) + 2 B2(a) L^2/y^2) + O(y^-4), B2(a) = a^2 - a + 1/6.
@@ -315,7 +318,7 @@ def gamma_term_quadrature(label: FieldLabel, tf: TestFunctionPair,
     _, disc = conductor_discriminant(label)
     big_l = math.log(disc) / TWO_PI
     beta = tf.beta
-    width = periods / beta
+    width = _ORACLE_PERIODS / beta
     omega = TWO_PI * beta
     h0 = 1.0 / (2.0 * math.pi**2 * beta**2)
 
@@ -323,7 +326,7 @@ def gamma_term_quadrature(label: FieldLabel, tf: TestFunctionPair,
         return tf.f(y) * _archimedean_bracket(y / big_l)
 
     scale = 1.0 / (math.pi * big_l)  # 2/(2 pi L): doubled for the even half
-    body = refine_panels(integrand, 0.0, width, 1e-12 / scale, start_panels=2 * periods)
+    body = refine_panels(integrand, 0.0, width, 1e-12 / scale, start_panels=2 * _ORACLE_PERIODS)
     log_w = math.log(width / (TWO_PI * big_l))
     mean = h0 * math.fsum(w * ((log_w + 1.0) / width
                                + 2.0 * (a * a - a + 1.0 / 6.0) * big_l**2 / (3.0 * width**3))
