@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from . import density as density_mod
 from . import verify as verify_mod
 from ._primes import is_prime
+from .eisenstein import INT64_PRIME_BOUND
 from .fields import (canonicalize, enumerate_family, make_record, record_from_line,
                      record_to_line)
 from .lfunctions import KUMMER, PAPER_LITERAL
@@ -89,16 +90,23 @@ def _validate(cfg: RunConfig) -> str | None:
         return "--x must be at least 1000"
     if not 0.0 < cfg.beta < 1.0:
         return "--beta must lie strictly between 0 and 1"
-    if cfg.command == "verify" and not cfg.s > 1.0:
-        return "--s must exceed 1; the Euler products diverge at s <= 1"
+    if cfg.command == "verify":
+        if not cfg.s > 1.0:
+            return "--s must exceed 1; the Euler products diverge at s <= 1"
+        if cfg.p0 < 70:
+            return ("--p0 must be at least 70; the lower cutoff p0 // 10 must hold "
+                    "a prime = 1 (mod 3)")
     if cfg.command == "charsum":
         if 3 in cfg.primes:
             return "chi_p is undefined at p = 3; drop it from --primes"
         not_prime = [p for p in cfg.primes if not is_prime(p)]
         if not_prime:
             return f"--primes takes primes only; {not_prime[0]} is not prime"
-        if cfg.ymax < 10:
-            return "--ymax must be at least 10"
+        too_large = [p for p in cfg.primes if p >= INT64_PRIME_BOUND]
+        if too_large:
+            return f"--primes takes primes below 2**31; {too_large[0]} is too large"
+    if cfg.command in ("verify", "charsum") and cfg.ymax < 10:
+        return "--ymax must be at least 10"
     return None
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from ._primes import primes_up_to
 from .fields import FieldLabel, FieldRecord, conductor_discriminant, enumerate_family
-from .lfunctions import KUMMER, lambda_coefficient
+from .lfunctions import KUMMER, lambda_table
 
 TWO_PI = 2.0 * math.pi
 KERNELS = ("U", "Sp", "O", "SOeven", "SOodd")
@@ -259,7 +259,8 @@ def _archimedean_bracket(x: np.ndarray) -> np.ndarray:
     character, but cubic characters are even (chi(-1)^2 = 1 = chi(-1)^3).
     For the cubic character mod 7, mpmath gives |Lambda(s) / conj Lambda(1 -
     conj s)| = 1.0 at s = 0.3 + 1.7i with Gamma_R(s) and 0.99438 with
-    Gamma_R(s+1), so L_D = L(chi) L(chi-bar) should carry Gamma_R(s)^2, i.e.
+    Gamma_R(s+1) (the test test_cubic_character_gamma_factor_is_gamma_r_of_s
+    in tests/test_density.py), so L_D = L(chi) L(chi-bar) should carry Gamma_R(s)^2, i.e.
     weights 2 at a = 1/4 and none at a = 3/4.  The pair is kept until that
     change is made on its own; it moves gamma_term and total, never T.
     """
@@ -340,28 +341,48 @@ def gamma_term_quadrature(label: FieldLabel, tf: TestFunctionPair) -> float:
 # -- the explicit-formula statistics ----------------------------------------------
 
 
+def _primes_and_logs(bound: float) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The primes p <= bound, as floats, and math.log(p) for each."""
+    primes = primes_up_to(int(bound))
+    return primes, np.array(primes, dtype=float), np.array([math.log(p) for p in primes])
+
+
+def prime_sums(labels: Sequence[FieldLabel], tf: TestFunctionPair,
+               mode: str = KUMMER) -> list[float]:
+    """prime_sum of every label, from one sieve and one lambda_table.
+
+    Each field's terms are one numpy array with the same floating-point
+    operations per term as the formula in prime_sum, reduced by math.fsum.
+    """
+    if not labels:
+        return []
+    log_discs = [math.log(conductor_discriminant(label)[1]) for label in labels]
+    cuts = [tf.beta * log_disc for log_disc in log_discs]
+    primes, pf, logp = _primes_and_logs(math.exp(max(cuts)) + 1)
+    lambdas = lambda_table(labels, primes, mode)
+    sums = []
+    for lam, log_disc, cut in zip(lambdas, log_discs, cuts):
+        n = int(np.searchsorted(logp, cut))  # the primes with log p < cut
+        lam, p_n, logp_n = lam[:n], pf[:n], logp[:n]
+        terms = []
+        for m in (1, 2):  # lambda(p) = lambda(p^2)
+            arg = m * logp_n
+            keep = (lam != 0) & (arg < cut)
+            terms.append(lam[keep] * logp_n[keep] / np.sqrt(p_n[keep] ** m)
+                         * tf.fhat(arg[keep] / log_disc))
+        sums.append(2.0 / log_disc * math.fsum(np.concatenate(terms)))
+    return sums
+
+
 def prime_sum(label: FieldLabel, tf: TestFunctionPair, mode: str = KUMMER) -> float:
     """(2/log Delta) sum over p^m < Delta^beta, m <= 2, of the lambda terms.
 
+    Each term is lambda(p) log(p) / sqrt(p^m) * fhat(log(p^m) / log Delta).
     The terms are summed with math.fsum, which rounds the exact sum once, so
     the value is reproducible bit for bit whatever the order of the terms.
+    This is prime_sums for one field.
     """
-    _, disc = conductor_discriminant(label)
-    log_disc = math.log(disc)
-    cut = tf.beta * log_disc
-    terms: list[float] = []
-    for p in primes_up_to(int(math.exp(cut)) + 1):
-        logp = math.log(p)
-        if logp >= cut:
-            continue
-        lam = lambda_coefficient(p, 1, label, mode)  # lambda(p) = lambda(p^2)
-        if lam:
-            for m in (1, 2):
-                arg = m * logp
-                if arg >= cut:
-                    break
-                terms.append(lam * logp / math.sqrt(p**m) * float(tf.fhat(arg / log_disc)))
-    return 2.0 / log_disc * math.fsum(terms)
+    return prime_sums([label], tf, mode)[0]
 
 
 @dataclass(frozen=True)
@@ -406,11 +427,10 @@ def family_average(X: int, tf: TestFunctionPair, mode: str = KUMMER,
         raise ValueError(f"no fields with discriminant in [{X}, {2 * X}]")
     gamma_cache: dict[int, float] = {}
     rows = []
-    for rec in records:
+    for rec, ps in zip(records, prime_sums([rec.label for rec in records], tf, mode)):
         gam = gamma_cache.get(rec.discriminant)
         if gam is None:
             gam = gamma_cache[rec.discriminant] = gamma_term(rec.label, tf)
-        ps = prime_sum(rec.label, tf, mode)
         arch = tf.fhat_at_0
         rows.append(DensityBreakdown(rec.label, arch, gam, ps, arch - ps + gam))
     n = len(rows)
@@ -433,17 +453,14 @@ def reference_statistics(X: int, tf: TestFunctionPair,
         records = enumerate_family(X)
     if not records:
         raise ValueError(f"no fields with discriminant in [{X}, {2 * X}]")
+    log_discs = [math.log(rec.discriminant) for rec in records]
+    _, pf, logp = _primes_and_logs(math.exp(tf.beta * max(log_discs) / 2) + 1)
     per_field = []
-    for rec in records:
-        log_disc = math.log(rec.discriminant)
-        cut = tf.beta * log_disc
-        acc = []
-        for p in primes_up_to(int(math.exp(cut / 2)) + 1):
-            arg = 2.0 * math.log(p)
-            if arg >= cut:
-                continue
-            acc.append(2.0 * math.log(p) / (p * log_disc) * float(tf.fhat(arg / log_disc)))
-        per_field.append(math.fsum(acc))
+    for log_disc in log_discs:
+        arg = 2.0 * logp
+        keep = arg < tf.beta * log_disc
+        per_field.append(math.fsum(2.0 * logp[keep] / (pf[keep] * log_disc)
+                                   * tf.fhat(arg[keep] / log_disc)))
     square_sum = math.fsum(per_field) / len(per_field)
     return {"U": 0.0, "Sp": square_sum, "O": -square_sum,
             "SOeven": -square_sum, "SOodd": -square_sum}

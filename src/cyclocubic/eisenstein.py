@@ -15,7 +15,9 @@ above every rational prime: the primary associate (== 2 mod 3 with the omega
 coefficient divisible by 3), and for split primes the one of the two
 conjugates whose primary generator has positive omega coefficient.  Cubic
 residue symbols are evaluated by modular exponentiation in the residue field
-of the chosen prime.
+of the chosen prime: one element at a time (`cubic_residue_symbol`, exact at
+any size) or many elements at one prime (`cubic_residue_exponents`, numpy
+int64 for p < 2**31).
 
 All values are immutable after construction and the registry is append-only,
 so every operation is safe for concurrent callers.  The value types are
@@ -25,7 +27,9 @@ NamedTuples and coefficients are unbounded Python ints.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from ._primes import is_prime, sqrt_mod
 
@@ -371,3 +375,60 @@ def cubic_residue_symbol(a: EisensteinInteger, P: PrimeAbove) -> CubicSymbol:
         return SYMBOL_ZERO
     t = field.power(x, (P.residue_norm() - 1) // 3)
     return _SYMBOLS[field.cube_root_index(t)]
+
+
+EXPONENT_ZERO = -1  # cubic_residue_exponents' mark for a zero symbol
+INT64_PRIME_BOUND = 2**31  # p below it keeps every product of residues under 2**63
+
+
+def cubic_residue_exponents(elements: Sequence[EisensteinInteger], P: PrimeAbove) -> np.ndarray:
+    """The exponents k of (a / P)_3 = omega^k for every a in `elements`, at once.
+
+    The vectorized cubic_residue_symbol: the same residue field and power
+    (N(P)-1)/3, by numpy int64 square-and-multiply on coefficients reduced
+    mod p first.  EXPONENT_ZERO marks the elements that P divides.  Raises
+    ValueError unless p < 2**31, so no product can wrap, and the
+    RuntimeError of cube_root_index if a power is not a cube root of unity.
+    """
+    if P.kind == "ramified":
+        raise ValueError("the cubic symbol is not defined at the prime above 3")
+    p = P.p
+    if p >= INT64_PRIME_BOUND:
+        raise ValueError(f"vectorized cubic symbols need p < 2**31, got p = {p}")
+    field = residue_map(P)
+    a = np.array([z.a % p for z in elements], dtype=np.int64)
+    b = np.array([z.b % p for z in elements], dtype=np.int64)
+    n = (P.residue_norm() - 1) // 3
+    if P.residue_degree == 1:
+        x = (a + b * field.omega) % p
+        zero = x == 0
+        t = _array_power(x, n, np.ones_like(x), lambda u, v: u * v % p)
+        parts = (t,)
+    else:
+        zero = (a == 0) & (b == 0)
+        # (a + b w)(c + d w) = (ac - bd) + (ad + b(c - d)) w; each sum stays below 2**63
+        t = _array_power((a, b), n, (np.ones_like(a), np.zeros_like(b)),
+                         lambda u, v: ((u[0] * v[0] - u[1] * v[1]) % p,
+                                       (u[0] * v[1] + u[1] * (v[0] - v[1])) % p))
+        parts = t
+    roots = field._roots if P.residue_degree == 2 else {(r,): k for r, k in field._roots.items()}
+    exponents = np.full(len(a), EXPONENT_ZERO, dtype=np.int64)
+    for root, k in roots.items():
+        exponents[np.logical_and.reduce([part == r for part, r in zip(parts, root)])] = k
+    bad = np.flatnonzero((exponents == EXPONENT_ZERO) & ~zero)
+    if bad.size:
+        cubic_residue_symbol(elements[bad[0]], P)  # raises cube_root_index's RuntimeError
+        raise AssertionError("the vectorized and the scalar cubic symbol disagree")
+    return exponents
+
+
+def _array_power(x, n: int, one, mul):
+    """x^n by square-and-multiply under `mul`, elementwise over arrays."""
+    out, base = one, x
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return out

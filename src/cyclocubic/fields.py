@@ -96,26 +96,39 @@ def conductor_discriminant(label: FieldLabel) -> tuple[int, int]:
     return f, f * f
 
 
-def three_split_factorization(label: FieldLabel) -> ThreeSplitFactorization:
-    """Conjugate factorization of D built from registry prime generators.
+def label_primes(label: FieldLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The primes dividing d1 and those dividing d2, ascending, with the label checked.
 
-    Checks the label on the way, from the factorizations of d1 and d2 that it
-    needs anyway, so no caller has to factor D: raises ValueError unless e3
-    is 0, 1 or 2 and d1, d2 are coprime, squarefree, and made of primes
-    = 1 (mod 3).
+    The check uses the factorizations of d1 and d2, so no caller has to
+    factor D: raises ValueError unless e3 is 0, 1 or 2 and d1, d2 are
+    coprime, squarefree, and made of primes = 1 (mod 3).
     """
     e3, d1, d2 = label
     if e3 not in (0, 1, 2):
         raise ValueError(f"e3 must be 0, 1 or 2, got {e3}")
     if math.gcd(d1, d2) != 1:
         raise NotCubeFreeError(f"d1={d1} and d2={d2} share a factor, so its cube divides D")
-    d1_part = LAMBDA**e3
+    out = []
     for power, part in ((1, d1), (2, d2)):
-        for q, e in factorize(part).items():
+        factors = factorize(part)
+        for q, e in factors.items():
             if q % 3 == 2:
                 raise Not3SplitError(f"d{power}={part} has the factor {q} = 2 (mod 3)")
             if q == 3 or e > 1:
                 raise ValueError(f"d{power}={part} is not squarefree and prime to 3")
+        out.append(tuple(factors))
+    return out[0], out[1]
+
+
+def three_split_factorization(label: FieldLabel) -> ThreeSplitFactorization:
+    """Conjugate factorization of D built from registry prime generators.
+
+    The label is checked by label_primes on the way.
+    """
+    q1, q2 = label_primes(label)
+    d1_part = LAMBDA**label.e3
+    for power, qs in ((1, q1), (2, q2)):
+        for q in qs:
             g = prime_above(q).generator
             for _ in range(power):
                 d1_part = d1_part * g

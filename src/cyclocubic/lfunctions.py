@@ -23,21 +23,43 @@ criterion independently.
 lambda_D(p^m) are the Dirichlet coefficients of -L_D'/L_D against
 Lambda(n) n^-s: 2 at split primes for every m, -1 at inert primes unless
 3 | m (then 2), and 0 at ramified primes.
+
+`lambda_table` gives lambda(p) for a whole family at once from one exact
+exponent table.  The symbol is multiplicative and D1 = lambda^e3 *
+prod_{q | d1} pi_q * prod_{q | d2} pi_q^2, with pi_q the registry generator
+above q and lambda = 1 - omega, while D2 is its conjugate.  So with
+e = e(pi_q / P) and e' = e(conj(pi_q) / P), the exponents of P's symbol for a
+row r (a prime q, or lambda) are
+
+    kummer:  k_r = e + 2 e' (mod 3)      paper:  k_r = e
+
+and a field's symbol is omega^s with s = sum_{q | d1} k_q + 2 sum_{q | d2} k_q
++ e3 k_lambda (mod 3).  It is zero exactly when a zero entry enters the sum,
+that is when p | D.  The table holds one row per distinct q of the family
+and one for lambda, and one column per prime p != 3; p = 3 stays on
+`splitting_at_three`.  `kummer_symbol`, `paper_chi`, `splitting_type` and
+`lambda_coefficient` are the per-call reference that the probes and tests
+compare the table against.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .eisenstein import (
+    EXPONENT_ZERO,
+    LAMBDA,
     CubicSymbol,
     EisensteinInteger,
     PrimeAbove,
+    cubic_residue_exponents,
     cubic_residue_symbol,
     lambda_valuation,
     prime_above,
 )
-from .fields import FieldLabel, three_split_factorization
+from .fields import FieldLabel, label_primes, three_split_factorization
 from ._primes import primes_up_to
 
 KUMMER = "kummer"
@@ -145,6 +167,61 @@ def lambda_from_splitting(st: SplittingType, m: int) -> int:
     if st == SPLIT:
         return 2
     return 2 if m % 3 == 0 else -1
+
+
+# a zero symbol's entry in the exponent table: any sum holding it reaches this
+# bound, while sums of entries 0..2 with weights up to 2 stay far below it
+_ZERO_ENTRY = 1 << 20
+
+
+def _exponent_table(qs: Sequence[int], primes: Sequence[int], mode: str) -> np.ndarray:
+    """k[r, j] of the module docstring: row 0 for lambda, row i + 1 for qs[i].
+
+    Column j belongs to primes[j]; a column for p = 3 is left at 0.  Zero
+    symbols enter as _ZERO_ENTRY.
+    """
+    gens = [LAMBDA] + [prime_above(q).generator for q in qs]
+    both = gens + [g.conjugate() for g in gens]
+    table = np.zeros((len(gens), len(primes)), dtype=np.int64)
+    for j, p in enumerate(primes):
+        if p == 3:
+            continue
+        e = cubic_residue_exponents(both, prime_above(p))
+        e, e_conj = e[:len(gens)], e[len(gens):]
+        zero = e == EXPONENT_ZERO
+        if mode == KUMMER:
+            zero |= e_conj == EXPONENT_ZERO
+            k = (e + 2 * e_conj) % 3
+        else:
+            k = e
+        table[:, j] = np.where(zero, _ZERO_ENTRY, k)
+    return table
+
+
+def lambda_table(labels: Sequence[FieldLabel], primes: Sequence[int],
+                 mode: str = KUMMER) -> np.ndarray:
+    """lambda(p) for every label (rows) and every prime in `primes` (columns).
+
+    Equal to lambda_coefficient(p, 1, label, mode) entry by entry, read off
+    one exponent table of the family (see the module docstring) instead of a
+    Z[omega] product and two symbols per pair.  Each label is checked by
+    label_primes.
+    """
+    _check_mode(mode)
+    factors = [label_primes(label) for label in labels]
+    qs = sorted({q for q1, q2 in factors for q in q1 + q2})
+    row = {q: i + 1 for i, q in enumerate(qs)}
+    table = _exponent_table(qs, primes, mode)
+    out = np.empty((len(labels), len(primes)), dtype=np.int8)
+    for i, (label, (q1, q2)) in enumerate(zip(labels, factors)):
+        rows = [0] + [row[q] for q in q1 + q2]
+        weights = [label.e3] + [1] * len(q1) + [2] * len(q2)
+        s = np.dot(weights, table[rows])
+        out[i] = np.where(s >= _ZERO_ENTRY, 0, np.where(s % 3 == 0, 2, -1))
+    if 3 in primes:
+        j = list(primes).index(3)
+        out[:, j] = [lambda_from_splitting(splitting_at_three(label), 1) for label in labels]
+    return out
 
 
 def local_factor(p: int, s: float, label: FieldLabel, mode: str = KUMMER) -> float:

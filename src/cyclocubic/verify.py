@@ -28,8 +28,10 @@ import numpy as np
 
 from ._primes import factorize, primes_up_to, smallest_factor_sieve
 from .eisenstein import (
+    EXPONENT_ZERO,
     EisensteinInteger,
     LAMBDA,
+    cubic_residue_exponents,
     cubic_residue_symbol,
     lambda_valuation,
     prime_above,
@@ -384,13 +386,13 @@ def char_sum(p: int, y: int, *, conjugate_prime: bool = False) -> CharSumValue:
     if conjugate_prime:
         P = P.conjugate()
     numbers = squarefree_3split_with_factors(1, y)
-    exponents: dict[int, int | None] = {}
-    for q in {q for _, fac in numbers for q in fac}:
-        g = prime_above(q).generator
-        if conjugate_prime:
-            g = g.conjugate()
-        s = cubic_residue_symbol(g, P)
-        exponents[q] = s.exponent  # None exactly when q == p
+    qs = sorted({q for _, fac in numbers for q in fac})
+    gens = [prime_above(q).generator for q in qs]
+    if conjugate_prime:
+        gens = [g.conjugate() for g in gens]
+    exponents: dict[int, int | None] = {  # None exactly when q == p
+        q: None if e == EXPONENT_ZERO else int(e)
+        for q, e in zip(qs, cubic_residue_exponents(gens, P))}
     counts = [0, 0, 0]
     pairs = 0
     for d1, fac1 in numbers:

@@ -53,9 +53,17 @@ def test_usage_errors(capsys):
     assert code == cli.EXIT_USAGE and "8 is not prime" in err
     code, _, err = run(["charsum", "--ymax", "1"], capsys)
     assert code == cli.EXIT_USAGE and "--ymax" in err
+    code, _, err = run(["charsum", "--primes", "2147483659"], capsys)  # a prime > 2^31
+    assert code == cli.EXIT_USAGE and "2**31" in err
     for s in ("1", "0", "-2"):
         code, _, err = run(["verify", "--s", s], capsys)
         assert code == cli.EXIT_USAGE and "--s" in err
+    # p0 // 10 < 7 holds no prime = 1 (mod 3): both Euler products would be empty
+    for p0 in ("0", "69"):
+        code, _, err = run(["verify", "--p0", p0], capsys)
+        assert code == cli.EXIT_USAGE and "--p0" in err
+    code, _, err = run(["verify", "--ymax", "1"], capsys)
+    assert code == cli.EXIT_USAGE and "--ymax" in err
 
 
 def test_density_table(tmp_path, capsys):
@@ -188,6 +196,10 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
      "547203777580b4a1a7691d78257f0ea8fa19d27287e281a3e76a8c7513ce8f2c"),
     (["charsum", "--primes", "7,13", "--ymax", "1000"],
      "979875225a0335c8528c91606fff4e6c5b532ecce186059ac3cd2f028a091032"),
+    (["density", "--x", "1000000", "--beta", "0.4", "--mode", "kummer"],
+     "9d35ae099c12d95f4e5d802ec1928135b2c167ceff6ff9992b81d7c8f12ff8b5"),
+    (["density", "--x", "1000000", "--beta", "0.4", "--mode", "paper"],
+     "5289d190a4c3765418283dc06883e48c9b33f14ada78d98d538260d151aa82ef"),
 ])
 def test_golden_outputs(tmp_path, capsys, argv, sha256):
     # pinned bytes: refactors must leave these outputs identical

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,10 +22,11 @@ from cyclocubic.density import (
     one_level_density,
     panel_gauss,
     prime_sum,
+    prime_sums,
     reference_statistics,
 )
 from cyclocubic.fields import FieldLabel, conductor_discriminant, labels_up_to_conductor
-from cyclocubic.lfunctions import KUMMER, lambda_coefficient
+from cyclocubic.lfunctions import KUMMER, PAPER_LITERAL, lambda_coefficient
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -156,6 +158,53 @@ def test_gamma_term_matches_quadrature_oracle():
     mix = combine_pairs((0.6, 1.7), (f1, f2))
     oracle = 0.6 * gamma_term_quadrature(first_1e9, f1) + 1.7 * gamma_term_quadrature(first_1e9, f2)
     assert abs(gamma_term(first_1e9, mix) - oracle) < 1e-9
+
+
+def test_cubic_character_gamma_factor_is_gamma_r_of_s():
+    # Lambda(s) = (7/pi)^((s+k)/2) Gamma((s+k)/2) L(s, chi), chi the cubic
+    # character mod 7 (chi(3^j) = w^j).  The functional equation makes
+    # |Lambda(s) / conj Lambda(1 - conj s)| = 1 for the right gamma factor:
+    # k = 0 (Gamma_R(s), an even character), not k = 1 (Gamma_R(s+1)).
+    with mpmath.workdps(30):
+        w = mpmath.exp(2j * mpmath.pi / 3)
+        chi = [0] * 7
+        for j in range(6):
+            chi[pow(3, j, 7)] = w**j
+
+        def completed(s, k):
+            return ((7 / mpmath.pi) ** ((s + k) / 2) * mpmath.gamma((s + k) / 2)
+                    * mpmath.dirichlet(s, chi))
+
+        s = mpmath.mpc(0.3, 1.7)
+        ratio = [abs(completed(s, k) / mpmath.conj(completed(1 - mpmath.conj(s), k)))
+                 for k in (0, 1)]
+    assert abs(ratio[0] - 1) < 1e-10
+    assert abs(ratio[1] - 1) > 1e-3
+
+
+def test_prime_sums_match_per_term_reference():
+    # the table path reproduces the per-call reference formula bit for bit,
+    # for a whole family at once and for one field at a time
+    def reference(label, tf, mode):
+        log_disc = math.log(conductor_discriminant(label)[1])
+        cut = tf.beta * log_disc
+        terms = []
+        for p in primes_up_to(int(math.exp(cut)) + 1):
+            logp = math.log(p)
+            lam = lambda_coefficient(p, 1, label, mode) if logp < cut else 0
+            for m in (1, 2):
+                if lam and m * logp < cut:
+                    fhat = float(tf.fhat(m * logp / log_disc))
+                    terms.append(lam * logp / math.sqrt(p**m) * fhat)
+        return 2.0 / log_disc * math.fsum(terms)
+
+    labels = labels_up_to_conductor(200)
+    for mode in (KUMMER, PAPER_LITERAL):
+        for tf in (fejer_pair(0.2), fejer_pair(0.6)):
+            want = [reference(label, tf, mode) for label in labels]
+            assert prime_sums(labels, tf, mode) == want
+            assert [prime_sum(label, tf, mode) for label in labels[:5]] == want[:5]
+    assert prime_sums([], fejer_pair(0.2)) == []
 
 
 def test_prime_sum_support():

@@ -7,7 +7,9 @@ import pytest
 
 from cyclocubic._primes import primes_up_to
 from cyclocubic.density import fejer_pair, prime_sum
+from cyclocubic._primes import is_prime
 from cyclocubic.eisenstein import (
+    EXPONENT_ZERO,
     LAMBDA,
     ONE,
     SYMBOL_OMEGA,
@@ -17,6 +19,7 @@ from cyclocubic.eisenstein import (
     EisensteinInteger,
     PrimeAbove,
     canonical_associate,
+    cubic_residue_exponents,
     cubic_residue_symbol,
     euclidean_gcd,
     lambda_valuation,
@@ -249,3 +252,28 @@ def test_lambda_valuation():
     assert lambda_valuation(E(9)) == 4
     assert lambda_valuation(E(7)) == 0
     assert lambda_valuation(LAMBDA**5 * E(4, 1)) == 5
+
+
+def test_cubic_residue_exponents_match_scalar():
+    # coefficients far past 2^63 are reduced mod p before the int64 arithmetic
+    rng = random.Random(77)
+    elems = [E(rng.randint(-10**30, 10**30), rng.randint(-10**30, 10**30)) for _ in range(40)]
+    for p in [q for q in primes_up_to(200) if q != 3] + [2**31 - 1]:  # 2^31 - 1 is prime
+        for P in (prime_above(p), prime_above(p).conjugate()):
+            batch = elems + [P.generator, P.generator * elems[0], E(0), E(p)]
+            want = [cubic_residue_symbol(z, P).exponent for z in batch]
+            got = cubic_residue_exponents(batch, P)
+            assert [None if e == EXPONENT_ZERO else e for e in got.tolist()] == want, p
+
+
+def test_cubic_residue_exponents_rejects_p_beyond_int64_envelope():
+    p = next(n for n in range(2**31, 2**31 + 200) if n % 3 == 2 and is_prime(n))
+
+    def untouched():
+        raise AssertionError("the elements were read before p was checked")
+        yield
+
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        cubic_residue_exponents(untouched(), prime_above(p))
+    with pytest.raises(ValueError):
+        cubic_residue_exponents([ONE], prime_above(3))

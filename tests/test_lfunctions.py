@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from cyclocubic import eisenstein
 from cyclocubic._primes import primes_up_to
+from cyclocubic.eisenstein import EisensteinInteger, PrimeAbove
 from cyclocubic.eisenstein import SYMBOL_OMEGA, SYMBOL_OMEGA2, SYMBOL_ONE, SYMBOL_ZERO
 from cyclocubic.fields import FieldLabel, defining_polynomial, labels_up_to_conductor
 from cyclocubic.lfunctions import (
@@ -17,6 +19,7 @@ from cyclocubic.lfunctions import (
     euler_value,
     kummer_symbol,
     lambda_coefficient,
+    lambda_table,
     paper_chi,
     splitting_at_three,
     splitting_type,
@@ -178,3 +181,30 @@ def test_euler_value_consistency():
     assert abs(euler_value(2.0, D7, 2 * 10**4) - euler_value(2.0, D7, 10**4)) < 1e-4
     with pytest.raises(ValueError):
         euler_value(1.0, D7, 100)
+
+
+def test_lambda_table_matches_reference():
+    # every canonical label with conductor <= 400, plus one past the old 64-bit envelope
+    labels = labels_up_to_conductor(400) + [FieldLabel(0, 1, 4471123)]
+    primes = primes_up_to(500)
+    assert 3 in primes
+    for mode in (KUMMER, PAPER_LITERAL):
+        table = lambda_table(labels, primes, mode)
+        assert table.shape == (len(labels), len(primes))
+        for label, row in zip(labels, table):
+            want = [lambda_coefficient(p, 1, label, mode) for p in primes]
+            assert row.tolist() == want, (label, mode)
+
+
+def test_lambda_table_corrupt_registry_raises(monkeypatch):
+    # a corrupted registry generator must stop the table, not yield a guess
+    true_prime_above = eisenstein.prime_above.__wrapped__
+
+    def corrupted(p):
+        if p == 13:
+            return PrimeAbove(13, EisensteinInteger(5, 1), 1, "split")
+        return true_prime_above(p)
+
+    monkeypatch.setattr("cyclocubic.lfunctions.prime_above", corrupted)
+    with pytest.raises(RuntimeError, match="cube root of unity"):
+        lambda_table(labels_up_to_conductor(200), primes_up_to(50))
