@@ -5,21 +5,26 @@ Everything here is deterministic; no randomized primality or root finding.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic to 3.3e24
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, ascending."""
-    if n < 2:
-        return []
-    sieve = np.ones(n + 1, dtype=bool)
+def prime_sieve(n: int) -> np.ndarray:
+    """Boolean array s of length n + 1 (at least 0) with s[k] true exactly for prime k."""
+    sieve = np.ones(max(n + 1, 0), dtype=bool)
     sieve[:2] = False
-    for p in range(2, int(n**0.5) + 1):
+    for p in range(2, math.isqrt(max(n, 0)) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+    return sieve
+
+
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n, ascending."""
+    return np.flatnonzero(prime_sieve(n)).tolist()
 
 
 def smallest_factor_sieve(n: int) -> np.ndarray:

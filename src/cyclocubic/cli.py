@@ -110,19 +110,20 @@ def _validate(cfg: RunConfig) -> str | None:
     return None
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, lines: list[str]) -> None:
+    """Write each line and a newline; no output-size string is ever built."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(f"{line}\n" for line in lines)
 
 
 def cmd_enumerate(cfg: RunConfig) -> int:
     records = enumerate_family(cfg.x)
     lines = [f"# cyclocubic catalog", f"# x={cfg.x}", f"# count={len(records)}"]
     lines += [record_to_line(r) for r in records]
-    _write(cfg.out, "\n".join(lines) + "\n")
+    _write(cfg.out, lines)
     return EXIT_OK
 
 
@@ -185,7 +186,7 @@ def cmd_density(cfg: RunConfig) -> int:
         f"# references=" + " ".join(f"{g}:{refs[g]!r}" for g in density_mod.KERNELS),
         f"# classification={cls.kernel} margin={cls.margin!r} ambiguous={cls.ambiguous}",
     ]
-    _write(cfg.out, "\n".join(lines) + "\n")
+    _write(cfg.out, lines)
     return EXIT_OK
 
 
@@ -203,7 +204,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         if rep.status == verify_mod.FAIL:
             failed += 1
     lines.append(f"# probes={len(reports)} failed={failed}")
-    _write(cfg.out, "\n".join(lines) + "\n")
+    _write(cfg.out, lines)
     return EXIT_ASSERTION if failed else EXIT_OK
 
 
@@ -216,7 +217,7 @@ def cmd_charsum(cfg: RunConfig) -> int:
         rows, exponent = verify_mod.char_sum_grid(p, grid)
         for y, cs in rows:
             lines.append(f"{p},{y},{cs.value.a},{cs.value.b},{cs.magnitude!r},{exponent!r}")
-    _write(cfg.out, "\n".join(lines) + "\n")
+    _write(cfg.out, lines)
     return EXIT_OK
 
 

@@ -13,25 +13,41 @@ behave as follows:
 `prime_above` keeps a deterministic registry of one chosen prime generator
 above every rational prime: the primary associate (== 2 mod 3 with the omega
 coefficient divisible by 3), and for split primes the one of the two
-conjugates whose primary generator has positive omega coefficient.  Cubic
-residue symbols are evaluated by modular exponentiation in the residue field
-of the chosen prime: one element at a time (`cubic_residue_symbol`, exact at
-any size) or many elements at one prime (`cubic_residue_exponents`, numpy
-int64 for p < 2**31).
+conjugates whose primary generator has positive omega coefficient.
 
-All values are immutable after construction and the registry is append-only,
-so every operation is safe for concurrent callers.  The value types are
-NamedTuples and coefficients are unbounded Python ints.
+For split p that generator has a closed description: it is the only
+a + b*omega with a^2 - ab + b^2 = p, a = 2 (mod 3), b = 0 (mod 3) and b > 0.
+Each of the two primes above p has exactly one primary generator, the
+conjugate of a primary element is primary, and conjugation sends
+a + b*omega to (a - b) - b*omega, flipping the sign of b (b != 0, since p is
+not a square).  So the two primary elements of norm p are conjugate and
+exactly one has b > 0.  `registry_table(n)` finds all of them up to n in one
+numpy pass over the lattice rows b = 3, 6, ... inside the ellipse
+a^2 - ab + b^2 <= n, keeping the points of prime norm; `prime_above` reads
+that table for p up to its bound and solves the norm equation beyond it.
+
+Cubic residue symbols are evaluated by modular exponentiation in the residue
+field of the chosen prime: one element at a time (`cubic_residue_symbol`,
+exact at any size) or many elements at one prime (`cubic_residue_exponents`,
+numpy int64 for p < 2**31, from elements or straight from coefficient arrays
+such as the table's).
+
+All values are immutable after construction, and the registry table is only
+ever replaced whole by a larger read-only one, so every operation is safe
+for concurrent callers.  The value types are NamedTuples and coefficients
+are unbounded Python ints.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._primes import is_prime, sqrt_mod
+from ._primes import is_prime, prime_sieve, sqrt_mod
 
 
 class EisensteinInteger(NamedTuple):
@@ -129,6 +145,11 @@ class EisensteinInteger(NamedTuple):
         return complex(self.a - self.b / 2.0, self.b * 0.8660254037844386)
 
 
+def conjugate_coefficients(coeffs: np.ndarray) -> np.ndarray:
+    """EisensteinInteger.conjugate on every row (a, b) of a coefficient array."""
+    return np.column_stack((coeffs[:, 0] - coeffs[:, 1], -coeffs[:, 1]))
+
+
 def _round_div(u: int, v: int) -> int:
     # round(u / v) with half-up tie break; v > 0 here (a norm)
     return (2 * u + v) // (2 * v)
@@ -219,21 +240,82 @@ class PrimeAbove(NamedTuple):
         return PrimeAbove(self.p, self.generator.conjugate(), self.residue_degree, self.kind)
 
 
-@lru_cache(maxsize=None)
-def prime_above(p: int) -> PrimeAbove:
-    """Deterministic choice of a prime above p; identical on every run.
+class _SplitTable(NamedTuple):
+    """Every split p <= bound, ascending, with its registry generator (read-only arrays)."""
 
-    p = 3 -> 1 - omega; p = 2 (mod 3) -> p itself; p = 1 (mod 3) -> the
-    primary generator with positive omega coefficient among the two
-    conjugate primes (found through a norm-equation solve, then normalized).
+    bound: int
+    primes: np.ndarray  # int64, shape (m,)
+    gens: np.ndarray  # int64 coefficient pairs (a, b), shape (m, 2)
+
+
+def _lattice_pass(n: int) -> _SplitTable:
+    """The table up to n, from the lattice points of the module docstring.
+
+    Row b holds the a = 2 (mod 3) with |2a - b| <= isqrt(4n - 3b^2), which is
+    exactly a^2 - ab + b^2 <= n; a boolean sieve keeps the prime norms, and
+    each point goes to the slot of its norm among the split primes.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == 3:
-        return PrimeAbove(3, LAMBDA, 1, "ramified")
-    if p % 3 == 2:
-        return PrimeAbove(p, EisensteinInteger(p, 0), 2, "inert")
-    # split: omega maps to a root of x^2 + x + 1 mod p
+    sieve = prime_sieve(n)
+    primes = 3 * np.flatnonzero(sieve[1::3]) + 1  # every split p <= n, ascending
+    rows = [np.zeros((0, 3), dtype=np.int64)]  # (norm, a, b) of every point kept
+    b = 3
+    while 3 * b * b <= 4 * n:
+        r = math.isqrt(4 * n - 3 * b * b)
+        lo = (b - r + 1) // 2
+        a = np.arange(lo + (2 - lo) % 3, (b + r) // 2 + 1, 3, dtype=np.int64)
+        norm = a * a - a * b + b * b
+        keep = sieve[norm]
+        rows.append(np.column_stack((norm[keep], a[keep], np.full(norm[keep].size, b))))
+        b += 3
+    found = np.concatenate(rows)
+    slot = np.searchsorted(primes, found[:, 0])
+    hit = np.zeros(primes.size, dtype=bool)
+    hit[slot] = True
+    # one point per split prime, or the uniqueness argument is broken
+    if found.shape[0] != primes.size or not hit.all() or np.any(primes[slot] != found[:, 0]):
+        raise AssertionError(f"the lattice pass up to {n} missed or repeated a split prime")
+    gens = np.empty((primes.size, 2), dtype=np.int64)
+    gens[slot] = found[:, 1:]
+    primes.flags.writeable = gens.flags.writeable = False
+    return _SplitTable(n, primes, gens)
+
+
+_TABLE = _SplitTable(0, np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64))
+_TABLE_LOCK = threading.Lock()  # so a concurrent rebuild never swaps in a smaller table
+
+
+def registry_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(primes, gens): every split p <= n, ascending, and its registry generator.
+
+    gens[i] = (a, b) is prime_above(primes[i]).generator.  The table is
+    built on the first call that needs it and rebuilt larger when a call
+    asks for more; every later prime_above(p) with p <= n reads it.  Both
+    arrays are read-only views.
+    """
+    global _TABLE
+    table = _TABLE
+    if table.bound < n:
+        with _TABLE_LOCK:
+            table = _TABLE
+            if table.bound < n:
+                table = _TABLE = _lattice_pass(n)
+    k = int(np.searchsorted(table.primes, n, side="right"))
+    return table.primes[:k], table.gens[:k]
+
+
+def registry_bound() -> int:
+    """The largest n the table covers today: prime_above(p) for p <= n reads it."""
+    return _TABLE.bound
+
+
+def solve_split_generator(p: int) -> EisensteinInteger:
+    """The registry generator above a split prime p, by a norm-equation solve.
+
+    omega maps to a root r of x^2 + x + 1 mod p; gcd(p, r - omega) is a prime
+    above p, normalized to its primary associate with positive omega
+    coefficient.  prime_above takes this route beyond the table bound; it is
+    also the reference the table is tested against.
+    """
     s = sqrt_mod(p - 3, p)
     r = (p - 1 + s) * pow(2, -1, p) % p
     g = euclidean_gcd(EisensteinInteger(p, 0), EisensteinInteger(r, -1))
@@ -242,7 +324,33 @@ def prime_above(p: int) -> PrimeAbove:
     _, prim = primary_associate(g)
     if prim.b < 0:
         prim = prim.conjugate()  # the conjugate of a primary element is primary
-    return PrimeAbove(p, prim, 1, "split")
+    return prim
+
+
+@lru_cache(maxsize=None)
+def prime_above(p: int) -> PrimeAbove:
+    """Deterministic choice of a prime above p; identical on every run.
+
+    p = 3 -> 1 - omega; p = 2 (mod 3) -> p itself; p = 1 (mod 3) -> the
+    primary generator with positive omega coefficient among the two
+    conjugate primes, which is unique (module docstring).  Two routes give
+    that generator: for p up to registry_bound() it is read off the lattice
+    table, and beyond it comes from solve_split_generator.
+    """
+    table = _TABLE
+    if p % 3 == 1 and p <= table.bound:
+        i = int(np.searchsorted(table.primes, p))
+        if i == table.primes.size or table.primes[i] != p:
+            raise ValueError(f"{p} is not prime")
+        a, b = table.gens[i].tolist()
+        return PrimeAbove(p, EisensteinInteger(a, b), 1, "split")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p == 3:
+        return PrimeAbove(3, LAMBDA, 1, "ramified")
+    if p % 3 == 2:
+        return PrimeAbove(p, EisensteinInteger(p, 0), 2, "inert")
+    return PrimeAbove(p, solve_split_generator(p), 1, "split")
 
 
 # -- residue fields and cubic symbols ------------------------------------------
@@ -381,13 +489,16 @@ EXPONENT_ZERO = -1  # cubic_residue_exponents' mark for a zero symbol
 INT64_PRIME_BOUND = 2**31  # p below it keeps every product of residues under 2**63
 
 
-def cubic_residue_exponents(elements: Sequence[EisensteinInteger], P: PrimeAbove) -> np.ndarray:
+def cubic_residue_exponents(elements: Sequence[EisensteinInteger] | np.ndarray,
+                            P: PrimeAbove) -> np.ndarray:
     """The exponents k of (a / P)_3 = omega^k for every a in `elements`, at once.
 
-    The vectorized cubic_residue_symbol: the same residue field and power
-    (N(P)-1)/3, by numpy int64 square-and-multiply on coefficients reduced
-    mod p first.  EXPONENT_ZERO marks the elements that P divides.  Raises
-    ValueError unless p < 2**31, so no product can wrap, and the
+    `elements` is a sequence of EisensteinInteger, or an integer array of
+    shape (n, 2) holding coefficient pairs (a, b), such as registry_table's
+    generators.  The vectorized cubic_residue_symbol: the same residue field
+    and power (N(P)-1)/3, by numpy int64 square-and-multiply on coefficients
+    reduced mod p first.  EXPONENT_ZERO marks the elements that P divides.
+    Raises ValueError unless p < 2**31, so no product can wrap, and the
     RuntimeError of cube_root_index if a power is not a cube root of unity.
     """
     if P.kind == "ramified":
@@ -396,8 +507,11 @@ def cubic_residue_exponents(elements: Sequence[EisensteinInteger], P: PrimeAbove
     if p >= INT64_PRIME_BOUND:
         raise ValueError(f"vectorized cubic symbols need p < 2**31, got p = {p}")
     field = residue_map(P)
-    a = np.array([z.a % p for z in elements], dtype=np.int64)
-    b = np.array([z.b % p for z in elements], dtype=np.int64)
+    if isinstance(elements, np.ndarray):
+        a, b = (elements[:, k].astype(np.int64) % p for k in (0, 1))
+    else:
+        a = np.array([z.a % p for z in elements], dtype=np.int64)
+        b = np.array([z.b % p for z in elements], dtype=np.int64)
     n = (P.residue_norm() - 1) // 3
     if P.residue_degree == 1:
         x = (a + b * field.omega) % p
@@ -417,7 +531,8 @@ def cubic_residue_exponents(elements: Sequence[EisensteinInteger], P: PrimeAbove
         exponents[np.logical_and.reduce([part == r for part, r in zip(parts, root)])] = k
     bad = np.flatnonzero((exponents == EXPONENT_ZERO) & ~zero)
     if bad.size:
-        cubic_residue_symbol(elements[bad[0]], P)  # raises cube_root_index's RuntimeError
+        z = EisensteinInteger(*map(int, elements[bad[0]]))
+        cubic_residue_symbol(z, P)  # raises cube_root_index's RuntimeError
         raise AssertionError("the vectorized and the scalar cubic symbol disagree")
     return exponents
 

@@ -19,7 +19,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._primes import factorize, primes_up_to
-from .eisenstein import LAMBDA, EisensteinInteger, prime_above
+from .eisenstein import LAMBDA, EisensteinInteger, prime_above, registry_table
+
+
+LabelPrimes = tuple[tuple[int, ...], tuple[int, ...]]  # primes of d1, primes of d2, ascending
 
 
 class Not3SplitError(ValueError):
@@ -96,7 +99,7 @@ def conductor_discriminant(label: FieldLabel) -> tuple[int, int]:
     return f, f * f
 
 
-def label_primes(label: FieldLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def label_primes(label: FieldLabel) -> LabelPrimes:
     """The primes dividing d1 and those dividing d2, ascending, with the label checked.
 
     The check uses the factorizations of d1 and d2, so no caller has to
@@ -120,12 +123,15 @@ def label_primes(label: FieldLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return out[0], out[1]
 
 
-def three_split_factorization(label: FieldLabel) -> ThreeSplitFactorization:
+def three_split_factorization(label: FieldLabel,
+                              primes: LabelPrimes | None = None) -> ThreeSplitFactorization:
     """Conjugate factorization of D built from registry prime generators.
 
-    The label is checked by label_primes on the way.
+    `primes` is label_primes(label) when the caller already holds it, as the
+    enumeration does; otherwise label_primes computes it and checks the
+    label on the way.
     """
-    q1, q2 = label_primes(label)
+    q1, q2 = label_primes(label) if primes is None else primes
     d1_part = LAMBDA**label.e3
     for power, qs in ((1, q1), (2, q2)):
         for q in qs:
@@ -137,13 +143,15 @@ def three_split_factorization(label: FieldLabel) -> ThreeSplitFactorization:
     return ThreeSplitFactorization(d1_part, d2_part)
 
 
-def defining_polynomial(label: FieldLabel) -> tuple[int, int]:
+def defining_polynomial(label: FieldLabel,
+                        primes: LabelPrimes | None = None) -> tuple[int, int]:
     """(A, B) with the field generated by a root of x^3 - 3*A*x - B.
 
     The generator u + v, u^3 = D1*D2^2 and v^3 = D1^2*D2, has u*v = D and
-    u^3 + v^3 = D * trace(D1), so A = D and B = D * trace(D1).
+    u^3 + v^3 = D * trace(D1), so A = D and B = D * trace(D1).  `primes` as
+    in three_split_factorization.
     """
-    fact = three_split_factorization(label)
+    fact = three_split_factorization(label, primes)
     return label.D, label.D * fact.d1.trace()
 
 
@@ -172,14 +180,16 @@ def squarefree_3split_with_factors(lo: int, hi: int) -> list[tuple[int, tuple[in
     return out
 
 
-def _canonical_labels(f_lo: int, f_hi: int) -> list[FieldLabel]:
-    """Canonical labels with conductor in [f_lo, f_hi], sorted by (conductor, D).
+def _canonical_labels(f_lo: int, f_hi: int) -> list[tuple[FieldLabel, tuple[int, ...]]]:
+    """(label, primes of d1 * d2) for the canonical labels with conductor in
+    [f_lo, f_hi], sorted by (conductor, D).
 
     A conductor is n or 9n with n squarefree 3-split; each ordered splitting
     n = d1 * d2 gives a label, with both 3-exponents of D at the 9n scale,
-    and the partner test keeps one label per field.
+    and the partner test keeps one label per field.  The primes are the
+    factor tuple of n that the enumeration already holds.
     """
-    out: list[tuple[int, int, FieldLabel]] = []
+    out: list = []
     for scale, exponents in ((1, (0,)), (9, (1, 2))):
         for n, fac in squarefree_3split_with_factors(-(-f_lo // scale), f_hi // scale):
             divisors = [1]
@@ -190,14 +200,17 @@ def _canonical_labels(f_lo: int, f_hi: int) -> list[FieldLabel]:
                     label = FieldLabel(e3, d1, n // d1)
                     D = label.D
                     if D < partner(label).D:
-                        out.append((scale * n, D, label))
-    out.sort()
-    return [label for _, _, label in out]
+                        out.append((scale * n, D, label, fac))
+    out.sort()  # (conductor, D) is unique, so labels and factors are never compared
+    for i, (_, _, label, fac) in enumerate(out):  # in place: no second family-size list
+        out[i] = label, fac
+    return out
 
 
-def make_record(label: FieldLabel) -> FieldRecord:
+def make_record(label: FieldLabel, primes: LabelPrimes | None = None) -> FieldRecord:
+    """The record of a label; without `primes`, label_primes checks the label first."""
     f, disc = conductor_discriminant(label)
-    a, b = defining_polynomial(label)
+    a, b = defining_polynomial(label, primes)
     return FieldRecord(label, label.D, f, disc, a, b)
 
 
@@ -205,17 +218,25 @@ def enumerate_family(X: int) -> list[FieldRecord]:
     """Canonical records of all fields with discriminant in [X, 2X].
 
     Sieves the conductor window [sqrt(X), sqrt(2X)] rather than D.  Sorted
-    by (conductor, D); output is deterministic down to the byte.
+    by (conductor, D); output is deterministic down to the byte.  Each
+    record is built from the primes the enumeration carries, so nothing is
+    factored, and the generator above every q | d1 * d2 (q <= sqrt(2X)) is
+    read off one registry table.
     """
     if X < 2:
         raise ValueError("X must be at least 2")
-    return [make_record(label)
-            for label in _canonical_labels(math.isqrt(X - 1) + 1, math.isqrt(2 * X))]
+    f_hi = math.isqrt(2 * X)
+    records = _canonical_labels(math.isqrt(X - 1) + 1, f_hi)
+    registry_table(f_hi)
+    for i, (label, fac) in enumerate(records):  # in place, as in _canonical_labels
+        records[i] = make_record(label, (tuple(q for q in fac if label.d1 % q == 0),
+                                         tuple(q for q in fac if label.d2 % q == 0)))
+    return records
 
 
 def labels_up_to_conductor(f_max: int) -> list[FieldLabel]:
     """Canonical labels with conductor <= f_max, sorted by (conductor, D)."""
-    return _canonical_labels(1, f_max)
+    return [label for label, _ in _canonical_labels(1, f_max)]
 
 
 # -- catalog serialization ------------------------------------------------------

@@ -19,22 +19,27 @@ as Findings and never fail a run.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._primes import factorize, primes_up_to, smallest_factor_sieve
+from ._primes import primes_up_to, smallest_factor_sieve
 from .eisenstein import (
     EXPONENT_ZERO,
-    EisensteinInteger,
     LAMBDA,
+    SYMBOL_OMEGA,
+    SYMBOL_OMEGA2,
+    SYMBOL_ONE,
+    SYMBOL_ZERO,
+    EisensteinInteger,
+    conjugate_coefficients,
     cubic_residue_exponents,
-    cubic_residue_symbol,
     lambda_valuation,
     prime_above,
+    registry_table,
 )
 from .fields import (
     FieldLabel,
@@ -370,6 +375,51 @@ class CharSumValue:
     pairs: int
 
 
+def char_sums(p: int, y_values: Sequence[int], *,
+              conjugate_prime: bool = False) -> list[CharSumValue]:
+    """S_p(Y) for every Y in `y_values`, from one pass over the pairs up to the largest.
+
+    Each pair (d1, d2) with d1 * d2 <= max(Y) is visited once, and its
+    product d1 * d2 is filed under the exponent of its term, or as a zero
+    term; every S_p(Y) is then read off exact counts of the products <= Y.
+    """
+    if p == 3:
+        raise ValueError("chi_p is not defined at p = 3")
+    P = prime_above(p)
+    if conjugate_prime:
+        P = P.conjugate()
+    y_top = max(0, *y_values)
+    qs, gens = registry_table(y_top)  # every q of every squarefree 3-split n <= y_top
+    if conjugate_prime:
+        gens = conjugate_coefficients(gens)
+    exponent = dict(zip(qs.tolist(), cubic_residue_exponents(gens, P).tolist()))
+    numbers = []  # (n, exponent of chi_p(n), or None when p | n)
+    for n, fac in squarefree_3split_with_factors(1, y_top):
+        e = 0
+        for q in fac:
+            if exponent[q] == EXPONENT_ZERO:
+                e = None
+                break
+            e += exponent[q]
+        numbers.append((n, e))
+    terms: tuple[list[int], ...] = ([], [], [], [])  # d1 * d2 by exponent k, k = 3: zero term
+    for d1, e1 in numbers:
+        max_d2 = y_top // d1
+        for d2, e2 in numbers:
+            if d2 > max_d2:
+                break
+            if math.gcd(d1, d2) != 1:
+                continue
+            terms[3 if e1 is None or e2 is None else (e1 + 2 * e2) % 3].append(d1 * d2)
+    ordered = [np.sort(np.array(m, dtype=np.int64)) for m in terms]
+    out = []
+    for y in y_values:
+        c0, c1, c2, zero = (int(np.searchsorted(m, y, side="right")) for m in ordered)
+        value = EisensteinInteger(c0 - c2, c1 - c2)
+        out.append(CharSumValue(value, math.sqrt(value.norm()), c0 + c1 + c2 + zero))
+    return out
+
+
 def char_sum(p: int, y: int, *, conjugate_prime: bool = False) -> CharSumValue:
     """S_p(Y): sum of chi_p(d1 * d2^2) over coprime squarefree 3-split pairs.
 
@@ -380,55 +430,12 @@ def char_sum(p: int, y: int, *, conjugate_prime: bool = False) -> CharSumValue:
     since (sigma(x) / sigma(P)) is the square of (x / P), that conjugates
     each term and hence the exact value of the sum.
     """
-    if p == 3:
-        raise ValueError("chi_p is not defined at p = 3")
-    P = prime_above(p)
-    if conjugate_prime:
-        P = P.conjugate()
-    numbers = squarefree_3split_with_factors(1, y)
-    qs = sorted({q for _, fac in numbers for q in fac})
-    gens = [prime_above(q).generator for q in qs]
-    if conjugate_prime:
-        gens = [g.conjugate() for g in gens]
-    exponents: dict[int, int | None] = {  # None exactly when q == p
-        q: None if e == EXPONENT_ZERO else int(e)
-        for q, e in zip(qs, cubic_residue_exponents(gens, P))}
-    counts = [0, 0, 0]
-    pairs = 0
-    for d1, fac1 in numbers:
-        e1 = 0
-        for q in fac1:
-            e = exponents[q]
-            if e is None:
-                e1 = None
-                break
-            e1 += e
-        max_d2 = y // d1
-        for d2, fac2 in numbers:
-            if d2 > max_d2:
-                break
-            if math.gcd(d1, d2) != 1:
-                continue
-            pairs += 1
-            if e1 is None:
-                continue
-            e2 = 0
-            for q in fac2:
-                e = exponents[q]
-                if e is None:
-                    e2 = None
-                    break
-                e2 += 2 * e
-            if e2 is None:
-                continue
-            counts[(e1 + e2) % 3] += 1
-    value = EisensteinInteger(counts[0] - counts[2], counts[1] - counts[2])
-    return CharSumValue(value, math.sqrt(value.norm()), pairs)
+    return char_sums(p, [y], conjugate_prime=conjugate_prime)[0]
 
 
 def char_sum_grid(p: int, y_values: list[int], *, conjugate_prime: bool = False):
     """S_p over a grid of Y values plus the fitted growth exponent of |S_p|."""
-    rows = [(y, char_sum(p, y, conjugate_prime=conjugate_prime)) for y in y_values]
+    rows = list(zip(y_values, char_sums(p, y_values, conjugate_prime=conjugate_prime)))
     pts = [(math.log(y), math.log(cs.magnitude)) for y, cs in rows if cs.magnitude > 0]
     if len(pts) >= 2:
         xs, ys = zip(*pts)
@@ -439,10 +446,12 @@ def char_sum_grid(p: int, y_values: list[int], *, conjugate_prime: bool = False)
 
 
 def log_grid(y_max: int, per_decade: int = 10) -> list[int]:
-    """Log-spaced integer grid from 10 to y_max, `per_decade` points per decade."""
-    decades = int(round(math.log10(y_max)))
+    """The integers round(10^(1 + k/per_decade)), k = 0, 1, ..., that are <= y_max."""
+    decades = 1
+    while 10**decades < y_max:
+        decades += 1
     pts = np.linspace(1, decades, per_decade * (decades - 1) + 1)
-    return sorted(set(int(round(10.0**e)) for e in pts))
+    return sorted({y for y in (int(round(10.0**e)) for e in pts) if y <= y_max})
 
 
 def charsum_decade_envelope(p: int, y_max: int = 10**5) -> dict[int, float]:
@@ -452,12 +461,10 @@ def charsum_decade_envelope(p: int, y_max: int = 10**5) -> dict[int, float]:
     any character sum; the decade envelope is the stable object whose decay
     exhibits the square-root-barrier cancellation.
     """
+    grid = [y for y in log_grid(y_max) if y > 10]
     sup: dict[int, float] = {}
-    for y in log_grid(y_max):
-        if y <= 10:
-            continue
+    for y, cs in zip(grid, char_sums(p, grid)):
         d = int(math.ceil(math.log10(y))) - 1
-        cs = char_sum(p, y)
         sup[d] = max(sup.get(d, 0.0), cs.magnitude / y**0.75)
     return sup
 
@@ -465,11 +472,42 @@ def charsum_decade_envelope(p: int, y_max: int = 10**5) -> dict[int, float]:
 # -- generating-series comparison --------------------------------------------------------
 
 
-def _chi_complex(x: EisensteinInteger, P) -> complex:
-    return cubic_residue_symbol(x, P).complex_value()
+class GenseriesSymbols(NamedTuple):
+    """chi = (. / P)_3 as complex values, for every ell an Euler product up to p0 uses.
+
+    `split` pairs chi(pi_ell) and chi(conj(pi_ell)) for the registry factor
+    pi_ell of each split ell <= p0, ascending; `inert` holds chi(ell) for each
+    ell = 2 (mod 3) with ell^2 <= p0, ascending; `at_three` is chi(1 - omega).
+    Any smaller cutoff uses a prefix of each list.
+    """
+
+    p0: int
+    at_three: complex
+    split: list[tuple[complex, complex]]
+    inert: list[complex]
 
 
-def genseries_sides(p: int, s: float, p0: int) -> tuple[float, float]:
+def genseries_symbols(p: int, p0: int) -> GenseriesSymbols:
+    """Every symbol genseries_sides needs up to p0, from one cubic_residue_exponents call.
+
+    The split generators come straight off the registry table as coefficient
+    arrays; the values are CubicSymbol.complex_value(), exactly as a
+    per-ell cubic_residue_symbol would give them.
+    """
+    _, gens = registry_table(p0)
+    inert = [ell for ell in primes_up_to(math.isqrt(p0)) if ell % 3 == 2]
+    coeffs = np.concatenate([[LAMBDA], gens, conjugate_coefficients(gens),
+                             np.array([[ell, 0] for ell in inert], dtype=np.int64).reshape(-1, 2)])
+    value = {k: symbol.complex_value() for k, symbol in
+             ((EXPONENT_ZERO, SYMBOL_ZERO), (0, SYMBOL_ONE), (1, SYMBOL_OMEGA), (2, SYMBOL_OMEGA2))}
+    chi = [value[e] for e in cubic_residue_exponents(coeffs, prime_above(p)).tolist()]
+    m = len(gens)
+    return GenseriesSymbols(p0, chi[0], list(zip(chi[1:m + 1], chi[m + 1:2 * m + 1])),
+                            chi[2 * m + 1:])
+
+
+def genseries_sides(p: int, s: float, p0: int,
+                    symbols: GenseriesSymbols | None = None) -> tuple[float, float]:
     """Truncated values of the pair-sum Euler product and its L-function form.
 
     Left: product over ell = 1 (mod 3), ell <= p0, of 1 + (chi+chi^2)(ell)/ell^s
@@ -481,15 +519,23 @@ def genseries_sides(p: int, s: float, p0: int) -> tuple[float, float]:
         h = (1 - chi x)(1 - chi^2 x)(1 + (chi + chi^2) x)   per prime of norm x^-s,
         an extra (1 - c3 x3 + x3^2) at the prime above 3, and
         (1 + c x)^(-1) per inert rational prime (its pairs never occur on the left).
+
+    `symbols` is genseries_symbols(p, P0) for any P0 >= p0, shared between
+    cutoffs; by default it is computed for p0.
     """
-    P = prime_above(p)
+    if symbols is None:
+        symbols = genseries_symbols(p, p0)
+    elif symbols.p0 < p0:
+        raise ValueError(f"symbols up to {symbols.p0} cannot serve the cutoff {p0}")
+    split = iter(symbols.split)
+    inert = iter(symbols.inert)
     lhs = 1.0
     l_chi = complex(1.0)
     l_chi2 = complex(1.0)
     h = complex(1.0)
 
     x3 = 3.0 ** (-s)
-    chi3 = _chi_complex(LAMBDA, P)
+    chi3 = symbols.at_three
     l_chi /= 1.0 - chi3 * x3
     l_chi2 /= 1.0 - chi3**2 * x3
     h *= (1.0 - chi3 * x3) * (1.0 - chi3**2 * x3)
@@ -499,9 +545,8 @@ def genseries_sides(p: int, s: float, p0: int) -> tuple[float, float]:
             continue
         if ell % 3 == 1:
             x = ell ** (-s)
-            gen = prime_above(ell).generator
-            chi_reg = _chi_complex(gen, P)
-            for chi in (chi_reg, _chi_complex(gen.conjugate(), P)):
+            chi_reg, chi_conj = next(split)
+            for chi in (chi_reg, chi_conj):
                 if chi != 0:
                     l_chi /= 1.0 - chi * x
                     l_chi2 /= 1.0 - chi**2 * x
@@ -511,7 +556,7 @@ def genseries_sides(p: int, s: float, p0: int) -> tuple[float, float]:
             lhs *= 1.0 + c_reg * ell ** (-s)
         elif ell * ell <= p0:
             x = ell ** (-2.0 * s)
-            chi = _chi_complex(EisensteinInteger(ell), P)
+            chi = next(inert)
             l_chi /= 1.0 - chi * x
             l_chi2 /= 1.0 - chi**2 * x
             c = (chi + chi**2).real
@@ -530,8 +575,9 @@ def genseries_compare(p: int, s: float = 2.0, cutoffs: tuple[int, int] = (10**5,
     the construction cancels exactly and the gap is floating-point noise; for
     split p a genuine registry-dependent gap remains and is a Finding.
     """
-    lhs_a, rhs_a = genseries_sides(p, s, cutoffs[0])
-    lhs_b, rhs_b = genseries_sides(p, s, cutoffs[1])
+    symbols = genseries_symbols(p, max(cutoffs))
+    lhs_a, rhs_a = genseries_sides(p, s, cutoffs[0], symbols)
+    lhs_b, rhs_b = genseries_sides(p, s, cutoffs[1], symbols)
     d_lhs = abs(lhs_b - lhs_a)
     d_rhs = abs(rhs_b - rhs_a)
     gap = abs(rhs_b - lhs_b) / abs(lhs_b)

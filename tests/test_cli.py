@@ -158,6 +158,18 @@ def test_charsum_output(tmp_path, capsys):
         assert float(r[5]) <= 1.1  # trivial bound on the fitted exponent
 
 
+@pytest.mark.parametrize("ymax, top", [(50000, 39811), (30000, 25119), (100000, 100000)])
+def test_charsum_grid_ends_at_ymax(tmp_path, capsys, ymax, top):
+    out = tmp_path / "charsum.csv"
+    code, _, _ = run(["charsum", "--primes", "7", "--ymax", str(ymax), "--out", str(out)],
+                     capsys)
+    assert code == 0
+    lines = out.read_text().splitlines()
+    grid = [int(y) for y in lines[1].split("grid=")[1].split(",")]
+    assert grid[-1] == top
+    assert [int(row.split(",")[1]) for row in lines[3:]] == grid
+
+
 def test_verify_command(tmp_path, capsys, monkeypatch):
     # shrink the battery so the test stays quick
     import cyclocubic.verify as verify_mod

@@ -2,9 +2,13 @@
 
 import math
 import random
+import sys
+import threading
 
+import numpy as np
 import pytest
 
+import cyclocubic.eisenstein as eisenstein
 from cyclocubic._primes import primes_up_to
 from cyclocubic.density import fejer_pair, prime_sum
 from cyclocubic._primes import is_prime
@@ -19,13 +23,17 @@ from cyclocubic.eisenstein import (
     EisensteinInteger,
     PrimeAbove,
     canonical_associate,
+    conjugate_coefficients,
     cubic_residue_exponents,
     cubic_residue_symbol,
     euclidean_gcd,
     lambda_valuation,
     primary_associate,
     prime_above,
+    registry_bound,
+    registry_table,
     residue_map,
+    solve_split_generator,
 )
 from cyclocubic.fields import FieldLabel
 from cyclocubic.lfunctions import INERT, SPLIT, kummer_argument, splitting_at_three, splitting_type
@@ -177,6 +185,73 @@ def test_prime_above_registry():
         assert prime_above(p).generator.norm() == p * p
 
 
+def test_registry_table_equals_norm_equation_solve():
+    primes, gens = registry_table(10**5)
+    assert primes.tolist() == [p for p in primes_up_to(10**5) if p % 3 == 1]
+    for p, (a, b) in zip(primes.tolist(), gens.tolist()):
+        assert E(a, b) == solve_split_generator(p), p
+    # the closed description: primary, positive omega coefficient, norm p
+    a, b = gens[:, 0], gens[:, 1]
+    assert np.all(a % 3 == 2) and np.all(b % 3 == 0) and np.all(b > 0)
+    assert np.array_equal(a * a - a * b + b * b, primes)
+    with pytest.raises(ValueError):
+        gens[0, 0] = 5  # the registry hands out read-only views
+    small_primes, small_gens = registry_table(100)
+    assert small_primes.tolist() == [7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97]
+    assert np.array_equal(small_gens, gens[:len(small_primes)])
+
+
+def test_prime_above_reads_table_then_solves(monkeypatch):
+    registry_table(1000)
+    bound = registry_bound()
+    beyond = next(q for q in range(bound + 1, 2 * bound + 100) if q % 3 == 1 and is_prime(q))
+    solved = []
+
+    def recording_solve(p):
+        solved.append(p)
+        return solve_split_generator(p)
+
+    monkeypatch.setattr(eisenstein, "solve_split_generator", recording_solve)
+    fresh = prime_above.__wrapped__  # past the cache, so every call takes its route
+    assert fresh(7).generator == E(2, 3) and fresh(997).generator == prime_above(997).generator
+    assert solved == []
+    P = fresh(beyond)
+    assert solved == [beyond]
+    assert P == PrimeAbove(beyond, solve_split_generator(beyond), 1, "split")
+    assert registry_bound() == bound  # a lookup never grows the table
+    for composite in (1, 25, 7 * 13):
+        with pytest.raises(ValueError, match="not prime"):
+            fresh(composite)
+    with pytest.raises(ValueError, match="not prime"):
+        fresh(next(q for q in range(bound + 1, 2 * bound + 100, 3) if not is_prime(q)))
+
+
+def test_registry_table_grows_under_concurrent_callers(monkeypatch):
+    monkeypatch.setattr(eisenstein, "_TABLE", eisenstein._lattice_pass(0))
+    sizes = [3000 * (k + 1) for k in range(8)]  # more threads than cores
+    results = {}
+
+    def fill(n):
+        results[n] = registry_table(n)
+
+    threads = [threading.Thread(target=fill, args=(n,)) for n in reversed(sizes)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert registry_bound() == max(sizes)  # a smaller rebuild never replaced a larger table
+    reference_primes, reference_gens = eisenstein._lattice_pass(max(sizes))[1:]
+    for n, (primes, gens) in results.items():
+        assert np.array_equal(primes, reference_primes[reference_primes <= n])
+        assert np.array_equal(gens, reference_gens[:len(primes)])
+
+
 def test_residue_map():
     # a non-registry generator pins the other root of x^2 + x + 1 mod 13
     custom = PrimeAbove(13, E(4, 3), 1, "split")
@@ -264,6 +339,21 @@ def test_cubic_residue_exponents_match_scalar():
             want = [cubic_residue_symbol(z, P).exponent for z in batch]
             got = cubic_residue_exponents(batch, P)
             assert [None if e == EXPONENT_ZERO else e for e in got.tolist()] == want, p
+
+
+def test_cubic_residue_exponents_take_coefficient_arrays():
+    _, gens = registry_table(3000)
+    conj = conjugate_coefficients(gens)
+    assert conj.tolist() == [list(E(a, b).conjugate()) for a, b in gens.tolist()]
+    for p in (2, 5, 7, 13, 1999, 2999):
+        P = prime_above(p)
+        for coeffs in (gens, conj, conj.astype(np.int32)):
+            elements = [E(a, b) for a, b in coeffs.tolist()]
+            assert np.array_equal(cubic_residue_exponents(coeffs, P),
+                                  cubic_residue_exponents(elements, P)), p
+    corrupt = PrimeAbove(13, E(5, 1), 1, "split")
+    with pytest.raises(RuntimeError, match="cube root of unity"):
+        cubic_residue_exponents(gens, corrupt)
 
 
 def test_cubic_residue_exponents_rejects_p_beyond_int64_envelope():

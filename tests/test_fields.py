@@ -16,6 +16,7 @@ from cyclocubic.fields import (
     defining_polynomial,
     enumerate_family,
     labels_up_to_conductor,
+    make_record,
     parse_label,
     partner,
     record_from_line,
@@ -158,6 +159,18 @@ def test_enumerate_family_window_and_order():
         f, disc = conductor_discriminant(r.label)
         assert (f, disc) == (r.conductor, r.discriminant)
         assert r.label.D < partner(r.label).D
+
+
+def test_enumeration_carries_primes_instead_of_factoring(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"the enumeration factored {n}")
+
+    monkeypatch.setattr("cyclocubic.fields.factorize", no_factoring)
+    records = enumerate_family(10**9)
+    assert len(records) == 2088
+    monkeypatch.undo()
+    # the same records as those rebuilt from each label, checked by label_primes
+    assert records == [make_record(r.label) for r in records]
 
 
 def test_two_to_one_correspondence():

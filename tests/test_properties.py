@@ -1,5 +1,10 @@
 """Property tests: Z[w] laws on coefficients far past 64 bits, Kummer
-registry invariance on large labels."""
+registry invariance on large labels, catalog round trips, and a CLI that
+answers every argument with an exit code."""
+
+import contextlib
+import io
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +19,8 @@ from cyclocubic.eisenstein import (
     euclidean_gcd,
     prime_above,
 )
-from cyclocubic.fields import FieldLabel
+from cyclocubic import cli
+from cyclocubic.fields import FieldLabel, make_record, record_from_line, record_to_line
 from cyclocubic.lfunctions import SPLIT, kummer_argument, kummer_symbol, splitting_type
 from cyclocubic.verify import polynomial_splitting_oracle
 
@@ -136,3 +142,67 @@ def test_kummer_variants_agree_on_large_labels(label, p):
     oracle = polynomial_splitting_oracle(p, label)
     if oracle is not None:
         assert splitting_type(p, label) == oracle
+
+
+# -- catalog lines and the command line ----------------------------------------
+
+@st.composite
+def valid_labels(draw):
+    qs = draw(st.lists(st.sampled_from(SPLIT_PRIMES[:50] + [7, 13, 19, 31, 37]),
+                       max_size=4, unique=True))
+    cut = draw(st.integers(0, len(qs)))
+    d1 = d2 = 1
+    for q in qs[:cut]:
+        d1 *= q
+    for q in qs[cut:]:
+        d2 *= q
+    return FieldLabel(draw(st.integers(0, 2)), d1, d2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(valid_labels())
+def test_catalog_line_round_trip(label):
+    rec = make_record(label)
+    assert record_from_line(record_to_line(rec)) == rec
+
+
+# tokens that have broken argument handling before, or might: non-numbers,
+# negatives, empty strings, a prime past 2**31, and a few valid values
+TOKENS = ("nan", "inf", "-1", "", "abc", "0", "1", "2", "7", "0.3", "1e3", "3,7", "2147483659")
+# --x and --ymax only take small values, so no drawn run is long
+SMALL = ("nan", "-1", "", "abc", "10", "50", "1000", "2000")
+OPTIONS = {
+    "enumerate": {"--x": SMALL},
+    "density": {"--x": SMALL, "--beta": TOKENS, "--mode": ("kummer", "paper", "abc", "")},
+    "verify": {"--p0": TOKENS, "--ymax": SMALL, "--s": TOKENS},
+    "charsum": {"--primes": TOKENS, "--ymax": SMALL},
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for flag, tokens in OPTIONS[command].items():
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(tokens))]
+    return argv
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(command_lines())
+def test_cli_answers_every_argument_with_an_exit_code(argv):
+    # verify's battery is stubbed: the property is about argument handling,
+    # and a drawn --p0 of 2**31 would make the real battery run for hours
+    def stub_suite(**kwargs):
+        return []
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli.verify_mod, "run_probe_suite", stub_suite), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own exit, with the usage code
+            code = exc.code
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_ASSERTION, cli.EXIT_IO), argv
+    assert "Traceback" not in err.getvalue()

@@ -5,8 +5,15 @@ import math
 import pytest
 
 import cyclocubic.eisenstein as eisenstein
-from cyclocubic.eisenstein import EisensteinInteger, PrimeAbove
-from cyclocubic.fields import FieldLabel
+from cyclocubic._primes import primes_up_to
+from cyclocubic.eisenstein import (
+    LAMBDA,
+    EisensteinInteger,
+    PrimeAbove,
+    cubic_residue_symbol,
+    prime_above,
+)
+from cyclocubic.fields import FieldLabel, squarefree_3split_with_factors
 from cyclocubic.lfunctions import INERT, KUMMER, SPLIT, splitting_type
 from cyclocubic.verify import (
     FAIL,
@@ -22,7 +29,9 @@ from cyclocubic.verify import (
     family_count_scaling,
     genseries_compare,
     genseries_sides,
+    genseries_symbols,
     ideal_count_crosscheck,
+    log_grid,
     paper_literal_findings,
     polynomial_splitting_oracle,
     probe_pairs,
@@ -196,6 +205,109 @@ def test_char_sum_exponent_bound():
     for p in (7, 13, 31):
         _, exponent = char_sum_grid(p, grid)
         assert exponent <= 1.1
+
+
+def _char_sum_term_by_term(p: int, y: int) -> tuple[EisensteinInteger, int]:
+    """S_p(y) and its pair count, one scalar symbol of the Z[w] product D1 * D2^2 per pair."""
+    P = prime_above(p)
+    numbers = squarefree_3split_with_factors(1, y)
+    counts = [0, 0, 0]
+    pairs = 0
+    for d1, fac1 in numbers:
+        for d2, fac2 in numbers:
+            if d1 * d2 > y or math.gcd(d1, d2) != 1:
+                continue
+            pairs += 1
+            z = EisensteinInteger(1)
+            for q in fac1 + fac2 + fac2:
+                z = z * prime_above(q).generator
+            symbol = cubic_residue_symbol(z, P)
+            if not symbol.is_zero:
+                counts[symbol.exponent] += 1
+    return EisensteinInteger(counts[0] - counts[2], counts[1] - counts[2]), pairs
+
+
+def test_char_sum_matches_term_by_term_sum():
+    for p in (2, 7, 13):
+        for y in (0, 1, 10, 49, 300):
+            cs = char_sum(p, y)
+            assert (cs.value, cs.pairs) == _char_sum_term_by_term(p, y), (p, y)
+
+
+def test_char_sum_grid_equals_per_y_char_sum():
+    grid = log_grid(3000)
+    for p in (2, 7, 13):
+        for conj in (False, True):
+            rows, _ = char_sum_grid(p, grid, conjugate_prime=conj)
+            assert [y for y, _ in rows] == grid
+            assert [cs for _, cs in rows] == [char_sum(p, y, conjugate_prime=conj) for y in grid]
+    envelope = {}
+    for y in grid[1:]:
+        d = math.ceil(math.log10(y)) - 1
+        envelope[d] = max(envelope.get(d, 0.0), char_sum(13, y).magnitude / y**0.75)
+    assert charsum_decade_envelope(13, 3000) == envelope
+
+
+def test_log_grid_stays_within_ymax():
+    full = log_grid(10**6)
+    assert full[:3] == [10, 13, 16] and full[-1] == 10**6 and len(full) == 51
+    # the pinned grids at powers of ten are prefixes of one another
+    for d in range(1, 6):
+        assert log_grid(10**d) == [y for y in full if y <= 10**d]
+        assert log_grid(10**d)[-1] == 10**d
+    assert log_grid(50000)[-1] == 39811  # not 63096, 79433 and 100000 beyond --ymax
+    assert log_grid(30000)[-1] == 25119  # not cut short at 10000
+    for y_max in (10, 11, 99, 30000, 50000, 10**4 + 1, 123456):
+        assert log_grid(y_max) == [y for y in full if y <= y_max]
+
+
+def _genseries_sides_per_ell(p: int, s: float, p0: int) -> tuple[float, float]:
+    """genseries_sides with one registry prime and one scalar symbol per ell."""
+    P = prime_above(p)
+
+    def chi_of(x):
+        return cubic_residue_symbol(x, P).complex_value()
+
+    lhs, l_chi, l_chi2, h = 1.0, complex(1.0), complex(1.0), complex(1.0)
+    x3 = 3.0 ** (-s)
+    chi3 = chi_of(LAMBDA)
+    l_chi /= 1.0 - chi3 * x3
+    l_chi2 /= 1.0 - chi3**2 * x3
+    h *= (1.0 - chi3 * x3) * (1.0 - chi3**2 * x3)
+    for ell in primes_up_to(p0):
+        if ell == 3:
+            continue
+        if ell % 3 == 1:
+            x = ell ** (-s)
+            gen = prime_above(ell).generator
+            chi_reg = chi_of(gen)
+            for chi in (chi_reg, chi_of(gen.conjugate())):
+                if chi != 0:
+                    l_chi /= 1.0 - chi * x
+                    l_chi2 /= 1.0 - chi**2 * x
+                    c = (chi + chi**2).real
+                    h *= (1.0 - chi * x) * (1.0 - chi**2 * x) * (1.0 + c * x)
+            c_reg = (chi_reg + chi_reg**2).real if chi_reg != 0 else 0.0
+            lhs *= 1.0 + c_reg * ell ** (-s)
+        elif ell * ell <= p0:
+            x = ell ** (-2.0 * s)
+            chi = chi_of(EisensteinInteger(ell))
+            l_chi /= 1.0 - chi * x
+            l_chi2 /= 1.0 - chi**2 * x
+            c = (chi + chi**2).real
+            h *= (1.0 - chi * x) * (1.0 - chi**2 * x) * (1.0 + c * x)
+            h /= 1.0 + c * x
+    return lhs, math.sqrt(abs((l_chi * l_chi2 * h).real))
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_genseries_sides_match_per_ell_reference_bit_for_bit(p):
+    want = _genseries_sides_per_ell(p, 2.0, 10**4)
+    assert genseries_sides(p, 2.0, 10**4) == want
+    # symbols shared from a larger cutoff serve the smaller one unchanged
+    assert genseries_sides(p, 2.0, 10**4, genseries_symbols(p, 3 * 10**4)) == want
+    with pytest.raises(ValueError):
+        genseries_sides(p, 2.0, 10**4, genseries_symbols(p, 10**3))
 
 
 def test_genseries_inert_base():
