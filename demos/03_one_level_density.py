@@ -31,8 +31,8 @@ for g in ("U", "Sp", "O", "SOeven", "SOodd"):
 print()
 
 records = enumerate_family(X)
-summary = family_average(X, tf, KUMMER, records=records)
-refs = reference_statistics(X, tf, records=records)
+summary = family_average(records, tf, KUMMER)
+refs = reference_statistics(records, tf)
 verdict = classify_symmetry(summary.t_statistic, refs)
 
 print(f"Family: {summary.count} fields with discriminant in [{X}, {2*X}]")

@@ -22,8 +22,7 @@ from . import density as density_mod
 from . import verify as verify_mod
 from ._primes import is_prime
 from .eisenstein import INT64_PRIME_BOUND
-from .fields import (canonicalize, enumerate_family, make_record, record_from_line,
-                     record_to_line)
+from .fields import enumerate_family, record_to_line
 from .lfunctions import KUMMER, PAPER_LITERAL
 
 EXIT_OK = 0
@@ -39,7 +38,6 @@ class RunConfig:
     beta: float = 0.2
     mode: str = KUMMER
     out: str | None = None
-    catalog: str | None = None
     p0: int = 10**6
     ymax: int = 10**5
     s: float = 2.0
@@ -68,7 +66,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--beta", type=float, default=0.2)
     sp.add_argument("--mode", choices=[KUMMER, PAPER_LITERAL], default=KUMMER)
-    sp.add_argument("--catalog", help="reuse a previous enumeration")
     common(sp)
 
     sp = sub.add_parser("verify", help="run the verification probe battery")
@@ -127,49 +124,19 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_records(cfg: RunConfig):
-    """The family from --catalog, each line checked, or else enumerated afresh.
-
-    A catalog record must carry a valid label (make_record checks it from d1
-    and d2, without factoring D), equal the record rebuilt from that
-    label, be the canonical label of its field, and have its discriminant in
-    [X, 2X]; any other line raises ValueError naming the file and line number.
-    """
-    if not cfg.catalog:
-        return enumerate_family(cfg.x)
-    records = []
-    with open(cfg.catalog) as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            try:
-                rec = record_from_line(line)
-                if rec != make_record(rec.label):
-                    raise ValueError(f"record for D={rec.D} differs from the one rebuilt "
-                                     f"from its label")
-                if not canonicalize(rec.label)[1]:
-                    raise ValueError(f"D={rec.D} is not the canonical label of its field")
-                if not cfg.x <= rec.discriminant <= 2 * cfg.x:
-                    raise ValueError(f"discriminant {rec.discriminant} lies outside "
-                                     f"[{cfg.x}, {2 * cfg.x}]")
-            except ValueError as exc:
-                raise ValueError(f"{cfg.catalog}:{number}: {exc}") from None
-            records.append(rec)
-    return records
-
-
 def cmd_density(cfg: RunConfig) -> int:
-    try:
-        records = _load_records(cfg)
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
+    records = enumerate_family(cfg.x)
     if not records:
         sys.stderr.write(f"no fields with discriminant in [{cfg.x}, {2 * cfg.x}]\n")
         return EXIT_USAGE
     tf = density_mod.fejer_pair(cfg.beta)
-    summary = density_mod.family_average(cfg.x, tf, cfg.mode, records=records)
-    refs = density_mod.reference_statistics(cfg.x, tf, records=records)
+    try:
+        summary = density_mod.family_average(records, tf, cfg.mode)
+    except density_mod.QuadratureError as exc:
+        sys.stderr.write(f"--beta {cfg.beta} is too small for the gamma-term quadrature: "
+                         f"{exc}\n")
+        return EXIT_USAGE
+    refs = density_mod.reference_statistics(records, tf)
     cls = density_mod.classify_symmetry(summary.t_statistic, refs)
 
     lines = [f"# cyclocubic density table", f"# x={cfg.x} beta={cfg.beta} mode={cfg.mode}",
@@ -192,8 +159,7 @@ def cmd_density(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     reports = verify_mod.run_probe_suite(charsum_y=cfg.ymax,
-                                         genseries_p0=(cfg.p0 // 10, cfg.p0),
-                                         genseries_primes=(5, 13), s=cfg.s)
+                                         genseries_p0=(cfg.p0 // 10, cfg.p0), s=cfg.s)
     lines = [f"# cyclocubic verification report",
              f"# p0={cfg.p0} ymax={cfg.ymax} s={cfg.s}"]
     failed = 0

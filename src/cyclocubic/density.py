@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ._primes import primes_up_to
-from .fields import FieldLabel, FieldRecord, conductor_discriminant, enumerate_family
+from .fields import FieldLabel, FieldRecord, conductor_discriminant
 from .lfunctions import KUMMER, lambda_table
 
 TWO_PI = 2.0 * math.pi
@@ -114,17 +114,21 @@ def panel_gauss(func: Callable, a: float, b: float, panels: int) -> float:
     return float(half * np.sum(vals @ _GL_WEIGHTS))
 
 
-def refine_panels(func: Callable, a: float, b: float, tol: float,
-                  start_panels: int, max_doublings: int = 10) -> float:
+class QuadratureError(RuntimeError):
+    """Panel refinement did not stabilize to the requested tolerance."""
+
+
+def refine_panels(func: Callable, a: float, b: float, tol: float, start_panels: int) -> float:
+    """Double the panels of panel_gauss, at most 10 times, until two agree to `tol`."""
     prev = panel_gauss(func, a, b, start_panels)
     panels = start_panels
-    for _ in range(max_doublings):
+    for _ in range(10):
         panels *= 2
         cur = panel_gauss(func, a, b, panels)
         if abs(cur - prev) < tol:
             return cur
         prev = cur
-    raise RuntimeError(f"quadrature did not converge to {tol} on [{a}, {b}]")
+    raise QuadratureError(f"quadrature did not converge to {tol} on [{a}, {b}]")
 
 
 # -- Katz-Sarnak kernels ---------------------------------------------------------
@@ -183,19 +187,19 @@ def kernel_integral(G: str, tf: TestFunctionPair) -> float:
     raise ValueError(f"unknown kernel {G!r}")
 
 
-def kernel_integral_quadrature(G: str, tf: TestFunctionPair,
-                               half_width: float = 2.0e4) -> float:
+def kernel_integral_quadrature(G: str, tf: TestFunctionPair) -> float:
     """Direct-quadrature oracle for kernel_integral.
 
-    Integrates f * W over [-T, T] by composite Gauss-Legendre and adds the
-    analytic tail of the slowly-decaying f * 1 part, 2/(pi^2 beta^2 T) per
-    pair of tails; the oscillatory remainder is O(T^-2).
+    Integrates f * W over [-T, T], T = 2e4, by composite Gauss-Legendre and
+    adds the analytic tail of the slowly-decaying f * 1 part, 2/(pi^2 beta^2 T)
+    per pair of tails; the oscillatory remainder is O(T^-2).
     """
 
     def integrand(t):
         smooth, _ = kernel_value(G, t)
         return tf.f(t) * smooth
 
+    half_width = 2.0e4
     panels = int(2 * half_width / 0.5)
     body = panel_gauss(integrand, -half_width, half_width, panels)
     tail = 1.0 / (math.pi**2 * tf.beta**2 * half_width)
@@ -269,7 +273,7 @@ def _archimedean_bracket(x: np.ndarray) -> np.ndarray:
     return val - _BRACKET_WEIGHT * math.log(math.pi)
 
 
-def gamma_term(label: FieldLabel, tf: TestFunctionPair, tol: float = 1e-10) -> float:
+def gamma_term(label: FieldLabel, tf: TestFunctionPair) -> float:
     """Rescaled archimedean term (1/2pi) integral f(L x) bracket(x) dx, from fhat.
 
     With L = log(Delta)/(2 pi), Re psi(a + it) = -gamma_E + integral_0^inf
@@ -281,8 +285,8 @@ def gamma_term(label: FieldLabel, tf: TestFunctionPair, tol: float = 1e-10) -> f
 
     where U = 4 pi L beta ends the support of fhat, so the last term is the
     exact tail of the u-integral.  The weighted pairs, less 3 log(pi) fhat(0),
-    are divided by 2 pi L.  Raises if the panel refinement of the integral
-    over [0, U] does not stabilize to `tol`.
+    are divided by 2 pi L.  Raises QuadratureError if the panel refinement of
+    the integral over [0, U] does not stabilize to 1e-10 absolute in the term.
     """
     _, disc = conductor_discriminant(label)
     big_l = math.log(disc) / TWO_PI
@@ -295,7 +299,7 @@ def gamma_term(label: FieldLabel, tf: TestFunctionPair, tol: float = 1e-10) -> f
         return (_BRACKET_WEIGHT * fh0 * np.exp(-u) - decay * tf.fhat(u / rate)) / -np.expm1(-u)
 
     scale = TWO_PI * big_l
-    pairs = (refine_panels(integrand, 0.0, top, tol * scale, start_panels=16)
+    pairs = (refine_panels(integrand, 0.0, top, 1e-10 * scale, start_panels=16)
              - _BRACKET_WEIGHT * fh0 * (np.euler_gamma + math.log(-math.expm1(-top))))
     return (pairs - _BRACKET_WEIGHT * math.log(math.pi) * fh0) / scale
 
@@ -412,19 +416,17 @@ class FamilySummary:
     breakdowns: tuple[DensityBreakdown, ...]
 
 
-def family_average(X: int, tf: TestFunctionPair, mode: str = KUMMER,
-                   records: Sequence[FieldRecord] | None = None) -> FamilySummary:
-    """Averages over the family with discriminant in [X, 2X].
+def family_average(records: Sequence[FieldRecord], tf: TestFunctionPair,
+                   mode: str = KUMMER) -> FamilySummary:
+    """Averages over the family `records`, such as enumerate_family(X).
 
     T, the average prime sum, is the symmetry-discriminating statistic; the
     gamma terms are cached per discriminant (they depend on nothing else).
-    The reduction runs in (conductor, D) order, so repeated runs are
-    byte-identical.
+    The reduction runs in the order of `records`, with compensated sums, so
+    repeated runs are byte-identical.  An empty family raises ValueError.
     """
-    if records is None:
-        records = enumerate_family(X)
     if not records:
-        raise ValueError(f"no fields with discriminant in [{X}, {2 * X}]")
+        raise ValueError("the family is empty")
     gamma_cache: dict[int, float] = {}
     rows = []
     for rec, ps in zip(records, prime_sums([rec.label for rec in records], tf, mode)):
@@ -440,19 +442,18 @@ def family_average(X: int, tf: TestFunctionPair, mode: str = KUMMER,
     return FamilySummary(n, avg, t_stat, mean_gamma, tuple(rows))
 
 
-def reference_statistics(X: int, tf: TestFunctionPair,
-                         records: Sequence[FieldRecord] | None = None) -> dict[str, float]:
-    """Model T for each symmetry type under the same truncation as prime_sum.
+def reference_statistics(records: Sequence[FieldRecord],
+                         tf: TestFunctionPair) -> dict[str, float]:
+    """Model T for each symmetry type over `records`, truncated as prime_sum is.
 
     Substitutes the model means of lambda: U gives 0 at every prime power;
     Sp gives +1 at the squares (odd powers 0); SO(even), SO(odd), and O give
     -1 at the squares.  Only the p^2 < Delta^beta terms survive, so the
     U prediction is exactly 0 and the others are +-(the same square sum).
+    An empty family raises ValueError.
     """
-    if records is None:
-        records = enumerate_family(X)
     if not records:
-        raise ValueError(f"no fields with discriminant in [{X}, {2 * X}]")
+        raise ValueError("the family is empty")
     log_discs = [math.log(rec.discriminant) for rec in records]
     _, pf, logp = _primes_and_logs(math.exp(tf.beta * max(log_discs) / 2) + 1)
     per_field = []

@@ -58,7 +58,6 @@ class FieldRecord:
     discriminant: int
     poly_a: int
     poly_b: int
-    canonical: bool = True
 
 
 def parse_label(D: int) -> FieldLabel:

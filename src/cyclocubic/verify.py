@@ -137,12 +137,11 @@ def splitting_oracle_probe(max_conductor: int = 200, max_p: int = 500) -> ProbeR
 _VARIANTS = ((False, False), (True, False), (False, True), (True, True))
 
 
-def probe_pairs(n_pairs: int, max_conductor: int = 400, max_p: int = 500,
-                seed: int = 1183) -> list[tuple[FieldLabel, int]]:
-    """Deterministic sample of (label, p != 3) pairs used by the probes."""
-    labels = labels_up_to_conductor(max_conductor)
-    primes = [p for p in primes_up_to(max_p) if p != 3]
-    rng = random.Random(seed)
+def probe_pairs(n_pairs: int) -> list[tuple[FieldLabel, int]]:
+    """Deterministic sample of (label with conductor <= 400, p != 3 below 500) pairs."""
+    labels = labels_up_to_conductor(400)
+    primes = [p for p in primes_up_to(500) if p != 3]
+    rng = random.Random(1183)
     return [(rng.choice(labels), rng.choice(primes)) for _ in range(n_pairs)]
 
 
@@ -208,16 +207,16 @@ def cube_solvable_mod_lambda(c: EisensteinInteger, k: int) -> bool:
     return False
 
 
-def stable_root_count_mod_3k(a_coef: int, b_coef: int, k_max: int = 12) -> int | None:
+def stable_root_count_mod_3k(a_coef: int, b_coef: int) -> int | None:
     """Number of roots of x^3 - 3Ax - B mod 3^k once the count stabilizes.
 
     Counts solutions by lifting digit by digit; returns None if the count is
-    still moving at k_max (not observed for any label in range).
+    still moving at k = 12 (not observed for any label in range).
     """
     sols = [x for x in range(3) if (x**3 - 3 * a_coef * x - b_coef) % 3 == 0]
     mod = 3
     history = [len(sols)]
-    for _ in range(2, k_max + 1):
+    for _ in range(2, 13):
         step, mod = mod, mod * 3
         sols = [x + t * step for x in sols for t in range(3)
                 if ((x + t * step) ** 3 - 3 * a_coef * (x + t * step) - b_coef) % mod == 0]
@@ -258,14 +257,14 @@ def ramification_audit_at_3(label: FieldLabel, k_star: int = 4) -> ProbeReport:
     return ProbeReport(f"ramification_audit[D={label.D}]", PASS, [], numbers)
 
 
-def calibrate_cube_exponent(labels: list[FieldLabel], candidates=range(3, 9)) -> int:
-    """Smallest modulus exponent making probe (i) match probe (ii) on the corpus."""
+def calibrate_cube_exponent(labels: list[FieldLabel]) -> int:
+    """Smallest modulus exponent k in 3..8 making probe (i) match probe (ii) on the corpus."""
     targets = {}
     for label in labels:
         a_coef, b_coef = defining_polynomial(label)
         stable = stable_root_count_mod_3k(a_coef, b_coef)
         targets[label] = stable is not None and stable > 0
-    for k in candidates:
+    for k in range(3, 9):
         ok = True
         for label in labels:
             if cube_solvable_mod_lambda(kummer_argument(label), k) != targets[label]:
@@ -566,11 +565,11 @@ def genseries_sides(p: int, s: float, p0: int,
     return lhs, math.sqrt(abs(rhs_sq))
 
 
-def genseries_compare(p: int, s: float = 2.0, cutoffs: tuple[int, int] = (10**5, 10**6),
-                      cauchy_tol: float = 1e-8) -> ProbeReport:
+def genseries_compare(p: int, s: float = 2.0,
+                      cutoffs: tuple[int, int] = (10**5, 10**6)) -> ProbeReport:
     """Convergence (asserted) and side agreement (measured) of the identity.
 
-    Both truncations must be Cauchy to `cauchy_tol` between the two cutoffs;
+    Both truncations must be Cauchy to 1e-8 between the two cutoffs;
     the relative gap between the sides is recorded.  For inert base primes
     the construction cancels exactly and the gap is floating-point noise; for
     split p a genuine registry-dependent gap remains and is a Finding.
@@ -583,7 +582,7 @@ def genseries_compare(p: int, s: float = 2.0, cutoffs: tuple[int, int] = (10**5,
     gap = abs(rhs_b - lhs_b) / abs(lhs_b)
     numbers = {"p": p, "s": s, "lhs": lhs_b, "rhs": rhs_b,
                "cauchy_lhs": d_lhs, "cauchy_rhs": d_rhs, "relative_gap": gap}
-    if d_lhs > cauchy_tol or d_rhs > cauchy_tol:
+    if d_lhs > 1e-8 or d_rhs > 1e-8:
         return ProbeReport(f"genseries[p={p}]", FAIL,
                            [{"cauchy_lhs": d_lhs, "cauchy_rhs": d_rhs}], numbers)
     if p % 3 == 1 and gap > 1e-9:
@@ -609,31 +608,30 @@ def family_count_scaling(x_grid: list[int]) -> ProbeReport:
 # -- suite driver -----------------------------------------------------------------------
 
 
-def run_probe_suite(pairs: int = 1000, audit_size: int = 50,
-                    ideal_labels: int = 10, ideal_n: int = 10**4,
-                    charsum_primes: tuple[int, ...] = (7, 13),
-                    charsum_y: int = 10**3,
-                    genseries_primes: tuple[int, ...] = (5, 13),
+def run_probe_suite(charsum_y: int = 10**3,
                     genseries_p0: tuple[int, int] = (10**5, 10**6),
-                    s: float = 2.0,
-                    scaling_grid: tuple[int, ...] = (10**6, 10**7, 10**8)) -> list[ProbeReport]:
-    """The default verification battery, deterministic end to end.
+                    s: float = 2.0) -> list[ProbeReport]:
+    """The verification battery, deterministic end to end.
 
-    Both generating-series probes evaluate their Euler products at real `s`.
+    The conjugation probes take S_7 and S_13 up to `charsum_y`; the
+    generating-series probes at p = 5 and 13 truncate at the two cutoffs
+    `genseries_p0` and evaluate their Euler products at real `s`.  The rest
+    is fixed: 1000 choice-invariance pairs, a 50-label ramification audit,
+    ideal counts to 1e4 for 10 labels, and family counts at X = 1e6, 1e7, 1e8.
     """
     reports = [splitting_oracle_probe()]
-    reports.append(choice_invariance_probe(probe_pairs(pairs)))
-    reports.append(ramification_audit_suite(audit_size))
-    for label in audit_corpus(ideal_labels):
-        reports.append(ideal_count_crosscheck(label, ideal_n))
-    for p in charsum_primes:
+    reports.append(choice_invariance_probe(probe_pairs(1000)))
+    reports.append(ramification_audit_suite(50))
+    for label in audit_corpus(10):
+        reports.append(ideal_count_crosscheck(label, 10**4))
+    for p in (7, 13):
         plain = char_sum(p, charsum_y)
         conj = char_sum(p, charsum_y, conjugate_prime=True)
         ok = conj.value == plain.value.conjugate()
         reports.append(ProbeReport(
             f"charsum_conjugation[p={p}]", PASS if ok else FAIL, [],
             {"y": charsum_y, "value": str(plain.value), "magnitude": plain.magnitude}))
-    for p in genseries_primes:
+    for p in (5, 13):
         reports.append(genseries_compare(p, s, genseries_p0))
-    reports.append(family_count_scaling(list(scaling_grid)))
+    reports.append(family_count_scaling([10**6, 10**7, 10**8]))
     return reports

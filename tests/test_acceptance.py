@@ -104,8 +104,8 @@ def test_criterion_05_symmetry_discrimination():
         x = 10**8
         tf = fejer_pair(0.2)
         records = enumerate_family(x)
-        summary = family_average(x, tf, KUMMER, records=records)
-        refs = reference_statistics(x, tf, records=records)
+        summary = family_average(records, tf, KUMMER)
+        refs = reference_statistics(records, tf)
         verdict = classify_symmetry(summary.t_statistic, refs)
     assert abs(summary.t_statistic) <= 0.08
     assert refs["Sp"] == -refs["SOeven"]
@@ -120,7 +120,7 @@ def test_criterion_05_symmetry_discrimination():
 def test_criterion_06_identity_bookkeeping():
     x = 10**6
     tf = fejer_pair(0.2)
-    summary = family_average(x, tf, KUMMER)
+    summary = family_average(enumerate_family(x), tf, KUMMER)
     worst = max(abs(r.total - (r.archimedean - r.prime_sum + r.gamma_term))
                 for r in summary.breakdowns)
     assert worst < 1e-12

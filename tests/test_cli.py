@@ -1,13 +1,11 @@
 """Command-line behavior: determinism, formats, exit codes."""
 
-import dataclasses
 import hashlib
 
 import pytest
 
 from cyclocubic import cli
-from cyclocubic.fields import (enumerate_family, make_record, partner, record_from_line,
-                               record_to_line)
+from cyclocubic.fields import enumerate_family, record_from_line
 
 
 def run(argv, capsys):
@@ -47,6 +45,15 @@ def test_usage_errors(capsys):
     assert code == cli.EXIT_USAGE and "1000" in err
     code, _, err = run(["density", "--x", "2000", "--beta", "1.5"], capsys)
     assert code == cli.EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:  # density takes no catalog
+        cli.main(["density", "--x", "1000", "--catalog", "c.txt"])
+    assert exc.value.code == cli.EXIT_USAGE and "--catalog" in capsys.readouterr().err
+    # the gamma-term quadrature cannot reach its tolerance at so narrow a support
+    for x, beta in (("1000", "1e-10"), ("1000", "1e-12"), ("1000", "1e-20"),
+                    ("100000000", "1e-12")):
+        code, out, err = run(["density", "--x", x, "--beta", beta], capsys)
+        assert code == cli.EXIT_USAGE and out == "", beta
+        assert "--beta" in err and "Traceback" not in err and err.count("\n") == 1, beta
     code, _, err = run(["charsum", "--primes", "3,7"], capsys)
     assert code == cli.EXIT_USAGE and "p = 3" in err
     code, _, err = run(["charsum", "--primes", "8"], capsys)
@@ -100,48 +107,6 @@ def test_density_tiny_beta_zero_prime_sums(tmp_path, capsys):
     rows = [l for l in out.read_text().splitlines()
             if l and not l.startswith(("#", "D,"))]
     assert rows and all(float(r.split(",")[7]) == 0.0 for r in rows)
-
-
-def test_density_catalog_reuse(tmp_path, capsys):
-    cat = tmp_path / "cat.txt"
-    run(["enumerate", "--x", "200000", "--out", str(cat)], capsys)
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    code, _, _ = run(["density", "--x", "200000", "--catalog", str(cat),
-                      "--out", str(a)], capsys)
-    assert code == 0
-    run(["density", "--x", "200000", "--out", str(b)], capsys)
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_density_catalog_rejects_bad_lines(tmp_path, capsys):
-    records = enumerate_family(200000)
-    bad_lines = [
-        "D=7 e3=0 d1=7",  # truncated
-        record_to_line(records[0]).replace("conductor=", "conductor=x"),  # not an integer
-        # disagrees with the record rebuilt from its label
-        record_to_line(dataclasses.replace(records[0], conductor=records[0].conductor + 1)),
-        record_to_line(make_record(partner(records[0].label))),  # not canonical
-        # d1 = 5 * 103 has the factor 5 = 2 (mod 3); discriminant 515^2 is in the window
-        "D=515 e3=0 d1=515 d2=1 conductor=515 discriminant=265225 polyA=515 polyB=0",
-    ]
-    cat = tmp_path / "bad.txt"
-    for bad in bad_lines:
-        lines = ["# cyclocubic catalog", record_to_line(records[1]), bad,
-                 record_to_line(records[2])]
-        cat.write_text("\n".join(lines) + "\n")
-        code, out, err = run(["density", "--x", "200000", "--catalog", str(cat)], capsys)
-        assert code == cli.EXIT_USAGE and out == "", bad
-        assert err.startswith(f"{cat}:3: ") and "Traceback" not in err, bad
-
-
-def test_density_catalog_outside_window(tmp_path, capsys):
-    # a catalog enumerated at X = 1e5 holds no field of the X = 1e8 window
-    cat = tmp_path / "cat.txt"
-    run(["enumerate", "--x", "100000", "--out", str(cat)], capsys)
-    code, out, err = run(["density", "--x", "100000000", "--catalog", str(cat)], capsys)
-    assert code == cli.EXIT_USAGE and out == ""
-    assert f"{cat}:4:" in err and "[100000000, 200000000]" in err
 
 
 def test_charsum_output(tmp_path, capsys):
@@ -219,3 +184,14 @@ def test_golden_outputs(tmp_path, capsys, argv, sha256):
     code, _, _ = run(argv + ["--out", str(out)], capsys)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_density_surfaces_other_runtime_errors(monkeypatch):
+    # only a quadrature that cannot converge is a usage error; corrupt
+    # arithmetic must still raise
+    def corrupt(label, tf):
+        raise RuntimeError("arithmetic is corrupt")
+
+    monkeypatch.setattr(cli.density_mod, "gamma_term", corrupt)
+    with pytest.raises(RuntimeError, match="corrupt"):
+        cli.main(["density", "--x", "2000"])

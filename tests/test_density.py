@@ -25,7 +25,8 @@ from cyclocubic.density import (
     prime_sums,
     reference_statistics,
 )
-from cyclocubic.fields import FieldLabel, conductor_discriminant, labels_up_to_conductor
+from cyclocubic.fields import (FieldLabel, conductor_discriminant, enumerate_family,
+                               labels_up_to_conductor)
 from cyclocubic.lfunctions import KUMMER, PAPER_LITERAL, lambda_coefficient
 
 EULER_GAMMA = 0.5772156649015329
@@ -257,27 +258,25 @@ def test_one_level_density_linear_in_f():
 
 def test_family_average_small():
     tf = fejer_pair(0.2)
-    fam = family_average(2000, tf, KUMMER)
+    records = enumerate_family(2000)
+    fam = family_average(records, tf, KUMMER)
     assert fam.count == 3
     # bookkeeping identity: average - (fhat(0) + mean gamma) + T = 0
     assert fam.average - (5.0 + fam.mean_gamma) + fam.t_statistic == pytest.approx(
         0.0, abs=1e-12)
     # order-independence of the reduction
-    from cyclocubic.fields import enumerate_family
-
-    records = enumerate_family(2000)
-    fam2 = family_average(2000, tf, KUMMER, records=list(reversed(records)))
+    fam2 = family_average(list(reversed(records)), tf, KUMMER)
     assert fam2.average == fam.average or abs(fam2.average - fam.average) < 1e-15
 
 
 def test_family_average_empty():
     with pytest.raises(ValueError):
-        family_average(2000, fejer_pair(0.2), KUMMER, records=[])
+        family_average([], fejer_pair(0.2), KUMMER)
 
 
 def test_reference_statistics_structure():
     tf = fejer_pair(0.2)
-    refs = reference_statistics(10**6, tf)
+    refs = reference_statistics(enumerate_family(10**6), tf)
     assert refs["U"] == 0.0
     assert refs["Sp"] > 0.0
     assert refs["Sp"] == -refs["SOeven"] == -refs["SOodd"] == -refs["O"]
@@ -286,7 +285,7 @@ def test_reference_statistics_structure():
 def test_reference_statistics_trend_toward_half():
     # the square-prime sum creeps up toward integral(fhat)/2 = 0.5
     tf = fejer_pair(0.2)
-    vals = [reference_statistics(x, tf)["Sp"] for x in (10**6, 10**8, 10**10)]
+    vals = [reference_statistics(enumerate_family(x), tf)["Sp"] for x in (10**6, 10**8, 10**10)]
     assert vals[0] < vals[1] < vals[2] < 0.5
 
 

@@ -140,7 +140,7 @@ def test_enumerate_family_2000():
     records = enumerate_family(2000)
     assert [(r.D, r.discriminant) for r in records] == [
         (61, 3721), (21, 3969), (63, 3969)]
-    assert all(r.canonical for r in records)
+    assert all(canonicalize(r.label)[1] for r in records)
     found = _brute_force_conductor_counts(2000)
     assert found == {61: 1, 63: 2}
     assert sum(found.values()) == len(records)
