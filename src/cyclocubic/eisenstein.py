@@ -83,15 +83,7 @@ class EisensteinInteger(NamedTuple):
     def __pow__(self, n: int) -> "EisensteinInteger":
         if n < 0:
             raise ValueError("negative powers are not Eisenstein integers")
-        out, base = ONE, self
-        while n:
-            if n & 1:
-                out = out * base
-            base_needed = n > 1
-            n >>= 1
-            if base_needed:
-                base = base * base
-        return out
+        return _power(self, n, ONE, EisensteinInteger.__mul__)
 
     def conjugate(self) -> "EisensteinInteger":
         """Galois conjugate: omega -> omega^2, i.e. a + b*omega -> (a-b) - b*omega."""
@@ -143,6 +135,18 @@ class EisensteinInteger(NamedTuple):
     def complex_value(self) -> complex:
         """Image under omega -> exp(2*pi*i/3)."""
         return complex(self.a - self.b / 2.0, self.b * 0.8660254037844386)
+
+
+def _power(x, n: int, one, mul):
+    """x^n by square-and-multiply under `mul` with identity `one` (elementwise for arrays)."""
+    out, base = one, x
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return out
 
 
 def conjugate_coefficients(coeffs: np.ndarray) -> np.ndarray:
@@ -397,14 +401,7 @@ class ResidueField:
     def power(self, x, n: int):
         if self.degree == 1:
             return pow(x, n, self.p)
-        out, base = (1, 0), x
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return out
+        return _power(x, n, (1, 0), self.mul)
 
     def cube_root_index(self, x) -> int:
         """k with x = omega^k in the residue field; raises if x is not one."""
@@ -516,14 +513,14 @@ def cubic_residue_exponents(elements: Sequence[EisensteinInteger] | np.ndarray,
     if P.residue_degree == 1:
         x = (a + b * field.omega) % p
         zero = x == 0
-        t = _array_power(x, n, np.ones_like(x), lambda u, v: u * v % p)
+        t = _power(x, n, np.ones_like(x), lambda u, v: u * v % p)
         parts = (t,)
     else:
         zero = (a == 0) & (b == 0)
         # (a + b w)(c + d w) = (ac - bd) + (ad + b(c - d)) w; each sum stays below 2**63
-        t = _array_power((a, b), n, (np.ones_like(a), np.zeros_like(b)),
-                         lambda u, v: ((u[0] * v[0] - u[1] * v[1]) % p,
-                                       (u[0] * v[1] + u[1] * (v[0] - v[1])) % p))
+        t = _power((a, b), n, (np.ones_like(a), np.zeros_like(b)),
+                   lambda u, v: ((u[0] * v[0] - u[1] * v[1]) % p,
+                                 (u[0] * v[1] + u[1] * (v[0] - v[1])) % p))
         parts = t
     roots = field._roots if P.residue_degree == 2 else {(r,): k for r, k in field._roots.items()}
     exponents = np.full(len(a), EXPONENT_ZERO, dtype=np.int64)
@@ -536,14 +533,3 @@ def cubic_residue_exponents(elements: Sequence[EisensteinInteger] | np.ndarray,
         raise AssertionError("the vectorized and the scalar cubic symbol disagree")
     return exponents
 
-
-def _array_power(x, n: int, one, mul):
-    """x^n by square-and-multiply under `mul`, elementwise over arrays."""
-    out, base = one, x
-    while n:
-        if n & 1:
-            out = mul(out, base)
-        n >>= 1
-        if n:
-            base = mul(base, base)
-    return out

@@ -15,10 +15,19 @@ character conventions are supported:
 
 At p = 3 the symbol degenerates and the splitting is decided by the local
 cube test: with c = D1 * D2^2 coprime to 1-omega, c is a cube in the 3-adic
-completion iff c = +-1 mod (1-omega)^4, which is exactly "3 splits"; with
-registry (primary) generators c is always +-1 mod (1-omega)^3, so 3 never
-ramifies when 3 does not divide D.  The verification probes re-derive this
-criterion independently.
+completion iff c = +-1 mod (1-omega)^4 = (9), which is exactly "3 splits".
+The registry generators are primary, pi_q = a + b omega with a = 2 and
+b = 0 (mod 3), so -pi_q = 1 + 3 x_q with x_q = -(a + 1)/3 - (b/3) omega, and
+such factors multiply mod 9 by adding their x mod 3.  With e3 = 0, c is up
+to sign the product of pi_q conj(pi_q)^2 over q | d1 and of its square over
+q | d2, and x + 2 conj(x) = -(b/3)(1 - omega) (mod 3), so
+
+    c = +-(1 + 3 beta (1 - omega))  (mod 9),
+    beta = -(sum_{q | d1} b_q/3 + 2 sum_{q | d2} b_q/3).
+
+As 3 (1 - omega) is (1-omega)^3 times a unit, 3 never ramifies when 3 does
+not divide D, and it splits exactly when beta = 0 (mod 3).  The verification
+probes re-derive this criterion independently.
 
 lambda_D(p^m) are the Dirichlet coefficients of -L_D'/L_D against
 Lambda(n) n^-s: 2 at split primes for every m, -1 at inert primes unless
@@ -36,10 +45,12 @@ row r (a prime q, or lambda) are
 and a field's symbol is omega^s with s = sum_{q | d1} k_q + 2 sum_{q | d2} k_q
 + e3 k_lambda (mod 3).  It is zero exactly when a zero entry enters the sum,
 that is when p | D.  The table holds one row per distinct q of the family
-and one for lambda, and one column per prime p != 3; p = 3 stays on
-`splitting_at_three`.  `kummer_symbol`, `paper_chi`, `splitting_type` and
-`lambda_coefficient` are the per-call reference that the probes and tests
-compare the table against.
+and one for lambda, and one column per prime p.  The column for p = 3 holds
+k_q = b_q/3 (mod 3), so that s = -beta, in both modes, and _ZERO_ENTRY at
+lambda, which the weight e3 turns on exactly when 3 | D.  `kummer_symbol`,
+`paper_chi`, `splitting_at_three` (which tests c itself), `splitting_type`
+and `lambda_coefficient` are the per-call reference that the probes and
+tests compare the table against.
 """
 
 from __future__ import annotations
@@ -54,6 +65,7 @@ from .eisenstein import (
     CubicSymbol,
     EisensteinInteger,
     PrimeAbove,
+    conjugate_coefficients,
     cubic_residue_exponents,
     cubic_residue_symbol,
     lambda_valuation,
@@ -177,17 +189,18 @@ _ZERO_ENTRY = 1 << 20
 def _exponent_table(qs: Sequence[int], primes: Sequence[int], mode: str) -> np.ndarray:
     """k[r, j] of the module docstring: row 0 for lambda, row i + 1 for qs[i].
 
-    Column j belongs to primes[j]; a column for p = 3 is left at 0.  Zero
-    symbols enter as _ZERO_ENTRY.
+    Column j belongs to primes[j].  Zero symbols, and the lambda row of the
+    column for p = 3, enter as _ZERO_ENTRY.
     """
-    gens = [LAMBDA] + [prime_above(q).generator for q in qs]
-    both = gens + [g.conjugate() for g in gens]
-    table = np.zeros((len(gens), len(primes)), dtype=np.int64)
+    gens = np.array([LAMBDA] + [prime_above(q).generator for q in qs], dtype=np.int64)
+    both = np.concatenate((gens, conjugate_coefficients(gens)))
+    table = np.empty((len(gens), len(primes)), dtype=np.int64)
     for j, p in enumerate(primes):
         if p == 3:
+            table[:, j] = gens[:, 1] // 3 % 3
+            table[0, j] = _ZERO_ENTRY
             continue
-        e = cubic_residue_exponents(both, prime_above(p))
-        e, e_conj = e[:len(gens)], e[len(gens):]
+        e, e_conj = np.split(cubic_residue_exponents(both, prime_above(p)), 2)
         zero = e == EXPONENT_ZERO
         if mode == KUMMER:
             zero |= e_conj == EXPONENT_ZERO
@@ -218,9 +231,6 @@ def lambda_table(labels: Sequence[FieldLabel], primes: Sequence[int],
         weights = [label.e3] + [1] * len(q1) + [2] * len(q2)
         s = np.dot(weights, table[rows])
         out[i] = np.where(s >= _ZERO_ENTRY, 0, np.where(s % 3 == 0, 2, -1))
-    if 3 in primes:
-        j = list(primes).index(3)
-        out[:, j] = [lambda_from_splitting(splitting_at_three(label), 1) for label in labels]
     return out
 
 

@@ -231,9 +231,10 @@ def ramification_audit_at_3(label: FieldLabel, k_star: int = 4) -> ProbeReport:
 
     (i) brute-force cube solvability of D1*D2^2 mod (1-omega)^k_star, and
     (ii) the stabilized root count of the defining cubic mod 3^k: positive
-    means 3 splits.  The probes must agree with one another; the verdict is
-    then compared with the always-split convention some character arguments
-    assume (a Finding when the field is in fact inert at 3, not a failure).
+    means 3 splits.  The probes must agree with one another and with
+    splitting_at_three; the verdict is then compared with the always-split
+    convention some character arguments assume (a Finding when the field is
+    in fact inert at 3, not a failure).
     """
     if label.e3 > 0:
         return ProbeReport(f"ramification_audit[D={label.D}]", PASS,
@@ -246,11 +247,12 @@ def ramification_audit_at_3(label: FieldLabel, k_star: int = 4) -> ProbeReport:
         return ProbeReport(f"ramification_audit[D={label.D}]", FAIL,
                            [{"error": "root count did not stabilize"}], {})
     probe_ii = stable > 0
-    numbers = {"cube_solvable": probe_i, "stable_roots": stable,
-               "splitting": str(splitting_at_three(label))}
-    if probe_i != probe_ii:
+    splitting = splitting_at_three(label)
+    numbers = {"cube_solvable": probe_i, "stable_roots": stable, "splitting": str(splitting)}
+    if probe_i != probe_ii or splitting != (SPLIT if probe_i else INERT):
         return ProbeReport(f"ramification_audit[D={label.D}]", FAIL,
-                           [{"probe_i": probe_i, "probe_ii": probe_ii}], numbers)
+                           [{"probe_i": probe_i, "probe_ii": probe_ii,
+                             "splitting_at_three": splitting}], numbers)
     if not probe_i:  # unramified but inert: the always-split shortcut is wrong here
         return ProbeReport(f"ramification_audit[D={label.D}]", FINDING,
                            [{"verdict": "inert at 3, not split"}], numbers)
@@ -310,7 +312,7 @@ def _zeta_prime_power_coefficient(st: SplittingType, j: int) -> int:
     return 1  # ramified
 
 
-def _l_prime_power_coefficients(p: int, st: SplittingType, j_max: int) -> list[int]:
+def _l_prime_power_coefficients(st: SplittingType, j_max: int) -> list[int]:
     """Coefficients of L_D at p^j, j <= j_max, by the Newton recurrence on lambda.
 
     j * b_j = sum_{i=1..j} lambda(p^i) b_{j-i}; the division must be exact.
@@ -320,7 +322,7 @@ def _l_prime_power_coefficients(p: int, st: SplittingType, j_max: int) -> list[i
     for j in range(1, j_max + 1):
         s = sum(lam[i - 1] * b[j - i] for i in range(1, j + 1))
         if s % j:
-            raise RuntimeError(f"non-integral L coefficient at {p}^{j} of type {st}")
+            raise RuntimeError(f"non-integral L coefficient at p^{j} of type {st}")
         b.append(s // j)
     return b
 
@@ -336,9 +338,9 @@ def ideal_count_crosscheck(label: FieldLabel, n_max: int = 10**4) -> ProbeReport
     splits = {p: splitting_type(p, label, KUMMER) for p in primes_up_to(n_max)}
     j_cap = max(1, int(math.log2(n_max)))
 
-    zeta_pp = {p: [_zeta_prime_power_coefficient(st, j) for j in range(j_cap + 1)]
-               for p, st in splits.items()}
-    l_pp = {p: _l_prime_power_coefficients(p, st, j_cap) for p, st in splits.items()}
+    coefficients = {st: ([_zeta_prime_power_coefficient(st, j) for j in range(j_cap + 1)],
+                         _l_prime_power_coefficients(st, j_cap))
+                    for st in (SPLIT, INERT, RAMIFIED)}
 
     a = [0, 1] + [0] * (n_max - 1)
     b = [0, 1] + [0] * (n_max - 1)
@@ -348,8 +350,9 @@ def ideal_count_crosscheck(label: FieldLabel, n_max: int = 10**4) -> ProbeReport
         while m % p == 0:
             m //= p
             j += 1
-        a[n] = a[m] * zeta_pp[p][j]
-        b[n] = b[m] * l_pp[p][j]
+        zeta_pp, l_pp = coefficients[splits[p]]
+        a[n] = a[m] * zeta_pp[j]
+        b[n] = b[m] * l_pp[j]
     conv = [0] * (n_max + 1)
     for d in range(1, n_max + 1):
         if b[d]:

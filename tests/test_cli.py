@@ -177,6 +177,7 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
      "9d35ae099c12d95f4e5d802ec1928135b2c167ceff6ff9992b81d7c8f12ff8b5"),
     (["density", "--x", "1000000", "--beta", "0.4", "--mode", "paper"],
      "5289d190a4c3765418283dc06883e48c9b33f14ada78d98d538260d151aa82ef"),
+    (["verify"], "51b5e682d0b96ecf85e3c1ffec1913f95c341f1089c6626b32ad4a806a6a7a45"),
 ])
 def test_golden_outputs(tmp_path, capsys, argv, sha256):
     # pinned bytes: refactors must leave these outputs identical

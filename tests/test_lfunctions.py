@@ -19,6 +19,7 @@ from cyclocubic.lfunctions import (
     euler_value,
     kummer_symbol,
     lambda_coefficient,
+    lambda_from_splitting,
     lambda_table,
     paper_chi,
     splitting_at_three,
@@ -194,6 +195,30 @@ def test_lambda_table_matches_reference():
         for label, row in zip(labels, table):
             want = [lambda_coefficient(p, 1, label, mode) for p in primes]
             assert row.tolist() == want, (label, mode)
+
+
+def test_lambda_table_at_three_matches_local_cube_test():
+    # the p = 3 column is read off the generators' omega coefficients; the
+    # reference tests c = D1 * D2^2 mod (1 - omega)^4 for every field
+    labels = labels_up_to_conductor(20000)
+    want = [lambda_from_splitting(splitting_at_three(label), 1) for label in labels]
+    assert set(want) == {2, -1, 0}
+    for mode in (KUMMER, PAPER_LITERAL):
+        assert lambda_table(labels, [3], mode)[:, 0].tolist() == want, mode
+
+
+def test_lambda_table_builds_no_product_per_field(monkeypatch):
+    labels = labels_up_to_conductor(400)
+    primes = primes_up_to(50)
+    want = {mode: lambda_table(labels, primes, mode) for mode in (KUMMER, PAPER_LITERAL)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lambda_table built a Z[omega] product for one field")
+
+    monkeypatch.setattr("cyclocubic.lfunctions.splitting_at_three", refuse)
+    monkeypatch.setattr("cyclocubic.lfunctions.three_split_factorization", refuse)
+    for mode, table in want.items():
+        assert (lambda_table(labels, primes, mode) == table).all(), mode
 
 
 def test_lambda_table_corrupt_registry_raises(monkeypatch):

@@ -130,6 +130,15 @@ def test_ramification_audit_suite_and_calibration():
     assert report.numbers["labels"] == 50
 
 
+def test_ramification_audit_fails_on_wrong_splitting_at_three(monkeypatch):
+    # the corpus holds fields inert at 3, which an always-split answer contradicts
+    monkeypatch.setattr("cyclocubic.verify.splitting_at_three", lambda label: SPLIT)
+    report = ramification_audit_suite(50)
+    assert report.status == FAIL
+    assert report.details == [{"probe_i": False, "probe_ii": False,
+                               "splitting_at_three": SPLIT}]
+
+
 def test_stable_root_count():
     # split at 3 with index contribution: count stabilizes above zero
     from cyclocubic.fields import defining_polynomial
