@@ -15,14 +15,16 @@ codes: 0 success, 1 usage, 2 assertion failure, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import density as density_mod
 from . import verify as verify_mod
 from ._primes import is_prime
 from .eisenstein import INT64_PRIME_BOUND
-from .fields import enumerate_family, record_to_line
+from .fields import X_MAX, enumerate_family, record_to_line
 from .lfunctions import KUMMER, PAPER_LITERAL
 
 EXIT_OK = 0
@@ -83,8 +85,11 @@ def build_parser() -> _Parser:
 
 
 def _validate(cfg: RunConfig) -> str | None:
-    if cfg.command in ("enumerate", "density") and cfg.x < 1000:
-        return "--x must be at least 1000"
+    if cfg.command in ("enumerate", "density"):
+        if cfg.x < 1000:
+            return "--x must be at least 1000"
+        if cfg.x > X_MAX:
+            return "--x must be at most 2**79; beyond it the int64 enumeration could overflow"
     if not 0.0 < cfg.beta < 1.0:
         return "--beta must lie strictly between 0 and 1"
     if cfg.command == "verify":
@@ -107,7 +112,7 @@ def _validate(cfg: RunConfig) -> str | None:
     return None
 
 
-def _write(path: str | None, lines: list[str]) -> None:
+def _write(path: str | None, lines: Iterable[str]) -> None:
     """Write each line and a newline; no output-size string is ever built."""
     if path is None:
         sys.stdout.writelines(f"{line}\n" for line in lines)
@@ -118,9 +123,8 @@ def _write(path: str | None, lines: list[str]) -> None:
 
 def cmd_enumerate(cfg: RunConfig) -> int:
     records = enumerate_family(cfg.x)
-    lines = [f"# cyclocubic catalog", f"# x={cfg.x}", f"# count={len(records)}"]
-    lines += [record_to_line(r) for r in records]
-    _write(cfg.out, lines)
+    header = [f"# cyclocubic catalog", f"# x={cfg.x}", f"# count={len(records)}"]
+    _write(cfg.out, itertools.chain(header, map(record_to_line, records)))
     return EXIT_OK
 
 

@@ -9,7 +9,14 @@ field (exponent doubling mod cubes), the conductor is 9^delta * d1 * d2
 with delta = 1 iff 3 | D, and the discriminant is the conductor squared.
 
 `enumerate_family(X)` lists one canonical representative per field with
-discriminant in [X, 2X], sieving by conductor rather than by D.
+discriminant in [X, 2X], sieving by conductor rather than by D, and builds
+the whole family as numpy columns: one smallest-prime-factor sieve finds
+the squarefree 3-split n of each conductor scale (n and 9n) with their
+primes, every splitting n = d1 * d2 is one bit mask over those primes, and
+D1 is multiplied out one prime column at a time from the registry
+generators.  `make_record`, `defining_polynomial` and
+`three_split_factorization` build the same values one label at a time and
+are the reference the columns are tested against.
 """
 
 from __future__ import annotations
@@ -18,11 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._primes import factorize, primes_up_to
+import numpy as np
+
+from ._primes import factorize, smallest_factor_sieve
 from .eisenstein import LAMBDA, EisensteinInteger, prime_above, registry_table
-
-
-LabelPrimes = tuple[tuple[int, ...], tuple[int, ...]]  # primes of d1, primes of d2, ascending
 
 
 class Not3SplitError(ValueError):
@@ -98,7 +104,7 @@ def conductor_discriminant(label: FieldLabel) -> tuple[int, int]:
     return f, f * f
 
 
-def label_primes(label: FieldLabel) -> LabelPrimes:
+def label_primes(label: FieldLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The primes dividing d1 and those dividing d2, ascending, with the label checked.
 
     The check uses the factorizations of d1 and d2, so no caller has to
@@ -122,120 +128,201 @@ def label_primes(label: FieldLabel) -> LabelPrimes:
     return out[0], out[1]
 
 
-def three_split_factorization(label: FieldLabel,
-                              primes: LabelPrimes | None = None) -> ThreeSplitFactorization:
+def three_split_factorization(label: FieldLabel) -> ThreeSplitFactorization:
     """Conjugate factorization of D built from registry prime generators.
 
-    `primes` is label_primes(label) when the caller already holds it, as the
-    enumeration does; otherwise label_primes computes it and checks the
-    label on the way.
+    label_primes checks the label on the way.
     """
-    q1, q2 = label_primes(label) if primes is None else primes
+    q1, q2 = label_primes(label)
     d1_part = LAMBDA**label.e3
     for power, qs in ((1, q1), (2, q2)):
         for q in qs:
             g = prime_above(q).generator
             for _ in range(power):
                 d1_part = d1_part * g
-    d2_part = d1_part.conjugate()
-    assert d1_part * d2_part == EisensteinInteger(label.D)
-    return ThreeSplitFactorization(d1_part, d2_part)
+    if d1_part.norm() != label.D:
+        raise RuntimeError(f"N(D1) != D for {label}; the registry generators are corrupt")
+    return ThreeSplitFactorization(d1_part, d1_part.conjugate())
 
 
-def defining_polynomial(label: FieldLabel,
-                        primes: LabelPrimes | None = None) -> tuple[int, int]:
+def defining_polynomial(label: FieldLabel) -> tuple[int, int]:
     """(A, B) with the field generated by a root of x^3 - 3*A*x - B.
 
     The generator u + v, u^3 = D1*D2^2 and v^3 = D1^2*D2, has u*v = D and
-    u^3 + v^3 = D * trace(D1), so A = D and B = D * trace(D1).  `primes` as
-    in three_split_factorization.
+    u^3 + v^3 = D * trace(D1), so A = D and B = D * trace(D1).
     """
-    fact = three_split_factorization(label, primes)
+    fact = three_split_factorization(label)
     return label.D, label.D * fact.d1.trace()
 
 
-def squarefree_3split_with_factors(lo: int, hi: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(n, prime factors) for squarefree n in [lo, hi] with all factors = 1 mod 3.
-
-    Includes n = 1 when lo <= 1.  Ascending in n.
-    """
-    qs = [p for p in primes_up_to(hi) if p % 3 == 1]
-    out: list[tuple[int, tuple[int, ...]]] = []
-    if lo <= 1:
-        out.append((1, ()))
-    stack = [(1, (), 0)]
-    while stack:
-        n, fac, i = stack.pop()
-        for j in range(i, len(qs)):
-            q = qs[j]
-            m = n * q
-            if m > hi:
-                break
-            mf = fac + (q,)
-            if m >= lo:
-                out.append((m, mf))
-            stack.append((m, mf, j + 1))
-    out.sort()
-    return out
-
-
-def _canonical_labels(f_lo: int, f_hi: int) -> list[tuple[FieldLabel, tuple[int, ...]]]:
-    """(label, primes of d1 * d2) for the canonical labels with conductor in
-    [f_lo, f_hi], sorted by (conductor, D).
-
-    A conductor is n or 9n with n squarefree 3-split; each ordered splitting
-    n = d1 * d2 gives a label, with both 3-exponents of D at the 9n scale,
-    and the partner test keeps one label per field.  The primes are the
-    factor tuple of n that the enumeration already holds.
-    """
-    out: list = []
-    for scale, exponents in ((1, (0,)), (9, (1, 2))):
-        for n, fac in squarefree_3split_with_factors(-(-f_lo // scale), f_hi // scale):
-            divisors = [1]
-            for q in fac:
-                divisors += [d * q for d in divisors]
-            for d1 in divisors:
-                for e3 in exponents:
-                    label = FieldLabel(e3, d1, n // d1)
-                    D = label.D
-                    if D < partner(label).D:
-                        out.append((scale * n, D, label, fac))
-    out.sort()  # (conductor, D) is unique, so labels and factors are never compared
-    for i, (_, _, label, fac) in enumerate(out):  # in place: no second family-size list
-        out[i] = label, fac
-    return out
-
-
-def make_record(label: FieldLabel, primes: LabelPrimes | None = None) -> FieldRecord:
-    """The record of a label; without `primes`, label_primes checks the label first."""
+def make_record(label: FieldLabel) -> FieldRecord:
+    """The record of one label, checked by label_primes first."""
     f, disc = conductor_discriminant(label)
-    a, b = defining_polynomial(label, primes)
+    a, b = defining_polynomial(label)
     return FieldRecord(label, label.D, f, disc, a, b)
+
+
+# -- the family as columns ---------------------------------------------------------
+
+_BLOCK = 1 << 16  # numbers factored per sieve pass; bounds the window's working set
+X_MAX = 2**79  # conductors up to isqrt(2 * X_MAX) = 2^40 keep the int64 columns below 2^62
+_LAMBDA_POWERS = ((1, 0), (1, -1), (0, -3))  # (1 - omega)^e3 as (a, b)
+
+
+def _squarefree_3split_columns(lo: int, hi: int,
+                               spf: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """{k: (n, primes)} for the squarefree n in [lo, hi] made of k primes = 1 (mod 3).
+
+    n ascends and primes[i] holds the k primes of n[i], ascending; n = 1 is
+    the k = 0 entry.  spf is smallest_factor_sieve(m) for some m >= hi.  The
+    window is read in blocks of _BLOCK numbers, keeping those whose smallest
+    prime is 1 (mod 3), and each is divided by its smallest prime until it
+    reaches 1; a number leaves as soon as a prime is not 1 (mod 3) or
+    divides it twice.
+    """
+    parts: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    if lo <= 1 <= hi:
+        parts[0] = [(np.ones(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int64))]
+    for start in range(max(lo, 2), hi + 1, _BLOCK):
+        n = start + np.flatnonzero(spf[start:min(start + _BLOCK, hi + 1)] % 3 == 1)
+        rest, primes = n, np.zeros((n.size, 0), dtype=np.int64)
+        while n.size:
+            p = spf[rest]
+            rest = rest // p
+            ok = (p % 3 == 1) & (rest % p != 0)
+            n, rest, primes = n[ok], rest[ok], np.column_stack((primes[ok], p[ok]))
+            done = rest == 1
+            if done.any():
+                parts.setdefault(primes.shape[1], []).append((n[done], primes[done]))
+                n, rest, primes = n[~done], rest[~done], primes[~done]
+    return {k: (np.concatenate([n for n, _ in found]), np.concatenate([p for _, p in found]))
+            for k, found in sorted(parts.items())}
+
+
+class _LabelColumns(NamedTuple):
+    """Canonical labels sharing e3 and the prime count k of d1 * d2."""
+
+    e3: int
+    d1: np.ndarray
+    d2: np.ndarray
+    primes: np.ndarray  # (rows, k): the primes of d1 * d2, ascending
+    in_d1: np.ndarray  # (rows, k): whether each of them divides d1
+
+
+def _canonical_label_columns(f_lo: int, f_hi: int) -> list[_LabelColumns]:
+    """The canonical labels with conductor in [f_lo, f_hi], unsorted.
+
+    A conductor is n or 9n with n squarefree 3-split; each of the 2^k bit
+    masks over the k primes of n is one splitting n = d1 * d2, with both
+    3-exponents of D at the 9n scale.  D < partner(D) keeps one label per
+    field; divided through by d1 * d2 * 3^min(e3, partner's e3), it reads
+    d2 < d1 (e3 = 0), d2 < 3 * d1 (e3 = 1) and 3 * d2 < d1 (e3 = 2), so no
+    partner's D is multiplied out.
+    """
+    spf = smallest_factor_sieve(f_hi)
+    out = []
+    for scale in (1, 9):
+        window = _squarefree_3split_columns(-(-f_lo // scale), f_hi // scale, spf)
+        for k, (n, primes) in window.items():
+            # row i * 2^k + m splits n[i] by the mask m: bit j puts prime j into d1
+            rows = np.repeat(np.arange(n.size), 1 << k)
+            primes = primes[rows]
+            in_d1 = np.tile((np.arange(1 << k)[:, None] >> np.arange(k) & 1) == 1, (n.size, 1))
+            d1 = np.where(in_d1, primes, 1).prod(axis=1)
+            d2 = n[rows] // d1
+            kept = [(0, d2 < d1)] if scale == 1 else [(1, d2 < 3 * d1), (2, 3 * d2 < d1)]
+            for e3, keep in kept:
+                out.append(_LabelColumns(e3, d1[keep], d2[keep], primes[keep], in_d1[keep]))
+    return out
+
+
+def _conductor_order(groups: list[_LabelColumns]) -> tuple[np.ndarray, ...]:
+    """(e3, d1, d2, D, conductor) over all groups, sorted by (conductor, D), and the order."""
+    e3 = np.concatenate([np.full(g.d1.size, g.e3, dtype=np.int64) for g in groups])
+    d1 = np.concatenate([g.d1 for g in groups])
+    d2 = np.concatenate([g.d2 for g in groups])
+    D = 3**e3 * d1 * d2 * d2
+    conductor = np.where(e3 > 0, 9, 1) * d1 * d2
+    order = np.lexsort((D, conductor))  # (conductor, D) is unique
+    return e3[order], d1[order], d2[order], D[order], conductor[order], order
+
+
+def _d1_traces(group: _LabelColumns, reg_primes: np.ndarray, reg_gens: np.ndarray) -> np.ndarray:
+    """trace(D1) on every row, D1 = lambda^e3 * prod_{q|d1} pi_q * prod_{q|d2} pi_q^2.
+
+    One Z[omega] product per prime column, in int64, with pi_q the registry
+    generator; raises RuntimeError unless N(D1) = D on every row.
+    """
+    gens = reg_gens[np.searchsorted(reg_primes, group.primes)]
+    c, d = gens[..., 0], gens[..., 1]
+    c, d = np.where(group.in_d1, c, c * c - d * d), np.where(group.in_d1, d, 2 * c * d - d * d)
+    a0, b0 = _LAMBDA_POWERS[group.e3]
+    a, b = np.full(group.d1.size, a0, dtype=np.int64), np.full(group.d1.size, b0, dtype=np.int64)
+    for j in range(group.primes.shape[1]):  # omega^2 = -1 - omega
+        cj, dj = c[:, j], d[:, j]
+        a, b = a * cj - b * dj, a * dj + b * cj - b * dj
+    D = 3**group.e3 * group.d1 * group.d2 * group.d2
+    bad = np.flatnonzero(a * a - a * b + b * b != D)
+    if bad.size:
+        i = int(bad[0])
+        label = FieldLabel(group.e3, int(group.d1[i]), int(group.d2[i]))
+        raise RuntimeError(f"N(D1) != D for {label}; the registry generators are corrupt")
+    return 2 * a - b
 
 
 def enumerate_family(X: int) -> list[FieldRecord]:
     """Canonical records of all fields with discriminant in [X, 2X].
 
     Sieves the conductor window [sqrt(X), sqrt(2X)] rather than D.  Sorted
-    by (conductor, D); output is deterministic down to the byte.  Each
-    record is built from the primes the enumeration carries, so nothing is
-    factored, and the generator above every q | d1 * d2 (q <= sqrt(2X)) is
-    read off one registry table.
+    by (conductor, D); output is deterministic down to the byte.  The family
+    is built as numpy columns (module docstring): nothing is factored and no
+    Z[omega] value is built per field, and the generator above every
+    q | d1 * d2 (q <= sqrt(2X)) is read off one registry table.
+
+    The columns are int64.  A canonical D lies below the geometric mean of
+    D and its partner's D, which is at most f^1.5 for conductor f, and every
+    value computed (d1, d2, D, the coefficients of D1 and the terms of
+    N(D1)) is at most 4 * D < 4 * f^1.5.  Conductors up to 2^40 keep that
+    below 2^62, so X above X_MAX = 2^79 raises ValueError before anything
+    is allocated; the sieve to 2^40 alone would need 8 TiB.  B = D *
+    trace(D1) is formed from Python ints.
     """
     if X < 2:
         raise ValueError("X must be at least 2")
+    if X > X_MAX:
+        raise ValueError("X must be at most 2^79, where conductors reach 2^40; "
+                         "beyond it the int64 columns could overflow")
     f_hi = math.isqrt(2 * X)
-    records = _canonical_labels(math.isqrt(X - 1) + 1, f_hi)
-    registry_table(f_hi)
-    for i, (label, fac) in enumerate(records):  # in place, as in _canonical_labels
-        records[i] = make_record(label, (tuple(q for q in fac if label.d1 % q == 0),
-                                         tuple(q for q in fac if label.d2 % q == 0)))
-    return records
+    groups = _canonical_label_columns(math.isqrt(X - 1) + 1, f_hi)
+    if not groups:
+        return []
+    reg_primes, reg_gens = registry_table(f_hi)
+    traces = np.concatenate([_d1_traces(g, reg_primes, reg_gens) for g in groups])
+    *columns, order = _conductor_order(groups)
+    return [FieldRecord(FieldLabel(e3, d1, d2), D, f, f * f, D, D * t)
+            for e3, d1, d2, D, f, t in zip(*(c.tolist() for c in columns),
+                                           traces[order].tolist())]
 
 
 def labels_up_to_conductor(f_max: int) -> list[FieldLabel]:
     """Canonical labels with conductor <= f_max, sorted by (conductor, D)."""
-    return [label for label, _ in _canonical_labels(1, f_max)]
+    groups = _canonical_label_columns(1, f_max)
+    if not groups:
+        return []
+    e3, d1, d2, *_ = _conductor_order(groups)
+    return list(map(FieldLabel, e3.tolist(), d1.tolist(), d2.tolist()))
+
+
+def squarefree_3split_with_factors(lo: int, hi: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(n, prime factors) for squarefree n in [lo, hi] with all factors = 1 mod 3.
+
+    Includes n = 1 when lo <= 1 <= hi.  Ascending in n.
+    """
+    columns = _squarefree_3split_columns(lo, hi, smallest_factor_sieve(hi))
+    out = [pair for ns, primes in columns.values()
+           for pair in zip(ns.tolist(), map(tuple, primes.tolist()))]
+    out.sort()
+    return out
 
 
 # -- catalog serialization ------------------------------------------------------
@@ -244,9 +331,9 @@ _FIELDS = ("D", "e3", "d1", "d2", "conductor", "discriminant", "polyA", "polyB")
 
 
 def record_to_line(rec: FieldRecord) -> str:
-    vals = (rec.D, rec.label.e3, rec.label.d1, rec.label.d2, rec.conductor,
-            rec.discriminant, rec.poly_a, rec.poly_b)
-    return " ".join(f"{k}={v}" for k, v in zip(_FIELDS, vals))
+    label = rec.label
+    return (f"D={rec.D} e3={label.e3} d1={label.d1} d2={label.d2} conductor={rec.conductor} "
+            f"discriminant={rec.discriminant} polyA={rec.poly_a} polyB={rec.poly_b}")
 
 
 def record_from_line(line: str) -> FieldRecord:

@@ -43,6 +43,9 @@ def test_usage_errors(capsys):
     assert exc.value.code == cli.EXIT_USAGE
     code, _, err = run(["enumerate", "--x", "50"], capsys)
     assert code == cli.EXIT_USAGE and "1000" in err
+    for command in ("enumerate", "density"):  # past the int64 range of the enumeration
+        code, _, err = run([command, "--x", str(2**79 + 1)], capsys)
+        assert code == cli.EXIT_USAGE and "2**79" in err
     code, _, err = run(["density", "--x", "2000", "--beta", "1.5"], capsys)
     assert code == cli.EXIT_USAGE
     with pytest.raises(SystemExit) as exc:  # density takes no catalog
@@ -178,6 +181,8 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
     (["density", "--x", "1000000", "--beta", "0.4", "--mode", "paper"],
      "5289d190a4c3765418283dc06883e48c9b33f14ada78d98d538260d151aa82ef"),
     (["verify"], "51b5e682d0b96ecf85e3c1ffec1913f95c341f1089c6626b32ad4a806a6a7a45"),
+    (["enumerate", "--x", "10000000000"],
+     "d3b81d4e4d8576211a824016e4a696097c241257c48ec86d9d3afcfaa397525b"),
 ])
 def test_golden_outputs(tmp_path, capsys, argv, sha256):
     # pinned bytes: refactors must leave these outputs identical

@@ -2,12 +2,15 @@
 
 import math
 from collections import Counter
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
-from cyclocubic._primes import factorize
-from cyclocubic.eisenstein import EisensteinInteger
+from cyclocubic._primes import factorize, smallest_factor_sieve
+from cyclocubic.eisenstein import EisensteinInteger, PrimeAbove, registry_table
 from cyclocubic.fields import (
+    X_MAX,
     FieldLabel,
     Not3SplitError,
     NotCubeFreeError,
@@ -21,6 +24,7 @@ from cyclocubic.fields import (
     partner,
     record_from_line,
     record_to_line,
+    squarefree_3split_with_factors,
     three_split_factorization,
 )
 
@@ -171,6 +175,96 @@ def test_enumeration_carries_primes_instead_of_factoring(monkeypatch):
     monkeypatch.undo()
     # the same records as those rebuilt from each label, checked by label_primes
     assert records == [make_record(r.label) for r in records]
+
+
+@lru_cache(maxsize=None)
+def _brute_force_labels(f_max):
+    """Canonical labels with conductor <= f_max, by parse_label and canonicalize over every D.
+
+    A canonical D lies below the geometric mean of D and its partner's D,
+    3^(3/2) * n^(3/2) or n^(3/2) for n = d1 * d2, and so below f^(3/2).
+    """
+    found = []
+    for D in range(2, math.isqrt(f_max**3) + 1):
+        try:
+            label = parse_label(D)
+        except ValueError:
+            continue
+        f, _ = conductor_discriminant(label)
+        if canonicalize(label)[1] and f <= f_max:
+            found.append((f, D, label))
+    return [label for _, _, label in sorted(found)]
+
+
+def test_labels_up_to_conductor_match_brute_force():
+    expected = _brute_force_labels(3000)
+    assert len(expected) == 476
+    assert labels_up_to_conductor(3000) == expected
+    assert labels_up_to_conductor(9) == [FieldLabel(0, 7, 1), FieldLabel(1, 1, 1)]
+    assert labels_up_to_conductor(6) == []
+
+
+# f = 7 * 13 * 19 on the n scale and 9 * 7 * 31 on the 9n scale; for each,
+# the window's lower edge f^2 - 1, f^2, f^2 + 1 and its upper edge at 2X = f^2 +- 1
+@pytest.mark.parametrize("f", [1729, 1953])
+@pytest.mark.parametrize("edge, inside", [
+    (lambda f: f * f - 1, True), (lambda f: f * f, True), (lambda f: f * f + 1, False),
+    (lambda f: (f * f + 1) // 2, True), (lambda f: (f * f - 1) // 2, False),
+])
+def test_enumerate_family_window_edges_match_brute_force(f, edge, inside):
+    X = edge(f)
+    expected = [label for label in _brute_force_labels(3000)
+                if X <= conductor_discriminant(label)[1] <= 2 * X]
+    records = enumerate_family(X)
+    assert [r.label for r in records] == expected
+    assert (f in {r.conductor for r in records}) is inside
+    assert records == [make_record(label) for label in expected]
+
+
+def test_squarefree_3split_with_factors_match_factorize():
+    def brute_force(lo, hi):
+        out = []
+        for n in range(max(lo, 1), hi + 1):
+            fac = factorize(n)
+            if all(q % 3 == 1 and e == 1 for q, e in fac.items()):
+                out.append((n, tuple(sorted(fac))))
+        return out
+
+    for lo, hi in ((1, 10**5), (0, 1), (2, 1), (2, 100), (90_000, 100_000), (91, 91)):
+        assert squarefree_3split_with_factors(lo, hi) == brute_force(lo, hi)
+
+
+def test_smallest_factor_sieve_matches_trial_division():
+    spf = smallest_factor_sieve(10**5)
+    assert spf.tolist() == [0, 0] + [min(factorize(k)) for k in range(2, 10**5 + 1)]
+    for n in (0, 1, 2, 3, 4, 25, 97):
+        assert np.array_equal(smallest_factor_sieve(n), spf[:n + 1])
+
+
+def test_enumerate_family_refuses_x_beyond_int64_range(monkeypatch):
+    def no_sieve(n):
+        raise AssertionError(f"a sieve to {n} was started")
+
+    monkeypatch.setattr("cyclocubic.fields.smallest_factor_sieve", no_sieve)
+    with pytest.raises(ValueError, match="2\\^79"):
+        enumerate_family(X_MAX + 1)
+    with pytest.raises(ValueError, match="2\\^79"):
+        enumerate_family(10**30)
+    assert math.isqrt(2 * X_MAX) == 2**40  # 4 * f^1.5 <= 2^62 at the largest conductor
+
+
+def test_enumeration_checks_the_norm_of_every_d1(monkeypatch):
+    # a corrupted generator above 13 must stop both routes, not yield a polynomial
+    primes, gens = registry_table(200)
+    corrupt = gens.copy()
+    corrupt[primes == 13] = (5, 1)
+    monkeypatch.setattr("cyclocubic.fields.registry_table", lambda n: (primes, corrupt))
+    with pytest.raises(RuntimeError, match="registry generators are corrupt"):
+        enumerate_family(10**4)  # conductor 117 = 9 * 13
+    monkeypatch.setattr("cyclocubic.fields.prime_above",
+                        lambda q: PrimeAbove(13, EisensteinInteger(5, 1), 1, "split"))
+    with pytest.raises(RuntimeError, match="registry generators are corrupt"):
+        three_split_factorization(FieldLabel(0, 13, 1))
 
 
 def test_two_to_one_correspondence():
