@@ -99,6 +99,8 @@ def _validate(cfg: RunConfig) -> str | None:
             return ("--p0 must be at least 70; the lower cutoff p0 // 10 must hold "
                     "a prime = 1 (mod 3)")
     if cfg.command == "charsum":
+        if not cfg.primes:
+            return "--primes must name at least one prime"
         if 3 in cfg.primes:
             return "chi_p is undefined at p = 3; drop it from --primes"
         not_prime = [p for p in cfg.primes if not is_prime(p)]
@@ -216,6 +218,10 @@ def main(argv=None) -> int:
         target = getattr(exc, "filename", None) or cfg.out
         sys.stderr.write(f"I/O failure on {target}: {exc}\n")
         return EXIT_IO
+    except MemoryError:
+        sys.stderr.write(f"{cfg.command} needs more memory than this machine has; "
+                         f"try smaller arguments\n")
+        return EXIT_USAGE
 
 
 def entry() -> None:

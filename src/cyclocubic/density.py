@@ -30,6 +30,15 @@ near 0, symplectic/orthogonal ones push it to +-sum over p^2 terms.
 
 Everything is deterministic: fixed summation orders, compensated sums, and
 panel Gauss-Legendre quadrature with explicit refinement.
+
+A family is computed in batches, never one field at a time.  `prime_sums`
+and `reference_statistics` evaluate the kept terms of many fields in one
+numpy pass and give each field one math.fsum; `family_average` calls
+`gamma_terms` once with its distinct discriminants, which share the panel
+levels of the refinement in small blocks while each converges on its own.
+Each batched value is bit for bit its one-field value (`prime_sum`,
+`gamma_term`), because every term sees the same floating-point operations
+and math.fsum rounds the exact sum once.
 """
 
 from __future__ import annotations
@@ -104,31 +113,64 @@ def combine_pairs(coeffs: Sequence[float], pairs: Sequence[TestFunctionPair]) ->
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
+def panel_gauss_rows(func: Callable, a, b, panels: int) -> np.ndarray:
+    """panel_gauss for rows of intervals: entry i integrates over [a[i], b[i]].
+
+    func gets the nodes with one row per interval and must act elementwise,
+    with any per-row parameter broadcast as a column; each row goes through
+    the same floating-point operations as a one-row call.
+    """
+    edges = np.linspace(np.asarray(a, dtype=float), np.asarray(b, dtype=float), panels + 1,
+                        axis=-1)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    half = 0.5 * (edges[:, 1] - edges[:, 0])
+    x = mid[:, :, None] + half[:, None, None] * _GL_NODES
+    vals = func(x.reshape(len(x), -1)).reshape(x.shape)
+    return half * np.sum(vals @ _GL_WEIGHTS, axis=1)
+
+
 def panel_gauss(func: Callable, a: float, b: float, panels: int) -> float:
     """Composite 20-point Gauss-Legendre over equal panels of [a, b]."""
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1] - edges[0])
-    x = mid + half * _GL_NODES[None, :]
-    vals = func(x.ravel()).reshape(x.shape)
-    return float(half * np.sum(vals @ _GL_WEIGHTS))
+    return float(panel_gauss_rows(func, [a], [b], panels)[0])
 
 
 class QuadratureError(RuntimeError):
     """Panel refinement did not stabilize to the requested tolerance."""
 
 
-def refine_panels(func: Callable, a: float, b: float, tol: float, start_panels: int) -> float:
-    """Double the panels of panel_gauss, at most 10 times, until two agree to `tol`."""
-    prev = panel_gauss(func, a, b, start_panels)
+def refine_panels_rows(func: Callable, a, b, tol, start_panels: int) -> np.ndarray:
+    """refine_panels for rows of intervals [a[i], b[i]], each to its own tol[i].
+
+    func(x, rows) evaluates the integrands of the rows indexed by `rows`, one
+    row of x each.  A row leaves the batch once two of its values agree, so
+    it gets exactly the value a one-row call would.  Raises QuadratureError
+    naming the first row that never does.
+    """
+    a, b, tol = (np.asarray(v, dtype=float) for v in (a, b, tol))
+
+    def level(rows, panels):
+        return panel_gauss_rows(lambda x: func(x, rows), a[rows], b[rows], panels)
+
+    rows = np.arange(len(a))
+    prev = level(rows, start_panels)
+    out = np.empty(len(a))
     panels = start_panels
     for _ in range(10):
         panels *= 2
-        cur = panel_gauss(func, a, b, panels)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise QuadratureError(f"quadrature did not converge to {tol} on [{a}, {b}]")
+        cur = level(rows, panels)
+        done = np.abs(cur - prev) < tol[rows]
+        out[rows[done]] = cur[done]
+        rows, prev = rows[~done], cur[~done]
+        if not len(rows):
+            return out
+    i = rows[0]
+    raise QuadratureError(f"quadrature did not converge to {float(tol[i])} "
+                          f"on [{float(a[i])}, {float(b[i])}]")
+
+
+def refine_panels(func: Callable, a: float, b: float, tol: float, start_panels: int) -> float:
+    """Double the panels of panel_gauss, at most 10 times, until two agree to `tol`."""
+    return float(refine_panels_rows(lambda x, rows: func(x), [a], [b], [tol], start_panels)[0])
 
 
 # -- Katz-Sarnak kernels ---------------------------------------------------------
@@ -273,6 +315,43 @@ def _archimedean_bracket(x: np.ndarray) -> np.ndarray:
     return val - _BRACKET_WEIGHT * math.log(math.pi)
 
 
+# labels that gamma_terms integrates together: at the usual 16 and 32 panels
+# a block's node arrays stay under 100 kB; blocks of 32 or 64 ran slower
+_GAMMA_BLOCK = 16
+
+
+def gamma_terms(labels: Sequence[FieldLabel], tf: TestFunctionPair) -> list[float]:
+    """gamma_term of every label, integrated _GAMMA_BLOCK labels at a time.
+
+    The labels of a block share each panel level of the refinement, but each
+    converges, or raises QuadratureError, on its own, so every value is bit
+    for bit the one-label value.  Overflow in the integrand at a tiny beta
+    only keeps the refinement from converging, so it raises no warning.
+    """
+    big_ls = [math.log(conductor_discriminant(label)[1]) / TWO_PI for label in labels]
+    fh0 = tf.fhat_at_0
+    out = []
+    for lo in range(0, len(big_ls), _GAMMA_BLOCK):
+        block = big_ls[lo:lo + _GAMMA_BLOCK]
+        rate = np.array([2.0 * TWO_PI * big_l for big_l in block])  # u = rate * (argument of fhat)
+        top = rate * tf.beta
+
+        def integrand(u, rows):
+            decay = sum(w * np.exp(-a * u) for w, a in _BRACKET_PAIRS)
+            return ((_BRACKET_WEIGHT * fh0 * np.exp(-u) - decay * tf.fhat(u / rate[rows, None]))
+                    / -np.expm1(-u))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrals = refine_panels_rows(integrand, np.zeros(len(block)), top,
+                                           [1e-10 * (TWO_PI * big_l) for big_l in block],
+                                           start_panels=16)
+        for big_l, t, integral in zip(block, top.tolist(), integrals.tolist()):
+            pairs = (integral - _BRACKET_WEIGHT * fh0
+                     * (np.euler_gamma + math.log(-math.expm1(-t))))
+            out.append((pairs - _BRACKET_WEIGHT * math.log(math.pi) * fh0) / (TWO_PI * big_l))
+    return out
+
+
 def gamma_term(label: FieldLabel, tf: TestFunctionPair) -> float:
     """Rescaled archimedean term (1/2pi) integral f(L x) bracket(x) dx, from fhat.
 
@@ -287,21 +366,9 @@ def gamma_term(label: FieldLabel, tf: TestFunctionPair) -> float:
     exact tail of the u-integral.  The weighted pairs, less 3 log(pi) fhat(0),
     are divided by 2 pi L.  Raises QuadratureError if the panel refinement of
     the integral over [0, U] does not stabilize to 1e-10 absolute in the term.
+    This is gamma_terms for one label.
     """
-    _, disc = conductor_discriminant(label)
-    big_l = math.log(disc) / TWO_PI
-    rate = 2.0 * TWO_PI * big_l  # u = rate * (argument of fhat)
-    top = rate * tf.beta
-    fh0 = tf.fhat_at_0
-
-    def integrand(u):
-        decay = sum(w * np.exp(-a * u) for w, a in _BRACKET_PAIRS)
-        return (_BRACKET_WEIGHT * fh0 * np.exp(-u) - decay * tf.fhat(u / rate)) / -np.expm1(-u)
-
-    scale = TWO_PI * big_l
-    pairs = (refine_panels(integrand, 0.0, top, 1e-10 * scale, start_panels=16)
-             - _BRACKET_WEIGHT * fh0 * (np.euler_gamma + math.log(-math.expm1(-top))))
-    return (pairs - _BRACKET_WEIGHT * math.log(math.pi) * fh0) / scale
+    return gamma_terms([label], tf)[0]
 
 
 # beta * W for the oracle's window [0, W]: a whole number, so sin(2 pi beta W) = 0
@@ -351,31 +418,53 @@ def _primes_and_logs(bound: float) -> tuple[list[int], np.ndarray, np.ndarray]:
     return primes, np.array(primes, dtype=float), np.array([math.log(p) for p in primes])
 
 
+# mask entries per numpy pass of _row_fsums: its arrays stay near 128 kB, so
+# a family's peak memory does not grow with its size
+_TERMS_PER_PASS = 1 << 14
+
+
+def _row_fsums(count: int, width: int, keep: Callable, terms: Callable) -> list[float]:
+    """math.fsum of the kept terms of each of `count` fields, `width` terms each.
+
+    keep(rows), for a slice of fields, gives their (fields x terms) mask, and
+    terms(rows, cols) the values of the kept entries at those indices, which
+    np.nonzero lists field by field.  Each pass takes as many fields as fit
+    in _TERMS_PER_PASS entries of the mask.
+    """
+    step = max(1, _TERMS_PER_PASS // max(1, width))
+    sums = []
+    for lo in range(0, count, step):
+        part = keep(slice(lo, lo + step))
+        rows, cols = np.nonzero(part)
+        flat = terms(rows + lo, cols).tolist()
+        ends = np.cumsum(np.count_nonzero(part, axis=1)).tolist()
+        sums += [math.fsum(flat[i:j]) for i, j in zip([0] + ends, ends)]
+    return sums
+
+
 def prime_sums(labels: Sequence[FieldLabel], tf: TestFunctionPair,
                mode: str = KUMMER) -> list[float]:
     """prime_sum of every label, from one sieve and one lambda_table.
 
-    Each field's terms are one numpy array with the same floating-point
-    operations per term as the formula in prime_sum, reduced by math.fsum.
+    The kept m = 1 and m = 2 terms of many fields are evaluated in one numpy
+    pass, with the same floating-point operations per term as the formula
+    in prime_sum, and each field's kept terms are reduced by math.fsum.
     """
     if not labels:
         return []
-    log_discs = [math.log(conductor_discriminant(label)[1]) for label in labels]
-    cuts = [tf.beta * log_disc for log_disc in log_discs]
-    primes, pf, logp = _primes_and_logs(math.exp(max(cuts)) + 1)
-    lambdas = lambda_table(labels, primes, mode)
-    sums = []
-    for lam, log_disc, cut in zip(lambdas, log_discs, cuts):
-        n = int(np.searchsorted(logp, cut))  # the primes with log p < cut
-        lam, p_n, logp_n = lam[:n], pf[:n], logp[:n]
-        terms = []
-        for m in (1, 2):  # lambda(p) = lambda(p^2)
-            arg = m * logp_n
-            keep = (lam != 0) & (arg < cut)
-            terms.append(lam[keep] * logp_n[keep] / np.sqrt(p_n[keep] ** m)
-                         * tf.fhat(arg[keep] / log_disc))
-        sums.append(2.0 / log_disc * math.fsum(np.concatenate(terms)))
-    return sums
+    log_discs = np.array([math.log(conductor_discriminant(label)[1]) for label in labels])
+    cuts = tf.beta * log_discs
+    primes, pf, logp = _primes_and_logs(math.exp(cuts.max()) + 1)
+    lam = lambda_table(labels, primes, mode)
+    # column j is p^m for the prime primes[col[j]], m = 1 then m = 2; lambda(p) = lambda(p^2)
+    col = np.tile(np.arange(len(primes)), 2)
+    arg = np.concatenate([m * logp for m in (1, 2)])
+    root = np.concatenate([np.sqrt(pf ** m) for m in (1, 2)])
+    sums = _row_fsums(len(labels), len(col),
+                      lambda rows: (lam[rows, col] != 0) & (arg < cuts[rows, None]),
+                      lambda rows, cols: lam[rows, col[cols]] * logp[col[cols]] / root[cols]
+                      * tf.fhat(arg[cols] / log_discs[rows]))
+    return [2.0 / log_disc * s for log_disc, s in zip(log_discs.tolist(), sums)]
 
 
 def prime_sum(label: FieldLabel, tf: TestFunctionPair, mode: str = KUMMER) -> float:
@@ -420,20 +509,22 @@ def family_average(records: Sequence[FieldRecord], tf: TestFunctionPair,
                    mode: str = KUMMER) -> FamilySummary:
     """Averages over the family `records`, such as enumerate_family(X).
 
-    T, the average prime sum, is the symmetry-discriminating statistic; the
-    gamma terms are cached per discriminant (they depend on nothing else).
+    T, the average prime sum, is the symmetry-discriminating statistic.  The
+    gamma term depends on nothing but the discriminant, so one gamma_terms
+    batch computes it once per distinct discriminant.
     The reduction runs in the order of `records`, with compensated sums, so
     repeated runs are byte-identical.  An empty family raises ValueError.
     """
     if not records:
         raise ValueError("the family is empty")
-    gamma_cache: dict[int, float] = {}
+    distinct: dict[int, FieldLabel] = {}
+    for rec in records:
+        distinct.setdefault(rec.discriminant, rec.label)
+    gammas = dict(zip(distinct, gamma_terms(list(distinct.values()), tf)))
+    arch = tf.fhat_at_0
     rows = []
     for rec, ps in zip(records, prime_sums([rec.label for rec in records], tf, mode)):
-        gam = gamma_cache.get(rec.discriminant)
-        if gam is None:
-            gam = gamma_cache[rec.discriminant] = gamma_term(rec.label, tf)
-        arch = tf.fhat_at_0
+        gam = gammas[rec.discriminant]
         rows.append(DensityBreakdown(rec.label, arch, gam, ps, arch - ps + gam))
     n = len(rows)
     avg = math.fsum(r.total for r in rows) / n
@@ -454,14 +545,13 @@ def reference_statistics(records: Sequence[FieldRecord],
     """
     if not records:
         raise ValueError("the family is empty")
-    log_discs = [math.log(rec.discriminant) for rec in records]
-    _, pf, logp = _primes_and_logs(math.exp(tf.beta * max(log_discs) / 2) + 1)
-    per_field = []
-    for log_disc in log_discs:
-        arg = 2.0 * logp
-        keep = arg < tf.beta * log_disc
-        per_field.append(math.fsum(2.0 * logp[keep] / (pf[keep] * log_disc)
-                                   * tf.fhat(arg[keep] / log_disc)))
+    log_discs = np.array([math.log(rec.discriminant) for rec in records])
+    _, pf, logp = _primes_and_logs(math.exp(tf.beta * log_discs.max() / 2) + 1)
+    arg = 2.0 * logp
+    per_field = _row_fsums(len(records), len(arg),
+                           lambda rows: arg < tf.beta * log_discs[rows, None],
+                           lambda rows, cols: 2.0 * logp[cols] / (pf[cols] * log_discs[rows])
+                           * tf.fhat(arg[cols] / log_discs[rows]))
     square_sum = math.fsum(per_field) / len(per_field)
     return {"U": 0.0, "Sp": square_sum, "O": -square_sum,
             "SOeven": -square_sum, "SOodd": -square_sum}

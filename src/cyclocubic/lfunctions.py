@@ -211,6 +211,12 @@ def _exponent_table(qs: Sequence[int], primes: Sequence[int], mode: str) -> np.n
     return table
 
 
+# (label, prime) exponent sums per numpy pass of lambda_table: its int64
+# arrays stay near 32 kB (the gather a few times that), so past the int8
+# result a family's peak memory does not grow with its size
+_ENTRIES_PER_PASS = 1 << 12
+
+
 def lambda_table(labels: Sequence[FieldLabel], primes: Sequence[int],
                  mode: str = KUMMER) -> np.ndarray:
     """lambda(p) for every label (rows) and every prime in `primes` (columns).
@@ -218,19 +224,32 @@ def lambda_table(labels: Sequence[FieldLabel], primes: Sequence[int],
     Equal to lambda_coefficient(p, 1, label, mode) entry by entry, read off
     one exponent table of the family (see the module docstring) instead of a
     Z[omega] product and two symbols per pair.  Each label is checked by
-    label_primes.
+    label_primes.  The rows of every label (lambda, then q | d1, q | d2) are
+    laid end to end with their weights (e3, 1, 2); one gather of those table
+    rows, scaled by the weights and summed per label by np.add.reduceat,
+    gives the exponent sums of many labels at once: as many per pass as fit
+    in _ENTRIES_PER_PASS sums.
     """
     _check_mode(mode)
     factors = [label_primes(label) for label in labels]
     qs = sorted({q for q1, q2 in factors for q in q1 + q2})
     row = {q: i + 1 for i, q in enumerate(qs)}
     table = _exponent_table(qs, primes, mode)
+    rows, weights, starts = [], [], []
+    for label, (q1, q2) in zip(labels, factors):
+        starts.append(len(rows))
+        rows += [0] + [row[q] for q in q1 + q2]
+        weights += [label.e3] + [1] * len(q1) + [2] * len(q2)
+    rows, weights = np.array(rows, dtype=np.intp), np.array(weights, dtype=np.int64)
+    starts = np.array(starts + [len(rows)])
     out = np.empty((len(labels), len(primes)), dtype=np.int8)
-    for i, (label, (q1, q2)) in enumerate(zip(labels, factors)):
-        rows = [0] + [row[q] for q in q1 + q2]
-        weights = [label.e3] + [1] * len(q1) + [2] * len(q2)
-        s = np.dot(weights, table[rows])
-        out[i] = np.where(s >= _ZERO_ENTRY, 0, np.where(s % 3 == 0, 2, -1))
+    step = max(1, _ENTRIES_PER_PASS // max(1, len(primes)))
+    for lo in range(0, len(labels), step):
+        hi = min(lo + step, len(labels))
+        part = slice(starts[lo], starts[hi])
+        s = np.add.reduceat(table[rows[part]] * weights[part, None], starts[lo:hi] - starts[lo],
+                            axis=0)
+        out[lo:hi] = np.where(s >= _ZERO_ENTRY, 0, np.where(s % 3 == 0, 2, -1))
     return out
 
 

@@ -622,6 +622,10 @@ def run_probe_suite(charsum_y: int = 10**3,
     is fixed: 1000 choice-invariance pairs, a 50-label ramification audit,
     ideal counts to 1e4 for 10 labels, and family counts at X = 1e6, 1e7, 1e8.
     """
+    # the generating-series probes need this table anyway; built first, it
+    # serves the per-pair probes too, which would otherwise solve a norm
+    # equation for every split p they meet
+    registry_table(max(genseries_p0))
     reports = [splitting_oracle_probe()]
     reports.append(choice_invariance_probe(probe_pairs(1000)))
     reports.append(ramification_audit_suite(50))

@@ -1,6 +1,7 @@
 """Command-line behavior: determinism, formats, exit codes."""
 
 import hashlib
+import warnings
 
 import pytest
 
@@ -57,6 +58,8 @@ def test_usage_errors(capsys):
         code, out, err = run(["density", "--x", x, "--beta", beta], capsys)
         assert code == cli.EXIT_USAGE and out == "", beta
         assert "--beta" in err and "Traceback" not in err and err.count("\n") == 1, beta
+    code, out, err = run(["charsum", "--primes", ","], capsys)  # would check nothing
+    assert code == cli.EXIT_USAGE and out == "" and "--primes" in err
     code, _, err = run(["charsum", "--primes", "3,7"], capsys)
     assert code == cli.EXIT_USAGE and "p = 3" in err
     code, _, err = run(["charsum", "--primes", "8"], capsys)
@@ -74,6 +77,30 @@ def test_usage_errors(capsys):
         assert code == cli.EXIT_USAGE and "--p0" in err
     code, _, err = run(["verify", "--ymax", "1"], capsys)
     assert code == cli.EXIT_USAGE and "--ymax" in err
+
+
+def test_out_of_memory_exits_cleanly(capsys, monkeypatch):
+    # an --x near X_MAX passes validation, but its sieve to sqrt(2X) cannot
+    # be allocated; the stub raises as numpy does, without allocating
+    def no_memory(n):
+        raise MemoryError(f"cannot allocate a sieve to {n}")
+
+    monkeypatch.setattr("cyclocubic.fields.smallest_factor_sieve", no_memory)
+    for command in ("enumerate", "density"):
+        code, out, err = run([command, "--x", "604462909807314587353087"], capsys)
+        assert code == cli.EXIT_USAGE and out == "", command
+        assert "memory" in err and "Traceback" not in err and err.count("\n") == 1, command
+
+
+def test_tiny_beta_writes_only_its_message(capsys):
+    # the gamma integrand overflows at so narrow a support, which only keeps
+    # the refinement from converging: no RuntimeWarning may reach stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in ("1e-300", "1e-320"):
+            code, out, err = run(["density", "--x", "1000", "--beta", beta], capsys)
+            assert code == cli.EXIT_USAGE and out == "", beta
+            assert "--beta" in err and err.count("\n") == 1, beta
 
 
 def test_density_table(tmp_path, capsys):
@@ -183,6 +210,8 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
     (["verify"], "51b5e682d0b96ecf85e3c1ffec1913f95c341f1089c6626b32ad4a806a6a7a45"),
     (["enumerate", "--x", "10000000000"],
      "d3b81d4e4d8576211a824016e4a696097c241257c48ec86d9d3afcfaa397525b"),
+    (["density", "--x", "100000000", "--beta", "0.4"],
+     "8eb939093da3afd710ecff78f1a0f86cf53ddfe8d59d2eadcc8199ea89150eb9"),
 ])
 def test_golden_outputs(tmp_path, capsys, argv, sha256):
     # pinned bytes: refactors must leave these outputs identical
@@ -195,9 +224,9 @@ def test_golden_outputs(tmp_path, capsys, argv, sha256):
 def test_density_surfaces_other_runtime_errors(monkeypatch):
     # only a quadrature that cannot converge is a usage error; corrupt
     # arithmetic must still raise
-    def corrupt(label, tf):
+    def corrupt(labels, tf):
         raise RuntimeError("arithmetic is corrupt")
 
-    monkeypatch.setattr(cli.density_mod, "gamma_term", corrupt)
+    monkeypatch.setattr(cli.density_mod, "gamma_terms", corrupt)
     with pytest.raises(RuntimeError, match="corrupt"):
         cli.main(["density", "--x", "2000"])

@@ -9,6 +9,7 @@ import pytest
 from cyclocubic._primes import primes_up_to
 from cyclocubic.density import (
     KERNELS,
+    QuadratureError,
     classify_symmetry,
     combine_pairs,
     digamma,
@@ -16,6 +17,7 @@ from cyclocubic.density import (
     fejer_pair,
     gamma_term,
     gamma_term_quadrature,
+    gamma_terms,
     kernel_integral,
     kernel_integral_quadrature,
     kernel_value,
@@ -181,6 +183,48 @@ def test_cubic_character_gamma_factor_is_gamma_r_of_s():
                  for k in (0, 1)]
     assert abs(ratio[0] - 1) < 1e-10
     assert abs(ratio[1] - 1) > 1e-3
+
+
+def test_gamma_terms_match_one_label_at_a_time():
+    # a batch changes only how many labels share a panel level, never a bit
+    labels = [rec.label for rec in enumerate_family(10**8)]
+    for beta in (0.2, 0.4):
+        tf = fejer_pair(beta)
+        assert gamma_terms(labels, tf) == [gamma_term(label, tf) for label in labels]
+    assert gamma_terms([], fejer_pair(0.2)) == []
+
+
+def test_gamma_terms_raise_for_a_label_that_does_not_converge():
+    # at these betas rounding noise decides, label by label, whether the
+    # refinement converges; a failing label among converging ones in one
+    # batch still raises, with the error its one-label call raises
+    labels = labels_up_to_conductor(400)
+    for beta in (3e-7, 1e-7, 3e-8, 1e-8):
+        tf = fejer_pair(beta)
+        outcomes = []
+        for label in labels:
+            try:
+                outcomes.append(gamma_term(label, tf))
+            except QuadratureError as exc:
+                outcomes.append(str(exc))
+        bad = [i for i, v in enumerate(outcomes) if isinstance(v, str)]
+        if bad and bad[0] >= 3:
+            break
+    else:
+        pytest.fail("no beta leaves a non-converging label after three that converge")
+    batch = labels[bad[0] - 3:bad[0] + 3]
+    with pytest.raises(QuadratureError) as exc:
+        gamma_terms(batch, tf)
+    assert str(exc.value) == outcomes[bad[0]]
+    assert gamma_terms(batch[:3], tf) == outcomes[bad[0] - 3:bad[0]]
+
+
+def test_family_average_rows_match_one_level_density():
+    records = enumerate_family(10**6)
+    for mode in (KUMMER, PAPER_LITERAL):
+        for tf in (fejer_pair(0.2), fejer_pair(0.4)):
+            rows = family_average(records, tf, mode).breakdowns
+            assert list(rows) == [one_level_density(rec.label, tf, mode) for rec in records]
 
 
 def test_prime_sums_match_per_term_reference():
