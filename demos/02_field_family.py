@@ -32,7 +32,7 @@ for D in (7, 21, 63, 91):
 print()
 
 print("The family with discriminant in [2000, 4000]:")
-for rec in enumerate_family(2000):
+for rec in enumerate_family(2000).records():
     print(f"  D = {rec.D:>3}  conductor {rec.conductor:>3}  "
           f"discriminant {rec.discriminant}  {poly_str(rec.poly_a, rec.poly_b)}")
 print()

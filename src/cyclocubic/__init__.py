@@ -21,6 +21,7 @@ from .eisenstein import (
     residue_map,
 )
 from .fields import (
+    Family,
     FieldLabel,
     FieldRecord,
     canonicalize,

@@ -24,7 +24,7 @@ from . import density as density_mod
 from . import verify as verify_mod
 from ._primes import is_prime
 from .eisenstein import INT64_PRIME_BOUND
-from .fields import X_MAX, enumerate_family, record_to_line
+from .fields import X_MAX, catalog_lines, enumerate_family
 from .lfunctions import KUMMER, PAPER_LITERAL
 
 EXIT_OK = 0
@@ -93,11 +93,14 @@ def _validate(cfg: RunConfig) -> str | None:
     if not 0.0 < cfg.beta < 1.0:
         return "--beta must lie strictly between 0 and 1"
     if cfg.command == "verify":
-        if not cfg.s > 1.0:
-            return "--s must exceed 1; the Euler products diverge at s <= 1"
-        if cfg.p0 < 70:
-            return ("--p0 must be at least 70; the lower cutoff p0 // 10 must hold "
-                    "a prime = 1 (mod 3)")
+        # the generating-series probes assert a 1e-8 Cauchy gap between the
+        # cutoffs p0 // 10 and p0, which holds from s = 2 and p0 = 10**6 on
+        if not cfg.s >= 2.0:
+            return ("--s must be at least 2; below it the Euler products converge "
+                    "too slowly for the 1e-8 Cauchy check")
+        if cfg.p0 < 10**6:
+            return ("--p0 must be at least 1000000; below it the Euler products are "
+                    "not Cauchy to 1e-8 between p0 // 10 and p0")
     if cfg.command == "charsum":
         if not cfg.primes:
             return "--primes must name at least one prime"
@@ -124,32 +127,31 @@ def _write(path: str | None, lines: Iterable[str]) -> None:
 
 
 def cmd_enumerate(cfg: RunConfig) -> int:
-    records = enumerate_family(cfg.x)
-    header = [f"# cyclocubic catalog", f"# x={cfg.x}", f"# count={len(records)}"]
-    _write(cfg.out, itertools.chain(header, map(record_to_line, records)))
+    family = enumerate_family(cfg.x)
+    header = [f"# cyclocubic catalog", f"# x={cfg.x}", f"# count={len(family)}"]
+    _write(cfg.out, itertools.chain(header, catalog_lines(family)))
     return EXIT_OK
 
 
 def cmd_density(cfg: RunConfig) -> int:
-    records = enumerate_family(cfg.x)
-    if not records:
+    family = enumerate_family(cfg.x)
+    if not family:
         sys.stderr.write(f"no fields with discriminant in [{cfg.x}, {2 * cfg.x}]\n")
         return EXIT_USAGE
     tf = density_mod.fejer_pair(cfg.beta)
     try:
-        summary = density_mod.family_average(records, tf, cfg.mode)
+        summary = density_mod.family_average(family, tf, cfg.mode)
     except density_mod.QuadratureError as exc:
         sys.stderr.write(f"--beta {cfg.beta} is too small for the gamma-term quadrature: "
                          f"{exc}\n")
         return EXIT_USAGE
-    refs = density_mod.reference_statistics(records, tf)
+    refs = density_mod.reference_statistics(family, tf)
     cls = density_mod.classify_symmetry(summary.t_statistic, refs)
 
     lines = [f"# cyclocubic density table", f"# x={cfg.x} beta={cfg.beta} mode={cfg.mode}",
              "D,e3,d1,d2,conductor,archimedean,gamma_term,prime_sum,total"]
-    for rec, row in zip(records, summary.breakdowns):
-        lines.append(f"{rec.D},{rec.label.e3},{rec.label.d1},{rec.label.d2},"
-                     f"{rec.conductor},{row.archimedean!r},{row.gamma_term!r},"
+    for (e3, d1, d2, D, f, _), row in zip(family.rows(), summary.breakdowns):
+        lines.append(f"{D},{e3},{d1},{d2},{f},{row.archimedean!r},{row.gamma_term!r},"
                      f"{row.prime_sum!r},{row.total!r}")
     lines += [
         "# summary",

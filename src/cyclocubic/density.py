@@ -31,11 +31,14 @@ near 0, symplectic/orthogonal ones push it to +-sum over p^2 terms.
 Everything is deterministic: fixed summation orders, compensated sums, and
 panel Gauss-Legendre quadrature with explicit refinement.
 
-A family is computed in batches, never one field at a time.  `prime_sums`
-and `reference_statistics` evaluate the kept terms of many fields in one
-numpy pass and give each field one math.fsum; `family_average` calls
-`gamma_terms` once with its distinct discriminants, which share the panel
-levels of the refinement in small blocks while each converges on its own.
+A family is a `fields.Family` of numpy columns, computed in batches, never
+one field at a time.  `prime_sums` evaluates the kept terms of many fields
+in one numpy pass and gives each field one math.fsum.  What depends on the
+discriminant alone is computed once per run of rows sharing one (a family
+sorted by conductor has one run per discriminant): `reference_statistics`
+gives each run one math.fsum, and `family_average` calls `gamma_terms` once
+with the runs, which share the panel levels of the refinement in small
+blocks while each converges on its own.
 Each batched value is bit for bit its one-field value (`prime_sum`,
 `gamma_term`), because every term sees the same floating-point operations
 and math.fsum rounds the exact sum once.
@@ -50,7 +53,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._primes import primes_up_to
-from .fields import FieldLabel, FieldRecord, conductor_discriminant
+from .fields import Family, FieldLabel, conductor_discriminant, family_of
 from .lfunctions import KUMMER, lambda_table
 
 TWO_PI = 2.0 * math.pi
@@ -442,25 +445,24 @@ def _row_fsums(count: int, width: int, keep: Callable, terms: Callable) -> list[
     return sums
 
 
-def prime_sums(labels: Sequence[FieldLabel], tf: TestFunctionPair,
-               mode: str = KUMMER) -> list[float]:
-    """prime_sum of every label, from one sieve and one lambda_table.
+def prime_sums(family: Family, tf: TestFunctionPair, mode: str = KUMMER) -> list[float]:
+    """prime_sum of every row of `family`, from one sieve and one lambda_table.
 
     The kept m = 1 and m = 2 terms of many fields are evaluated in one numpy
     pass, with the same floating-point operations per term as the formula
     in prime_sum, and each field's kept terms are reduced by math.fsum.
     """
-    if not labels:
+    if not family:
         return []
-    log_discs = np.array([math.log(conductor_discriminant(label)[1]) for label in labels])
+    log_discs = np.array([math.log(f * f) for f in family.conductor.tolist()])
     cuts = tf.beta * log_discs
     primes, pf, logp = _primes_and_logs(math.exp(cuts.max()) + 1)
-    lam = lambda_table(labels, primes, mode)
+    lam = lambda_table(family, primes, mode)
     # column j is p^m for the prime primes[col[j]], m = 1 then m = 2; lambda(p) = lambda(p^2)
     col = np.tile(np.arange(len(primes)), 2)
     arg = np.concatenate([m * logp for m in (1, 2)])
     root = np.concatenate([np.sqrt(pf ** m) for m in (1, 2)])
-    sums = _row_fsums(len(labels), len(col),
+    sums = _row_fsums(len(family), len(col),
                       lambda rows: (lam[rows, col] != 0) & (arg < cuts[rows, None]),
                       lambda rows, cols: lam[rows, col[cols]] * logp[col[cols]] / root[cols]
                       * tf.fhat(arg[cols] / log_discs[rows]))
@@ -475,7 +477,7 @@ def prime_sum(label: FieldLabel, tf: TestFunctionPair, mode: str = KUMMER) -> fl
     the value is reproducible bit for bit whatever the order of the terms.
     This is prime_sums for one field.
     """
-    return prime_sums([label], tf, mode)[0]
+    return prime_sums(family_of([label]), tf, mode)[0]
 
 
 @dataclass(frozen=True)
@@ -505,54 +507,63 @@ class FamilySummary:
     breakdowns: tuple[DensityBreakdown, ...]
 
 
-def family_average(records: Sequence[FieldRecord], tf: TestFunctionPair,
-                   mode: str = KUMMER) -> FamilySummary:
-    """Averages over the family `records`, such as enumerate_family(X).
+def _discriminant_runs(family: Family) -> tuple[np.ndarray, np.ndarray]:
+    """(first row, length) of every run of adjacent rows that share a discriminant.
+
+    enumerate_family sorts its rows by conductor, so there every
+    discriminant is one run.
+    """
+    f = family.conductor
+    firsts = np.flatnonzero(np.concatenate(([True], f[1:] != f[:-1])))
+    return firsts, np.diff(np.append(firsts, f.size))
+
+
+def family_average(family: Family, tf: TestFunctionPair, mode: str = KUMMER) -> FamilySummary:
+    """Averages over `family`, such as enumerate_family(X).
 
     T, the average prime sum, is the symmetry-discriminating statistic.  The
     gamma term depends on nothing but the discriminant, so one gamma_terms
-    batch computes it once per distinct discriminant.
-    The reduction runs in the order of `records`, with compensated sums, so
-    repeated runs are byte-identical.  An empty family raises ValueError.
+    batch computes it once per run of rows sharing a discriminant.
+    The reduction runs in row order, with compensated sums, so repeated
+    runs are byte-identical.  An empty family raises ValueError.
     """
-    if not records:
+    if not family:
         raise ValueError("the family is empty")
-    distinct: dict[int, FieldLabel] = {}
-    for rec in records:
-        distinct.setdefault(rec.discriminant, rec.label)
-    gammas = dict(zip(distinct, gamma_terms(list(distinct.values()), tf)))
+    firsts, lengths = _discriminant_runs(family)
+    labels = family.labels()
+    gammas = np.repeat(gamma_terms([labels[i] for i in firsts.tolist()], tf), lengths)
     arch = tf.fhat_at_0
-    rows = []
-    for rec, ps in zip(records, prime_sums([rec.label for rec in records], tf, mode)):
-        gam = gammas[rec.discriminant]
-        rows.append(DensityBreakdown(rec.label, arch, gam, ps, arch - ps + gam))
+    rows = tuple(DensityBreakdown(label, arch, gam, ps, arch - ps + gam) for label, gam, ps
+                 in zip(labels, gammas.tolist(), prime_sums(family, tf, mode)))
     n = len(rows)
     avg = math.fsum(r.total for r in rows) / n
     t_stat = math.fsum(r.prime_sum for r in rows) / n
     mean_gamma = math.fsum(r.gamma_term for r in rows) / n
-    return FamilySummary(n, avg, t_stat, mean_gamma, tuple(rows))
+    return FamilySummary(n, avg, t_stat, mean_gamma, rows)
 
 
-def reference_statistics(records: Sequence[FieldRecord],
-                         tf: TestFunctionPair) -> dict[str, float]:
-    """Model T for each symmetry type over `records`, truncated as prime_sum is.
+def reference_statistics(family: Family, tf: TestFunctionPair) -> dict[str, float]:
+    """Model T for each symmetry type over `family`, truncated as prime_sum is.
 
     Substitutes the model means of lambda: U gives 0 at every prime power;
     Sp gives +1 at the squares (odd powers 0); SO(even), SO(odd), and O give
     -1 at the squares.  Only the p^2 < Delta^beta terms survive, so the
     U prediction is exactly 0 and the others are +-(the same square sum).
+    A field's square sum depends on its discriminant alone, so it is summed
+    once per run of rows sharing one, and repeated per row for the mean.
     An empty family raises ValueError.
     """
-    if not records:
+    if not family:
         raise ValueError("the family is empty")
-    log_discs = np.array([math.log(rec.discriminant) for rec in records])
+    firsts, lengths = _discriminant_runs(family)
+    log_discs = np.array([math.log(f * f) for f in family.conductor[firsts].tolist()])
     _, pf, logp = _primes_and_logs(math.exp(tf.beta * log_discs.max() / 2) + 1)
     arg = 2.0 * logp
-    per_field = _row_fsums(len(records), len(arg),
-                           lambda rows: arg < tf.beta * log_discs[rows, None],
-                           lambda rows, cols: 2.0 * logp[cols] / (pf[cols] * log_discs[rows])
-                           * tf.fhat(arg[cols] / log_discs[rows]))
-    square_sum = math.fsum(per_field) / len(per_field)
+    per_run = _row_fsums(len(firsts), len(arg),
+                         lambda rows: arg < tf.beta * log_discs[rows, None],
+                         lambda rows, cols: 2.0 * logp[cols] / (pf[cols] * log_discs[rows])
+                         * tf.fhat(arg[cols] / log_discs[rows]))
+    square_sum = math.fsum(np.repeat(per_run, lengths).tolist()) / len(family)
     return {"U": 0.0, "Sp": square_sum, "O": -square_sum,
             "SOeven": -square_sum, "SOodd": -square_sum}
 

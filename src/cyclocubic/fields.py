@@ -8,15 +8,20 @@ subfield of Q(omega, cbrt(D1 * D2^2)).  Exactly two labels give the same
 field (exponent doubling mod cubes), the conductor is 9^delta * d1 * d2
 with delta = 1 iff 3 | D, and the discriminant is the conductor squared.
 
-`enumerate_family(X)` lists one canonical representative per field with
-discriminant in [X, 2X], sieving by conductor rather than by D, and builds
-the whole family as numpy columns: one smallest-prime-factor sieve finds
-the squarefree 3-split n of each conductor scale (n and 9n) with their
-primes, every splitting n = d1 * d2 is one bit mask over those primes, and
-D1 is multiplied out one prime column at a time from the registry
-generators.  `make_record`, `defining_polynomial` and
-`three_split_factorization` build the same values one label at a time and
-are the reference the columns are tested against.
+`enumerate_family(X)` gives one canonical representative per field with
+discriminant in [X, 2X] as a `Family`: int64 columns (e3, d1, d2, D,
+conductor, trace(D1)) plus each row's primes in CSR form, sorted by
+(conductor, D).  It sieves by conductor rather than by D: one
+smallest-prime-factor sieve finds the squarefree 3-split n of each
+conductor scale (n and 9n) with their primes, every splitting n = d1 * d2
+is one bit mask over those primes, and D1 is multiplied out one prime
+position at a time from the registry generators.  The catalog lines and
+the density statistics are read off the columns, so no label is factored
+and no record object is built.  `family_of` turns a list of labels into a
+Family, checking each by `label_primes`.  `make_record`,
+`defining_polynomial` and `three_split_factorization` build the same
+values one label at a time and are the reference the columns are tested
+against.
 """
 
 from __future__ import annotations
@@ -166,6 +171,7 @@ def make_record(label: FieldLabel) -> FieldRecord:
 
 _BLOCK = 1 << 16  # numbers factored per sieve pass; bounds the window's working set
 X_MAX = 2**79  # conductors up to isqrt(2 * X_MAX) = 2^40 keep the int64 columns below 2^62
+_ROWS_PER_PASS = 1 << 12  # rows per conversion to Python ints in Family.rows
 _LAMBDA_POWERS = ((1, 0), (1, -1), (0, -3))  # (1 - omega)^e3 as (a, b)
 
 
@@ -237,55 +243,148 @@ def _canonical_label_columns(f_lo: int, f_hi: int) -> list[_LabelColumns]:
 
 
 def _conductor_order(groups: list[_LabelColumns]) -> tuple[np.ndarray, ...]:
-    """(e3, d1, d2, D, conductor) over all groups, sorted by (conductor, D), and the order."""
+    """(e3, d1, d2, offsets, primes, in_d1) over all groups, sorted by (conductor, D).
+
+    The primes of each row, with their in_d1 flags, move with the row into
+    the CSR layout of Family.
+    """
     e3 = np.concatenate([np.full(g.d1.size, g.e3, dtype=np.int64) for g in groups])
     d1 = np.concatenate([g.d1 for g in groups])
     d2 = np.concatenate([g.d2 for g in groups])
-    D = 3**e3 * d1 * d2 * d2
-    conductor = np.where(e3 > 0, 9, 1) * d1 * d2
-    order = np.lexsort((D, conductor))  # (conductor, D) is unique
-    return e3[order], d1[order], d2[order], D[order], conductor[order], order
+    counts = np.concatenate([np.full(g.d1.size, g.primes.shape[1], dtype=np.int64)
+                             for g in groups])
+    primes = np.concatenate([g.primes.ravel() for g in groups])
+    in_d1 = np.concatenate([g.in_d1.ravel() for g in groups])
+    # (conductor, D) is unique
+    order = np.lexsort((3**e3 * d1 * d2 * d2, np.where(e3 > 0, 9, 1) * d1 * d2))
+    firsts = np.cumsum(counts) - counts  # each row's first prime before the sort
+    counts = counts[order]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    take = np.repeat(firsts[order] - offsets[:-1], counts) + np.arange(offsets[-1])
+    return e3[order], d1[order], d2[order], offsets, primes[take], in_d1[take]
 
 
-def _d1_traces(group: _LabelColumns, reg_primes: np.ndarray, reg_gens: np.ndarray) -> np.ndarray:
-    """trace(D1) on every row, D1 = lambda^e3 * prod_{q|d1} pi_q * prod_{q|d2} pi_q^2.
+@dataclass(frozen=True, eq=False)
+class Family:
+    """Fields as int64 columns, one row per field.
 
-    One Z[omega] product per prime column, in int64, with pi_q the registry
-    generator; raises RuntimeError unless N(D1) = D on every row.
+    Row i is the label (e3[i], d1[i], d2[i]) with its D, its conductor and
+    trace(D1), D1 the factor of three_split_factorization.  The primes of
+    d1 * d2 form a CSR pair: those of row i are primes[offsets[i]:offsets[i + 1]],
+    ascending, and in_d1 flags the ones that divide d1 (the rest divide d2).
+    len() counts the rows, so an empty family is falsy.  labels() and
+    records() give the rows as objects, for callers that want one field at
+    a time.
     """
-    gens = reg_gens[np.searchsorted(reg_primes, group.primes)]
-    c, d = gens[..., 0], gens[..., 1]
-    c, d = np.where(group.in_d1, c, c * c - d * d), np.where(group.in_d1, d, 2 * c * d - d * d)
-    a0, b0 = _LAMBDA_POWERS[group.e3]
-    a, b = np.full(group.d1.size, a0, dtype=np.int64), np.full(group.d1.size, b0, dtype=np.int64)
-    for j in range(group.primes.shape[1]):  # omega^2 = -1 - omega
-        cj, dj = c[:, j], d[:, j]
-        a, b = a * cj - b * dj, a * dj + b * cj - b * dj
-    D = 3**group.e3 * group.d1 * group.d2 * group.d2
+
+    e3: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    D: np.ndarray
+    conductor: np.ndarray
+    trace: np.ndarray
+    offsets: np.ndarray
+    primes: np.ndarray
+    in_d1: np.ndarray
+
+    def __len__(self) -> int:
+        return self.D.size
+
+    def rows(self):
+        """(e3, d1, d2, D, conductor, trace) of every row, as Python ints.
+
+        The columns are converted _ROWS_PER_PASS rows at a time, so a
+        family's Python ints never all exist at once.
+        """
+        columns = (self.e3, self.d1, self.d2, self.D, self.conductor, self.trace)
+        for lo in range(0, len(self), _ROWS_PER_PASS):
+            yield from zip(*(column[lo:lo + _ROWS_PER_PASS].tolist() for column in columns))
+
+    def labels(self) -> list[FieldLabel]:
+        return list(map(FieldLabel, self.e3.tolist(), self.d1.tolist(), self.d2.tolist()))
+
+    def records(self) -> list[FieldRecord]:
+        """The record of every row, equal to make_record of its label.
+
+        The discriminant f^2 and B = D * trace(D1) are Python ints: near
+        X_MAX they pass the int64 range.
+        """
+        return [FieldRecord(FieldLabel(e3, d1, d2), D, f, f * f, D, D * t)
+                for e3, d1, d2, D, f, t in self.rows()]
+
+
+def _family(e3: np.ndarray, d1: np.ndarray, d2: np.ndarray, offsets: np.ndarray,
+            primes: np.ndarray, in_d1: np.ndarray, gens: np.ndarray) -> Family:
+    """The Family of these columns; gens[j] = (a, b) is the generator pi_q, q = primes[j].
+
+    trace(D1) comes from D1 = lambda^e3 * prod_{q|d1} pi_q * prod_{q|d2} pi_q^2,
+    one Z[omega] product per prime position over the rows that have one
+    there, in int64; raises RuntimeError unless N(D1) = D on every row.
+    """
+    D = 3**e3 * d1 * d2 * d2
+    c, d = gens[:, 0], gens[:, 1]
+    c, d = np.where(in_d1, c, c * c - d * d), np.where(in_d1, d, 2 * c * d - d * d)
+    a, b = np.array(_LAMBDA_POWERS, dtype=np.int64)[e3].T
+    counts = np.diff(offsets)
+    for j in range(counts.max(initial=0)):  # omega^2 = -1 - omega
+        rows = np.flatnonzero(counts > j)
+        cj, dj = c[offsets[rows] + j], d[offsets[rows] + j]
+        aj, bj = a[rows], b[rows]
+        a[rows], b[rows] = aj * cj - bj * dj, aj * dj + bj * cj - bj * dj
     bad = np.flatnonzero(a * a - a * b + b * b != D)
     if bad.size:
         i = int(bad[0])
-        label = FieldLabel(group.e3, int(group.d1[i]), int(group.d2[i]))
+        label = FieldLabel(int(e3[i]), int(d1[i]), int(d2[i]))
         raise RuntimeError(f"N(D1) != D for {label}; the registry generators are corrupt")
-    return 2 * a - b
+    conductor = np.where(e3 > 0, 9, 1) * d1 * d2
+    return Family(e3, d1, d2, D, conductor, 2 * a - b, offsets, primes, in_d1)
 
 
-def enumerate_family(X: int) -> list[FieldRecord]:
-    """Canonical records of all fields with discriminant in [X, 2X].
+# a label's D up to this keeps every value of the int64 product of D1 below 4 * D < 2^63
+_D_MAX = 2**61
 
-    Sieves the conductor window [sqrt(X), sqrt(2X)] rather than D.  Sorted
-    by (conductor, D); output is deterministic down to the byte.  The family
-    is built as numpy columns (module docstring): nothing is factored and no
-    Z[omega] value is built per field, and the generator above every
-    q | d1 * d2 (q <= sqrt(2X)) is read off one registry table.
+
+def family_of(labels: list[FieldLabel]) -> Family:
+    """The Family of `labels`, one row each in their order, each checked by label_primes.
+
+    This is how a list of labels reaches the column code: d1 and d2 of each
+    label are factored once, and the generators of the distinct q come from
+    prime_above.  Raises ValueError for a label with D above 2^61, where the
+    int64 product of D1 could overflow.
+    """
+    for label in labels:
+        if label.D > _D_MAX:
+            raise ValueError(f"{label} has D above 2^61, beyond the int64 columns")
+    rows = [sorted([(q, True) for q in q1] + [(q, False) for q in q2])
+            for q1, q2 in map(label_primes, labels)]
+    pairs = [pair for row in rows for pair in row]
+    primes = np.array([q for q, _ in pairs], dtype=np.int64)
+    in_d1 = np.array([flag for _, flag in pairs], dtype=bool)
+    qs = np.array(sorted({q for q, _ in pairs}), dtype=np.int64)
+    gens = np.array([prime_above(q).generator for q in qs.tolist()], dtype=np.int64)
+    e3, d1, d2 = (np.array([label[i] for label in labels], dtype=np.int64) for i in range(3))
+    return _family(e3, d1, d2, np.cumsum([0] + [len(row) for row in rows]), primes, in_d1,
+                   gens.reshape(-1, 2)[np.searchsorted(qs, primes)])
+
+
+def enumerate_family(X: int) -> Family:
+    """The canonical fields with discriminant in [X, 2X], as a Family.
+
+    Sieves the conductor window [sqrt(X), sqrt(2X)] rather than D.  Rows
+    are sorted by (conductor, D); output is deterministic down to the byte.
+    The family is built as numpy columns (module docstring): nothing is
+    factored, no Z[omega] value and no record object is built per field,
+    and the generator above every q | d1 * d2 (q <= sqrt(2X)) is read off
+    one registry table.
 
     The columns are int64.  A canonical D lies below the geometric mean of
     D and its partner's D, which is at most f^1.5 for conductor f, and every
     value computed (d1, d2, D, the coefficients of D1 and the terms of
     N(D1)) is at most 4 * D < 4 * f^1.5.  Conductors up to 2^40 keep that
     below 2^62, so X above X_MAX = 2^79 raises ValueError before anything
-    is allocated; the sieve to 2^40 alone would need 8 TiB.  B = D *
-    trace(D1) is formed from Python ints.
+    is allocated; the sieve to 2^40 alone would need 8 TiB.  The
+    discriminant and B = D * trace(D1) are left to Python ints
+    (Family.records, catalog_lines).
     """
     if X < 2:
         raise ValueError("X must be at least 2")
@@ -295,13 +394,11 @@ def enumerate_family(X: int) -> list[FieldRecord]:
     f_hi = math.isqrt(2 * X)
     groups = _canonical_label_columns(math.isqrt(X - 1) + 1, f_hi)
     if not groups:
-        return []
+        return family_of([])
+    e3, d1, d2, offsets, primes, in_d1 = _conductor_order(groups)
     reg_primes, reg_gens = registry_table(f_hi)
-    traces = np.concatenate([_d1_traces(g, reg_primes, reg_gens) for g in groups])
-    *columns, order = _conductor_order(groups)
-    return [FieldRecord(FieldLabel(e3, d1, d2), D, f, f * f, D, D * t)
-            for e3, d1, d2, D, f, t in zip(*(c.tolist() for c in columns),
-                                           traces[order].tolist())]
+    return _family(e3, d1, d2, offsets, primes, in_d1,
+                   reg_gens[np.searchsorted(reg_primes, primes)])
 
 
 def labels_up_to_conductor(f_max: int) -> list[FieldLabel]:
@@ -330,10 +427,22 @@ def squarefree_3split_with_factors(lo: int, hi: int) -> list[tuple[int, tuple[in
 _FIELDS = ("D", "e3", "d1", "d2", "conductor", "discriminant", "polyA", "polyB")
 
 
+def _catalog_line(D: int, e3: int, d1: int, d2: int, conductor: int, discriminant: int,
+                  poly_a: int, poly_b: int) -> str:
+    return (f"D={D} e3={e3} d1={d1} d2={d2} conductor={conductor} "
+            f"discriminant={discriminant} polyA={poly_a} polyB={poly_b}")
+
+
 def record_to_line(rec: FieldRecord) -> str:
     label = rec.label
-    return (f"D={rec.D} e3={label.e3} d1={label.d1} d2={label.d2} conductor={rec.conductor} "
-            f"discriminant={rec.discriminant} polyA={rec.poly_a} polyB={rec.poly_b}")
+    return _catalog_line(rec.D, label.e3, label.d1, label.d2, rec.conductor,
+                         rec.discriminant, rec.poly_a, rec.poly_b)
+
+
+def catalog_lines(family: Family):
+    """record_to_line of every row of `family`, lazily, straight from its columns."""
+    return (_catalog_line(D, e3, d1, d2, f, f * f, D, D * t)
+            for e3, d1, d2, D, f, t in family.rows())
 
 
 def record_from_line(line: str) -> FieldRecord:

@@ -71,7 +71,7 @@ from .eisenstein import (
     lambda_valuation,
     prime_above,
 )
-from .fields import FieldLabel, label_primes, three_split_factorization
+from .fields import Family, FieldLabel, family_of, three_split_factorization
 from ._primes import primes_up_to
 
 KUMMER = "kummer"
@@ -217,35 +217,42 @@ def _exponent_table(qs: Sequence[int], primes: Sequence[int], mode: str) -> np.n
 _ENTRIES_PER_PASS = 1 << 12
 
 
-def lambda_table(labels: Sequence[FieldLabel], primes: Sequence[int],
+def lambda_table(family: Family | Sequence[FieldLabel], primes: Sequence[int],
                  mode: str = KUMMER) -> np.ndarray:
-    """lambda(p) for every label (rows) and every prime in `primes` (columns).
+    """lambda(p) for every row of the family (rows) and every prime in `primes` (columns).
 
     Equal to lambda_coefficient(p, 1, label, mode) entry by entry, read off
     one exponent table of the family (see the module docstring) instead of a
-    Z[omega] product and two symbols per pair.  Each label is checked by
-    label_primes.  The rows of every label (lambda, then q | d1, q | d2) are
-    laid end to end with their weights (e3, 1, 2); one gather of those table
-    rows, scaled by the weights and summed per label by np.add.reduceat,
-    gives the exponent sums of many labels at once: as many per pass as fit
-    in _ENTRIES_PER_PASS sums.
+    Z[omega] product and two symbols per pair.  A list of labels becomes a
+    Family first (fields.family_of, which checks each label); a Family's
+    CSR primes name its table rows by one np.searchsorted against the
+    distinct q, so nothing is factored.  The rows of every field (lambda,
+    then its q) are laid end to end with their weights (e3, then 1 for
+    q | d1 and 2 for q | d2); one gather of those table rows, scaled by the
+    weights and summed per field by np.add.reduceat, gives the exponent
+    sums of many fields at once: as many per pass as fit in
+    _ENTRIES_PER_PASS sums.
     """
     _check_mode(mode)
-    factors = [label_primes(label) for label in labels]
-    qs = sorted({q for q1, q2 in factors for q in q1 + q2})
-    row = {q: i + 1 for i, q in enumerate(qs)}
-    table = _exponent_table(qs, primes, mode)
-    rows, weights, starts = [], [], []
-    for label, (q1, q2) in zip(labels, factors):
-        starts.append(len(rows))
-        rows += [0] + [row[q] for q in q1 + q2]
-        weights += [label.e3] + [1] * len(q1) + [2] * len(q2)
-    rows, weights = np.array(rows, dtype=np.intp), np.array(weights, dtype=np.int64)
-    starts = np.array(starts + [len(rows)])
-    out = np.empty((len(labels), len(primes)), dtype=np.int8)
+    if not isinstance(family, Family):
+        family = family_of(family)
+    qs = np.sort(family.primes)
+    qs = qs[np.diff(qs, prepend=0) != 0]  # np.unique would import numpy.ma, 0.8 MB
+    table = _exponent_table(qs.tolist(), primes, mode)
+    n, offsets = len(family), family.offsets
+    starts = offsets[:-1] + np.arange(n)  # each field's lambda row, then its q
+    at_q = np.ones(offsets[-1] + n, dtype=bool)
+    at_q[starts] = False
+    rows = np.zeros(at_q.size, dtype=np.intp)
+    rows[at_q] = np.searchsorted(qs, family.primes) + 1
+    weights = np.empty(at_q.size, dtype=np.int64)
+    weights[starts] = family.e3
+    weights[at_q] = np.where(family.in_d1, 1, 2)
+    starts = np.append(starts, at_q.size)
+    out = np.empty((n, len(primes)), dtype=np.int8)
     step = max(1, _ENTRIES_PER_PASS // max(1, len(primes)))
-    for lo in range(0, len(labels), step):
-        hi = min(lo + step, len(labels))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         part = slice(starts[lo], starts[hi])
         s = np.add.reduceat(table[rows[part]] * weights[part, None], starts[lo:hi] - starts[lo],
                             axis=0)

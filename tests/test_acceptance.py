@@ -58,7 +58,7 @@ class _Budget:
 
 def test_criterion_01_enumeration_exactness():
     with _Budget(1.0) as budget:
-        records = enumerate_family(2000)
+        records = enumerate_family(2000).records()
     assert len(records) == 3
     assert sorted(r.discriminant for r in records) == [3721, 3969, 3969]
     print(f"\nACCEPTANCE 1 PASS: |F(2000)| = 3, discriminants (3721, 3969, 3969) "

@@ -25,7 +25,7 @@ def test_enumerate_catalog(tmp_path, capsys):
     body = [l for l in lines if not l.startswith("#")]
     assert len(body) == 3
     records = [record_from_line(l) for l in body]
-    assert records == enumerate_family(2000)
+    assert records == enumerate_family(2000).records()
     # rerun is byte-identical
     code, _, _ = run(["enumerate", "--x", "2000", "--out", str(target)], capsys)
     assert code == 0 and target.read_bytes() == first
@@ -68,13 +68,17 @@ def test_usage_errors(capsys):
     assert code == cli.EXIT_USAGE and "--ymax" in err
     code, _, err = run(["charsum", "--primes", "2147483659"], capsys)  # a prime > 2^31
     assert code == cli.EXIT_USAGE and "2**31" in err
-    for s in ("1", "0", "-2"):
-        code, _, err = run(["verify", "--s", s], capsys)
-        assert code == cli.EXIT_USAGE and "--s" in err
-    # p0 // 10 < 7 holds no prime = 1 (mod 3): both Euler products would be empty
-    for p0 in ("0", "69"):
-        code, _, err = run(["verify", "--p0", p0], capsys)
-        assert code == cli.EXIT_USAGE and "--p0" in err
+    # below s = 2 or p0 = 10**6 the generating-series probes cannot be Cauchy
+    # to 1e-8 between p0 // 10 and p0, so these were false FAILs (exit 2)
+    for s in ("1", "0", "-2", "1.1", "1.5", "1.999"):
+        code, out, err = run(["verify", "--s", s], capsys)
+        assert code == cli.EXIT_USAGE and out == "" and "--s" in err, s
+        assert err.count("\n") == 1, s
+    for argv in (["--p0", "0"], ["--p0", "69"], ["--p0", "70"], ["--p0", "1000"],
+                 ["--p0", "100000"], ["--p0", "999999"], ["--ymax", "10", "--p0", "70"]):
+        code, out, err = run(["verify"] + argv, capsys)
+        assert code == cli.EXIT_USAGE and out == "" and "--p0" in err, argv
+        assert err.count("\n") == 1, argv
     code, _, err = run(["verify", "--ymax", "1"], capsys)
     assert code == cli.EXIT_USAGE and "--ymax" in err
 
@@ -212,6 +216,8 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
      "d3b81d4e4d8576211a824016e4a696097c241257c48ec86d9d3afcfaa397525b"),
     (["density", "--x", "100000000", "--beta", "0.4"],
      "8eb939093da3afd710ecff78f1a0f86cf53ddfe8d59d2eadcc8199ea89150eb9"),
+    (["density", "--x", "10000000000", "--beta", "0.2"],
+     "99c862047f205b027ac36807ced618108e8de0977e489feefb004f0dc9c2b2f6"),
 ])
 def test_golden_outputs(tmp_path, capsys, argv, sha256):
     # pinned bytes: refactors must leave these outputs identical
@@ -219,6 +225,30 @@ def test_golden_outputs(tmp_path, capsys, argv, sha256):
     code, _, _ = run(argv + ["--out", str(out)], capsys)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_density_factors_nothing(tmp_path, capsys, monkeypatch):
+    # the family's primes come from the enumeration as columns, so neither
+    # the enumeration nor lambda_table factors a label; same pinned bytes
+    def no_factoring(n):
+        raise AssertionError(f"the density path factored {n}")
+
+    monkeypatch.setattr("cyclocubic.fields.factorize", no_factoring)
+    monkeypatch.setattr("cyclocubic._primes.factorize", no_factoring)
+    out = tmp_path / "out.txt"
+    code, _, _ = run(["density", "--x", "100000000", "--beta", "0.4", "--out", str(out)], capsys)
+    assert code == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "8eb939093da3afd710ecff78f1a0f86cf53ddfe8d59d2eadcc8199ea89150eb9")
+
+
+def test_empty_family(capsys):
+    # conductors 43 and 61 are adjacent and 61 / 43 > sqrt(2): no discriminant
+    # lies in [1850, 3700]
+    code, out, err = run(["density", "--x", "1850"], capsys)
+    assert code == cli.EXIT_USAGE and out == "" and "no fields" in err
+    code, out, _ = run(["enumerate", "--x", "1850"], capsys)
+    assert code == 0 and out.splitlines() == ["# cyclocubic catalog", "# x=1850", "# count=0"]
 
 
 def test_density_surfaces_other_runtime_errors(monkeypatch):

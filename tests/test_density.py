@@ -28,7 +28,7 @@ from cyclocubic.density import (
     reference_statistics,
 )
 from cyclocubic.fields import (FieldLabel, conductor_discriminant, enumerate_family,
-                               labels_up_to_conductor)
+                               family_of, labels_up_to_conductor)
 from cyclocubic.lfunctions import KUMMER, PAPER_LITERAL, lambda_coefficient
 
 EULER_GAMMA = 0.5772156649015329
@@ -187,7 +187,7 @@ def test_cubic_character_gamma_factor_is_gamma_r_of_s():
 
 def test_gamma_terms_match_one_label_at_a_time():
     # a batch changes only how many labels share a panel level, never a bit
-    labels = [rec.label for rec in enumerate_family(10**8)]
+    labels = enumerate_family(10**8).labels()
     for beta in (0.2, 0.4):
         tf = fejer_pair(beta)
         assert gamma_terms(labels, tf) == [gamma_term(label, tf) for label in labels]
@@ -220,11 +220,12 @@ def test_gamma_terms_raise_for_a_label_that_does_not_converge():
 
 
 def test_family_average_rows_match_one_level_density():
-    records = enumerate_family(10**6)
+    family = enumerate_family(10**6)
     for mode in (KUMMER, PAPER_LITERAL):
         for tf in (fejer_pair(0.2), fejer_pair(0.4)):
-            rows = family_average(records, tf, mode).breakdowns
-            assert list(rows) == [one_level_density(rec.label, tf, mode) for rec in records]
+            rows = family_average(family, tf, mode).breakdowns
+            assert list(rows) == [one_level_density(label, tf, mode)
+                                  for label in family.labels()]
 
 
 def test_prime_sums_match_per_term_reference():
@@ -247,9 +248,9 @@ def test_prime_sums_match_per_term_reference():
     for mode in (KUMMER, PAPER_LITERAL):
         for tf in (fejer_pair(0.2), fejer_pair(0.6)):
             want = [reference(label, tf, mode) for label in labels]
-            assert prime_sums(labels, tf, mode) == want
+            assert prime_sums(family_of(labels), tf, mode) == want
             assert [prime_sum(label, tf, mode) for label in labels[:5]] == want[:5]
-    assert prime_sums([], fejer_pair(0.2)) == []
+    assert prime_sums(family_of([]), fejer_pair(0.2)) == []
 
 
 def test_prime_sum_support():
@@ -302,14 +303,14 @@ def test_one_level_density_linear_in_f():
 
 def test_family_average_small():
     tf = fejer_pair(0.2)
-    records = enumerate_family(2000)
-    fam = family_average(records, tf, KUMMER)
+    family = enumerate_family(2000)
+    fam = family_average(family, tf, KUMMER)
     assert fam.count == 3
     # bookkeeping identity: average - (fhat(0) + mean gamma) + T = 0
     assert fam.average - (5.0 + fam.mean_gamma) + fam.t_statistic == pytest.approx(
         0.0, abs=1e-12)
     # order-independence of the reduction
-    fam2 = family_average(list(reversed(records)), tf, KUMMER)
+    fam2 = family_average(family_of(family.labels()[::-1]), tf, KUMMER)
     assert fam2.average == fam.average or abs(fam2.average - fam.average) < 1e-15
 
 

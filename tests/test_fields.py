@@ -15,9 +15,12 @@ from cyclocubic.fields import (
     Not3SplitError,
     NotCubeFreeError,
     canonicalize,
+    catalog_lines,
     conductor_discriminant,
     defining_polynomial,
     enumerate_family,
+    family_of,
+    label_primes,
     labels_up_to_conductor,
     make_record,
     parse_label,
@@ -141,7 +144,7 @@ def _brute_force_conductor_counts(X):
 def test_enumerate_family_2000():
     # independent brute-force conductor scan: valid conductors f with
     # f^2 in [X, 2X] and the field count each carries
-    records = enumerate_family(2000)
+    records = enumerate_family(2000).records()
     assert [(r.D, r.discriminant) for r in records] == [
         (61, 3721), (21, 3969), (63, 3969)]
     assert all(canonicalize(r.label)[1] for r in records)
@@ -149,12 +152,12 @@ def test_enumerate_family_2000():
     assert found == {61: 1, 63: 2}
     assert sum(found.values()) == len(records)
 
-    records = enumerate_family(10**6)
+    records = enumerate_family(10**6).records()
     assert Counter(r.conductor for r in records) == _brute_force_conductor_counts(10**6)
 
 
 def test_enumerate_family_window_and_order():
-    records = enumerate_family(50_000)
+    records = enumerate_family(50_000).records()
     assert records == sorted(records, key=lambda r: (r.conductor, r.D))
     assert len({r.D for r in records}) == len(records)
     for r in records:
@@ -170,11 +173,42 @@ def test_enumeration_carries_primes_instead_of_factoring(monkeypatch):
         raise AssertionError(f"the enumeration factored {n}")
 
     monkeypatch.setattr("cyclocubic.fields.factorize", no_factoring)
-    records = enumerate_family(10**9)
+    records = enumerate_family(10**9).records()
     assert len(records) == 2088
     monkeypatch.undo()
     # the same records as those rebuilt from each label, checked by label_primes
     assert records == [make_record(r.label) for r in records]
+
+
+@pytest.mark.parametrize("x", [10**6, 10**9])
+def test_family_rows_match_the_per_label_reference(x):
+    family = enumerate_family(x)
+    labels = family.labels()
+    assert len(family) == len(labels) == len(family.records())
+    assert family.records() == [make_record(label) for label in labels]
+    assert list(catalog_lines(family)) == list(map(record_to_line, family.records()))
+    # each row's CSR primes, split by in_d1, are the primes of d1 and of d2
+    for i, label in enumerate(labels):
+        primes = family.primes[family.offsets[i]:family.offsets[i + 1]]
+        in_d1 = family.in_d1[family.offsets[i]:family.offsets[i + 1]]
+        assert (tuple(primes[in_d1].tolist()), tuple(primes[~in_d1].tolist())) == \
+            label_primes(label)
+    # a list of labels reaches the same columns through family_of
+    rebuilt = family_of(labels)
+    for name in ("e3", "d1", "d2", "D", "conductor", "trace", "offsets", "primes", "in_d1"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(family, name)), name
+
+
+def test_family_of_checks_labels():
+    assert len(family_of([])) == 0 and not family_of([])
+    assert family_of([FieldLabel(1, 1, 1)]).records() == [make_record(FieldLabel(1, 1, 1))]
+    with pytest.raises(Not3SplitError):
+        family_of([FieldLabel(0, 7, 1), FieldLabel(0, 5, 1)])
+    with pytest.raises(NotCubeFreeError):
+        family_of([FieldLabel(0, 7, 7)])
+    # past 2^61 the int64 product of D1 could wrap, so the label is refused
+    with pytest.raises(ValueError, match="2\\^61"):
+        family_of([FieldLabel(0, 1, 2**31 + 11)])
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +249,7 @@ def test_enumerate_family_window_edges_match_brute_force(f, edge, inside):
     X = edge(f)
     expected = [label for label in _brute_force_labels(3000)
                 if X <= conductor_discriminant(label)[1] <= 2 * X]
-    records = enumerate_family(X)
+    records = enumerate_family(X).records()
     assert [r.label for r in records] == expected
     assert (f in {r.conductor for r in records}) is inside
     assert records == [make_record(label) for label in expected]
@@ -290,13 +324,13 @@ def test_family_growth_ratio():
 
 
 def test_enumeration_is_stable():
-    a = [record_to_line(r) for r in enumerate_family(10**5)]
-    b = [record_to_line(r) for r in enumerate_family(10**5)]
+    a = [record_to_line(r) for r in enumerate_family(10**5).records()]
+    b = [record_to_line(r) for r in enumerate_family(10**5).records()]
     assert a == b
 
 
 def test_record_round_trip():
-    for rec in enumerate_family(3000):
+    for rec in enumerate_family(3000).records():
         assert record_from_line(record_to_line(rec)) == rec
     with pytest.raises(ValueError):
         record_from_line("D=7 e3=0")
