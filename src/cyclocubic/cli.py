@@ -32,6 +32,10 @@ EXIT_USAGE = 1
 EXIT_ASSERTION = 2
 EXIT_IO = 3
 
+# --p0 and --ymax each size a sieve with that many entries, a terabyte at this
+# bound; past 2**63 numpy could not even index one
+SIEVE_MAX = 2**40
+
 
 @dataclass
 class RunConfig:
@@ -101,6 +105,8 @@ def _validate(cfg: RunConfig) -> str | None:
         if cfg.p0 < 10**6:
             return ("--p0 must be at least 1000000; below it the Euler products are "
                     "not Cauchy to 1e-8 between p0 // 10 and p0")
+        if cfg.p0 > SIEVE_MAX:
+            return "--p0 must be at most 2**40; its sieve would need more than a terabyte"
     if cfg.command == "charsum":
         if not cfg.primes:
             return "--primes must name at least one prime"
@@ -112,8 +118,11 @@ def _validate(cfg: RunConfig) -> str | None:
         too_large = [p for p in cfg.primes if p >= INT64_PRIME_BOUND]
         if too_large:
             return f"--primes takes primes below 2**31; {too_large[0]} is too large"
-    if cfg.command in ("verify", "charsum") and cfg.ymax < 10:
-        return "--ymax must be at least 10"
+    if cfg.command in ("verify", "charsum"):
+        if cfg.ymax < 10:
+            return "--ymax must be at least 10"
+        if cfg.ymax > SIEVE_MAX:
+            return "--ymax must be at most 2**40; its sieve would need more than a terabyte"
     return None
 
 

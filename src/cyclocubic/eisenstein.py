@@ -28,9 +28,11 @@ that table for p up to its bound and solves the norm equation beyond it.
 
 Cubic residue symbols are evaluated by modular exponentiation in the residue
 field of the chosen prime: one element at a time (`cubic_residue_symbol`,
-exact at any size) or many elements at one prime (`cubic_residue_exponents`,
+exact at any size), many elements at one prime (`cubic_residue_exponents`,
 numpy int64 for p < 2**31, from elements or straight from coefficient arrays
-such as the table's).
+such as the table's), or many elements at many primes
+(`cubic_residue_exponent_blocks`, whose blocks of columns share one
+square-and-multiply).
 
 All values are immutable after construction, and the registry table is only
 ever replaced whole by a larger read-only one, so every operation is safe
@@ -484,6 +486,21 @@ def cubic_residue_symbol(a: EisensteinInteger, P: PrimeAbove) -> CubicSymbol:
 
 EXPONENT_ZERO = -1  # cubic_residue_exponents' mark for a zero symbol
 INT64_PRIME_BOUND = 2**31  # p below it keeps every product of residues under 2**63
+_NOT_A_ROOT = -2  # _exponent_block's mark for a power that is no cube root of unity
+
+# (element, prime) symbols per numpy pass of cubic_residue_exponent_blocks:
+# its int64 arrays stay near 32 kB.  A pass never splits the rows, so rows
+# past this bound take one column per pass.
+_SYMBOLS_PER_PASS = 1 << 12
+
+
+def _symbol_field(P: PrimeAbove) -> ResidueField:
+    """The residue field of P, or ValueError where the vectorized symbol is undefined."""
+    if P.kind == "ramified":
+        raise ValueError("the cubic symbol is not defined at the prime above 3")
+    if P.p >= INT64_PRIME_BOUND:
+        raise ValueError(f"vectorized cubic symbols need p < 2**31, got p = {P.p}")
+    return residue_map(P)
 
 
 def cubic_residue_exponents(elements: Sequence[EisensteinInteger] | np.ndarray,
@@ -497,39 +514,95 @@ def cubic_residue_exponents(elements: Sequence[EisensteinInteger] | np.ndarray,
     reduced mod p first.  EXPONENT_ZERO marks the elements that P divides.
     Raises ValueError unless p < 2**31, so no product can wrap, and the
     RuntimeError of cube_root_index if a power is not a cube root of unity.
+    This is the one-column case of cubic_residue_exponent_blocks.
     """
-    if P.kind == "ramified":
-        raise ValueError("the cubic symbol is not defined at the prime above 3")
-    p = P.p
-    if p >= INT64_PRIME_BOUND:
-        raise ValueError(f"vectorized cubic symbols need p < 2**31, got p = {p}")
-    field = residue_map(P)
-    if isinstance(elements, np.ndarray):
-        a, b = (elements[:, k].astype(np.int64) % p for k in (0, 1))
-    else:
-        a = np.array([z.a % p for z in elements], dtype=np.int64)
-        b = np.array([z.b % p for z in elements], dtype=np.int64)
-    n = (P.residue_norm() - 1) // 3
-    if P.residue_degree == 1:
-        x = (a + b * field.omega) % p
+    _symbol_field(P)
+    if not isinstance(elements, np.ndarray):
+        p = P.p
+        elements = np.array([(z.a % p, z.b % p) for z in elements], dtype=np.int64)
+    ((_, exponents),) = cubic_residue_exponent_blocks(elements.reshape(-1, 2), [P])
+    return exponents[:, 0]
+
+
+def cubic_residue_exponent_blocks(coeffs: np.ndarray, primes: Sequence[PrimeAbove]):
+    """Yield (columns, exponents) until every column of the symbol table is given.
+
+    The table has one row per coefficient pair (a, b) of `coeffs` and one
+    column per P in `primes`; exponents[i, c] is the k of
+    (a_i / P_j)_3 = omega^k for j = columns[c], or EXPONENT_ZERO where P_j
+    divides a_i, as cubic_residue_exponents gives it column by column.  The
+    split and the inert columns go in separate blocks of at most
+    _SYMBOLS_PER_PASS entries (one column when the rows pass that), and
+    each block is one int64 square-and-multiply in which column j has its
+    own modulus p_j and its own exponent (N(P_j) - 1)/3.  Every P is checked
+    (ValueError, as in cubic_residue_exponents) before anything is yielded,
+    and a power that is not a cube root of unity raises the RuntimeError of
+    cube_root_index.
+    """
+    fields = [_symbol_field(P) for P in primes]
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    step = max(1, _SYMBOLS_PER_PASS // max(1, len(coeffs)))
+    for degree in (1, 2):
+        columns = [j for j, P in enumerate(primes) if P.residue_degree == degree]
+        for lo in range(0, len(columns), step):
+            block = columns[lo:lo + step]
+            exponents = _exponent_block(coeffs, [fields[j] for j in block], degree)
+            bad = np.argwhere(exponents.T == _NOT_A_ROOT)
+            if bad.size:
+                c, i = bad[0].tolist()
+                cubic_residue_symbol(EisensteinInteger(*coeffs[i].tolist()), primes[block[c]])
+                raise AssertionError("the vectorized and the scalar cubic symbol disagree")
+            yield block, exponents
+
+
+def _exponent_block(coeffs: np.ndarray, fields: list[ResidueField], degree: int) -> np.ndarray:
+    """The exponents of every row of `coeffs` at residue fields of one degree, one column each.
+
+    At a split p the power is x^((p - 1)/3) in Z/p, matched against the
+    roots of ResidueField in their order.  At an inert p the power is only
+    z = x^((p + 1)/3): Frobenius is conjugation on Z[omega]/(p), so
+    x^((p^2 - 1)/3) = z^(p - 1) = conj(z) / z, which is omega^k exactly
+    when conj(z) = omega^k z.  With z = c + d w, conj(z) = (c - d) - d w
+    equals z, omega z = -d + (c - d) w or omega^2 z = (d - c) - c w exactly
+    when d = 0, c = 0 or c = d.
+    """
+    p = np.array([field.p for field in fields], dtype=np.int64)
+    a, b = coeffs[:, :1] % p, coeffs[:, 1:] % p
+    if degree == 1:
+        omega = np.array([field.omega for field in fields], dtype=np.int64)
+        x = (a + b * omega) % p
         zero = x == 0
-        t = _power(x, n, np.ones_like(x), lambda u, v: u * v % p)
-        parts = (t,)
+        (t,) = _power_columns((x,), (p - 1) // 3, (np.ones_like(x),),
+                              lambda u, v: (u[0] * v[0] % p,))
+        tests = ((t, 1), (t, omega), (t, omega * omega % p))
     else:
         zero = (a == 0) & (b == 0)
         # (a + b w)(c + d w) = (ac - bd) + (ad + b(c - d)) w; each sum stays below 2**63
-        t = _power((a, b), n, (np.ones_like(a), np.zeros_like(b)),
-                   lambda u, v: ((u[0] * v[0] - u[1] * v[1]) % p,
-                                 (u[0] * v[1] + u[1] * (v[0] - v[1])) % p))
-        parts = t
-    roots = field._roots if P.residue_degree == 2 else {(r,): k for r, k in field._roots.items()}
-    exponents = np.full(len(a), EXPONENT_ZERO, dtype=np.int64)
-    for root, k in roots.items():
-        exponents[np.logical_and.reduce([part == r for part, r in zip(parts, root)])] = k
-    bad = np.flatnonzero((exponents == EXPONENT_ZERO) & ~zero)
-    if bad.size:
-        z = EisensteinInteger(*map(int, elements[bad[0]]))
-        cubic_residue_symbol(z, P)  # raises cube_root_index's RuntimeError
-        raise AssertionError("the vectorized and the scalar cubic symbol disagree")
+        c, d = _power_columns((a, b), (p + 1) // 3, (np.ones_like(a), np.zeros_like(b)),
+                              lambda u, v: ((u[0] * v[0] - u[1] * v[1]) % p,
+                                            (u[0] * v[1] + u[1] * (v[0] - v[1])) % p))
+        tests = ((d, 0), (c, 0), (c, d))
+    exponents = np.where(zero, EXPONENT_ZERO, _NOT_A_ROOT)
+    nonzero = ~zero
+    for k, (u, v) in enumerate(tests):  # one comparison at a time keeps wide blocks small
+        exponents[(u == v) & nonzero] = k
     return exponents
 
+
+def _power_columns(x: tuple, n: np.ndarray, one: tuple, mul) -> tuple:
+    """x^n by square-and-multiply under `mul`, column j of every array of x raised to n[j].
+
+    A step multiplies the columns whose exponent has that bit; when all of
+    them do, as a single column always does, no select is needed, so a
+    one-column block does exactly the products of _power.
+    """
+    bits = (n >> np.arange(int(n.max()).bit_length())[:, None]) & 1 == 1
+    out, base = one, x
+    for i, (every, some) in enumerate(zip(bits.all(axis=1).tolist(), bits.any(axis=1).tolist())):
+        if i:
+            base = mul(base, base)
+        if every:
+            out = mul(out, base)
+        elif some:
+            out = tuple(np.where(bits[i], new, old) for new, old in zip(mul(out, base), out))
+    return out

@@ -47,10 +47,19 @@ and a field's symbol is omega^s with s = sum_{q | d1} k_q + 2 sum_{q | d2} k_q
 that is when p | D.  The table holds one row per distinct q of the family
 and one for lambda, and one column per prime p.  The column for p = 3 holds
 k_q = b_q/3 (mod 3), so that s = -beta, in both modes, and _ZERO_ENTRY at
-lambda, which the weight e3 turns on exactly when 3 | D.  `kummer_symbol`,
-`paper_chi`, `splitting_at_three` (which tests c itself), `splitting_type`
-and `lambda_coefficient` are the per-call reference that the probes and
-tests compare the table against.
+lambda, which the weight e3 turns on exactly when 3 | D.  The other columns
+come from eisenstein.cubic_residue_exponent_blocks, which raises a block
+of primes at once.  The registry variants of `kummer_symbol` apply to the
+whole table: the conjugate prime above every p, or D2 in place of D1, which
+exchanges e and e'.
+
+`density` and the `verify` probes read lambda off this table, and the
+probes check it against oracles that share none of its arithmetic
+(root counts of the defining cubic, ideal counts, the registry variants).
+`kummer_symbol`, `paper_chi`, `splitting_at_three` (which tests c itself),
+`splitting_type` and `lambda_coefficient` compute the same values one
+(label, p) pair at a time from a Z[omega] product; they are the reference
+the tests compare the table against.
 """
 
 from __future__ import annotations
@@ -66,7 +75,7 @@ from .eisenstein import (
     EisensteinInteger,
     PrimeAbove,
     conjugate_coefficients,
-    cubic_residue_exponents,
+    cubic_residue_exponent_blocks,
     cubic_residue_symbol,
     lambda_valuation,
     prime_above,
@@ -186,28 +195,42 @@ def lambda_from_splitting(st: SplittingType, m: int) -> int:
 _ZERO_ENTRY = 1 << 20
 
 
-def _exponent_table(qs: Sequence[int], primes: Sequence[int], mode: str) -> np.ndarray:
+def _exponent_table(qs: Sequence[int], primes: Sequence[int], mode: str,
+                    conjugate_prime: bool = False, swap_factors: bool = False) -> np.ndarray:
     """k[r, j] of the module docstring: row 0 for lambda, row i + 1 for qs[i].
 
     Column j belongs to primes[j].  Zero symbols, and the lambda row of the
-    column for p = 3, enter as _ZERO_ENTRY.
+    column for p = 3, enter as _ZERO_ENTRY.  The other columns come in
+    blocks from cubic_residue_exponent_blocks, each over the generators and
+    their conjugates at once.  conjugate_prime takes the symbols at the
+    conjugate of each registry prime, and swap_factors exchanges the roles of
+    the generators and their conjugates (D2 in place of D1), as in
+    kummer_symbol.
     """
     gens = np.array([LAMBDA] + [prime_above(q).generator for q in qs], dtype=np.int64)
     both = np.concatenate((gens, conjugate_coefficients(gens)))
     table = np.empty((len(gens), len(primes)), dtype=np.int64)
+    columns = []
     for j, p in enumerate(primes):
         if p == 3:
             table[:, j] = gens[:, 1] // 3 % 3
             table[0, j] = _ZERO_ENTRY
-            continue
-        e, e_conj = np.split(cubic_residue_exponents(both, prime_above(p)), 2)
+        else:
+            columns.append(j)
+    above = [prime_above(primes[j]) for j in columns]
+    if conjugate_prime:
+        above = [P.conjugate() for P in above]
+    for block, exponents in cubic_residue_exponent_blocks(both, above):
+        e, e_conj = np.split(exponents, 2)
+        if swap_factors:
+            e, e_conj = e_conj, e
         zero = e == EXPONENT_ZERO
         if mode == KUMMER:
             zero |= e_conj == EXPONENT_ZERO
             k = (e + 2 * e_conj) % 3
         else:
             k = e
-        table[:, j] = np.where(zero, _ZERO_ENTRY, k)
+        table[:, [columns[c] for c in block]] = np.where(zero, _ZERO_ENTRY, k)
     return table
 
 
@@ -218,14 +241,16 @@ _ENTRIES_PER_PASS = 1 << 12
 
 
 def lambda_table(family: Family | Sequence[FieldLabel], primes: Sequence[int],
-                 mode: str = KUMMER) -> np.ndarray:
+                 mode: str = KUMMER, *, conjugate_prime: bool = False,
+                 swap_factors: bool = False) -> np.ndarray:
     """lambda(p) for every row of the family (rows) and every prime in `primes` (columns).
 
-    Equal to lambda_coefficient(p, 1, label, mode) entry by entry, read off
-    one exponent table of the family (see the module docstring) instead of a
-    Z[omega] product and two symbols per pair.  A list of labels becomes a
-    Family first (fields.family_of, which checks each label); a Family's
-    CSR primes name its table rows by one np.searchsorted against the
+    Equal to lambda_coefficient(p, 1, label, mode, conjugate_prime=...,
+    swap_factors=...) entry by entry, read off one exponent table of the
+    family (see the module docstring) instead of a Z[omega] product and two
+    symbols per pair.  A list of labels becomes a Family first
+    (fields.family_of, which checks each label); a Family's CSR primes
+    name its table rows by one np.searchsorted against the
     distinct q, so nothing is factored.  The rows of every field (lambda,
     then its q) are laid end to end with their weights (e3, then 1 for
     q | d1 and 2 for q | d2); one gather of those table rows, scaled by the
@@ -238,7 +263,7 @@ def lambda_table(family: Family | Sequence[FieldLabel], primes: Sequence[int],
         family = family_of(family)
     qs = np.sort(family.primes)
     qs = qs[np.diff(qs, prepend=0) != 0]  # np.unique would import numpy.ma, 0.8 MB
-    table = _exponent_table(qs.tolist(), primes, mode)
+    table = _exponent_table(qs.tolist(), primes, mode, conjugate_prime, swap_factors)
     n, offsets = len(family), family.offsets
     starts = offsets[:-1] + np.arange(n)  # each field's lambda row, then its q
     at_q = np.ones(offsets[-1] + n, dtype=bool)

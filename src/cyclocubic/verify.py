@@ -11,6 +11,13 @@ Four kinds of check live here:
 * the generating-series comparison, which measures rather than asserts the
   square-root identity relating S_p's Dirichlet series to Hecke L-functions.
 
+The hard oracles check the character data that `density` uses, the
+exponent table of lfunctions.lambda_table, against computations that share
+none of its arithmetic: each probe reads lambda for all its (label, p)
+pairs off one table (per registry variant), so no Z[omega] product is
+built per pair.  The per-call functions of lfunctions (splitting_type,
+lambda_coefficient) are the reference the tests hold the table to.
+
 Probes return ProbeReports.  A report Fails only when an asserted invariant
 breaks; exploratory discrepancies (character conventions that genuinely
 depend on registry choices, series gaps at split base primes) are recorded
@@ -42,8 +49,10 @@ from .eisenstein import (
     registry_table,
 )
 from .fields import (
+    Family,
     FieldLabel,
     defining_polynomial,
+    family_of,
     labels_up_to_conductor,
     squarefree_3split_with_factors,
 )
@@ -55,10 +64,9 @@ from .lfunctions import (
     SPLIT,
     SplittingType,
     kummer_argument,
-    lambda_coefficient,
     lambda_from_splitting,
+    lambda_table,
     splitting_at_three,
-    splitting_type,
 )
 
 PASS = "pass"
@@ -89,7 +97,12 @@ def polynomial_splitting_oracle(p: int, label: FieldLabel) -> SplittingType | No
     Galois group is cyclic, so the root count is 0 (inert) or 3 (split);
     anything else means corrupted arithmetic.
     """
-    a_coef, b_coef = defining_polynomial(label)
+    return _root_count_splitting(p, label, *defining_polynomial(label))
+
+
+def _root_count_splitting(p: int, label: FieldLabel, a_coef: int,
+                          b_coef: int) -> SplittingType | None:
+    """polynomial_splitting_oracle for the cubic x^3 - 3 a_coef x - b_coef of `label`."""
     gate = 3 * (4 * a_coef**3 - b_coef**2)
     if gate % p == 0:
         return None
@@ -106,24 +119,39 @@ def polynomial_splitting_oracle(p: int, label: FieldLabel) -> SplittingType | No
     )
 
 
+# the splitting type of p read off lambda(p), the inverse of lambda_from_splitting(., 1)
+_SPLITTING_OF_LAMBDA = {2: SPLIT, -1: INERT, 0: RAMIFIED}
+
+
 def splitting_oracle_probe(max_conductor: int = 200, max_p: int = 500) -> ProbeReport:
-    """Kummer splitting must equal the root-count oracle on every gated pair."""
+    """Kummer splitting must equal the root-count oracle on every gated pair.
+
+    The Kummer side is one lambda_table of every label and prime; the oracle
+    counts the roots of each label's defining cubic, built once per label.
+    A table that cannot be built (a corrupt registry) counts as a mismatch.
+    """
     labels = labels_up_to_conductor(max_conductor)
     primes = primes_up_to(max_p)
+    try:
+        table = lambda_table(labels, primes, KUMMER).tolist()
+    except Exception as exc:  # corrupted registry surfaces here
+        return ProbeReport("splitting_oracle", FAIL, [{"error": repr(exc)}],
+                           {"labels": len(labels), "pairs": 0, "mismatches": 1})
     checked = mismatches = 0
     rows = []
-    for label in labels:
-        for p in primes:
-            try:
-                oracle = polynomial_splitting_oracle(p, label)
-                if oracle is None:
-                    continue
-                checked += 1
-                mine = splitting_type(p, label, KUMMER)
-            except Exception as exc:  # corrupted registry surfaces here
-                mismatches += 1
-                rows.append({"label": label, "p": p, "error": repr(exc)})
+    for label, lam in zip(labels, table):
+        try:
+            poly = defining_polynomial(label)
+            oracles = [_root_count_splitting(p, label, *poly) for p in primes]
+        except Exception as exc:  # corrupted arithmetic surfaces here
+            mismatches += 1
+            rows.append({"label": label, "error": repr(exc)})
+            continue
+        for p, value, oracle in zip(primes, lam, oracles):
+            if oracle is None:
                 continue
+            checked += 1
+            mine = _SPLITTING_OF_LAMBDA[value]
             if mine != oracle:
                 mismatches += 1
                 rows.append({"label": label, "p": p, "kummer": mine, "oracle": oracle})
@@ -145,22 +173,34 @@ def probe_pairs(n_pairs: int) -> list[tuple[FieldLabel, int]]:
     return [(rng.choice(labels), rng.choice(primes)) for _ in range(n_pairs)]
 
 
+def _variant_tables(family: Family, primes: list[int], mode: str) -> np.ndarray:
+    """lambda_table under each of the four _VARIANTS, stacked along a first axis."""
+    return np.stack([lambda_table(family, primes, mode, conjugate_prime=c, swap_factors=s)
+                     for c, s in _VARIANTS])
+
+
 def choice_invariance_probe(pairs: list[tuple[FieldLabel, int]]) -> ProbeReport:
     """Recompute lambda(p) under all four registry variants.
 
     Kummer values must coincide (a Fail otherwise).  Paper-literal values may
     legitimately differ at split p; each such case is recorded as a Finding
-    with the four values.
+    with the four values.  Each variant is one lambda_table over the
+    distinct labels and primes of `pairs`.
     """
+    labels = list(dict.fromkeys(label for label, _ in pairs))
+    primes = sorted({p for _, p in pairs})
+    row_of = {label: i for i, label in enumerate(labels)}
+    col_of = {p: j for j, p in enumerate(primes)}
+    rows = [row_of[label] for label, _ in pairs]
+    cols = [col_of[p] for _, p in pairs]
+    family = family_of(labels)
+    kummer, paper = (_variant_tables(family, primes, mode)[:, rows, cols].T.tolist()
+                     for mode in (KUMMER, PAPER_LITERAL))
     kummer_bad = []
     findings = []
-    for label, p in pairs:
-        kv = [lambda_coefficient(p, 1, label, KUMMER, conjugate_prime=c, swap_factors=s)
-              for c, s in _VARIANTS]
+    for (label, p), kv, pv in zip(pairs, kummer, paper):
         if len(set(kv)) != 1:
             kummer_bad.append({"label": label, "p": p, "values": kv})
-        pv = [lambda_coefficient(p, 1, label, PAPER_LITERAL, conjugate_prime=c, swap_factors=s)
-              for c, s in _VARIANTS]
         if len(set(pv)) != 1:
             findings.append({"label": label, "p": p, "values": pv})
     if kummer_bad:
@@ -174,16 +214,10 @@ def choice_invariance_probe(pairs: list[tuple[FieldLabel, int]]) -> ProbeReport:
 
 def paper_literal_findings(label: FieldLabel, max_p: int) -> list[dict]:
     """Primes p <= max_p where the paper-literal lambda is registry-dependent."""
-    out = []
-    for p in primes_up_to(max_p):
-        if p == 3:
-            continue
-        vals = [lambda_coefficient(p, 1, label, PAPER_LITERAL, conjugate_prime=c, swap_factors=s)
-                for c, s in _VARIANTS]
-        if len(set(vals)) != 1:
-            oracle = polynomial_splitting_oracle(p, label)
-            out.append({"p": p, "values": vals, "oracle": oracle})
-    return out
+    primes = [p for p in primes_up_to(max_p) if p != 3]
+    values = _variant_tables(family_of([label]), primes, PAPER_LITERAL)[:, 0].T.tolist()
+    return [{"p": p, "values": vals, "oracle": polynomial_splitting_oracle(p, label)}
+            for p, vals in zip(primes, values) if len(set(vals)) != 1]
 
 
 # -- ramification audit at 3 ------------------------------------------------------------
@@ -330,36 +364,54 @@ def _l_prime_power_coefficients(st: SplittingType, j_max: int) -> list[int]:
 def ideal_count_crosscheck(label: FieldLabel, n_max: int = 10**4) -> ProbeReport:
     """zeta_D coefficients two ways: ideal counts vs the zeta * L convolution.
 
-    Route 1 fills a multiplicative array from per-prime ideal counts; route 2
+    The splitting of every p <= n_max is one lambda_table row.  Route 1
+    fills a multiplicative array from per-prime ideal counts; route 2
     builds L_D coefficients out of the lambda recurrence and convolves with
-    the all-ones zeta coefficients.  Exact integer equality is asserted.
+    the all-ones zeta coefficients.  Both are exact int64 array operations:
+    the fill takes the prime powers of every n off the smallest-factor
+    sieve, one prime per pass, and the convolution adds b[d] at d * k for
+    every d * k <= n_max in 2 sqrt(n_max) slices, one per k <= sqrt(n_max)
+    and one per d <= sqrt(n_max) for the larger k.  Exact integer equality
+    is asserted.
     """
-    spf = smallest_factor_sieve(n_max)
-    splits = {p: splitting_type(p, label, KUMMER) for p in primes_up_to(n_max)}
+    primes = np.array(primes_up_to(n_max), dtype=np.int64)
+    types = (SPLIT, INERT, RAMIFIED)
     j_cap = max(1, int(math.log2(n_max)))
+    zeta_pp = np.array([[_zeta_prime_power_coefficient(st, j) for j in range(j_cap + 1)]
+                        for st in types], dtype=np.int64)
+    l_pp = np.array([_l_prime_power_coefficients(st, j_cap) for st in types], dtype=np.int64)
+    lam = lambda_table([label], primes.tolist(), KUMMER)[0]
+    type_of = np.zeros(n_max + 1, dtype=np.intp)  # index into `types` of each prime
+    for value, st in _SPLITTING_OF_LAMBDA.items():
+        type_of[primes[lam == value]] = types.index(st)
 
-    coefficients = {st: ([_zeta_prime_power_coefficient(st, j) for j in range(j_cap + 1)],
-                         _l_prime_power_coefficients(st, j_cap))
-                    for st in (SPLIT, INERT, RAMIFIED)}
-
-    a = [0, 1] + [0] * (n_max - 1)
-    b = [0, 1] + [0] * (n_max - 1)
-    for n in range(2, n_max + 1):
-        p = int(spf[n])
-        m, j = n, 0
-        while m % p == 0:
-            m //= p
-            j += 1
-        zeta_pp, l_pp = coefficients[splits[p]]
-        a[n] = a[m] * zeta_pp[j]
-        b[n] = b[m] * l_pp[j]
-    conv = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        if b[d]:
-            for n in range(d, n_max + 1, d):
-                conv[n] += b[d]
-    bad = [{"n": n, "ideal_count": a[n], "convolution": conv[n]}
-           for n in range(1, n_max + 1) if a[n] != conv[n]]
+    spf = smallest_factor_sieve(n_max)
+    a = np.ones(n_max + 1, dtype=np.int64)
+    b = np.ones(n_max + 1, dtype=np.int64)
+    a[0] = b[0] = 0
+    n = np.arange(2, n_max + 1)
+    rest = n.copy()  # the part of n not yet factored
+    while n.size:
+        p = spf[rest]
+        j = np.zeros(n.size, dtype=np.intp)
+        divisible = np.ones(n.size, dtype=bool)
+        while divisible.any():
+            rest = np.where(divisible, rest // p, rest)
+            j += divisible
+            divisible = rest % p == 0
+        a[n] *= zeta_pp[type_of[p], j]
+        b[n] *= l_pp[type_of[p], j]
+        left = rest > 1
+        n, rest = n[left], rest[left]
+    s = math.isqrt(n_max)
+    conv = np.zeros(n_max + 1, dtype=np.int64)
+    for k in range(1, s + 1):  # b[d] at d * k for every d, k <= s
+        conv[k::k] += b[1:n_max // k + 1]
+    for d in range(1, s + 1):  # and for k > s, where d * k <= n_max forces d <= s
+        conv[d * (s + 1)::d] += b[d]
+    wrong = np.flatnonzero(a != conv)
+    bad = [{"n": n, "ideal_count": a_n, "convolution": c_n}
+           for n, a_n, c_n in zip(wrong.tolist(), a[wrong].tolist(), conv[wrong].tolist())]
     status = PASS if not bad else FAIL
     return ProbeReport(f"ideal_count[D={label.D}]", status, bad[:20],
                        {"n_max": n_max, "mismatches": len(bad)})
@@ -623,7 +675,7 @@ def run_probe_suite(charsum_y: int = 10**3,
     ideal counts to 1e4 for 10 labels, and family counts at X = 1e6, 1e7, 1e8.
     """
     # the generating-series probes need this table anyway; built first, it
-    # serves the per-pair probes too, which would otherwise solve a norm
+    # serves the table probes too, which would otherwise solve a norm
     # equation for every split p they meet
     registry_table(max(genseries_p0))
     reports = [splitting_oracle_probe()]

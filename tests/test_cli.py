@@ -79,6 +79,13 @@ def test_usage_errors(capsys):
         code, out, err = run(["verify"] + argv, capsys)
         assert code == cli.EXIT_USAGE and out == "" and "--p0" in err, argv
         assert err.count("\n") == 1, argv
+    # past 2**40 a sieve would need terabytes; from 2**63 numpy raised a traceback
+    for argv in (["charsum", "--ymax", str(10**20)], ["verify", "--ymax", str(10**20)],
+                 ["verify", "--p0", str(10**20)], ["charsum", "--ymax", str(2**40 + 1)],
+                 ["verify", "--p0", str(2**40 + 1)]):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE and out == "" and argv[1] in err, argv
+        assert "2**40" in err and "Traceback" not in err and err.count("\n") == 1, argv
     code, _, err = run(["verify", "--ymax", "1"], capsys)
     assert code == cli.EXIT_USAGE and "--ymax" in err
 

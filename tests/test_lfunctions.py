@@ -3,13 +3,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cyclocubic import eisenstein
 from cyclocubic._primes import primes_up_to
 from cyclocubic.eisenstein import EisensteinInteger, PrimeAbove
 from cyclocubic.eisenstein import SYMBOL_OMEGA, SYMBOL_OMEGA2, SYMBOL_ONE, SYMBOL_ZERO
-from cyclocubic.fields import FieldLabel, defining_polynomial, labels_up_to_conductor
+from cyclocubic.fields import (
+    FieldLabel,
+    defining_polynomial,
+    enumerate_family,
+    family_of,
+    labels_up_to_conductor,
+)
 from cyclocubic.lfunctions import (
     INERT,
     KUMMER,
@@ -25,6 +32,7 @@ from cyclocubic.lfunctions import (
     splitting_at_three,
     splitting_type,
 )
+from cyclocubic.verify import audit_corpus
 
 D7 = FieldLabel(0, 7, 1)
 D3 = FieldLabel(1, 1, 1)
@@ -185,16 +193,41 @@ def test_euler_value_consistency():
 
 
 def test_lambda_table_matches_reference():
-    # every canonical label with conductor <= 400, plus one past the old 64-bit envelope
+    # every canonical label with conductor <= 400, plus one past the old 64-bit
+    # envelope, under each registry variant: the conjugate prime above p and
+    # the swapped factor D2 = conj(D1)
     labels = labels_up_to_conductor(400) + [FieldLabel(0, 1, 4471123)]
     primes = primes_up_to(500)
     assert 3 in primes
+    family = family_of(labels)
     for mode in (KUMMER, PAPER_LITERAL):
-        table = lambda_table(labels, primes, mode)
-        assert table.shape == (len(labels), len(primes))
-        for label, row in zip(labels, table):
-            want = [lambda_coefficient(p, 1, label, mode) for p in primes]
-            assert row.tolist() == want, (label, mode)
+        for conj in (False, True):
+            for swap in (False, True):
+                table = lambda_table(family, primes, mode, conjugate_prime=conj,
+                                     swap_factors=swap)
+                assert table.shape == (len(labels), len(primes))
+                for label, row in zip(labels, table):
+                    want = [lambda_coefficient(p, 1, label, mode, conjugate_prime=conj,
+                                               swap_factors=swap) for p in primes]
+                    assert row.tolist() == want, (label, mode, conj, swap)
+
+
+def test_lambda_table_blocks_match_one_column_passes(monkeypatch):
+    # a pass of one column is the unblocked kernel; every block size must agree
+    # with it, including blocks that do not divide the column count
+    odd = [p for p in primes_up_to(500) if p != 3]
+    cases = [
+        (audit_corpus(10), primes_up_to(10**4)),  # narrow: blocks of many columns
+        (enumerate_family(10**8), primes_up_to(1585)),  # the X = 1e8 family
+        (labels_up_to_conductor(400), odd[:40] + [3] + odd[40:]),  # p = 3 mid-list
+    ]
+    for mode in (KUMMER, PAPER_LITERAL):
+        for family, primes in cases:
+            monkeypatch.setattr(eisenstein, "_SYMBOLS_PER_PASS", 1)
+            want = lambda_table(family, primes, mode)
+            for cap in (97, 1000, 4096, 1 << 16):
+                monkeypatch.setattr(eisenstein, "_SYMBOLS_PER_PASS", cap)
+                assert np.array_equal(lambda_table(family, primes, mode), want), (mode, cap)
 
 
 def test_lambda_table_at_three_matches_local_cube_test():
@@ -231,5 +264,7 @@ def test_lambda_table_corrupt_registry_raises(monkeypatch):
         return true_prime_above(p)
 
     monkeypatch.setattr("cyclocubic.lfunctions.prime_above", corrupted)
-    with pytest.raises(RuntimeError, match="cube root of unity"):
-        lambda_table(labels_up_to_conductor(200), primes_up_to(50))
+    # wide, and narrow, where p = 13 sits inside a block of many columns
+    for labels in (labels_up_to_conductor(200), [D7]):
+        with pytest.raises(RuntimeError, match="cube root of unity"):
+            lambda_table(labels, primes_up_to(50))

@@ -4,7 +4,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from cyclocubic import cli, fields
+from cyclocubic import cli, fields, verify
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -37,3 +37,23 @@ def test_recorder_counts_the_enumerated_fields(monkeypatch, capsys):
     assert cli.main(["enumerate", "--x", "1000000"]) == cli.EXIT_OK
     assert "# count=67" in capsys.readouterr().out.splitlines()
     assert recorder.enumerated == 67
+
+
+def test_probe_suite_calls_every_traced_verify_function(monkeypatch):
+    # each verify.* layer metric of the audit workload reads the spans of one
+    # function; one the suite stopped calling would read 0 without notice
+    tracing = _load_tracing()
+    names = [function for module, function, _ in tracing.SPAN_METRICS if module == "verify"]
+    assert names
+    called = set()
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    verify.run_probe_suite()
+    assert sorted(set(names) - called) == []

@@ -37,6 +37,7 @@ from cyclocubic.verify import (
     probe_pairs,
     ramification_audit_at_3,
     ramification_audit_suite,
+    run_probe_suite,
     splitting_oracle_probe,
     stable_root_count_mod_3k,
 )
@@ -83,6 +84,19 @@ def test_choice_invariance():
     # differences can only come from split base primes
     for row in report.details:
         assert row["p"] % 3 == 1
+
+
+def test_probe_suite_factors_no_label_per_pair(monkeypatch):
+    # the probes read lambda off exponent tables: labels are factored once per
+    # table or oracle, where a Z[w] product per (label, p) pair made 53,082 calls
+    import cyclocubic.fields as fields_mod
+
+    calls = []
+    real = fields_mod.factorize
+    monkeypatch.setattr(fields_mod, "factorize", lambda n: calls.append(n) or real(n))
+    reports = run_probe_suite()
+    assert [r.status for r in reports if r.status == FAIL] == []
+    assert 0 < len(calls) <= 1000
 
 
 def test_choice_invariance_inert_subset():
