@@ -18,7 +18,6 @@ from cyclocubic.density import (
     reference_statistics,
 )
 from cyclocubic.fields import enumerate_family
-from cyclocubic.lfunctions import KUMMER
 
 X = int(sys.argv[1]) if len(sys.argv) > 1 else 10**8
 BETA = 0.2
@@ -31,7 +30,7 @@ for g in ("U", "Sp", "O", "SOeven", "SOodd"):
 print()
 
 records = enumerate_family(X)
-summary = family_average(records, tf, KUMMER)
+summary = family_average(records, tf)
 refs = reference_statistics(records, tf)
 verdict = classify_symmetry(summary.t_statistic, refs)
 

@@ -38,7 +38,6 @@ from .lfunctions import (
     PAPER_LITERAL,
     RAMIFIED,
     SPLIT,
-    euler_value,
     kummer_symbol,
     lambda_coefficient,
     paper_chi,

@@ -54,7 +54,7 @@ import numpy as np
 
 from ._primes import primes_up_to
 from .fields import Family, FieldLabel, conductor_discriminant, family_of
-from .lfunctions import KUMMER, lambda_table
+from .lfunctions import lambda_table
 
 TWO_PI = 2.0 * math.pi
 KERNELS = ("U", "Sp", "O", "SOeven", "SOodd")
@@ -445,7 +445,7 @@ def _row_fsums(count: int, width: int, keep: Callable, terms: Callable) -> list[
     return sums
 
 
-def prime_sums(family: Family, tf: TestFunctionPair, mode: str = KUMMER) -> list[float]:
+def prime_sums(family: Family, tf: TestFunctionPair) -> list[float]:
     """prime_sum of every row of `family`, from one sieve and one lambda_table.
 
     The kept m = 1 and m = 2 terms of many fields are evaluated in one numpy
@@ -457,7 +457,7 @@ def prime_sums(family: Family, tf: TestFunctionPair, mode: str = KUMMER) -> list
     log_discs = np.array([math.log(f * f) for f in family.conductor.tolist()])
     cuts = tf.beta * log_discs
     primes, pf, logp = _primes_and_logs(math.exp(cuts.max()) + 1)
-    lam = lambda_table(family, primes, mode)
+    lam = lambda_table(family, primes)
     # column j is p^m for the prime primes[col[j]], m = 1 then m = 2; lambda(p) = lambda(p^2)
     col = np.tile(np.arange(len(primes)), 2)
     arg = np.concatenate([m * logp for m in (1, 2)])
@@ -469,7 +469,7 @@ def prime_sums(family: Family, tf: TestFunctionPair, mode: str = KUMMER) -> list
     return [2.0 / log_disc * s for log_disc, s in zip(log_discs.tolist(), sums)]
 
 
-def prime_sum(label: FieldLabel, tf: TestFunctionPair, mode: str = KUMMER) -> float:
+def prime_sum(label: FieldLabel, tf: TestFunctionPair) -> float:
     """(2/log Delta) sum over p^m < Delta^beta, m <= 2, of the lambda terms.
 
     Each term is lambda(p) log(p) / sqrt(p^m) * fhat(log(p^m) / log Delta).
@@ -477,7 +477,7 @@ def prime_sum(label: FieldLabel, tf: TestFunctionPair, mode: str = KUMMER) -> fl
     the value is reproducible bit for bit whatever the order of the terms.
     This is prime_sums for one field.
     """
-    return prime_sums(family_of([label]), tf, mode)[0]
+    return prime_sums(family_of([label]), tf)[0]
 
 
 @dataclass(frozen=True)
@@ -489,12 +489,11 @@ class DensityBreakdown:
     total: float
 
 
-def one_level_density(label: FieldLabel, tf: TestFunctionPair,
-                      mode: str = KUMMER) -> DensityBreakdown:
+def one_level_density(label: FieldLabel, tf: TestFunctionPair) -> DensityBreakdown:
     """Per-field breakdown; total = archimedean - prime_sum + gamma_term."""
     arch = tf.fhat_at_0
     gam = gamma_term(label, tf)
-    ps = prime_sum(label, tf, mode)
+    ps = prime_sum(label, tf)
     return DensityBreakdown(label, arch, gam, ps, arch - ps + gam)
 
 
@@ -518,7 +517,7 @@ def _discriminant_runs(family: Family) -> tuple[np.ndarray, np.ndarray]:
     return firsts, np.diff(np.append(firsts, f.size))
 
 
-def family_average(family: Family, tf: TestFunctionPair, mode: str = KUMMER) -> FamilySummary:
+def family_average(family: Family, tf: TestFunctionPair) -> FamilySummary:
     """Averages over `family`, such as enumerate_family(X).
 
     T, the average prime sum, is the symmetry-discriminating statistic.  The
@@ -534,7 +533,7 @@ def family_average(family: Family, tf: TestFunctionPair, mode: str = KUMMER) -> 
     gammas = np.repeat(gamma_terms([labels[i] for i in firsts.tolist()], tf), lengths)
     arch = tf.fhat_at_0
     rows = tuple(DensityBreakdown(label, arch, gam, ps, arch - ps + gam) for label, gam, ps
-                 in zip(labels, gammas.tolist(), prime_sums(family, tf, mode)))
+                 in zip(labels, gammas.tolist(), prime_sums(family, tf)))
     n = len(rows)
     avg = math.fsum(r.total for r in rows) / n
     t_stat = math.fsum(r.prime_sum for r in rows) / n

@@ -1,17 +1,16 @@
 """Splitting data and logarithmic-derivative coefficients of L_D.
 
 For the cyclic cubic field labeled by D and a prime p != 3, the splitting of
-p is read off a cubic residue symbol at the registry prime P above p.  Two
-character conventions are supported:
+p is read off one character: the cubic residue symbol of D1 * D2^2 at the
+registry prime P above p, the Kummer criterion for the degree-3 extension.
+It agrees with counting roots of the defining cubic mod p and is invariant
+under every registry choice, so it carries an L-function.
 
-* "kummer" (default): the symbol of D1 * D2^2, the honest Kummer criterion
-  for the degree-3 extension; it agrees with counting roots of the defining
-  cubic mod p and is invariant under every registry choice.
-* "paper": the symbol of D1 alone.  This matches the Kummer value through
-  the identity (D2/P) = (D1/P)^2 whenever P is fixed by conjugation
-  (p = 2 mod 3) but can differ at split p, where it also depends on which
-  conjugate generates P.  It is kept because the character-sum experiments
-  are built out of exactly this object.
+The paper's literal chi_p = (D1 / P)_3 ("paper" in the per-pair
+references) matches it through (D2/P) = (D1/P)^2 whenever P is fixed by
+conjugation (p = 2 mod 3), but can differ at split p, where it also
+depends on which conjugate generates P: it is no character of any
+L-function.  It survives only as a registry finding of `verify`.
 
 At p = 3 the symbol degenerates and the splitting is decided by the local
 cube test: with c = D1 * D2^2 coprime to 1-omega, c is a cube in the 3-adic
@@ -34,32 +33,38 @@ Lambda(n) n^-s: 2 at split primes for every m, -1 at inert primes unless
 3 | m (then 2), and 0 at ramified primes.
 
 `lambda_table` gives lambda(p) for a whole family at once from one exact
-exponent table.  The symbol is multiplicative and D1 = lambda^e3 *
-prod_{q | d1} pi_q * prod_{q | d2} pi_q^2, with pi_q the registry generator
-above q and lambda = 1 - omega, while D2 is its conjugate.  So with
-e = e(pi_q / P) and e' = e(conj(pi_q) / P), the exponents of P's symbol for a
-row r (a prime q, or lambda) are
+exponent table, for one character: the cubic symbol of the element
+D1^g * D2^c, named by its exponents (g, c).  The Kummer element is (1, 2),
+the default and the only one `density` reads; D2 in place of D1 swaps the
+exponents to (2, 1), and the paper-literal chi_p is (1, 0), or (0, 1)
+swapped, which only `verify`'s registry findings still read.  The symbol
+is multiplicative and D1 = lambda^e3 * prod_{q | d1} pi_q *
+prod_{q | d2} pi_q^2, with pi_q the registry generator above q and
+lambda = 1 - omega, while D2 is its conjugate.  So with e = e(pi_q / P)
+and e' = e(conj(pi_q) / P), the exponent of P's symbol for a row r
+(a prime q, or lambda) is
 
-    kummer:  k_r = e + 2 e' (mod 3)      paper:  k_r = e
+    k_r = g e + c e'
 
 and a field's symbol is omega^s with s = sum_{q | d1} k_q + 2 sum_{q | d2} k_q
-+ e3 k_lambda (mod 3).  It is zero exactly when a zero entry enters the sum,
-that is when p | D.  The table holds one row per distinct q of the family
-and one for lambda, and one column per prime p.  The column for p = 3 holds
-k_q = b_q/3 (mod 3), so that s = -beta, in both modes, and _ZERO_ENTRY at
-lambda, which the weight e3 turns on exactly when 3 | D.  The other columns
-come from eisenstein.cubic_residue_exponent_blocks, which raises a block
-of primes at once.  The registry variants of `kummer_symbol` apply to the
-whole table: the conjugate prime above every p, or D2 in place of D1, which
-exchanges e and e'.
++ e3 k_lambda (mod 3).  A zero symbol enters k_r as _ZERO_ENTRY before the
+sum, so the field's symbol is zero exactly when a zero entry enters its sum
+with a positive weight; for the Kummer element, exactly when p | D.  The
+table holds one row per distinct q of the family and one for lambda, and
+one column per prime p.  The column for p = 3 holds k_q = b_q/3 (mod 3),
+so that s = -beta, for every (g, c), and _ZERO_ENTRY at lambda, which the
+weight e3 turns on exactly when 3 | D.  The other columns come from
+eisenstein.cubic_residue_exponent_blocks, which raises a block of primes
+at once; `conjugate_prime` takes every symbol at the conjugate of the
+registry prime above p, as in `kummer_symbol`.
 
 `density` and the `verify` probes read lambda off this table, and the
 probes check it against oracles that share none of its arithmetic
 (root counts of the defining cubic, ideal counts, the registry variants).
 `kummer_symbol`, `paper_chi`, `splitting_at_three` (which tests c itself),
 `splitting_type` and `lambda_coefficient` compute the same values one
-(label, p) pair at a time from a Z[omega] product; they are the reference
-the tests compare the table against.
+(label, p) pair at a time from a Z[omega] product, in either convention;
+they are the reference the tests compare the table against.
 """
 
 from __future__ import annotations
@@ -81,7 +86,6 @@ from .eisenstein import (
     prime_above,
 )
 from .fields import Family, FieldLabel, family_of, three_split_factorization
-from ._primes import primes_up_to
 
 KUMMER = "kummer"
 PAPER_LITERAL = "paper"
@@ -191,22 +195,23 @@ def lambda_from_splitting(st: SplittingType, m: int) -> int:
 
 
 # a zero symbol's entry in the exponent table: any sum holding it reaches this
-# bound, while sums of entries 0..2 with weights up to 2 stay far below it
+# bound, while sums of entries 0..6 (g e + c e' with g, c, e, e' <= 2) with
+# weights up to 2 stay far below it
 _ZERO_ENTRY = 1 << 20
 
 
-def _exponent_table(qs: Sequence[int], primes: Sequence[int], mode: str,
-                    conjugate_prime: bool = False, swap_factors: bool = False) -> np.ndarray:
+def _exponent_table(qs: Sequence[int], primes: Sequence[int], element: tuple[int, int],
+                    conjugate_prime: bool = False) -> np.ndarray:
     """k[r, j] of the module docstring: row 0 for lambda, row i + 1 for qs[i].
 
-    Column j belongs to primes[j].  Zero symbols, and the lambda row of the
-    column for p = 3, enter as _ZERO_ENTRY.  The other columns come in
-    blocks from cubic_residue_exponent_blocks, each over the generators and
-    their conjugates at once.  conjugate_prime takes the symbols at the
-    conjugate of each registry prime, and swap_factors exchanges the roles of
-    the generators and their conjugates (D2 in place of D1), as in
-    kummer_symbol.
+    Column j belongs to primes[j], and element = (g, c) names D1^g * D2^c.
+    Zero symbols enter the sum g e + c e' as _ZERO_ENTRY, and so does the
+    lambda row of the column for p = 3.  The other columns come in blocks
+    from cubic_residue_exponent_blocks, each over the generators and their
+    conjugates at once; conjugate_prime takes the symbols at the conjugate
+    of each registry prime, as in kummer_symbol.
     """
+    g, c = element
     gens = np.array([LAMBDA] + [prime_above(q).generator for q in qs], dtype=np.int64)
     both = np.concatenate((gens, conjugate_coefficients(gens)))
     table = np.empty((len(gens), len(primes)), dtype=np.int64)
@@ -221,16 +226,8 @@ def _exponent_table(qs: Sequence[int], primes: Sequence[int], mode: str,
     if conjugate_prime:
         above = [P.conjugate() for P in above]
     for block, exponents in cubic_residue_exponent_blocks(both, above):
-        e, e_conj = np.split(exponents, 2)
-        if swap_factors:
-            e, e_conj = e_conj, e
-        zero = e == EXPONENT_ZERO
-        if mode == KUMMER:
-            zero |= e_conj == EXPONENT_ZERO
-            k = (e + 2 * e_conj) % 3
-        else:
-            k = e
-        table[:, [columns[c] for c in block]] = np.where(zero, _ZERO_ENTRY, k)
+        e, e_conj = np.split(np.where(exponents == EXPONENT_ZERO, _ZERO_ENTRY, exponents), 2)
+        table[:, [columns[i] for i in block]] = g * e + c * e_conj
     return table
 
 
@@ -241,29 +238,30 @@ _ENTRIES_PER_PASS = 1 << 12
 
 
 def lambda_table(family: Family | Sequence[FieldLabel], primes: Sequence[int],
-                 mode: str = KUMMER, *, conjugate_prime: bool = False,
-                 swap_factors: bool = False) -> np.ndarray:
+                 element: tuple[int, int] = (1, 2), *,
+                 conjugate_prime: bool = False) -> np.ndarray:
     """lambda(p) for every row of the family (rows) and every prime in `primes` (columns).
 
-    Equal to lambda_coefficient(p, 1, label, mode, conjugate_prime=...,
-    swap_factors=...) entry by entry, read off one exponent table of the
-    family (see the module docstring) instead of a Z[omega] product and two
-    symbols per pair.  A list of labels becomes a Family first
-    (fields.family_of, which checks each label); a Family's CSR primes
-    name its table rows by one np.searchsorted against the
-    distinct q, so nothing is factored.  The rows of every field (lambda,
-    then its q) are laid end to end with their weights (e3, then 1 for
-    q | d1 and 2 for q | d2); one gather of those table rows, scaled by the
-    weights and summed per field by np.add.reduceat, gives the exponent
-    sums of many fields at once: as many per pass as fit in
-    _ENTRIES_PER_PASS sums.
+    `element` = (g, c) reads the symbol of D1^g * D2^c: the Kummer (1, 2)
+    by default.  Entry by entry this is lambda_coefficient(p, 1, label,
+    conjugate_prime=...) for the Kummer element, with swap_factors=True for
+    (2, 1), and lambda_coefficient's paper mode for (1, 0), or (0, 1) swapped,
+    read off one exponent table of the family (see the module docstring)
+    instead of a Z[omega] product and two symbols per pair.  A list of
+    labels becomes a Family first (fields.family_of, which checks each
+    label); a Family's CSR primes name its table rows by one
+    np.searchsorted against the distinct q, so nothing is factored.  The
+    rows of every field (lambda, then its q) are laid end to end with their
+    weights (e3, then 1 for q | d1 and 2 for q | d2); one gather of those
+    table rows, scaled by the weights and summed per field by
+    np.add.reduceat, gives the exponent sums of many fields at once: as
+    many per pass as fit in _ENTRIES_PER_PASS sums.
     """
-    _check_mode(mode)
     if not isinstance(family, Family):
         family = family_of(family)
     qs = np.sort(family.primes)
     qs = qs[np.diff(qs, prepend=0) != 0]  # np.unique would import numpy.ma, 0.8 MB
-    table = _exponent_table(qs.tolist(), primes, mode, conjugate_prime, swap_factors)
+    table = _exponent_table(qs.tolist(), primes, element, conjugate_prime)
     n, offsets = len(family), family.offsets
     starts = offsets[:-1] + np.arange(n)  # each field's lambda row, then its q
     at_q = np.ones(offsets[-1] + n, dtype=bool)
@@ -283,29 +281,3 @@ def lambda_table(family: Family | Sequence[FieldLabel], primes: Sequence[int],
                             axis=0)
         out[lo:hi] = np.where(s >= _ZERO_ENTRY, 0, np.where(s % 3 == 0, 2, -1))
     return out
-
-
-def local_factor(p: int, s: float, label: FieldLabel, mode: str = KUMMER) -> float:
-    """Euler factor of L_D at p, evaluated at real s."""
-    st = splitting_type(p, label, mode)
-    x = p ** (-s)
-    if st == RAMIFIED:
-        return 1.0
-    if st == SPLIT:
-        return (1.0 - x) ** -2
-    return 1.0 / (1.0 + x + x * x)
-
-
-def euler_value(s: float, label: FieldLabel, p0: int, mode: str = KUMMER) -> float:
-    """Truncated Euler product of L_D(s) over p <= p0.
-
-    Absolutely convergent for s > 1; successive truncations differ by at
-    most about sum_{p > p0} 2 p^-s.
-    """
-    if s < 1.2:
-        raise ValueError("stay at s >= 1.2 for a safe convergence margin")
-    value = 1.0
-    for p in primes_up_to(p0):
-        value *= local_factor(p, s, label, mode)
-    return value
-

@@ -55,15 +55,13 @@ from .fields import (
     family_of,
     labels_up_to_conductor,
     squarefree_3split_with_factors,
+    three_split_factorization,
 )
 from .lfunctions import (
     INERT,
-    KUMMER,
-    PAPER_LITERAL,
     RAMIFIED,
     SPLIT,
     SplittingType,
-    kummer_argument,
     lambda_from_splitting,
     lambda_table,
     splitting_at_three,
@@ -133,7 +131,7 @@ def splitting_oracle_probe(max_conductor: int = 200, max_p: int = 500) -> ProbeR
     labels = labels_up_to_conductor(max_conductor)
     primes = primes_up_to(max_p)
     try:
-        table = lambda_table(labels, primes, KUMMER).tolist()
+        table = lambda_table(labels, primes).tolist()
     except Exception as exc:  # corrupted registry surfaces here
         return ProbeReport("splitting_oracle", FAIL, [{"error": repr(exc)}],
                            {"labels": len(labels), "pairs": 0, "mismatches": 1})
@@ -162,7 +160,9 @@ def splitting_oracle_probe(max_conductor: int = 200, max_p: int = 500) -> ProbeR
 
 # -- registry-choice invariance -------------------------------------------------------
 
-_VARIANTS = ((False, False), (True, False), (False, True), (True, True))
+# (g, c) of the element D1^g * D2^c whose symbol lambda_table reads: the Kummer
+# element, and D1 alone, the paper-literal chi_p = (D1 / P)_3
+_KUMMER_ELEMENT, _PAPER_ELEMENT = (1, 2), (1, 0)
 
 
 def probe_pairs(n_pairs: int) -> list[tuple[FieldLabel, int]]:
@@ -173,10 +173,14 @@ def probe_pairs(n_pairs: int) -> list[tuple[FieldLabel, int]]:
     return [(rng.choice(labels), rng.choice(primes)) for _ in range(n_pairs)]
 
 
-def _variant_tables(family: Family, primes: list[int], mode: str) -> np.ndarray:
-    """lambda_table under each of the four _VARIANTS, stacked along a first axis."""
-    return np.stack([lambda_table(family, primes, mode, conjugate_prime=c, swap_factors=s)
-                     for c, s in _VARIANTS])
+def _variant_tables(family: Family, primes: list[int], element: tuple[int, int]) -> np.ndarray:
+    """lambda_table of `element` under the four registry variants, stacked along a first axis.
+
+    In order: the registry prime above p, then its conjugate, each first with
+    D1 and then with D2 in the role of D1, which reverses (g, c).
+    """
+    return np.stack([lambda_table(family, primes, el, conjugate_prime=conj)
+                     for el in (element, element[::-1]) for conj in (False, True)])
 
 
 def choice_invariance_probe(pairs: list[tuple[FieldLabel, int]]) -> ProbeReport:
@@ -194,8 +198,8 @@ def choice_invariance_probe(pairs: list[tuple[FieldLabel, int]]) -> ProbeReport:
     rows = [row_of[label] for label, _ in pairs]
     cols = [col_of[p] for _, p in pairs]
     family = family_of(labels)
-    kummer, paper = (_variant_tables(family, primes, mode)[:, rows, cols].T.tolist()
-                     for mode in (KUMMER, PAPER_LITERAL))
+    kummer, paper = (_variant_tables(family, primes, element)[:, rows, cols].T.tolist()
+                     for element in (_KUMMER_ELEMENT, _PAPER_ELEMENT))
     kummer_bad = []
     findings = []
     for (label, p), kv, pv in zip(pairs, kummer, paper):
@@ -215,7 +219,7 @@ def choice_invariance_probe(pairs: list[tuple[FieldLabel, int]]) -> ProbeReport:
 def paper_literal_findings(label: FieldLabel, max_p: int) -> list[dict]:
     """Primes p <= max_p where the paper-literal lambda is registry-dependent."""
     primes = [p for p in primes_up_to(max_p) if p != 3]
-    values = _variant_tables(family_of([label]), primes, PAPER_LITERAL)[:, 0].T.tolist()
+    values = _variant_tables(family_of([label]), primes, _PAPER_ELEMENT)[:, 0].T.tolist()
     return [{"p": p, "values": vals, "oracle": polynomial_splitting_oracle(p, label)}
             for p, vals in zip(primes, values) if len(set(vals)) != 1]
 
@@ -260,6 +264,19 @@ def stable_root_count_mod_3k(a_coef: int, b_coef: int) -> int | None:
     return None
 
 
+class _CubeData(NamedTuple):
+    """What both ramification probes read of a label, from one factorization."""
+
+    kummer_argument: EisensteinInteger  # c = D1 * D2^2, as lfunctions.kummer_argument
+    stable_roots: int | None  # stable_root_count_mod_3k of the defining cubic
+
+
+def _cube_data(label: FieldLabel) -> _CubeData:
+    """c and the stable root count of x^3 - 3Ax - B, with (A, B) as defining_polynomial."""
+    d1, d2 = three_split_factorization(label)
+    return _CubeData(d1 * d2 * d2, stable_root_count_mod_3k(label.D, label.D * d1.trace()))
+
+
 def ramification_audit_at_3(label: FieldLabel, k_star: int = 4) -> ProbeReport:
     """Two independent probes of how 3 behaves in the field of `label` (3 not dividing D).
 
@@ -274,9 +291,13 @@ def ramification_audit_at_3(label: FieldLabel, k_star: int = 4) -> ProbeReport:
         return ProbeReport(f"ramification_audit[D={label.D}]", PASS,
                            [{"skipped": "3 divides D; the field is ramified at 3"}],
                            {"skipped": 1})
-    probe_i = cube_solvable_mod_lambda(kummer_argument(label), k_star)
-    a_coef, b_coef = defining_polynomial(label)
-    stable = stable_root_count_mod_3k(a_coef, b_coef)
+    return _audit_at_3(label, k_star, _cube_data(label))
+
+
+def _audit_at_3(label: FieldLabel, k_star: int, data: _CubeData) -> ProbeReport:
+    """ramification_audit_at_3 of a label with 3 not dividing D, given its _cube_data."""
+    probe_i = cube_solvable_mod_lambda(data.kummer_argument, k_star)
+    stable = data.stable_roots
     if stable is None:
         return ProbeReport(f"ramification_audit[D={label.D}]", FAIL,
                            [{"error": "root count did not stabilize"}], {})
@@ -295,18 +316,15 @@ def ramification_audit_at_3(label: FieldLabel, k_star: int = 4) -> ProbeReport:
 
 def calibrate_cube_exponent(labels: list[FieldLabel]) -> int:
     """Smallest modulus exponent k in 3..8 making probe (i) match probe (ii) on the corpus."""
-    targets = {}
-    for label in labels:
-        a_coef, b_coef = defining_polynomial(label)
-        stable = stable_root_count_mod_3k(a_coef, b_coef)
-        targets[label] = stable is not None and stable > 0
+    return _calibrate([_cube_data(label) for label in labels])
+
+
+def _calibrate(corpus: list[_CubeData]) -> int:
+    """calibrate_cube_exponent of the labels with these _cube_data."""
+    targets = [data.stable_roots is not None and data.stable_roots > 0 for data in corpus]
     for k in range(3, 9):
-        ok = True
-        for label in labels:
-            if cube_solvable_mod_lambda(kummer_argument(label), k) != targets[label]:
-                ok = False
-                break
-        if ok:
+        if all(cube_solvable_mod_lambda(data.kummer_argument, k) == target
+               for data, target in zip(corpus, targets)):
             return k
     raise RuntimeError("no exponent in range reconciles the two probes")
 
@@ -318,11 +336,17 @@ def audit_corpus(size: int = 50) -> list[FieldLabel]:
 
 
 def ramification_audit_suite(size: int = 50) -> ProbeReport:
+    """ramification_audit_at_3 of every label of audit_corpus(size) at the calibrated k.
+
+    Each label is factored once for both probes and the calibration; only
+    splitting_at_three, the reference, factors it again.
+    """
     corpus = audit_corpus(size)
-    k_star = calibrate_cube_exponent(corpus)
+    data = [_cube_data(label) for label in corpus]
+    k_star = _calibrate(data)
     findings = []
-    for label in corpus:
-        rep = ramification_audit_at_3(label, k_star)
+    for label, label_data in zip(corpus, data):
+        rep = _audit_at_3(label, k_star, label_data)
         if rep.status == FAIL:
             rep.numbers["k_star"] = k_star
             return rep
@@ -380,7 +404,7 @@ def ideal_count_crosscheck(label: FieldLabel, n_max: int = 10**4) -> ProbeReport
     zeta_pp = np.array([[_zeta_prime_power_coefficient(st, j) for j in range(j_cap + 1)]
                         for st in types], dtype=np.int64)
     l_pp = np.array([_l_prime_power_coefficients(st, j_cap) for st in types], dtype=np.int64)
-    lam = lambda_table([label], primes.tolist(), KUMMER)[0]
+    lam = lambda_table([label], primes.tolist())[0]
     type_of = np.zeros(n_max + 1, dtype=np.intp)  # index into `types` of each prime
     for value, st in _SPLITTING_OF_LAMBDA.items():
         type_of[primes[lam == value]] = types.index(st)

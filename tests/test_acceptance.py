@@ -21,7 +21,6 @@ from cyclocubic.density import (
     reference_statistics,
 )
 from cyclocubic.fields import FieldLabel, enumerate_family
-from cyclocubic.lfunctions import KUMMER, PAPER_LITERAL, lambda_coefficient
 from cyclocubic.verify import (
     FAIL,
     audit_corpus,
@@ -104,7 +103,7 @@ def test_criterion_05_symmetry_discrimination():
         x = 10**8
         tf = fejer_pair(0.2)
         records = enumerate_family(x)
-        summary = family_average(records, tf, KUMMER)
+        summary = family_average(records, tf)
         refs = reference_statistics(records, tf)
         verdict = classify_symmetry(summary.t_statistic, refs)
     assert abs(summary.t_statistic) <= 0.08
@@ -120,7 +119,7 @@ def test_criterion_05_symmetry_discrimination():
 def test_criterion_06_identity_bookkeeping():
     x = 10**6
     tf = fejer_pair(0.2)
-    summary = family_average(enumerate_family(x), tf, KUMMER)
+    summary = family_average(enumerate_family(x), tf)
     worst = max(abs(r.total - (r.archimedean - r.prime_sum + r.gamma_term))
                 for r in summary.breakdowns)
     assert worst < 1e-12

@@ -132,12 +132,15 @@ def test_density_table(tmp_path, capsys):
         assert abs(total - (arch - ps + gam)) < 1e-12
 
 
-def test_density_paper_mode_annotated(tmp_path, capsys):
-    out = tmp_path / "density_paper.csv"
-    code, _, _ = run(["density", "--x", "200000", "--mode", "paper",
-                      "--out", str(out)], capsys)
-    assert code == 0
-    assert "mode=paper" in out.read_text()
+def test_density_has_no_mode_option(capsys):
+    # the one character is the Kummer symbol; the paper-literal chi_p carries no
+    # L-function, so density takes no option that would switch to it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["density", "--x", "1000", "--mode", "paper"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE and out == ""
+    assert err.splitlines()[-1] == "cyclocubic: error: unrecognized arguments: --mode paper"
+    assert "Traceback" not in err
 
 
 def test_density_tiny_beta_zero_prime_sums(tmp_path, capsys):
@@ -214,10 +217,10 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
      "547203777580b4a1a7691d78257f0ea8fa19d27287e281a3e76a8c7513ce8f2c"),
     (["charsum", "--primes", "7,13", "--ymax", "1000"],
      "979875225a0335c8528c91606fff4e6c5b532ecce186059ac3cd2f028a091032"),
-    (["density", "--x", "1000000", "--beta", "0.4", "--mode", "kummer"],
+    (["density", "--x", "1000000", "--beta", "0.4"],
      "9d35ae099c12d95f4e5d802ec1928135b2c167ceff6ff9992b81d7c8f12ff8b5"),
-    (["density", "--x", "1000000", "--beta", "0.4", "--mode", "paper"],
-     "5289d190a4c3765418283dc06883e48c9b33f14ada78d98d538260d151aa82ef"),
+    (["density", "--x", "1000000"],
+     "9786f19c190498f8aff5d7200cf9930d387bb8f1e47972d55ce7ed84641a7fec"),
     (["verify"], "51b5e682d0b96ecf85e3c1ffec1913f95c341f1089c6626b32ad4a806a6a7a45"),
     (["enumerate", "--x", "10000000000"],
      "d3b81d4e4d8576211a824016e4a696097c241257c48ec86d9d3afcfaa397525b"),

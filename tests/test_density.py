@@ -29,7 +29,7 @@ from cyclocubic.density import (
 )
 from cyclocubic.fields import (FieldLabel, conductor_discriminant, enumerate_family,
                                family_of, labels_up_to_conductor)
-from cyclocubic.lfunctions import KUMMER, PAPER_LITERAL, lambda_coefficient
+from cyclocubic.lfunctions import lambda_coefficient
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -221,23 +221,21 @@ def test_gamma_terms_raise_for_a_label_that_does_not_converge():
 
 def test_family_average_rows_match_one_level_density():
     family = enumerate_family(10**6)
-    for mode in (KUMMER, PAPER_LITERAL):
-        for tf in (fejer_pair(0.2), fejer_pair(0.4)):
-            rows = family_average(family, tf, mode).breakdowns
-            assert list(rows) == [one_level_density(label, tf, mode)
-                                  for label in family.labels()]
+    for tf in (fejer_pair(0.2), fejer_pair(0.4)):
+        rows = family_average(family, tf).breakdowns
+        assert list(rows) == [one_level_density(label, tf) for label in family.labels()]
 
 
 def test_prime_sums_match_per_term_reference():
     # the table path reproduces the per-call reference formula bit for bit,
     # for a whole family at once and for one field at a time
-    def reference(label, tf, mode):
+    def reference(label, tf):
         log_disc = math.log(conductor_discriminant(label)[1])
         cut = tf.beta * log_disc
         terms = []
         for p in primes_up_to(int(math.exp(cut)) + 1):
             logp = math.log(p)
-            lam = lambda_coefficient(p, 1, label, mode) if logp < cut else 0
+            lam = lambda_coefficient(p, 1, label) if logp < cut else 0
             for m in (1, 2):
                 if lam and m * logp < cut:
                     fhat = float(tf.fhat(m * logp / log_disc))
@@ -245,17 +243,16 @@ def test_prime_sums_match_per_term_reference():
         return 2.0 / log_disc * math.fsum(terms)
 
     labels = labels_up_to_conductor(200)
-    for mode in (KUMMER, PAPER_LITERAL):
-        for tf in (fejer_pair(0.2), fejer_pair(0.6)):
-            want = [reference(label, tf, mode) for label in labels]
-            assert prime_sums(family_of(labels), tf, mode) == want
-            assert [prime_sum(label, tf, mode) for label in labels[:5]] == want[:5]
+    for tf in (fejer_pair(0.2), fejer_pair(0.6)):
+        want = [reference(label, tf) for label in labels]
+        assert prime_sums(family_of(labels), tf) == want
+        assert [prime_sum(label, tf) for label in labels[:5]] == want[:5]
     assert prime_sums(family_of([]), fejer_pair(0.2)) == []
 
 
 def test_prime_sum_support():
     label = FieldLabel(0, 7, 1)
-    assert prime_sum(label, fejer_pair(0.01), KUMMER) == 0.0  # 49^0.01 < 2
+    assert prime_sum(label, fejer_pair(0.01)) == 0.0  # 49^0.01 < 2
     # widening the support never drops terms: values move monotonically in
     # the count of included prime powers
     tf_small = fejer_pair(0.2)
@@ -264,7 +261,7 @@ def test_prime_sum_support():
     count = lambda beta: sum(1 for p in primes_up_to(100) for m in (1, 2)
                              if m * math.log(p) < beta * math.log(disc))
     assert count(0.4) >= count(0.2)
-    assert prime_sum(label, tf_small, KUMMER) != prime_sum(label, tf_large, KUMMER)
+    assert prime_sum(label, tf_small) != prime_sum(label, tf_large)
 
 
 def test_prime_sum_hand_oracle_d61():
@@ -274,17 +271,17 @@ def test_prime_sum_hand_oracle_d61():
     log_disc = math.log(3721)
     terms = []
     for p, m in ((2, 1), (3, 1), (2, 2), (5, 1)):
-        lam = lambda_coefficient(p, m, label, KUMMER)
+        lam = lambda_coefficient(p, m, label)
         u = m * math.log(p) / log_disc
         terms.append(lam * math.log(p) / math.sqrt(p**m) * float(tf.fhat(u)))
     expected = 2.0 / log_disc * math.fsum(sorted(terms, key=abs))
-    assert prime_sum(label, tf, KUMMER) == pytest.approx(expected, abs=1e-14)
+    assert prime_sum(label, tf) == pytest.approx(expected, abs=1e-14)
 
 
 def test_one_level_density_identity():
     tf = fejer_pair(0.2)
     for label in (FieldLabel(0, 61, 1), FieldLabel(1, 7, 1), FieldLabel(0, 13, 7)):
-        bd = one_level_density(label, tf, KUMMER)
+        bd = one_level_density(label, tf)
         assert bd.archimedean == 5.0
         assert bd.total == pytest.approx(bd.archimedean - bd.prime_sum + bd.gamma_term,
                                          abs=1e-12)
@@ -295,28 +292,28 @@ def test_one_level_density_linear_in_f():
     f1 = fejer_pair(0.2)
     f2 = combine_pairs((1.0, 0.5), (fejer_pair(0.1), fejer_pair(0.2)))
     mix = combine_pairs((0.5, 2.0), (f1, f2))
-    lhs = one_level_density(label, mix, KUMMER).total
-    rhs = (0.5 * one_level_density(label, f1, KUMMER).total
-           + 2.0 * one_level_density(label, f2, KUMMER).total)
+    lhs = one_level_density(label, mix).total
+    rhs = (0.5 * one_level_density(label, f1).total
+           + 2.0 * one_level_density(label, f2).total)
     assert abs(lhs - rhs) < 1e-8
 
 
 def test_family_average_small():
     tf = fejer_pair(0.2)
     family = enumerate_family(2000)
-    fam = family_average(family, tf, KUMMER)
+    fam = family_average(family, tf)
     assert fam.count == 3
     # bookkeeping identity: average - (fhat(0) + mean gamma) + T = 0
     assert fam.average - (5.0 + fam.mean_gamma) + fam.t_statistic == pytest.approx(
         0.0, abs=1e-12)
     # order-independence of the reduction
-    fam2 = family_average(family_of(family.labels()[::-1]), tf, KUMMER)
+    fam2 = family_average(family_of(family.labels()[::-1]), tf)
     assert fam2.average == fam.average or abs(fam2.average - fam.average) < 1e-15
 
 
 def test_family_average_empty():
     with pytest.raises(ValueError):
-        family_average([], fejer_pair(0.2), KUMMER)
+        family_average([], fejer_pair(0.2))
 
 
 def test_reference_statistics_structure():

@@ -1,4 +1,4 @@
-"""Splitting data, lambda coefficients, and Euler products of L_D."""
+"""Splitting data and lambda coefficients of L_D."""
 
 import math
 import random
@@ -23,7 +23,6 @@ from cyclocubic.lfunctions import (
     PAPER_LITERAL,
     RAMIFIED,
     SPLIT,
-    euler_value,
     kummer_symbol,
     lambda_coefficient,
     lambda_from_splitting,
@@ -36,6 +35,11 @@ from cyclocubic.verify import audit_corpus
 
 D7 = FieldLabel(0, 7, 1)
 D3 = FieldLabel(1, 1, 1)
+
+# (g, c) of each element D1^g * D2^c that lambda_table reads, with the
+# (mode, swap_factors) of the per-pair reference that gives the same lambda
+ELEMENTS = {(1, 2): (KUMMER, False), (2, 1): (KUMMER, True),
+            (1, 0): (PAPER_LITERAL, False), (0, 1): (PAPER_LITERAL, True)}
 
 
 def _root_count(p, label):
@@ -168,7 +172,7 @@ def test_kummer_matches_root_counts():
 
 
 def test_euler_value_consistency():
-    # -d/ds log of each local factor equals the lambda series
+    # -d/ds log of each local Euler factor equals the lambda series
     s = 2.0
     for p in (2, 5, 13):
         st = splitting_type(p, D7, KUMMER)
@@ -184,32 +188,23 @@ def test_euler_value_consistency():
             closed = 0.0
         assert abs(series - closed) < 1e-10
 
-    value = euler_value(2.0, D7, 2000)
-    assert value > 0.0
-    # truncation tail at s = 2 is far below 1e-4 between 1e4 and 2e4
-    assert abs(euler_value(2.0, D7, 2 * 10**4) - euler_value(2.0, D7, 10**4)) < 1e-4
-    with pytest.raises(ValueError):
-        euler_value(1.0, D7, 100)
-
 
 def test_lambda_table_matches_reference():
     # every canonical label with conductor <= 400, plus one past the old 64-bit
-    # envelope, under each registry variant: the conjugate prime above p and
-    # the swapped factor D2 = conj(D1)
+    # envelope, for the Kummer and the paper-literal element, each also with
+    # D2 = conj(D1) in the role of D1, and at the conjugate prime above p
     labels = labels_up_to_conductor(400) + [FieldLabel(0, 1, 4471123)]
     primes = primes_up_to(500)
     assert 3 in primes
     family = family_of(labels)
-    for mode in (KUMMER, PAPER_LITERAL):
+    for element, (mode, swap) in ELEMENTS.items():
         for conj in (False, True):
-            for swap in (False, True):
-                table = lambda_table(family, primes, mode, conjugate_prime=conj,
-                                     swap_factors=swap)
-                assert table.shape == (len(labels), len(primes))
-                for label, row in zip(labels, table):
-                    want = [lambda_coefficient(p, 1, label, mode, conjugate_prime=conj,
-                                               swap_factors=swap) for p in primes]
-                    assert row.tolist() == want, (label, mode, conj, swap)
+            table = lambda_table(family, primes, element, conjugate_prime=conj)
+            assert table.shape == (len(labels), len(primes))
+            for label, row in zip(labels, table):
+                want = [lambda_coefficient(p, 1, label, mode, conjugate_prime=conj,
+                                           swap_factors=swap) for p in primes]
+                assert row.tolist() == want, (label, element, conj)
 
 
 def test_lambda_table_blocks_match_one_column_passes(monkeypatch):
@@ -221,13 +216,13 @@ def test_lambda_table_blocks_match_one_column_passes(monkeypatch):
         (enumerate_family(10**8), primes_up_to(1585)),  # the X = 1e8 family
         (labels_up_to_conductor(400), odd[:40] + [3] + odd[40:]),  # p = 3 mid-list
     ]
-    for mode in (KUMMER, PAPER_LITERAL):
+    for element in ((1, 2), (1, 0)):  # Kummer and paper-literal
         for family, primes in cases:
             monkeypatch.setattr(eisenstein, "_SYMBOLS_PER_PASS", 1)
-            want = lambda_table(family, primes, mode)
+            want = lambda_table(family, primes, element)
             for cap in (97, 1000, 4096, 1 << 16):
                 monkeypatch.setattr(eisenstein, "_SYMBOLS_PER_PASS", cap)
-                assert np.array_equal(lambda_table(family, primes, mode), want), (mode, cap)
+                assert np.array_equal(lambda_table(family, primes, element), want), (element, cap)
 
 
 def test_lambda_table_at_three_matches_local_cube_test():
@@ -236,22 +231,22 @@ def test_lambda_table_at_three_matches_local_cube_test():
     labels = labels_up_to_conductor(20000)
     want = [lambda_from_splitting(splitting_at_three(label), 1) for label in labels]
     assert set(want) == {2, -1, 0}
-    for mode in (KUMMER, PAPER_LITERAL):
-        assert lambda_table(labels, [3], mode)[:, 0].tolist() == want, mode
+    for element in ELEMENTS:
+        assert lambda_table(labels, [3], element)[:, 0].tolist() == want, element
 
 
 def test_lambda_table_builds_no_product_per_field(monkeypatch):
     labels = labels_up_to_conductor(400)
     primes = primes_up_to(50)
-    want = {mode: lambda_table(labels, primes, mode) for mode in (KUMMER, PAPER_LITERAL)}
+    want = {element: lambda_table(labels, primes, element) for element in ELEMENTS}
 
     def refuse(*args, **kwargs):
         raise AssertionError("lambda_table built a Z[omega] product for one field")
 
     monkeypatch.setattr("cyclocubic.lfunctions.splitting_at_three", refuse)
     monkeypatch.setattr("cyclocubic.lfunctions.three_split_factorization", refuse)
-    for mode, table in want.items():
-        assert (lambda_table(labels, primes, mode) == table).all(), mode
+    for element, table in want.items():
+        assert (lambda_table(labels, primes, element) == table).all(), element
 
 
 def test_lambda_table_corrupt_registry_raises(monkeypatch):

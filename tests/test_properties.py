@@ -173,7 +173,7 @@ TOKENS = ("nan", "inf", "-1", "", "abc", "0", "1", "2", "7", "0.3", "1e3", "3,7"
 SMALL = ("nan", "-1", "", "abc", "10", "50", "1000", "2000")
 OPTIONS = {
     "enumerate": {"--x": SMALL},
-    "density": {"--x": SMALL, "--beta": TOKENS, "--mode": ("kummer", "paper", "abc", "")},
+    "density": {"--x": SMALL, "--beta": TOKENS},
     "verify": {"--p0": TOKENS, "--ymax": SMALL, "--s": TOKENS},
     "charsum": {"--primes": TOKENS, "--ymax": SMALL},
 }

@@ -14,7 +14,7 @@ from cyclocubic.eisenstein import (
     prime_above,
 )
 from cyclocubic.fields import FieldLabel, squarefree_3split_with_factors
-from cyclocubic.lfunctions import INERT, KUMMER, SPLIT, splitting_type
+from cyclocubic.lfunctions import INERT, SPLIT, splitting_type
 from cyclocubic.verify import (
     FAIL,
     FINDING,
@@ -151,6 +151,27 @@ def test_ramification_audit_fails_on_wrong_splitting_at_three(monkeypatch):
     assert report.status == FAIL
     assert report.details == [{"probe_i": False, "probe_ii": False,
                                "splitting_at_three": SPLIT}]
+
+
+def test_ramification_audit_suite_factors_each_label_twice(monkeypatch):
+    # one factorization per label gives both probes and the calibration their
+    # Kummer argument and cubic, and splitting_at_three, the reference, makes
+    # its own; rebuilt per probe and per tried k they took 502 calls
+    import cyclocubic.fields as fields_mod
+    from cyclocubic.fields import defining_polynomial
+    from cyclocubic.lfunctions import kummer_argument
+    from cyclocubic.verify import _cube_data
+
+    for label in audit_corpus(50):
+        c, stable = _cube_data(label)
+        assert c == kummer_argument(label)
+        assert stable == stable_root_count_mod_3k(*defining_polynomial(label))
+    calls = []
+    real = fields_mod.factorize
+    monkeypatch.setattr(fields_mod, "factorize", lambda n: calls.append(n) or real(n))
+    report = ramification_audit_suite(50)
+    assert report.numbers["k_star"] == 4
+    assert 0 < len(calls) <= 200
 
 
 def test_stable_root_count():
