@@ -38,9 +38,8 @@ from .lfunctions import (
     PAPER_LITERAL,
     RAMIFIED,
     SPLIT,
-    kummer_symbol,
+    character_symbol,
     lambda_coefficient,
-    paper_chi,
     splitting_type,
 )
 from .density import (

@@ -1,20 +1,24 @@
 """Splitting data and logarithmic-derivative coefficients of L_D.
 
-For the cyclic cubic field labeled by D and a prime p != 3, the splitting of
-p is read off one character: the cubic residue symbol of D1 * D2^2 at the
-registry prime P above p, the Kummer criterion for the degree-3 extension.
-It agrees with counting roots of the defining cubic mod p and is invariant
-under every registry choice, so it carries an L-function.
+A character of the cyclic cubic field labeled by D is named by an element
+(g, c): at a prime p != 3 it is the cubic residue symbol of D1^g * D2^c at
+the registry prime P above p (or at its conjugate).  The Kummer element
+KUMMER = (1, 2), D1 * D2^2, is the Kummer criterion for the degree-3
+extension: its symbol decides how p splits, agrees with counting roots of
+the defining cubic mod p, and is invariant under every registry choice
+(D2 in place of D1 reverses it to (2, 1)), so it carries an L-function.
 
-The paper's literal chi_p = (D1 / P)_3 ("paper" in the per-pair
-references) matches it through (D2/P) = (D1/P)^2 whenever P is fixed by
-conjugation (p = 2 mod 3), but can differ at split p, where it also
-depends on which conjugate generates P: it is no character of any
-L-function.  It survives only as a registry finding of `verify`.
+The paper's literal chi_p = (D1 / P)_3 is PAPER_LITERAL = (1, 0), or (0, 1)
+with D2 in place of D1.  It matches the Kummer symbol through
+(D2/P) = (D1/P)^2 whenever P is fixed by conjugation (p = 2 mod 3), but can
+differ at split p, where it also depends on which conjugate generates P: it
+is no character of any L-function.  It survives only as a registry finding
+of `verify`.
 
 At p = 3 the symbol degenerates and the splitting is decided by the local
-cube test: with c = D1 * D2^2 coprime to 1-omega, c is a cube in the 3-adic
-completion iff c = +-1 mod (1-omega)^4 = (9), which is exactly "3 splits".
+cube test, for every element: with c = D1 * D2^2 coprime to 1-omega, c is a
+cube in the 3-adic completion iff c = +-1 mod (1-omega)^4 = (9), which is
+exactly "3 splits".
 The registry generators are primary, pi_q = a + b omega with a = 2 and
 b = 0 (mod 3), so -pi_q = 1 + 3 x_q with x_q = -(a + 1)/3 - (b/3) omega, and
 such factors multiply mod 9 by adding their x mod 3.  With e3 = 0, c is up
@@ -33,12 +37,9 @@ Lambda(n) n^-s: 2 at split primes for every m, -1 at inert primes unless
 3 | m (then 2), and 0 at ramified primes.
 
 `lambda_table` gives lambda(p) for a whole family at once from one exact
-exponent table, for one character: the cubic symbol of the element
-D1^g * D2^c, named by its exponents (g, c).  The Kummer element is (1, 2),
-the default and the only one `density` reads; D2 in place of D1 swaps the
-exponents to (2, 1), and the paper-literal chi_p is (1, 0), or (0, 1)
-swapped, which only `verify`'s registry findings still read.  The symbol
-is multiplicative and D1 = lambda^e3 * prod_{q | d1} pi_q *
+exponent table, for one element (g, c): the Kummer element by default, the
+only one `density` reads; `verify`'s registry findings read the others.
+The symbol is multiplicative and D1 = lambda^e3 * prod_{q | d1} pi_q *
 prod_{q | d2} pi_q^2, with pi_q the registry generator above q and
 lambda = 1 - omega, while D2 is its conjugate.  So with e = e(pi_q / P)
 and e' = e(conj(pi_q) / P), the exponent of P's symbol for a row r
@@ -56,15 +57,15 @@ so that s = -beta, for every (g, c), and _ZERO_ENTRY at lambda, which the
 weight e3 turns on exactly when 3 | D.  The other columns come from
 eisenstein.cubic_residue_exponent_blocks, which raises a block of primes
 at once; `conjugate_prime` takes every symbol at the conjugate of the
-registry prime above p, as in `kummer_symbol`.
+registry prime above p, as in `character_symbol`.
 
 `density` and the `verify` probes read lambda off this table, and the
 probes check it against oracles that share none of its arithmetic
 (root counts of the defining cubic, ideal counts, the registry variants).
-`kummer_symbol`, `paper_chi`, `splitting_at_three` (which tests c itself),
-`splitting_type` and `lambda_coefficient` compute the same values one
-(label, p) pair at a time from a Z[omega] product, in either convention;
-they are the reference the tests compare the table against.
+`character_symbol`, `splitting_at_three` (which tests c itself),
+`splitting_type` and `lambda_coefficient` take the table's arguments and
+compute the same values one (label, p) pair at a time from a Z[omega]
+product; they are the reference the tests compare the table against.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from .eisenstein import (
     LAMBDA,
     CubicSymbol,
     EisensteinInteger,
-    PrimeAbove,
     conjugate_coefficients,
     cubic_residue_exponent_blocks,
     cubic_residue_symbol,
@@ -87,9 +87,10 @@ from .eisenstein import (
 )
 from .fields import Family, FieldLabel, family_of, three_split_factorization
 
-KUMMER = "kummer"
-PAPER_LITERAL = "paper"
-_MODES = (KUMMER, PAPER_LITERAL)
+# (g, c) of the element D1^g * D2^c whose symbol names a character: the
+# Kummer element D1 * D2^2, and D1 alone, the paper-literal chi_p
+KUMMER = (1, 2)
+PAPER_LITERAL = (1, 0)
 
 
 class SplittingType(NamedTuple):
@@ -107,40 +108,23 @@ INERT = SplittingType(1, 3, 1)
 RAMIFIED = SplittingType(3, 1, 1)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
+def character_symbol(p: int, label: FieldLabel, element: tuple[int, int] = KUMMER, *,
+                     conjugate_prime: bool = False) -> CubicSymbol:
+    """(D1^g * D2^c / P)_3 for element = (g, c), at the registry prime P above p.
 
-
-def _prime_and_factor(p: int, label: FieldLabel, conjugate_prime: bool,
-                      swap_factors: bool) -> tuple[PrimeAbove, EisensteinInteger]:
-    """The registry prime P above p and the factor (D1, or D2 when swapped) to symbolize."""
+    `conjugate_prime` takes it at the conjugate of P.  For the Kummer element
+    it is zero exactly when p | D, and the splitting it induces is the same
+    under either prime and with (g, c) reversed, which the verification
+    probes exercise.
+    """
     if p == 3:
         raise ValueError("p = 3 is handled by the local cube test, not the symbol")
     P = prime_above(p)
     if conjugate_prime:
         P = P.conjugate()
-    fact = three_split_factorization(label)
-    return P, fact.d2 if swap_factors else fact.d1
-
-
-def kummer_symbol(p: int, label: FieldLabel, *, conjugate_prime: bool = False,
-                  swap_factors: bool = False) -> CubicSymbol:
-    """(D1 * D2^2 / P)_3; zero exactly when p | D.
-
-    The keyword variants recompute under the conjugate prime above p or with
-    the roles of D1 and D2 exchanged; the splitting they induce is provably
-    identical, which the verification probes exercise.
-    """
-    P, d1 = _prime_and_factor(p, label, conjugate_prime, swap_factors)
-    return cubic_residue_symbol(d1, P) * cubic_residue_symbol(d1.conjugate(), P) ** 2
-
-
-def paper_chi(p: int, label: FieldLabel, *, conjugate_prime: bool = False,
-              swap_factors: bool = False) -> CubicSymbol:
-    """chi_p(D) = (D1 / P)_3, completely multiplicative in 3-split arguments."""
-    P, d1 = _prime_and_factor(p, label, conjugate_prime, swap_factors)
-    return cubic_residue_symbol(d1, P)
+    d1, d2 = three_split_factorization(label)
+    g, c = element
+    return cubic_residue_symbol(d1**g * d2**c, P)
 
 
 def splitting_at_three(label: FieldLabel) -> SplittingType:
@@ -163,25 +147,22 @@ def kummer_argument(label: FieldLabel) -> EisensteinInteger:
     return d1 * d2 * d2
 
 
-def splitting_type(p: int, label: FieldLabel, mode: str = KUMMER, *,
-                   conjugate_prime: bool = False, swap_factors: bool = False) -> SplittingType:
-    _check_mode(mode)
+def splitting_type(p: int, label: FieldLabel, element: tuple[int, int] = KUMMER, *,
+                   conjugate_prime: bool = False) -> SplittingType:
     if p == 3:
         return splitting_at_three(label)
-    symbol_fn = kummer_symbol if mode == KUMMER else paper_chi
-    s = symbol_fn(p, label, conjugate_prime=conjugate_prime, swap_factors=swap_factors)
+    s = character_symbol(p, label, element, conjugate_prime=conjugate_prime)
     if s.is_zero:
         return RAMIFIED
     return SPLIT if s.is_one else INERT
 
 
-def lambda_coefficient(p: int, m: int, label: FieldLabel, mode: str = KUMMER, *,
-                       conjugate_prime: bool = False, swap_factors: bool = False) -> int:
+def lambda_coefficient(p: int, m: int, label: FieldLabel, element: tuple[int, int] = KUMMER, *,
+                       conjugate_prime: bool = False) -> int:
     """lambda_D(p^m) in {-1, 0, 2}; lambda(p) = lambda(p^2) always."""
     if m < 1:
         raise ValueError("prime-power exponent must be >= 1")
-    st = splitting_type(p, label, mode,
-                        conjugate_prime=conjugate_prime, swap_factors=swap_factors)
+    st = splitting_type(p, label, element, conjugate_prime=conjugate_prime)
     return lambda_from_splitting(st, m)
 
 
@@ -209,7 +190,7 @@ def _exponent_table(qs: Sequence[int], primes: Sequence[int], element: tuple[int
     lambda row of the column for p = 3.  The other columns come in blocks
     from cubic_residue_exponent_blocks, each over the generators and their
     conjugates at once; conjugate_prime takes the symbols at the conjugate
-    of each registry prime, as in kummer_symbol.
+    of each registry prime, as in character_symbol.
     """
     g, c = element
     gens = np.array([LAMBDA] + [prime_above(q).generator for q in qs], dtype=np.int64)
@@ -238,18 +219,16 @@ _ENTRIES_PER_PASS = 1 << 12
 
 
 def lambda_table(family: Family | Sequence[FieldLabel], primes: Sequence[int],
-                 element: tuple[int, int] = (1, 2), *,
+                 element: tuple[int, int] = KUMMER, *,
                  conjugate_prime: bool = False) -> np.ndarray:
     """lambda(p) for every row of the family (rows) and every prime in `primes` (columns).
 
     `element` = (g, c) reads the symbol of D1^g * D2^c: the Kummer (1, 2)
     by default.  Entry by entry this is lambda_coefficient(p, 1, label,
-    conjugate_prime=...) for the Kummer element, with swap_factors=True for
-    (2, 1), and lambda_coefficient's paper mode for (1, 0), or (0, 1) swapped,
-    read off one exponent table of the family (see the module docstring)
-    instead of a Z[omega] product and two symbols per pair.  A list of
-    labels becomes a Family first (fields.family_of, which checks each
-    label); a Family's CSR primes name its table rows by one
+    element, conjugate_prime=...), read off one exponent table of the
+    family (see the module docstring) instead of a Z[omega] product per
+    pair.  A list of labels becomes a Family first (fields.family_of, which
+    checks each label); a Family's CSR primes name its table rows by one
     np.searchsorted against the distinct q, so nothing is factored.  The
     rows of every field (lambda, then its q) are laid end to end with their
     weights (e3, then 1 for q | d1 and 2 for q | d2); one gather of those

@@ -11,17 +11,24 @@ Four kinds of check live here:
 * the generating-series comparison, which measures rather than asserts the
   square-root identity relating S_p's Dirichlet series to Hecke L-functions.
 
+A character is named as in lfunctions, by the element (g, c) whose symbol
+(D1^g * D2^c / P)_3 it is: KUMMER = (1, 2) is the one `density` uses, and
+PAPER_LITERAL = (1, 0) is the paper's literal chi_p.  The four registry
+variants of either take P above p or its conjugate, each with (g, c) or
+with (g, c) reversed (D2 in the role of D1).
+
 The hard oracles check the character data that `density` uses, the
 exponent table of lfunctions.lambda_table, against computations that share
 none of its arithmetic: each probe reads lambda for all its (label, p)
 pairs off one table (per registry variant), so no Z[omega] product is
-built per pair.  The per-call functions of lfunctions (splitting_type,
-lambda_coefficient) are the reference the tests hold the table to.
+built per pair.  The per-call functions of lfunctions (character_symbol,
+splitting_type, lambda_coefficient) take the table's arguments and are the
+reference the tests hold the table to.
 
 Probes return ProbeReports.  A report Fails only when an asserted invariant
-breaks; exploratory discrepancies (character conventions that genuinely
-depend on registry choices, series gaps at split base primes) are recorded
-as Findings and never fail a run.
+breaks; exploratory discrepancies (the paper-literal lambda, which genuinely
+depends on registry choices, and series gaps at split base primes) are
+recorded as Findings and never fail a run.
 """
 
 from __future__ import annotations
@@ -59,6 +66,8 @@ from .fields import (
 )
 from .lfunctions import (
     INERT,
+    KUMMER,
+    PAPER_LITERAL,
     RAMIFIED,
     SPLIT,
     SplittingType,
@@ -160,11 +169,6 @@ def splitting_oracle_probe(max_conductor: int = 200, max_p: int = 500) -> ProbeR
 
 # -- registry-choice invariance -------------------------------------------------------
 
-# (g, c) of the element D1^g * D2^c whose symbol lambda_table reads: the Kummer
-# element, and D1 alone, the paper-literal chi_p = (D1 / P)_3
-_KUMMER_ELEMENT, _PAPER_ELEMENT = (1, 2), (1, 0)
-
-
 def probe_pairs(n_pairs: int) -> list[tuple[FieldLabel, int]]:
     """Deterministic sample of (label with conductor <= 400, p != 3 below 500) pairs."""
     labels = labels_up_to_conductor(400)
@@ -199,7 +203,7 @@ def choice_invariance_probe(pairs: list[tuple[FieldLabel, int]]) -> ProbeReport:
     cols = [col_of[p] for _, p in pairs]
     family = family_of(labels)
     kummer, paper = (_variant_tables(family, primes, element)[:, rows, cols].T.tolist()
-                     for element in (_KUMMER_ELEMENT, _PAPER_ELEMENT))
+                     for element in (KUMMER, PAPER_LITERAL))
     kummer_bad = []
     findings = []
     for (label, p), kv, pv in zip(pairs, kummer, paper):
@@ -219,7 +223,7 @@ def choice_invariance_probe(pairs: list[tuple[FieldLabel, int]]) -> ProbeReport:
 def paper_literal_findings(label: FieldLabel, max_p: int) -> list[dict]:
     """Primes p <= max_p where the paper-literal lambda is registry-dependent."""
     primes = [p for p in primes_up_to(max_p) if p != 3]
-    values = _variant_tables(family_of([label]), primes, _PAPER_ELEMENT)[:, 0].T.tolist()
+    values = _variant_tables(family_of([label]), primes, PAPER_LITERAL)[:, 0].T.tolist()
     return [{"p": p, "values": vals, "oracle": polynomial_splitting_oracle(p, label)}
             for p, vals in zip(primes, values) if len(set(vals)) != 1]
 
@@ -506,7 +510,10 @@ def char_sum(p: int, y: int, *, conjugate_prime: bool = False) -> CharSumValue:
     Z[omega] from symbol exponents.  `conjugate_prime` flips every registry
     choice at once (the prime above p together with the factor generators);
     since (sigma(x) / sigma(P)) is the square of (x / P), that conjugates
-    each term and hence the exact value of the sum.
+    each term and hence the exact value of the sum.  The terms of (d1, d2)
+    and (d2, d1) are conjugate, so the value is a rational integer, and the
+    `charsum_conjugation` probe (conjugate registry against conjugate value)
+    therefore checks that the sum is invariant under the conjugate registry.
     """
     return char_sums(p, [y], conjugate_prime=conjugate_prime)[0]
 

@@ -23,11 +23,10 @@ from cyclocubic.lfunctions import (
     PAPER_LITERAL,
     RAMIFIED,
     SPLIT,
-    kummer_symbol,
+    character_symbol,
     lambda_coefficient,
     lambda_from_splitting,
     lambda_table,
-    paper_chi,
     splitting_at_three,
     splitting_type,
 )
@@ -36,10 +35,9 @@ from cyclocubic.verify import audit_corpus
 D7 = FieldLabel(0, 7, 1)
 D3 = FieldLabel(1, 1, 1)
 
-# (g, c) of each element D1^g * D2^c that lambda_table reads, with the
-# (mode, swap_factors) of the per-pair reference that gives the same lambda
-ELEMENTS = {(1, 2): (KUMMER, False), (2, 1): (KUMMER, True),
-            (1, 0): (PAPER_LITERAL, False), (0, 1): (PAPER_LITERAL, True)}
+# (g, c) of each element D1^g * D2^c that names a character: Kummer and
+# paper-literal, each also with D2 = conj(D1) in the role of D1
+ELEMENTS = (KUMMER, KUMMER[::-1], PAPER_LITERAL, PAPER_LITERAL[::-1])
 
 
 def _root_count(p, label):
@@ -50,31 +48,31 @@ def _root_count(p, label):
 def test_kummer_symbol_values():
     # registry reduction omega -> 9 mod 13 sends D1*D2^2 = -7 - 21w to -1,
     # whose fourth power is 1: 13 splits; the cubic indeed has roots mod 13
-    assert kummer_symbol(13, D7) == SYMBOL_ONE
+    assert character_symbol(13, D7, KUMMER) == SYMBOL_ONE
     assert _root_count(13, D7) == 3
-    assert kummer_symbol(7, D7) == SYMBOL_ZERO  # 7 | D
+    assert character_symbol(7, D7, KUMMER) == SYMBOL_ZERO  # 7 | D
     # x^3 - 9x - 9 has the root 1 mod 17; a Galois cubic then splits
-    assert kummer_symbol(17, D3) == SYMBOL_ONE
+    assert character_symbol(17, D3, KUMMER) == SYMBOL_ONE
     assert _root_count(17, D3) == 3
-    with pytest.raises(ValueError):
-        kummer_symbol(3, D7)
+    with pytest.raises(ValueError, match="local cube test"):
+        character_symbol(3, D7, KUMMER)
 
 
 def test_paper_chi_values():
     # (D1 / P13): D1 = 2 + 3w maps to 3, and 3^4 = 81 = 3 = omega^2 mod 13
-    assert paper_chi(13, D7) == SYMBOL_OMEGA2
+    assert character_symbol(13, D7, PAPER_LITERAL) == SYMBOL_OMEGA2
     # D = 49 carries the squared factorization, so the symbol squares
-    assert paper_chi(13, FieldLabel(0, 1, 7)) == SYMBOL_OMEGA
+    assert character_symbol(13, FieldLabel(0, 1, 7), PAPER_LITERAL) == SYMBOL_OMEGA
     for p in (7, 13):
-        assert paper_chi(p, FieldLabel(0, p, 1)) == SYMBOL_ZERO
+        assert character_symbol(p, FieldLabel(0, p, 1), PAPER_LITERAL) == SYMBOL_ZERO
 
 
 def test_paper_chi_multiplicative():
     # chi_p(D * D') = chi_p(D) chi_p(D') on coprime 3-split labels
     for p in (13, 31, 5, 11):
-        a = paper_chi(p, FieldLabel(0, 7, 1))
-        b = paper_chi(p, FieldLabel(0, 19, 1))
-        ab = paper_chi(p, FieldLabel(0, 7 * 19, 1))
+        a = character_symbol(p, FieldLabel(0, 7, 1), PAPER_LITERAL)
+        b = character_symbol(p, FieldLabel(0, 19, 1), PAPER_LITERAL)
+        ab = character_symbol(p, FieldLabel(0, 7 * 19, 1), PAPER_LITERAL)
         assert ab == a * b
 
 
@@ -88,7 +86,7 @@ def test_splitting_type_examples():
 
 
 def test_splitting_at_three():
-    # 3 | D: ramified, in both modes
+    # 3 | D: ramified, for either element
     assert splitting_type(3, FieldLabel(1, 7, 1), KUMMER) == RAMIFIED
     assert splitting_type(3, FieldLabel(1, 7, 1), PAPER_LITERAL) == RAMIFIED
     # 3 coprime to D: the local cube test decides; for D = 7 the Kummer
@@ -121,23 +119,23 @@ def test_lambda_values():
     assert lambda_coefficient(5, 2, D7, KUMMER) == -1
     assert lambda_coefficient(5, 3, D7, KUMMER) == 2
     assert lambda_coefficient(7, 5, D7, KUMMER) == 0  # ramified
-    with pytest.raises(ValueError):
-        lambda_coefficient(5, 0, D7, KUMMER)
+    with pytest.raises(ValueError, match="prime-power exponent"):
+        lambda_coefficient(5, 0, D7)
 
 
 def test_lambda_value_set_and_square_identity():
     labels = labels_up_to_conductor(150)
     for label in labels:
         for p in primes_up_to(60):
-            for mode in (KUMMER, PAPER_LITERAL):
-                v1 = lambda_coefficient(p, 1, label, mode)
-                v2 = lambda_coefficient(p, 2, label, mode)
+            for element in (KUMMER, PAPER_LITERAL):
+                v1 = lambda_coefficient(p, 1, label, element)
+                v2 = lambda_coefficient(p, 2, label, element)
                 assert v1 == v2
                 assert v1 in (-1, 0, 2)
 
 
 def test_mode_agreement_at_inert_base_primes():
-    # sigma-stable primes make (D2/P) = (D1/P)^2 a theorem, so the modes
+    # sigma-stable primes make (D2/P) = (D1/P)^2 a theorem, so the elements
     # always agree for p = 2 mod 3
     labels = labels_up_to_conductor(300)[:50]
     inert_ps = [p for p in primes_up_to(500) if p % 3 == 2]
@@ -155,9 +153,8 @@ def test_kummer_registry_invariance():
         label, p = rng.choice(labels), rng.choice(primes)
         base = splitting_type(p, label, KUMMER)
         for conj in (False, True):
-            for swap in (False, True):
-                assert splitting_type(p, label, KUMMER,
-                                      conjugate_prime=conj, swap_factors=swap) == base
+            for element in (KUMMER, KUMMER[::-1]):
+                assert splitting_type(p, label, element, conjugate_prime=conj) == base
 
 
 def test_kummer_matches_root_counts():
@@ -197,13 +194,13 @@ def test_lambda_table_matches_reference():
     primes = primes_up_to(500)
     assert 3 in primes
     family = family_of(labels)
-    for element, (mode, swap) in ELEMENTS.items():
+    for element in ELEMENTS:
         for conj in (False, True):
             table = lambda_table(family, primes, element, conjugate_prime=conj)
             assert table.shape == (len(labels), len(primes))
             for label, row in zip(labels, table):
-                want = [lambda_coefficient(p, 1, label, mode, conjugate_prime=conj,
-                                           swap_factors=swap) for p in primes]
+                want = [lambda_coefficient(p, 1, label, element, conjugate_prime=conj)
+                        for p in primes]
                 assert row.tolist() == want, (label, element, conj)
 
 
@@ -216,7 +213,7 @@ def test_lambda_table_blocks_match_one_column_passes(monkeypatch):
         (enumerate_family(10**8), primes_up_to(1585)),  # the X = 1e8 family
         (labels_up_to_conductor(400), odd[:40] + [3] + odd[40:]),  # p = 3 mid-list
     ]
-    for element in ((1, 2), (1, 0)):  # Kummer and paper-literal
+    for element in (KUMMER, PAPER_LITERAL):
         for family, primes in cases:
             monkeypatch.setattr(eisenstein, "_SYMBOLS_PER_PASS", 1)
             want = lambda_table(family, primes, element)

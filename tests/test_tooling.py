@@ -2,9 +2,10 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
-from cyclocubic import cli, fields, verify
+from cyclocubic import cli, fields, lfunctions, verify
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -25,6 +26,19 @@ def test_traced_functions_exist():
                if not callable(getattr(importlib.import_module(f"cyclocubic.{module}"),
                                        function, None))]
     assert missing == []
+
+
+def test_character_functions_name_a_character_alike():
+    # the table and the per-pair references it is checked against name a
+    # character by the same two arguments, with the same defaults
+    functions = (lfunctions.lambda_table, lfunctions.character_symbol,
+                 lfunctions.splitting_type, lfunctions.lambda_coefficient)
+    for name, default in (("element", lfunctions.KUMMER), ("conjugate_prime", False)):
+        params = [inspect.signature(f).parameters.get(name) for f in functions]
+        assert None not in params, name
+        assert [p.default for p in params] == [default] * len(functions), name
+    assert all(inspect.signature(f).parameters["conjugate_prime"].kind
+               == inspect.Parameter.KEYWORD_ONLY for f in functions)
 
 
 def test_recorder_counts_the_enumerated_fields(monkeypatch, capsys):

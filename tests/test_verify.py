@@ -276,6 +276,8 @@ def test_char_sum_matches_term_by_term_sum():
         for y in (0, 1, 10, 49, 300):
             cs = char_sum(p, y)
             assert (cs.value, cs.pairs) == _char_sum_term_by_term(p, y), (p, y)
+            # (d1, d2) and (d2, d1) have conjugate terms: S_p(Y) is rational
+            assert cs.value.b == 0, (p, y)
 
 
 def test_char_sum_grid_equals_per_y_char_sum():
