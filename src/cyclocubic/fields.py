@@ -175,8 +175,8 @@ _ROWS_PER_PASS = 1 << 12  # rows per conversion to Python ints in Family.rows
 _LAMBDA_POWERS = ((1, 0), (1, -1), (0, -3))  # (1 - omega)^e3 as (a, b)
 
 
-def _squarefree_3split_columns(lo: int, hi: int,
-                               spf: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def squarefree_3split_columns(lo: int, hi: int,
+                              spf: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """{k: (n, primes)} for the squarefree n in [lo, hi] made of k primes = 1 (mod 3).
 
     n ascends and primes[i] holds the k primes of n[i], ascending; n = 1 is
@@ -228,7 +228,7 @@ def _canonical_label_columns(f_lo: int, f_hi: int) -> list[_LabelColumns]:
     spf = smallest_factor_sieve(f_hi)
     out = []
     for scale in (1, 9):
-        window = _squarefree_3split_columns(-(-f_lo // scale), f_hi // scale, spf)
+        window = squarefree_3split_columns(-(-f_lo // scale), f_hi // scale, spf)
         for k, (n, primes) in window.items():
             # row i * 2^k + m splits n[i] by the mask m: bit j puts prime j into d1
             rows = np.repeat(np.arange(n.size), 1 << k)
@@ -408,18 +408,6 @@ def labels_up_to_conductor(f_max: int) -> list[FieldLabel]:
         return []
     e3, d1, d2, *_ = _conductor_order(groups)
     return list(map(FieldLabel, e3.tolist(), d1.tolist(), d2.tolist()))
-
-
-def squarefree_3split_with_factors(lo: int, hi: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(n, prime factors) for squarefree n in [lo, hi] with all factors = 1 mod 3.
-
-    Includes n = 1 when lo <= 1 <= hi.  Ascending in n.
-    """
-    columns = _squarefree_3split_columns(lo, hi, smallest_factor_sieve(hi))
-    out = [pair for ns, primes in columns.values()
-           for pair in zip(ns.tolist(), map(tuple, primes.tolist()))]
-    out.sort()
-    return out
 
 
 # -- catalog serialization ------------------------------------------------------

@@ -7,7 +7,9 @@ Four kinds of check live here:
   invariance of the Kummer criterion);
 * the 3-adic ramification audit, two independent probes of how 3 behaves
   in the literal Kummer construction;
-* cancellation experiments (the character pair-sums S_p(Y));
+* cancellation experiments (the character pair-sums S_p(Y), partial sums
+  of the multiplicative h(n) = prod_{q | n} (chi_p(q) + chi_p(q)^2), so
+  rational integers by construction);
 * the generating-series comparison, which measures rather than asserts the
   square-root identity relating S_p's Dirichlet series to Hecke L-functions.
 
@@ -61,7 +63,7 @@ from .fields import (
     defining_polynomial,
     family_of,
     labels_up_to_conductor,
-    squarefree_3split_with_factors,
+    squarefree_3split_columns,
     three_split_factorization,
 )
 from .lfunctions import (
@@ -459,46 +461,39 @@ class CharSumValue:
 
 def char_sums(p: int, y_values: Sequence[int], *,
               conjugate_prime: bool = False) -> list[CharSumValue]:
-    """S_p(Y) for every Y in `y_values`, from one pass over the pairs up to the largest.
+    """S_p(Y) for every Y in `y_values`, from one sieve up to the largest.
 
-    Each pair (d1, d2) with d1 * d2 <= max(Y) is visited once, and its
-    product d1 * d2 is filed under the exponent of its term, or as a zero
-    term; every S_p(Y) is then read off exact counts of the products <= Y.
+    The 2^k splittings n = d1 * d2 of a squarefree 3-split n with k primes
+    multiply out: their terms sum to the product over q | n of
+    chi_p(q) + chi_p(q)^2 = lambda_p(q), which is 2, -1 or 0 as chi_p(q) is
+    1, a primitive cube root of unity or 0.  So S_p(Y) is the sum over
+    n <= Y of the multiplicative h(n) = prod lambda_p(q), and the pair count
+    the sum of 2^k; both are read off cumulative sums over n ascending.
     """
     if p == 3:
         raise ValueError("chi_p is not defined at p = 3")
     P = prime_above(p)
     if conjugate_prime:
         P = P.conjugate()
-    y_top = max(0, *y_values)
+    y_top = max([1, *y_values])  # n = 1 is always a row
     qs, gens = registry_table(y_top)  # every q of every squarefree 3-split n <= y_top
     if conjugate_prime:
         gens = conjugate_coefficients(gens)
-    exponent = dict(zip(qs.tolist(), cubic_residue_exponents(gens, P).tolist()))
-    numbers = []  # (n, exponent of chi_p(n), or None when p | n)
-    for n, fac in squarefree_3split_with_factors(1, y_top):
-        e = 0
-        for q in fac:
-            if exponent[q] == EXPONENT_ZERO:
-                e = None
-                break
-            e += exponent[q]
-        numbers.append((n, e))
-    terms: tuple[list[int], ...] = ([], [], [], [])  # d1 * d2 by exponent k, k = 3: zero term
-    for d1, e1 in numbers:
-        max_d2 = y_top // d1
-        for d2, e2 in numbers:
-            if d2 > max_d2:
-                break
-            if math.gcd(d1, d2) != 1:
-                continue
-            terms[3 if e1 is None or e2 is None else (e1 + 2 * e2) % 3].append(d1 * d2)
-    ordered = [np.sort(np.array(m, dtype=np.int64)) for m in terms]
+    exponents = cubic_residue_exponents(gens, P)
+    lam = np.where(exponents == EXPONENT_ZERO, 0, np.where(exponents == 0, 2, -1))
+    columns = squarefree_3split_columns(1, y_top, smallest_factor_sieve(y_top))
+    rows = [(ns, lam[np.searchsorted(qs, primes)].prod(axis=1), np.full(ns.size, 1 << k))
+            for k, (ns, primes) in columns.items()]  # n, h(n) and its 2^k splittings
+    n, h, splittings = map(np.concatenate, zip(*rows))
+    order = np.argsort(n)
+    n = n[order]
+    h_sums = np.concatenate(([0], np.cumsum(h[order])))
+    pair_counts = np.concatenate(([0], np.cumsum(splittings[order])))
     out = []
     for y in y_values:
-        c0, c1, c2, zero = (int(np.searchsorted(m, y, side="right")) for m in ordered)
-        value = EisensteinInteger(c0 - c2, c1 - c2)
-        out.append(CharSumValue(value, math.sqrt(value.norm()), c0 + c1 + c2 + zero))
+        i = int(np.searchsorted(n, y, side="right"))
+        value = EisensteinInteger(int(h_sums[i]), 0)
+        out.append(CharSumValue(value, math.sqrt(value.norm()), int(pair_counts[i])))
     return out
 
 
@@ -506,14 +501,16 @@ def char_sum(p: int, y: int, *, conjugate_prime: bool = False) -> CharSumValue:
     """S_p(Y): sum of chi_p(d1 * d2^2) over coprime squarefree 3-split pairs.
 
     Pairs (d1, d2) run over d1 * d2 <= Y with both parts coprime to 3 and to
-    each other, the pair (1, 1) included.  The sum is assembled exactly in
-    Z[omega] from symbol exponents.  `conjugate_prime` flips every registry
-    choice at once (the prime above p together with the factor generators);
-    since (sigma(x) / sigma(P)) is the square of (x / P), that conjugates
-    each term and hence the exact value of the sum.  The terms of (d1, d2)
-    and (d2, d1) are conjugate, so the value is a rational integer, and the
-    `charsum_conjugation` probe (conjugate registry against conjugate value)
-    therefore checks that the sum is invariant under the conjugate registry.
+    each other, the pair (1, 1) included.  The sum over the splittings of
+    each n = d1 * d2 is the product of lambda_p(q) = chi_p(q) + chi_p(q)^2
+    over q | n (see char_sums), so S_p(Y) is the sum of a multiplicative
+    function with values 2, -1 and 0 at primes: a rational integer by
+    construction.  `conjugate_prime` flips every registry choice at once
+    (the prime above p together with the factor generators); since
+    (sigma(x) / sigma(P)) is the square of (x / P), that conjugates each
+    term, so the `charsum_conjugation` probe (conjugate registry against
+    conjugate value) checks that S_p is the same under the conjugate
+    registry.
     """
     return char_sums(p, [y], conjugate_prime=conjugate_prime)[0]
 

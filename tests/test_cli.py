@@ -228,6 +228,8 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
      "8eb939093da3afd710ecff78f1a0f86cf53ddfe8d59d2eadcc8199ea89150eb9"),
     (["density", "--x", "10000000000", "--beta", "0.2"],
      "99c862047f205b027ac36807ced618108e8de0977e489feefb004f0dc9c2b2f6"),
+    (["charsum", "--primes", "7,13,31", "--ymax", "100000"],
+     "85fc1cb22a76242c6ab9d36bd29c8bab12ec2aa17f92275472fb6e238f1fd1ec"),
 ])
 def test_golden_outputs(tmp_path, capsys, argv, sha256):
     # pinned bytes: refactors must leave these outputs identical

@@ -27,7 +27,7 @@ from cyclocubic.fields import (
     partner,
     record_from_line,
     record_to_line,
-    squarefree_3split_with_factors,
+    squarefree_3split_columns,
     three_split_factorization,
 )
 
@@ -255,7 +255,7 @@ def test_enumerate_family_window_edges_match_brute_force(f, edge, inside):
     assert records == [make_record(label) for label in expected]
 
 
-def test_squarefree_3split_with_factors_match_factorize():
+def test_squarefree_3split_columns_match_factorize():
     def brute_force(lo, hi):
         out = []
         for n in range(max(lo, 1), hi + 1):
@@ -265,7 +265,12 @@ def test_squarefree_3split_with_factors_match_factorize():
         return out
 
     for lo, hi in ((1, 10**5), (0, 1), (2, 1), (2, 100), (90_000, 100_000), (91, 91)):
-        assert squarefree_3split_with_factors(lo, hi) == brute_force(lo, hi)
+        columns = squarefree_3split_columns(lo, hi, smallest_factor_sieve(hi))
+        found = []
+        for k, (ns, primes) in columns.items():  # k primes per row, n ascending
+            assert primes.shape == (ns.size, k) and np.all(np.diff(ns) > 0)
+            found += zip(ns.tolist(), map(tuple, primes.tolist()))
+        assert sorted(found) == brute_force(lo, hi)
 
 
 def test_smallest_factor_sieve_matches_trial_division():

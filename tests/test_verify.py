@@ -5,7 +5,7 @@ import math
 import pytest
 
 import cyclocubic.eisenstein as eisenstein
-from cyclocubic._primes import primes_up_to
+from cyclocubic._primes import factorize, primes_up_to
 from cyclocubic.eisenstein import (
     LAMBDA,
     EisensteinInteger,
@@ -13,7 +13,7 @@ from cyclocubic.eisenstein import (
     cubic_residue_symbol,
     prime_above,
 )
-from cyclocubic.fields import FieldLabel, squarefree_3split_with_factors
+from cyclocubic.fields import FieldLabel
 from cyclocubic.lfunctions import INERT, SPLIT, splitting_type
 from cyclocubic.verify import (
     FAIL,
@@ -23,6 +23,7 @@ from cyclocubic.verify import (
     calibrate_cube_exponent,
     char_sum,
     char_sum_grid,
+    char_sums,
     charsum_decade_envelope,
     choice_invariance_probe,
     cube_solvable_mod_lambda,
@@ -226,6 +227,7 @@ def test_char_sum_values():
         assert char_sum(p, 1).value == EisensteinInteger(1, 0)
     with pytest.raises(ValueError):
         char_sum(3, 10)
+    assert char_sums(7, []) == []  # no Y, no sums
 
 
 def test_char_sum_conjugation():
@@ -242,6 +244,7 @@ def test_char_sum_envelope_trend():
     for p in (7, 13, 31):
         env = charsum_decade_envelope(p, 10**5)
         assert env[3] >= env[4]
+    assert charsum_decade_envelope(7, 10) == {}  # an empty grid: no decade
 
 
 def test_char_sum_exponent_bound():
@@ -251,20 +254,38 @@ def test_char_sum_exponent_bound():
         assert exponent <= 1.1
 
 
-def _char_sum_term_by_term(p: int, y: int) -> tuple[EisensteinInteger, int]:
-    """S_p(y) and its pair count, one scalar symbol of the Z[w] product D1 * D2^2 per pair."""
+def _char_sum_term_by_term(p: int, y: int,
+                           conjugate_prime: bool = False) -> tuple[EisensteinInteger, int]:
+    """S_p(y) and its pair count, one scalar symbol of the Z[w] product D1 * D2^2 per pair.
+
+    The squarefree 3-split n <= y come from factorize, and every pair
+    (d1, d2) of them with d1 * d2 <= y and gcd 1 is visited; with
+    `conjugate_prime`, P and every generator are conjugated.
+    """
+    def generator(q):
+        g = prime_above(q).generator
+        return g.conjugate() if conjugate_prime else g
+
     P = prime_above(p)
-    numbers = squarefree_3split_with_factors(1, y)
+    if conjugate_prime:
+        P = P.conjugate()
+    numbers = []
+    for n in range(1, y + 1):
+        fac = factorize(n)
+        if all(q % 3 == 1 and e == 1 for q, e in fac.items()):
+            numbers.append((n, sorted(fac)))
     counts = [0, 0, 0]
     pairs = 0
     for d1, fac1 in numbers:
         for d2, fac2 in numbers:
-            if d1 * d2 > y or math.gcd(d1, d2) != 1:
+            if d1 * d2 > y:
+                break
+            if math.gcd(d1, d2) != 1:
                 continue
             pairs += 1
             z = EisensteinInteger(1)
             for q in fac1 + fac2 + fac2:
-                z = z * prime_above(q).generator
+                z = z * generator(q)
             symbol = cubic_residue_symbol(z, P)
             if not symbol.is_zero:
                 counts[symbol.exponent] += 1
@@ -273,11 +294,12 @@ def _char_sum_term_by_term(p: int, y: int) -> tuple[EisensteinInteger, int]:
 
 def test_char_sum_matches_term_by_term_sum():
     for p in (2, 7, 13):
-        for y in (0, 1, 10, 49, 300):
-            cs = char_sum(p, y)
-            assert (cs.value, cs.pairs) == _char_sum_term_by_term(p, y), (p, y)
-            # (d1, d2) and (d2, d1) have conjugate terms: S_p(Y) is rational
-            assert cs.value.b == 0, (p, y)
+        for conj in (False, True):
+            for y in (0, 1, 10, 49, 300, 2000):
+                cs = char_sum(p, y, conjugate_prime=conj)
+                assert (cs.value, cs.pairs) == _char_sum_term_by_term(p, y, conj), (p, conj, y)
+                # (d1, d2) and (d2, d1) have conjugate terms: S_p(Y) is rational
+                assert cs.value.b == 0, (p, conj, y)
 
 
 def test_char_sum_grid_equals_per_y_char_sum():
@@ -292,6 +314,7 @@ def test_char_sum_grid_equals_per_y_char_sum():
         d = math.ceil(math.log10(y)) - 1
         envelope[d] = max(envelope.get(d, 0.0), char_sum(13, y).magnitude / y**0.75)
     assert charsum_decade_envelope(13, 3000) == envelope
+    assert log_grid(5) == [] and char_sum_grid(7, log_grid(5)) == ([], 0.0)
 
 
 def test_log_grid_stays_within_ymax():
