@@ -12,6 +12,9 @@ Four kinds of check live here:
   rational integers by construction);
 * the generating-series comparison, which measures rather than asserts the
   square-root identity relating S_p's Dirichlet series to Hecke L-functions.
+  Its Euler products keep every bit of a CPython loop over the primes: numpy
+  only scales a complex by a real and adds, which rounds as CPython does,
+  FMA or not, and every complex product and quotient is CPython's own.
 
 A character is named as in lfunctions, by the element (g, c) whose symbol
 (D1^g * D2^c / P)_3 it is: KUMMER = (1, 2) is the one `density` uses, and
@@ -38,11 +41,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
+from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._primes import primes_up_to, smallest_factor_sieve
+from ._primes import prime_sieve, primes_up_to, smallest_factor_sieve
 from .eisenstein import (
     EXPONENT_ZERO,
     LAMBDA,
@@ -391,20 +396,39 @@ def _l_prime_power_coefficients(st: SplittingType, j_max: int) -> list[int]:
     return b
 
 
+@lru_cache(maxsize=1)
+def _prime_power_passes(n_max: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(n, p, j), p^j exactly dividing n, with p the k-th smallest prime of n in pass k,
+    for 2 <= n <= n_max off the smallest-factor sieve: no label enters, so it is shared."""
+    spf, n = smallest_factor_sieve(n_max), np.arange(2, n_max + 1)
+    rest, passes = n.copy(), []  # rest: the part of n not yet factored
+    while n.size:
+        p = spf[rest]
+        j = np.zeros(n.size, dtype=np.intp)
+        divisible = np.ones(n.size, dtype=bool)
+        while divisible.any():
+            rest = np.where(divisible, rest // p, rest)
+            j += divisible
+            divisible = rest % p == 0
+        n.flags.writeable = p.flags.writeable = j.flags.writeable = False  # shared by every call
+        passes.append((n, p, j))
+        n, rest = n[rest > 1], rest[rest > 1]
+    return tuple(passes)
+
+
 def ideal_count_crosscheck(label: FieldLabel, n_max: int = 10**4) -> ProbeReport:
     """zeta_D coefficients two ways: ideal counts vs the zeta * L convolution.
 
     The splitting of every p <= n_max is one lambda_table row.  Route 1
-    fills a multiplicative array from per-prime ideal counts; route 2
-    builds L_D coefficients out of the lambda recurrence and convolves with
-    the all-ones zeta coefficients.  Both are exact int64 array operations:
-    the fill takes the prime powers of every n off the smallest-factor
-    sieve, one prime per pass, and the convolution adds b[d] at d * k for
-    every d * k <= n_max in 2 sqrt(n_max) slices, one per k <= sqrt(n_max)
-    and one per d <= sqrt(n_max) for the larger k.  Exact integer equality
-    is asserted.
+    fills a multiplicative array from per-prime ideal counts; route 2 builds
+    L_D coefficients out of the lambda recurrence and convolves with the
+    all-ones zeta coefficients.  Both are exact int64
+    array operations: the fill reads the prime powers of every n off
+    _prime_power_passes, and the convolution adds b[d] at d * k for every
+    d * k <= n_max in 2 sqrt(n_max) slices, one per k <= sqrt(n_max) and one
+    per d <= sqrt(n_max) for the larger k.  Exact integer equality is asserted.
     """
-    primes = np.array(primes_up_to(n_max), dtype=np.int64)
+    primes = np.flatnonzero(prime_sieve(n_max))
     types = (SPLIT, INERT, RAMIFIED)
     j_cap = max(1, int(math.log2(n_max)))
     zeta_pp = np.array([[_zeta_prime_power_coefficient(st, j) for j in range(j_cap + 1)]
@@ -415,24 +439,11 @@ def ideal_count_crosscheck(label: FieldLabel, n_max: int = 10**4) -> ProbeReport
     for value, st in _SPLITTING_OF_LAMBDA.items():
         type_of[primes[lam == value]] = types.index(st)
 
-    spf = smallest_factor_sieve(n_max)
-    a = np.ones(n_max + 1, dtype=np.int64)
-    b = np.ones(n_max + 1, dtype=np.int64)
+    a, b = np.ones((2, n_max + 1), dtype=np.int64)
     a[0] = b[0] = 0
-    n = np.arange(2, n_max + 1)
-    rest = n.copy()  # the part of n not yet factored
-    while n.size:
-        p = spf[rest]
-        j = np.zeros(n.size, dtype=np.intp)
-        divisible = np.ones(n.size, dtype=bool)
-        while divisible.any():
-            rest = np.where(divisible, rest // p, rest)
-            j += divisible
-            divisible = rest % p == 0
+    for n, p, j in _prime_power_passes(n_max):
         a[n] *= zeta_pp[type_of[p], j]
         b[n] *= l_pp[type_of[p], j]
-        left = rest > 1
-        n, rest = n[left], rest[left]
     s = math.isqrt(n_max)
     conv = np.zeros(n_max + 1, dtype=np.int64)
     for k in range(1, s + 1):  # b[d] at d * k for every d, k <= s
@@ -554,43 +565,57 @@ def charsum_decade_envelope(p: int, y_max: int = 10**5) -> dict[int, float]:
 # -- generating-series comparison --------------------------------------------------------
 
 
-class GenseriesSymbols(NamedTuple):
-    """chi = (. / P)_3 as complex values, for every ell an Euler product up to p0 uses.
+# chi, chi^2 and (chi + chi^2).real as CPython computes them, at exponents 0, 1, 2 and -1 (zero)
+_CHI = [symbol.complex_value() for symbol in (SYMBOL_ONE, SYMBOL_OMEGA, SYMBOL_OMEGA2, SYMBOL_ZERO)]
+_CHI_POWERS = np.array([_CHI, [chi**2 for chi in _CHI]], dtype=complex)
+_TRACE = np.array([(chi + chi**2).real for chi in _CHI])
+_WALK_BLOCK = 4096  # rows of primes whose factors are built, and folded, at once
 
-    `split` pairs chi(pi_ell) and chi(conj(pi_ell)) for the registry factor
-    pi_ell of each split ell <= p0, ascending; `inert` holds chi(ell) for each
-    ell = 2 (mod 3) with ell^2 <= p0, ascending; `at_three` is chi(1 - omega).
-    Any smaller cutoff uses a prefix of each list.
+
+class GenseriesSymbols(NamedTuple):
+    """Exponents of chi = (. / P)_3, for every ell an Euler product up to p0 uses.
+
+    `split` holds in two columns those of chi(pi_ell) and chi(conj(pi_ell))
+    for the registry factor pi_ell of each split ell <= p0, ascending; `inert`
+    that of chi(ell) for each ell = 2 (mod 3) with ell <= sqrt(p0), ascending;
+    `at_three` that of chi(1 - omega).  A smaller cutoff uses a prefix of each.
+    Exponents, not values: the walk takes chi, chi^2 and chi + chi^2 as CPython
+    computes them, and numpy only scales those by reals (see the module notes).
     """
 
-    p0: int
-    at_three: complex
-    split: list[tuple[complex, complex]]
-    inert: list[complex]
+    at_three: int
+    split: np.ndarray
+    inert: np.ndarray
 
 
 def genseries_symbols(p: int, p0: int) -> GenseriesSymbols:
     """Every symbol genseries_sides needs up to p0, from one cubic_residue_exponents call.
 
     The split generators come straight off the registry table as coefficient
-    arrays; the values are CubicSymbol.complex_value(), exactly as a
-    per-ell cubic_residue_symbol would give them.
+    arrays; each exponent is the one a per-ell cubic_residue_symbol would give.
     """
     _, gens = registry_table(p0)
     inert = [ell for ell in primes_up_to(math.isqrt(p0)) if ell % 3 == 2]
     coeffs = np.concatenate([[LAMBDA], gens, conjugate_coefficients(gens),
                              np.array([[ell, 0] for ell in inert], dtype=np.int64).reshape(-1, 2)])
-    value = {k: symbol.complex_value() for k, symbol in
-             ((EXPONENT_ZERO, SYMBOL_ZERO), (0, SYMBOL_ONE), (1, SYMBOL_OMEGA), (2, SYMBOL_OMEGA2))}
-    chi = [value[e] for e in cubic_residue_exponents(coeffs, prime_above(p)).tolist()]
-    m = len(gens)
-    return GenseriesSymbols(p0, chi[0], list(zip(chi[1:m + 1], chi[m + 1:2 * m + 1])),
-                            chi[2 * m + 1:])
+    e, m = cubic_residue_exponents(coeffs, prime_above(p)), len(gens)
+    return GenseriesSymbols(int(e[0]), e[1:2 * m + 1].reshape(2, m).T, e[2 * m + 1:])
 
 
-def genseries_sides(p: int, s: float, p0: int,
-                    symbols: GenseriesSymbols | None = None) -> tuple[float, float]:
-    """Truncated values of the pair-sum Euler product and its L-function form.
+@lru_cache(maxsize=1)
+def _walk_rows(p0: int, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ell, inert, x): the split ell <= p0 and the inert ell <= sqrt(p0), ascending,
+    which of them are inert, and x = ell^-s (ell^-2s if inert) by the builtin pow."""
+    ell = np.flatnonzero(prime_sieve(p0))
+    ell = ell[(ell % 3 == 1) | (ell % 3 == 2) & (ell <= math.isqrt(p0))]
+    inert = ell % 3 == 2
+    x = np.array(list(map(pow, ell.tolist(), np.where(inert, -2.0 * s, -s).tolist())))
+    ell.flags.writeable = inert.flags.writeable = x.flags.writeable = False  # shared by every walk
+    return ell, inert, x
+
+
+def genseries_sides(p: int, s: float, cutoffs: Sequence[int]) -> list[tuple[float, float]]:
+    """Truncated values of the pair-sum Euler product and its L-function form, per cutoff p0.
 
     Left: product over ell = 1 (mod 3), ell <= p0, of 1 + (chi+chi^2)(ell)/ell^s
     with chi evaluated at the registry factor of ell.  Right:
@@ -602,50 +627,43 @@ def genseries_sides(p: int, s: float, p0: int,
         an extra (1 - c3 x3 + x3^2) at the prime above 3, and
         (1 + c x)^(-1) per inert rational prime (its pairs never occur on the left).
 
-    `symbols` is genseries_symbols(p, P0) for any P0 >= p0, shared between
-    cutoffs; by default it is computed for p0.
+    One walk over ell, in blocks, serves every cutoff.  The bits are a CPython
+    loop's over ell: numpy builds the factors 1 - chi x, 1 - chi^2 x and
+    1 + c x only by real scaling and addition, which round as in CPython, FMA
+    or not, and every complex product and quotient is CPython's (math.prod,
+    reduce with truediv), in the loop's order, chi_reg before chi_conj.
     """
-    if symbols is None:
-        symbols = genseries_symbols(p, p0)
-    elif symbols.p0 < p0:
-        raise ValueError(f"symbols up to {symbols.p0} cannot serve the cutoff {p0}")
-    split = iter(symbols.split)
-    inert = iter(symbols.inert)
-    lhs = 1.0
-    l_chi = complex(1.0)
-    l_chi2 = complex(1.0)
-    h = complex(1.0)
-
-    x3 = 3.0 ** (-s)
-    chi3 = symbols.at_three
-    l_chi /= 1.0 - chi3 * x3
-    l_chi2 /= 1.0 - chi3**2 * x3
-    h *= (1.0 - chi3 * x3) * (1.0 - chi3**2 * x3)
-
-    for ell in primes_up_to(p0):
-        if ell == 3:
-            continue
-        if ell % 3 == 1:
-            x = ell ** (-s)
-            chi_reg, chi_conj = next(split)
-            for chi in (chi_reg, chi_conj):
-                if chi != 0:
-                    l_chi /= 1.0 - chi * x
-                    l_chi2 /= 1.0 - chi**2 * x
-                    c = (chi + chi**2).real
-                    h *= (1.0 - chi * x) * (1.0 - chi**2 * x) * (1.0 + c * x)
-            c_reg = (chi_reg + chi_reg**2).real if chi_reg != 0 else 0.0
-            lhs *= 1.0 + c_reg * ell ** (-s)
-        elif ell * ell <= p0:
-            x = ell ** (-2.0 * s)
-            chi = next(inert)
-            l_chi /= 1.0 - chi * x
-            l_chi2 /= 1.0 - chi**2 * x
-            c = (chi + chi**2).real
-            h *= (1.0 - chi * x) * (1.0 - chi**2 * x) * (1.0 + c * x)
-            h /= 1.0 + c * x  # the inert pairs are absent from the left side
-    rhs_sq = (l_chi * l_chi2 * h).real
-    return lhs, math.sqrt(abs(rhs_sq))
+    top = max(cutoffs)
+    symbols = genseries_symbols(p, top)
+    ell, inert, x = _walk_rows(top, s)
+    e = np.full((ell.size, 2), EXPONENT_ZERO)
+    e[~inert] = symbols.split[:np.count_nonzero(~inert)]
+    e[inert, 0] = symbols.inert[:np.count_nonzero(inert)]
+    event = e != EXPONENT_ZERO  # a zero chi at a split ell drops out
+    event[inert] = (True, False)  # an inert ell has one factor, zero chi or not
+    uses = [(ell <= p0) & (~inert | (ell <= math.isqrt(p0))) for p0 in cutoffs]
+    x3, chi3 = 3.0 ** (-s), _CHI[symbols.at_three]
+    a3, b3 = 1.0 - chi3 * x3, 1.0 - chi3**2 * x3
+    states = [(1.0, complex(1.0) / a3, complex(1.0) / b3, complex(1.0) * (a3 * b3))] * len(cutoffs)
+    for lo in range(0, ell.size, _WALK_BLOCK):
+        rows, cols = np.nonzero(event[lo:lo + _WALK_BLOCK])
+        rows += lo
+        exps, xs = e[rows, cols], x[rows]
+        l_factors, l2_factors = 1.0 - _CHI_POWERS[:, exps] * xs
+        c_factors = 1.0 + _TRACE[exps] * xs
+        lhs_event = (cols == 0) & ~inert[rows]  # chi_reg at a split ell; 1.0 where it is zero
+        for i, (used, (lhs, l_chi, l_chi2, h)) in enumerate(zip(uses, states)):
+            keep = used[rows]
+            a, b, c = (factors[keep].tolist() for factors in (l_factors, l2_factors, c_factors))
+            terms = list(map(mul, map(mul, a, b), c))
+            done = 0
+            for j in np.flatnonzero(inert[rows[keep]]).tolist():
+                h = math.prod(terms[done:j + 1], start=h) / c[j]  # no inert pair on the left
+                done = j + 1
+            states[i] = (math.prod(c_factors[keep & lhs_event].tolist(), start=lhs),
+                         reduce(truediv, a, l_chi), reduce(truediv, b, l_chi2),
+                         math.prod(terms[done:], start=h))
+    return [(lhs, math.sqrt(abs((l_chi * l_chi2 * h).real))) for lhs, l_chi, l_chi2, h in states]
 
 
 def genseries_compare(p: int, s: float = 2.0,
@@ -657,9 +675,7 @@ def genseries_compare(p: int, s: float = 2.0,
     the construction cancels exactly and the gap is floating-point noise; for
     split p a genuine registry-dependent gap remains and is a Finding.
     """
-    symbols = genseries_symbols(p, max(cutoffs))
-    lhs_a, rhs_a = genseries_sides(p, s, cutoffs[0], symbols)
-    lhs_b, rhs_b = genseries_sides(p, s, cutoffs[1], symbols)
+    (lhs_a, rhs_a), (lhs_b, rhs_b) = genseries_sides(p, s, cutoffs)
     d_lhs = abs(lhs_b - lhs_a)
     d_rhs = abs(rhs_b - rhs_a)
     gap = abs(rhs_b - lhs_b) / abs(lhs_b)

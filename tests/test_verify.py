@@ -30,7 +30,6 @@ from cyclocubic.verify import (
     family_count_scaling,
     genseries_compare,
     genseries_sides,
-    genseries_symbols,
     ideal_count_crosscheck,
     log_grid,
     paper_literal_findings,
@@ -204,6 +203,21 @@ def test_ideal_count_crosscheck_catches_bad_lambda(monkeypatch):
     rep = ideal_count_crosscheck(FieldLabel(1, 1, 1))
     assert rep.status == FAIL
     assert rep.details[0]["n"] == 8
+    # the factorization shared between calls carries no label's coefficients:
+    # once the rule is mended, the same label and the corpus pass again
+    monkeypatch.undo()
+    corpus = audit_corpus(10)
+    labels = [FieldLabel(1, 1, 1), *corpus]
+    assert [ideal_count_crosscheck(label).status for label in labels] == [PASS] * 11
+
+
+def test_probe_suite_ideal_counts_equal_standalone_checks():
+    # the suite's calls share the factorization of 2..1e4 and nothing else
+    corpus = audit_corpus(10)
+    reports = {r.subject: r for r in run_probe_suite() if r.subject.startswith("ideal_count")}
+    standalone = [ideal_count_crosscheck(label, 10**4) for label in corpus]
+    assert [reports.pop(r.subject) for r in standalone] == standalone
+    assert reports == {}
 
 
 def test_ideal_count_coefficient_values():
@@ -369,14 +383,40 @@ def _genseries_sides_per_ell(p: int, s: float, p0: int) -> tuple[float, float]:
     return lhs, math.sqrt(abs((l_chi * l_chi2 * h).real))
 
 
-@pytest.mark.parametrize("p", [5, 7, 13])
+def _bits(sides):
+    return [value.hex() for value in sides]
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 13, 31])
 def test_genseries_sides_match_per_ell_reference_bit_for_bit(p):
-    want = _genseries_sides_per_ell(p, 2.0, 10**4)
-    assert genseries_sides(p, 2.0, 10**4) == want
-    # symbols shared from a larger cutoff serve the smaller one unchanged
-    assert genseries_sides(p, 2.0, 10**4, genseries_symbols(p, 3 * 10**4)) == want
-    with pytest.raises(ValueError):
-        genseries_sides(p, 2.0, 10**4, genseries_symbols(p, 10**3))
+    # 841 = 29^2 brings in the inert ell = 29, which 840 leaves out
+    cutoffs = (840, 841, 10**4)
+    for s in (2.0, 3.5):
+        want = [_bits(_genseries_sides_per_ell(p, s, p0)) for p0 in cutoffs]
+        assert [_bits(sides) for sides in genseries_sides(p, s, cutoffs)] == want
+        assert [_bits(genseries_sides(p, s, (p0,))[0]) for p0 in cutoffs] == want
+
+
+@pytest.mark.parametrize("p, s", [(5, 2.0), (13, 3.5)])
+def test_genseries_sides_across_blocks_bit_for_bit(p, s, monkeypatch):
+    # the about 4,800 primes a product to 1e5 uses fill two blocks; at 2000
+    # and 7 primes a block, the inert ell <= 44 and their divisions straddle
+    # block edges
+    assert _bits(genseries_sides(p, s, (10**5,))[0]) == _bits(_genseries_sides_per_ell(p, s, 10**5))
+    import cyclocubic.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "_WALK_BLOCK", 7)
+    assert _bits(genseries_sides(p, s, (2000,))[0]) == _bits(_genseries_sides_per_ell(p, s, 2000))
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_genseries_sides_one_walk_equals_separate_walks(p):
+    # one walk serves both cutoffs of genseries_compare, though the larger
+    # takes in inert ell (317 <= ell <= 1000) that the smaller leaves out
+    cutoffs = (10**5, 10**6)
+    walk = genseries_sides(p, 2.0, cutoffs)
+    assert [_bits(sides) for sides in walk] == [_bits(genseries_sides(p, 2.0, (p0,))[0])
+                                                for p0 in cutoffs]
 
 
 def test_genseries_inert_base():
