@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -147,11 +148,15 @@ def cmd_density(cfg: RunConfig) -> int:
     tf = density_mod.fejer_pair(cfg.beta)
     try:
         summary = density_mod.family_average(family, tf)
-    except density_mod.QuadratureError as exc:
-        sys.stderr.write(f"--beta {cfg.beta} is too small for the gamma-term quadrature: "
-                         f"{exc}\n")
-        return EXIT_USAGE
+    except OverflowError:  # math.fsum of finite rows past the float range
+        summary = None
     refs = density_mod.reference_statistics(family, tf)
+    # a row that is not finite makes the average inf or nan, so these cover the table
+    if summary is None or not all(map(math.isfinite, [summary.average, summary.t_statistic,
+                                                      *refs.values()])):
+        sys.stderr.write(f"--beta {cfg.beta} is too small: the density table would hold "
+                         f"values that are not finite\n")
+        return EXIT_USAGE
     cls = density_mod.classify_symmetry(summary.t_statistic, refs)
 
     # mode=kummer names the one character the table reads; readers match the line verbatim

@@ -7,11 +7,10 @@ function f with compactly supported transform is
 
 where the prime sum carries lambda_D(p^m) log(p) / sqrt(p^m) weighted by
 fhat(log p^m / log Delta) and the gamma term is the archimedean digamma
-integral rescaled by L = log(Delta) / (2 pi).  The gamma term is computed on
-the transform side: the integral representation of Re psi and Parseval turn
-it into a smooth integral of fhat over u in [0, 4 pi L beta] plus the exact
-tail -fhat(0) log(1 - e^-U), with no truncation in y (the y-space integrand
-decays only like log(y)/y^2).  `gamma_term_quadrature` is the y-space oracle.
+integral rescaled by L = log(Delta) / (2 pi), for the gamma factor
+Gamma_R(s)^2 of L(chi) L(chi-bar) with chi even.  For a Fejer pair it has a
+closed form (`gamma_term`), a digamma value plus a sum with an Euler-Maclaurin
+tail; `gamma_term_quadrature` is the y-space oracle.
 
 The prime sum here keeps the m = 1, 2 terms, the ones whose family average
 discriminates the symmetry type; p^m with m >= 3 lie below the square-root
@@ -28,8 +27,8 @@ Katz-Sarnak kernels
 through the T statistic (average prime sum): a unitary family leaves T
 near 0, symplectic/orthogonal ones push it to +-sum over p^2 terms.
 
-Everything is deterministic: fixed summation orders, compensated sums, and
-panel Gauss-Legendre quadrature with explicit refinement.
+Everything is deterministic: fixed summation orders, compensated sums and
+closed forms; quadrature serves only the oracles.
 
 A family is a `fields.Family` of numpy columns, computed in batches, never
 one field at a time.  `prime_sums` evaluates the kept terms of many fields
@@ -37,8 +36,7 @@ in one numpy pass and gives each field one math.fsum.  What depends on the
 discriminant alone is computed once per run of rows sharing one (a family
 sorted by conductor has one run per discriminant): `reference_statistics`
 gives each run one math.fsum, and `family_average` calls `gamma_terms` once
-with the runs, which share the panel levels of the refinement in small
-blocks while each converges on its own.
+with the runs, which evaluates the closed form elementwise over them.
 Each batched value is bit for bit its one-field value (`prime_sum`,
 `gamma_term`), because every term sees the same floating-point operations
 and math.fsum rounds the exact sum once.
@@ -69,7 +67,8 @@ class TestFunctionPair:
 
     Convention: fhat(u) = integral f(x) exp(-2 pi i x u) dx, so the prime-sum
     arguments log(p^m)/log(Delta) carry no stray 2 pi.  Callables must accept
-    numpy arrays.
+    numpy arrays.  `fejer` lists the (coefficient, beta) of the Fejer pairs
+    the pair combines, which the gamma term is applied to linearly.
     """
 
     beta: float
@@ -77,6 +76,7 @@ class TestFunctionPair:
     fhat: Callable
     f_at_0: float
     fhat_at_0: float
+    fejer: tuple[tuple[float, float], ...]
 
 
 def fejer_pair(beta: float) -> TestFunctionPair:
@@ -93,7 +93,7 @@ def fejer_pair(beta: float) -> TestFunctionPair:
     def fhat(u):
         return np.maximum(0.0, 1.0 - np.abs(np.asarray(u)) / beta) / beta
 
-    return TestFunctionPair(beta, f, fhat, 1.0, 1.0 / beta)
+    return TestFunctionPair(beta, f, fhat, 1.0, 1.0 / beta, ((1.0, beta),))
 
 
 def combine_pairs(coeffs: Sequence[float], pairs: Sequence[TestFunctionPair]) -> TestFunctionPair:
@@ -108,7 +108,8 @@ def combine_pairs(coeffs: Sequence[float], pairs: Sequence[TestFunctionPair]) ->
     beta = max(p.beta for p in pairs)
     f0 = sum(c * p.f_at_0 for c, p in zip(coeffs, pairs))
     fh0 = sum(c * p.fhat_at_0 for c, p in zip(coeffs, pairs))
-    return TestFunctionPair(beta, f, fhat, f0, fh0)
+    fejer = tuple((c * ci, b) for c, p in zip(coeffs, pairs) for ci, b in p.fejer)
+    return TestFunctionPair(beta, f, fhat, f0, fh0, fejer)
 
 
 # -- quadrature helpers ---------------------------------------------------------
@@ -116,64 +117,25 @@ def combine_pairs(coeffs: Sequence[float], pairs: Sequence[TestFunctionPair]) ->
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
-def panel_gauss_rows(func: Callable, a, b, panels: int) -> np.ndarray:
-    """panel_gauss for rows of intervals: entry i integrates over [a[i], b[i]].
-
-    func gets the nodes with one row per interval and must act elementwise,
-    with any per-row parameter broadcast as a column; each row goes through
-    the same floating-point operations as a one-row call.
-    """
-    edges = np.linspace(np.asarray(a, dtype=float), np.asarray(b, dtype=float), panels + 1,
-                        axis=-1)
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    half = 0.5 * (edges[:, 1] - edges[:, 0])
-    x = mid[:, :, None] + half[:, None, None] * _GL_NODES
-    vals = func(x.reshape(len(x), -1)).reshape(x.shape)
-    return half * np.sum(vals @ _GL_WEIGHTS, axis=1)
-
-
 def panel_gauss(func: Callable, a: float, b: float, panels: int) -> float:
     """Composite 20-point Gauss-Legendre over equal panels of [a, b]."""
-    return float(panel_gauss_rows(func, [a], [b], panels)[0])
-
-
-class QuadratureError(RuntimeError):
-    """Panel refinement did not stabilize to the requested tolerance."""
-
-
-def refine_panels_rows(func: Callable, a, b, tol, start_panels: int) -> np.ndarray:
-    """refine_panels for rows of intervals [a[i], b[i]], each to its own tol[i].
-
-    func(x, rows) evaluates the integrands of the rows indexed by `rows`, one
-    row of x each.  A row leaves the batch once two of its values agree, so
-    it gets exactly the value a one-row call would.  Raises QuadratureError
-    naming the first row that never does.
-    """
-    a, b, tol = (np.asarray(v, dtype=float) for v in (a, b, tol))
-
-    def level(rows, panels):
-        return panel_gauss_rows(lambda x: func(x, rows), a[rows], b[rows], panels)
-
-    rows = np.arange(len(a))
-    prev = level(rows, start_panels)
-    out = np.empty(len(a))
-    panels = start_panels
-    for _ in range(10):
-        panels *= 2
-        cur = level(rows, panels)
-        done = np.abs(cur - prev) < tol[rows]
-        out[rows[done]] = cur[done]
-        rows, prev = rows[~done], cur[~done]
-        if not len(rows):
-            return out
-    i = rows[0]
-    raise QuadratureError(f"quadrature did not converge to {float(tol[i])} "
-                          f"on [{float(a[i])}, {float(b[i])}]")
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    return float(half * np.sum(func(mid[:, None] + half * _GL_NODES) @ _GL_WEIGHTS))
 
 
 def refine_panels(func: Callable, a: float, b: float, tol: float, start_panels: int) -> float:
     """Double the panels of panel_gauss, at most 10 times, until two agree to `tol`."""
-    return float(refine_panels_rows(lambda x, rows: func(x), [a], [b], [tol], start_panels)[0])
+    panels = start_panels
+    prev = panel_gauss(func, a, b, panels)
+    for _ in range(10):
+        panels *= 2
+        cur = panel_gauss(func, a, b, panels)
+        if abs(cur - prev) < tol:
+            return cur
+        prev = cur
+    raise RuntimeError(f"quadrature did not converge to {tol} on [{a}, {b}]")
 
 
 # -- Katz-Sarnak kernels ---------------------------------------------------------
@@ -202,10 +164,8 @@ def kernel_value(G: str, t) -> tuple[float, float]:
     return smooth, mass
 
 
-def _integral_fhat_window(tf: TestFunctionPair) -> float:
-    """integral of fhat over [-1, 1]; exact for support inside the window."""
-    b = min(tf.beta, 1.0)
-    return panel_gauss(tf.fhat, -b, 0.0, 64) + panel_gauss(tf.fhat, 0.0, b, 64)
+# c of each kernel integral fhat(0) + c f(0)
+_KERNEL_F0 = {"U": 0.0, "Sp": -0.5, "O": 0.5, "SOeven": 0.5, "SOodd": 0.5}
 
 
 def kernel_integral(G: str, tf: TestFunctionPair) -> float:
@@ -213,23 +173,14 @@ def kernel_integral(G: str, tf: TestFunctionPair) -> float:
 
     For supp(fhat) inside (-1, 1): U -> fhat(0); Sp -> fhat(0) - I/2;
     SO(even) -> fhat(0) + I/2; O -> fhat(0) + f(0)/2;
-    SO(odd) -> fhat(0) + f(0) - I/2, with I the fhat integral over [-1, 1].
+    SO(odd) -> fhat(0) + f(0) - I/2, with I the fhat integral over [-1, 1],
+    which is f(0) by Fourier inversion.  So each is fhat(0) + c f(0).
     """
     if not tf.beta < 1.0:
         raise ValueError("transform side needs supp(fhat) inside (-1, 1)")
-    i0 = tf.fhat_at_0
-    ihat = _integral_fhat_window(tf)
-    if G == "U":
-        return i0
-    if G == "Sp":
-        return i0 - 0.5 * ihat
-    if G == "SOeven":
-        return i0 + 0.5 * ihat
-    if G == "O":
-        return i0 + 0.5 * tf.f_at_0
-    if G == "SOodd":
-        return i0 + tf.f_at_0 - 0.5 * ihat
-    raise ValueError(f"unknown kernel {G!r}")
+    if G not in _KERNEL_F0:
+        raise ValueError(f"unknown kernel {G!r}")
+    return tf.fhat_at_0 + _KERNEL_F0[G] * tf.f_at_0
 
 
 def kernel_integral_quadrature(G: str, tf: TestFunctionPair) -> float:
@@ -292,84 +243,115 @@ def digamma(x: float) -> float:
     return float(_digamma_array(np.array([x], dtype=complex))[0].real)
 
 
-# (weight, a) of each Re psi(a + ix/2) in the archimedean bracket
-_BRACKET_PAIRS = ((2.0, 0.25), (1.0, 0.75))
-_BRACKET_WEIGHT = sum(w for w, _ in _BRACKET_PAIRS)
+# (weight, a, psi(a)) of each Re psi(a + ix/2) in the archimedean bracket
+_BRACKET_PAIRS = ((2.0, 0.25, -np.euler_gamma - math.pi / 2.0 - 3.0 * math.log(2.0)),)
+_BRACKET_WEIGHT = sum(w for w, _, _ in _BRACKET_PAIRS)
 
 
 def _archimedean_bracket(x: np.ndarray) -> np.ndarray:
-    """2 G(1/2+ix) + 2 G(1/2-ix) + G(3/2+ix) + G(3/2-ix), G = Gamma_R'/Gamma_R.
+    """2 G(1/2+ix) + 2 G(1/2-ix), G = Gamma_R'/Gamma_R.
 
-    Gamma_R(s) = pi^(-s/2) Gamma(s/2) gives G(s) = -log(pi)/2 + psi(s/2)/2;
-    conjugate pairing makes the sum real, so the bracket is
-    sum over _BRACKET_PAIRS of w * Re psi(a + ix/2), minus 3 log(pi).
-
-    Open question: the G(3/2 +- ix) pair is the factor Gamma_R(s+1) of an odd
-    character, but cubic characters are even (chi(-1)^2 = 1 = chi(-1)^3).
-    For the cubic character mod 7, mpmath gives |Lambda(s) / conj Lambda(1 -
-    conj s)| = 1.0 at s = 0.3 + 1.7i with Gamma_R(s) and 0.99438 with
-    Gamma_R(s+1) (the test test_cubic_character_gamma_factor_is_gamma_r_of_s
-    in tests/test_density.py), so L_D = L(chi) L(chi-bar) should carry Gamma_R(s)^2, i.e.
-    weights 2 at a = 1/4 and none at a = 3/4.  The pair is kept until that
-    change is made on its own; it moves gamma_term and total, never T.
+    L_D = L(chi) L(chi-bar) carries Gamma_R(s)^2: cubic characters are even
+    (chi(-1) = chi(-1)^3 = 1), so each factor's gamma factor is Gamma_R(s)
+    (mpmath checks the functional equation for the cubic character mod 7 in
+    test_cubic_character_gamma_factor_is_gamma_r_of_s).  Gamma_R(s) =
+    pi^(-s/2) Gamma(s/2) gives G(s) = -log(pi)/2 + psi(s/2)/2, and conjugate
+    pairing makes the sum real: the bracket is the sum over _BRACKET_PAIRS of
+    w * Re psi(a + ix/2), minus 2 log(pi).
     """
     half_ix = 0.5j * np.asarray(x, dtype=float)
-    val = sum(w * _digamma_array(a + half_ix).real for w, a in _BRACKET_PAIRS)
+    val = sum(w * _digamma_array(a + half_ix).real for w, a, _ in _BRACKET_PAIRS)
     return val - _BRACKET_WEIGHT * math.log(math.pi)
 
 
-# labels that gamma_terms integrates together: at the usual 16 and 32 panels
-# a block's node arrays stay under 100 kB; blocks of 32 or 64 ran slower
-_GAMMA_BLOCK = 16
+# terms of D_a(U) summed one by one before its Euler-Maclaurin tail
+_HEAD_TERMS = 32
+# (B_2j / (2j)!, 2j - 1) of each Euler-Maclaurin correction to the tail
+_EM_CORRECTIONS = ((1.0 / 12.0, 1), (-1.0 / 720.0, 3), (1.0 / 30240.0, 5))
+# levels of the continued fraction of E1 above z = 2
+_E1_LEVELS = 60
 
 
-def gamma_terms(labels: Sequence[FieldLabel], tf: TestFunctionPair) -> list[float]:
-    """gamma_term of every label, integrated _GAMMA_BLOCK labels at a time.
+def _exp_integral(z: np.ndarray) -> np.ndarray:
+    """E1(z) for z > 0, elementwise, to about 1e-15 relative.
 
-    The labels of a block share each panel level of the refinement, but each
-    converges, or raises QuadratureError, on its own, so every value is bit
-    for bit the one-label value.  Overflow in the integrand at a tiny beta
-    only keeps the refinement from converging, so it raises no warning.
+    Up to z = 2 the power series -gamma_E - log z - sum_k (-z)^k / (k k!);
+    above, the continued fraction e^-z / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...))).
     """
-    big_ls = [math.log(conductor_discriminant(label)[1]) / TWO_PI for label in labels]
-    fh0 = tf.fhat_at_0
-    out = []
-    for lo in range(0, len(big_ls), _GAMMA_BLOCK):
-        block = big_ls[lo:lo + _GAMMA_BLOCK]
-        rate = np.array([2.0 * TWO_PI * big_l for big_l in block])  # u = rate * (argument of fhat)
-        top = rate * tf.beta
-
-        def integrand(u, rows):
-            decay = sum(w * np.exp(-a * u) for w, a in _BRACKET_PAIRS)
-            return ((_BRACKET_WEIGHT * fh0 * np.exp(-u) - decay * tf.fhat(u / rate[rows, None]))
-                    / -np.expm1(-u))
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            integrals = refine_panels_rows(integrand, np.zeros(len(block)), top,
-                                           [1e-10 * (TWO_PI * big_l) for big_l in block],
-                                           start_panels=16)
-        for big_l, t, integral in zip(block, top.tolist(), integrals.tolist()):
-            pairs = (integral - _BRACKET_WEIGHT * fh0
-                     * (np.euler_gamma + math.log(-math.expm1(-t))))
-            out.append((pairs - _BRACKET_WEIGHT * math.log(math.pi) * fh0) / (TWO_PI * big_l))
+    out = np.empty_like(z)
+    small = z <= 2.0
+    zs, zl = z[small], z[~small]
+    term, series = np.ones_like(zs), np.zeros_like(zs)
+    for k in range(1, 31):
+        term = term * -zs / k
+        series = series + term / k
+    out[small] = -np.euler_gamma - np.log(zs) - series
+    frac = zl + (2 * _E1_LEVELS + 1)
+    for n in range(_E1_LEVELS, 0, -1):
+        frac = zl + (2 * n - 1) - n * n / frac
+    out[~small] = np.exp(-zl) / frac
     return out
 
 
+def _lerch_sum(u: np.ndarray, a: float) -> np.ndarray:
+    """D_a(u) = sum over k >= 0 of g(k + a), g(x) = (1 - e^-ux) / x^2, for u > 0.
+
+    The terms k < _HEAD_TERMS are added one by one, smallest first, onto the
+    Euler-Maclaurin tail from A = _HEAD_TERMS + a: the integral of g from A,
+    (1 - e^-uA)/A + u E1(uA), plus g(A)/2 and the B2, B4 and B6 corrections.
+    Every 1 - e^-x goes through expm1, so a small u loses nothing to
+    cancellation; the error is about 1e-15 relative for every u.
+    """
+    big_a = _HEAD_TERMS + a
+    t = 1.0 / big_a
+    m = -np.expm1(-u * big_a)
+    e = np.exp(-u * big_a)
+    tail = m * t + u * _exp_integral(u * big_a) + 0.5 * m * t * t
+    for coef, n in _EM_CORRECTIONS:
+        # -g^(n)(A) for odd n, by Leibniz' rule on x^-2 (1 - e^-ux)
+        rest = sum(math.comb(n, j) * math.factorial(j + 1) * t**j * u**(n - j)
+                   for j in range(n))
+        tail = tail + coef * t * t * (math.factorial(n + 1) * t**n * m - e * rest)
+    for k in range(_HEAD_TERMS - 1, -1, -1):
+        x = k + a
+        tail = tail - np.expm1(-x * u) / (x * x)
+    return tail
+
+
+def gamma_terms(labels: Sequence[FieldLabel], tf: TestFunctionPair) -> list[float]:
+    """gamma_term of every label, as one numpy column over the labels.
+
+    Every operation acts elementwise, so each value is bit for bit the
+    one-label value.  A beta so small that the term overflows gives inf,
+    without a warning.
+    """
+    log_discs = np.array([math.log(conductor_discriminant(label)[1]) for label in labels])
+    out = np.zeros(len(labels))
+    with np.errstate(over="ignore"):
+        for coeff, beta in tf.fejer:
+            u = 2.0 * beta * log_discs  # U = 4 pi L beta
+            pairs = sum(w * (psi + _lerch_sum(u, a) / u) for w, a, psi in _BRACKET_PAIRS)
+            out = out + coeff * ((pairs - _BRACKET_WEIGHT * math.log(math.pi))
+                                 / (beta * log_discs))
+    return out.tolist()
+
+
 def gamma_term(label: FieldLabel, tf: TestFunctionPair) -> float:
-    """Rescaled archimedean term (1/2pi) integral f(L x) bracket(x) dx, from fhat.
+    """Rescaled archimedean term (1/2pi) integral f(L x) bracket(x) dx, in closed form.
 
     With L = log(Delta)/(2 pi), Re psi(a + it) = -gamma_E + integral_0^inf
-    (e^-u - e^-au cos tu) / (1 - e^-u) du and Parseval give, per pair,
+    (e^-u - e^-au cos tu) / (1 - e^-u) du and Parseval turn each pair into an
+    integral of fhat(u/(4 pi L)).  For the Fejer pair of support beta, with
+    U = 4 pi L beta, expanding 1/(1 - e^-u) = sum_k e^-ku integrates it term
+    by term:
 
-        integral f(y) Re psi(a + iy/(2L)) dy = -gamma_E fhat(0) + I(a),
-        I(a) = integral_0^U (e^-u fhat(0) - e^-au fhat(u/(4 pi L))) / (1 - e^-u) du
-               - fhat(0) log(1 - e^-U),
+        integral f(y) Re psi(a + iy/(2L)) dy = (1/beta) [psi(a) + D_a(U)/U],
+        D_a(U) = sum_{k >= 0} (1 - e^-(k+a)U) / (k+a)^2.
 
-    where U = 4 pi L beta ends the support of fhat, so the last term is the
-    exact tail of the u-integral.  The weighted pairs, less 3 log(pi) fhat(0),
-    are divided by 2 pi L.  Raises QuadratureError if the panel refinement of
-    the integral over [0, U] does not stabilize to 1e-10 absolute in the term.
-    This is gamma_terms for one label.
+    The weighted pairs, less 2 log(pi)/beta, are divided by 2 pi L = log Delta.
+    _lerch_sum gives D_a to about 1e-15 relative for every U > 0, so no beta
+    needs a tolerance.  A combine_pairs mixture gets the same combination of
+    its Fejer components' terms.  This is gamma_terms for one label.
     """
     return gamma_terms([label], tf)[0]
 
@@ -405,7 +387,7 @@ def gamma_term_quadrature(label: FieldLabel, tf: TestFunctionPair) -> float:
     log_w = math.log(width / (TWO_PI * big_l))
     mean = h0 * math.fsum(w * ((log_w + 1.0) / width
                                + 2.0 * (a * a - a + 1.0 / 6.0) * big_l**2 / (3.0 * width**3))
-                          for w, a in _BRACKET_PAIRS)
+                          for w, a, _ in _BRACKET_PAIRS)
     # h'(W) = h0 (bracket'(W) W - 2 bracket(W)) / W^3, bracket'(y) ~ (sum w_a) / y
     bracket_w = float(_archimedean_bracket(width / big_l))
     slope = h0 * (_BRACKET_WEIGHT - 2.0 * bracket_w) / width**3

@@ -427,6 +427,8 @@ def ideal_count_crosscheck(label: FieldLabel, n_max: int = 10**4) -> ProbeReport
     _prime_power_passes, and the convolution adds b[d] at d * k for every
     d * k <= n_max in 2 sqrt(n_max) slices, one per k <= sqrt(n_max) and one
     per d <= sqrt(n_max) for the larger k.  Exact integer equality is asserted.
+    A lambda(p) outside {2, -1, 0} names no splitting type, so it fails the
+    check, with the primes that carry one.
     """
     primes = np.flatnonzero(prime_sieve(n_max))
     types = (SPLIT, INERT, RAMIFIED)
@@ -435,9 +437,14 @@ def ideal_count_crosscheck(label: FieldLabel, n_max: int = 10**4) -> ProbeReport
                         for st in types], dtype=np.int64)
     l_pp = np.array([_l_prime_power_coefficients(st, j_cap) for st in types], dtype=np.int64)
     lam = lambda_table([label], primes.tolist())[0]
-    type_of = np.zeros(n_max + 1, dtype=np.intp)  # index into `types` of each prime
+    type_of = np.full(n_max + 1, -1, dtype=np.intp)  # index into `types` of each prime
     for value, st in _SPLITTING_OF_LAMBDA.items():
         type_of[primes[lam == value]] = types.index(st)
+    stray = np.flatnonzero(type_of[primes] < 0)  # no splitting type gives their lambda
+    if stray.size:
+        bad = [{"p": p, "lambda": v} for p, v in zip(primes[stray].tolist(), lam[stray].tolist())]
+        return ProbeReport(f"ideal_count[D={label.D}]", FAIL, bad[:20],
+                           {"n_max": n_max, "stray_lambda": len(bad)})
 
     a, b = np.ones((2, n_max + 1), dtype=np.int64)
     a[0] = b[0] = 0

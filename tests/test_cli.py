@@ -1,6 +1,7 @@
 """Command-line behavior: determinism, formats, exit codes."""
 
 import hashlib
+import math
 import warnings
 
 import pytest
@@ -52,9 +53,8 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:  # density takes no catalog
         cli.main(["density", "--x", "1000", "--catalog", "c.txt"])
     assert exc.value.code == cli.EXIT_USAGE and "--catalog" in capsys.readouterr().err
-    # the gamma-term quadrature cannot reach its tolerance at so narrow a support
-    for x, beta in (("1000", "1e-10"), ("1000", "1e-12"), ("1000", "1e-20"),
-                    ("100000000", "1e-12")):
+    # at so narrow a support fhat(0) = 1/beta is inf, so the table would be too
+    for x, beta in (("1000", "1e-320"), ("100000000", "1e-310")):
         code, out, err = run(["density", "--x", x, "--beta", beta], capsys)
         assert code == cli.EXIT_USAGE and out == "", beta
         assert "--beta" in err and "Traceback" not in err and err.count("\n") == 1, beta
@@ -104,14 +104,23 @@ def test_out_of_memory_exits_cleanly(capsys, monkeypatch):
 
 
 def test_tiny_beta_writes_only_its_message(capsys):
-    # the gamma integrand overflows at so narrow a support, which only keeps
-    # the refinement from converging: no RuntimeWarning may reach stderr
+    # a table value that is not finite is a usage error: at beta = 1e-320,
+    # fhat(0) = 1/beta and the gamma terms are inf, and at 1e-306 the 67 finite
+    # gamma terms of X = 1e6 sum past the float range.  The overflow raises
+    # no RuntimeWarning, so stderr holds the one --beta line
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for beta in ("1e-300", "1e-320"):
-            code, out, err = run(["density", "--x", "1000", "--beta", beta], capsys)
+        for x, beta in (("1000", "1e-320"), ("1000000", "1e-306")):
+            code, out, err = run(["density", "--x", x, "--beta", beta], capsys)
             assert code == cli.EXIT_USAGE and out == "", beta
             assert "--beta" in err and err.count("\n") == 1, beta
+        # a tiny beta whose values are all finite writes its table
+        code, out, err = run(["density", "--x", "1000", "--beta", "1e-12"], capsys)
+    assert code == cli.EXIT_OK and err == ""
+    rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(v)) for row in rows for v in row[5:])
+    assert "# average=" in out and "# classification=U" in out
 
 
 def test_density_table(tmp_path, capsys):
@@ -218,16 +227,16 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
     (["charsum", "--primes", "7,13", "--ymax", "1000"],
      "979875225a0335c8528c91606fff4e6c5b532ecce186059ac3cd2f028a091032"),
     (["density", "--x", "1000000", "--beta", "0.4"],
-     "9d35ae099c12d95f4e5d802ec1928135b2c167ceff6ff9992b81d7c8f12ff8b5"),
+     "7798225375ee0e8b828dedaabd3b1e522d80b59ba34c4cc5bc9afa508fa1d263"),
     (["density", "--x", "1000000"],
-     "9786f19c190498f8aff5d7200cf9930d387bb8f1e47972d55ce7ed84641a7fec"),
+     "24874544d84ef8c7b3382fb60fa382c055ee8fff7a63c3bd24e9502a3917e8f7"),
     (["verify"], "51b5e682d0b96ecf85e3c1ffec1913f95c341f1089c6626b32ad4a806a6a7a45"),
     (["enumerate", "--x", "10000000000"],
      "d3b81d4e4d8576211a824016e4a696097c241257c48ec86d9d3afcfaa397525b"),
     (["density", "--x", "100000000", "--beta", "0.4"],
-     "8eb939093da3afd710ecff78f1a0f86cf53ddfe8d59d2eadcc8199ea89150eb9"),
+     "5b5c331bae25eb8ee0f01ad66ccd3f47a11161a3420b4dd99c90870d5b588251"),
     (["density", "--x", "10000000000", "--beta", "0.2"],
-     "99c862047f205b027ac36807ced618108e8de0977e489feefb004f0dc9c2b2f6"),
+     "483ea9c1117529ec161901723e81bf67c91831b28c6c642de404aeb56f818bf6"),
     (["charsum", "--primes", "7,13,31", "--ymax", "100000"],
      "85fc1cb22a76242c6ab9d36bd29c8bab12ec2aa17f92275472fb6e238f1fd1ec"),
 ])
@@ -251,7 +260,7 @@ def test_density_factors_nothing(tmp_path, capsys, monkeypatch):
     code, _, _ = run(["density", "--x", "100000000", "--beta", "0.4", "--out", str(out)], capsys)
     assert code == 0
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
-            == "8eb939093da3afd710ecff78f1a0f86cf53ddfe8d59d2eadcc8199ea89150eb9")
+            == "5b5c331bae25eb8ee0f01ad66ccd3f47a11161a3420b4dd99c90870d5b588251")
 
 
 def test_empty_family(capsys):
@@ -264,7 +273,7 @@ def test_empty_family(capsys):
 
 
 def test_density_surfaces_other_runtime_errors(monkeypatch):
-    # only a quadrature that cannot converge is a usage error; corrupt
+    # only a table value that is not finite is a usage error; corrupt
     # arithmetic must still raise
     def corrupt(labels, tf):
         raise RuntimeError("arithmetic is corrupt")

@@ -9,7 +9,6 @@ import pytest
 from cyclocubic._primes import primes_up_to
 from cyclocubic.density import (
     KERNELS,
-    QuadratureError,
     classify_symmetry,
     combine_pairs,
     digamma,
@@ -29,9 +28,20 @@ from cyclocubic.density import (
 )
 from cyclocubic.fields import (FieldLabel, conductor_discriminant, enumerate_family,
                                family_of, labels_up_to_conductor)
-from cyclocubic.lfunctions import lambda_coefficient
+from cyclocubic.lfunctions import lambda_coefficient, lambda_table
 
 EULER_GAMMA = 0.5772156649015329
+QUARTER = mpmath.mpf(1) / 4
+
+
+def lerch_d(u):
+    """D(u) = sum over k >= 0 of (1 - e^-(k+1/4)u) / (k+1/4)^2, by mpmath.
+
+    The sum is psi'(1/4) - e^-u/4 Phi(e^-u, 2, 1/4), Phi the Lerch transcendent.
+    """
+    u = mpmath.mpf(u)
+    return mpmath.psi(1, QUARTER) - mpmath.exp(-QUARTER * u) * mpmath.lerchphi(
+        mpmath.exp(-u), 2, QUARTER)
 
 
 def test_fejer_pair_closed_forms():
@@ -125,19 +135,28 @@ def test_digamma_against_scipy():
 
 
 def test_gamma_term_sign_and_scaling():
-    tf = fejer_pair(0.2)
+    beta = 0.2
+    tf = fejer_pair(beta)
     for label in labels_up_to_conductor(100):
         assert gamma_term(label, tf) < 0.0
-    # conductors 91 and 9841 = 13 * 757 have log-discriminant ratio near 2,
-    # and the term scales like 1 / log(discriminant)
-    small = gamma_term(FieldLabel(0, 91, 1), tf)
-    large = gamma_term(FieldLabel(0, 9841, 1), tf)
-    assert 1.5 <= small / large <= 2.5
+    # the closed form splits the term into c / log(Delta), with the constant
+    # c = 2 (psi(1/4) - log(pi)) / beta of the Gamma_R(s)^2 bracket, plus
+    # D(U) / (beta log(Delta))^2, U = 2 beta log(Delta).  With the second part
+    # taken off, the term scales exactly like 1 / log(Delta); conductors 91 and
+    # 9841 = 13 * 757 have log-discriminant ratio near 2
+    with mpmath.workdps(30):
+        c = float(2 * (mpmath.psi(0, QUARTER) - mpmath.log(mpmath.pi)) / beta)
+        rests = []
+        for conductor in (91, 9841):
+            log_disc = math.log(conductor**2)
+            second = float(lerch_d(2 * beta * log_disc)) / (beta * log_disc) ** 2
+            rests.append(gamma_term(FieldLabel(0, conductor, 1), tf) - second)
+            assert rests[-1] * log_disc == pytest.approx(c, rel=1e-12), conductor
+    assert 1.5 <= rests[0] / rests[1] <= 2.5
 
 
 def test_gamma_term_linearity():
-    # equal support radii keep the integration window common to all three
-    # evaluations, so additivity is exact up to quadrature tolerance
+    # the term of a mixture is the same mixture of its Fejer components' terms
     f1 = fejer_pair(0.2)
     f2 = combine_pairs((1.0, 1.0), (fejer_pair(0.1), fejer_pair(0.2)))
     mix = combine_pairs((0.6, 1.7), (f1, f2))
@@ -148,19 +167,59 @@ def test_gamma_term_linearity():
 
 
 def test_gamma_term_matches_quadrature_oracle():
-    # the transform-side closed form against y-space quadrature plus its
-    # analytic tail; the first field at X = 1e9 has Delta = 1000267129
+    # the closed form against y-space quadrature plus its analytic tail; the
+    # first field at X = 1e9 has Delta = 1000267129
     first_1e9 = FieldLabel(0, 31627, 1)
-    for beta in (0.2, 0.4):
+    for beta in (0.05, 0.2, 0.4, 0.9):
         tf = fejer_pair(beta)
         for label in (FieldLabel(0, 91, 1), FieldLabel(0, 9841, 1), first_1e9):
             assert abs(gamma_term(label, tf) - gamma_term_quadrature(label, tf)) < 1e-9
-    assert gamma_term(first_1e9, fejer_pair(0.2)) == pytest.approx(-2.1727707586875, abs=1e-12)
+    assert gamma_term(first_1e9, fejer_pair(0.2)) == pytest.approx(-1.7084732422380726,
+                                                                  abs=1e-12)
     # a mixture: the oracle combines linearly, since the term is linear in f
     f1, f2 = fejer_pair(0.2), fejer_pair(0.4)
     mix = combine_pairs((0.6, 1.7), (f1, f2))
     oracle = 0.6 * gamma_term_quadrature(first_1e9, f1) + 1.7 * gamma_term_quadrature(first_1e9, f2)
     assert abs(gamma_term(first_1e9, mix) - oracle) < 1e-9
+
+
+def test_gamma_term_matches_lerch_oracle():
+    # psi(1/4) and D(U) from mpmath, down to betas where the quadrature
+    # oracle is slow: the term is (2/beta) [psi(1/4) + D(U)/U - log(pi)] / log(Delta)
+    with mpmath.workdps(40):
+        for conductor in (7, 91, 9841, 31627):
+            log_disc = mpmath.log(conductor**2)
+            for beta in (1e-6, 1e-3, 0.05, 0.2, 0.4, 0.9):
+                u = 2 * mpmath.mpf(beta) * log_disc
+                want = (2 * (mpmath.psi(0, QUARTER) + lerch_d(u) / u - mpmath.log(mpmath.pi))
+                        / (beta * log_disc))
+                got = gamma_term(FieldLabel(0, conductor, 1), fejer_pair(beta))
+                assert abs(got - want) <= 1e-12 * abs(want), (conductor, beta)
+
+
+def test_explicit_formula_is_non_negative():
+    # under GRH fhat(0) + gamma - (the prime sum over every prime power) is
+    # the sum of f(gamma L) over the zeros, >= 0 for the Fejer f >= 0.
+    # lambda(p^m) is 2 at a split p, 0 at a ramified p, and at an inert p 2
+    # when 3 | m and -1 otherwise
+    labels = labels_up_to_conductor(400)
+    log_discs = [math.log(conductor_discriminant(label)[1]) for label in labels]
+    top = max(log_discs)
+    primes = primes_up_to(int(math.exp(0.9 * top)) + 1)
+    lam = lambda_table(family_of(labels), primes)
+    pf = np.array(primes, dtype=float)
+    logp = np.log(pf)
+    for beta in (0.3, 0.6, 0.9):
+        tf = fejer_pair(beta)
+        for label, log_disc, row in zip(labels, log_discs, lam):
+            terms = []
+            for m in range(1, int(beta * top / math.log(2)) + 1):
+                lam_m = row if m % 3 else np.where(row == -1, 2, row)
+                keep = m * logp < beta * log_disc
+                terms += (lam_m[keep] * logp[keep] / pf[keep] ** (m / 2)
+                          * tf.fhat(m * logp[keep] / log_disc)).tolist()
+            zero_sum = tf.fhat_at_0 + gamma_term(label, tf) - 2.0 / log_disc * math.fsum(terms)
+            assert zero_sum >= 0.0, (label, beta, zero_sum)
 
 
 def test_cubic_character_gamma_factor_is_gamma_r_of_s():
@@ -186,37 +245,12 @@ def test_cubic_character_gamma_factor_is_gamma_r_of_s():
 
 
 def test_gamma_terms_match_one_label_at_a_time():
-    # a batch changes only how many labels share a panel level, never a bit
+    # the closed form acts elementwise on the labels, so a batch never moves a bit
     labels = enumerate_family(10**8).labels()
-    for beta in (0.2, 0.4):
+    for beta in (1e-6, 0.2, 0.4):
         tf = fejer_pair(beta)
         assert gamma_terms(labels, tf) == [gamma_term(label, tf) for label in labels]
     assert gamma_terms([], fejer_pair(0.2)) == []
-
-
-def test_gamma_terms_raise_for_a_label_that_does_not_converge():
-    # at these betas rounding noise decides, label by label, whether the
-    # refinement converges; a failing label among converging ones in one
-    # batch still raises, with the error its one-label call raises
-    labels = labels_up_to_conductor(400)
-    for beta in (3e-7, 1e-7, 3e-8, 1e-8):
-        tf = fejer_pair(beta)
-        outcomes = []
-        for label in labels:
-            try:
-                outcomes.append(gamma_term(label, tf))
-            except QuadratureError as exc:
-                outcomes.append(str(exc))
-        bad = [i for i, v in enumerate(outcomes) if isinstance(v, str)]
-        if bad and bad[0] >= 3:
-            break
-    else:
-        pytest.fail("no beta leaves a non-converging label after three that converge")
-    batch = labels[bad[0] - 3:bad[0] + 3]
-    with pytest.raises(QuadratureError) as exc:
-        gamma_terms(batch, tf)
-    assert str(exc.value) == outcomes[bad[0]]
-    assert gamma_terms(batch[:3], tf) == outcomes[bad[0] - 3:bad[0]]
 
 
 def test_family_average_rows_match_one_level_density():

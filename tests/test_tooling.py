@@ -1,5 +1,7 @@
-"""The benchmark's span tracer still finds every function it wraps."""
+"""The benchmark's span tracer still finds every function it wraps, and the
+package imports nothing past numpy that tests alone need."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -7,7 +9,8 @@ from pathlib import Path
 
 from cyclocubic import cli, fields, lfunctions, verify
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -71,3 +74,19 @@ def test_probe_suite_calls_every_traced_verify_function(monkeypatch):
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
     verify.run_probe_suite()
     assert sorted(set(names) - called) == []
+
+
+def test_package_imports_neither_scipy_nor_mpmath():
+    # the runtime depends on numpy alone; scipy and mpmath are test oracles
+    found = []
+    for path in sorted((ROOT / "src" / "cyclocubic").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if name.split(".")[0] in ("scipy", "mpmath")]
+    assert found == []

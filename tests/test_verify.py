@@ -211,6 +211,26 @@ def test_ideal_count_crosscheck_catches_bad_lambda(monkeypatch):
     assert [ideal_count_crosscheck(label).status for label in labels] == [PASS] * 11
 
 
+def test_ideal_count_crosscheck_fails_a_lambda_no_splitting_gives(monkeypatch):
+    # lambda = 1 at every inert p of D = 7 names no splitting type; read as a
+    # split prime it would leave both routes equal and the check passing
+    import cyclocubic.verify as verify_mod
+
+    real = verify_mod.lambda_table
+
+    def corrupt(labels, primes, *args, **kwargs):
+        lam = real(labels, primes, *args, **kwargs)
+        lam[lam == -1] = 1
+        return lam
+
+    monkeypatch.setattr(verify_mod, "lambda_table", corrupt)
+    rep = ideal_count_crosscheck(D7, 1000)
+    inert = [p for p in primes_up_to(1000) if splitting_type(p, D7) == INERT]
+    assert rep.status == FAIL
+    assert rep.numbers == {"n_max": 1000, "stray_lambda": len(inert)}
+    assert rep.details == [{"p": p, "lambda": 1} for p in inert[:20]]
+
+
 def test_probe_suite_ideal_counts_equal_standalone_checks():
     # the suite's calls share the factorization of 2..1e4 and nothing else
     corpus = audit_corpus(10)
