@@ -12,9 +12,9 @@ from cyclocubic.eisenstein import (
     EisensteinInteger,
     cubic_residue_symbol,
     euclidean_gcd,
+    omega_mod,
     primary_associate,
     prime_above,
-    residue_map,
 )
 
 E = EisensteinInteger
@@ -38,8 +38,8 @@ print(f"gcd(3+w, 7) = {euclidean_gcd(z, E(7))}")
 print()
 
 print("Cubic residue symbols at the prime above 7 (omega maps to "
-      f"{residue_map(prime_above(7)).omega} mod 7):")
+      f"{omega_mod(prime_above(7))} mod 7):")
 for a in (2, 3, 4, 8):
-    s = cubic_residue_symbol(E(a), prime_above(7))
-    print(f"  ({a} / P7)_3 = {s}")
+    k = cubic_residue_symbol(E(a), prime_above(7))
+    print(f"  ({a} / P7)_3 = w^{k}")
 print("Note 8 = 2^3 lands on the trivial symbol, as every cube must.")

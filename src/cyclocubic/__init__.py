@@ -11,14 +11,13 @@ Submodules:
 """
 
 from .eisenstein import (
-    CubicSymbol,
     EisensteinInteger,
     PrimeAbove,
     cubic_residue_symbol,
     euclidean_gcd,
+    omega_mod,
     primary_associate,
     prime_above,
-    residue_map,
 )
 from .fields import (
     Family,

@@ -19,7 +19,6 @@ import itertools
 import math
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from . import density as density_mod
 from . import verify as verify_mod
@@ -35,18 +34,6 @@ EXIT_IO = 3
 # --p0 and --ymax each size a sieve with that many entries, a terabyte at this
 # bound; past 2**63 numpy could not even index one
 SIEVE_MAX = 2**40
-
-
-@dataclass
-class RunConfig:
-    command: str
-    x: int = 10**6
-    beta: float = 0.2
-    out: str | None = None
-    p0: int = 10**6
-    ymax: int = 10**5
-    s: float = 2.0
-    primes: tuple[int, ...] = (7, 13, 31)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,13 +73,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _validate(cfg: RunConfig) -> str | None:
+def _validate(cfg: argparse.Namespace) -> str | None:
     if cfg.command in ("enumerate", "density"):
         if cfg.x < 1000:
             return "--x must be at least 1000"
         if cfg.x > X_MAX:
             return "--x must be at most 2**79; beyond it the int64 enumeration could overflow"
-    if not 0.0 < cfg.beta < 1.0:
+    if cfg.command == "density" and not 0.0 < cfg.beta < 1.0:
         return "--beta must lie strictly between 0 and 1"
     if cfg.command == "verify":
         # the generating-series probes assert a 1e-8 Cauchy gap between the
@@ -100,6 +87,9 @@ def _validate(cfg: RunConfig) -> str | None:
         if not cfg.s >= 2.0:
             return ("--s must be at least 2; below it the Euler products converge "
                     "too slowly for the 1e-8 Cauchy check")
+        if not math.isfinite(cfg.s):
+            return ("--s must be finite; at s = inf every Euler factor is 1, so the "
+                    "probes would check nothing")
         if cfg.p0 < 10**6:
             return ("--p0 must be at least 1000000; below it the Euler products are "
                     "not Cauchy to 1e-8 between p0 // 10 and p0")
@@ -133,14 +123,14 @@ def _write(path: str | None, lines: Iterable[str]) -> None:
             fh.writelines(f"{line}\n" for line in lines)
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
+def cmd_enumerate(cfg: argparse.Namespace) -> int:
     family = enumerate_family(cfg.x)
     header = [f"# cyclocubic catalog", f"# x={cfg.x}", f"# count={len(family)}"]
     _write(cfg.out, itertools.chain(header, catalog_lines(family)))
     return EXIT_OK
 
 
-def cmd_density(cfg: RunConfig) -> int:
+def cmd_density(cfg: argparse.Namespace) -> int:
     family = enumerate_family(cfg.x)
     if not family:
         sys.stderr.write(f"no fields with discriminant in [{cfg.x}, {2 * cfg.x}]\n")
@@ -177,7 +167,7 @@ def cmd_density(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     reports = verify_mod.run_probe_suite(charsum_y=cfg.ymax,
                                          genseries_p0=(cfg.p0 // 10, cfg.p0), s=cfg.s)
     lines = [f"# cyclocubic verification report",
@@ -194,7 +184,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_ASSERTION if failed else EXIT_OK
 
 
-def cmd_charsum(cfg: RunConfig) -> int:
+def cmd_charsum(cfg: argparse.Namespace) -> int:
     grid = verify_mod.log_grid(cfg.ymax)
     lines = [f"# cyclocubic character pair-sums",
              f"# ymax={cfg.ymax} grid=" + ",".join(str(y) for y in grid),
@@ -213,15 +203,13 @@ _COMMANDS = {"enumerate": cmd_enumerate, "density": cmd_density,
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    kwargs = {k: v for k, v in vars(ns).items() if v is not None}
-    if "primes" in kwargs and isinstance(kwargs["primes"], str):
+    cfg = parser.parse_args(argv)
+    if cfg.command == "charsum":
         try:
-            kwargs["primes"] = tuple(int(tok) for tok in kwargs["primes"].split(",") if tok)
+            cfg.primes = tuple(int(tok) for tok in cfg.primes.split(",") if tok)
         except ValueError:
             sys.stderr.write("--primes expects a comma-separated list of integers\n")
             return EXIT_USAGE
-    cfg = RunConfig(**kwargs)
     problem = _validate(cfg)
     if problem:
         sys.stderr.write(problem + "\n")

@@ -36,7 +36,8 @@ in one numpy pass and gives each field one math.fsum.  What depends on the
 discriminant alone is computed once per run of rows sharing one (a family
 sorted by conductor has one run per discriminant): `reference_statistics`
 gives each run one math.fsum, and `family_average` calls `gamma_terms` once
-with the runs, which evaluates the closed form elementwise over them.
+with the runs' log discriminants (`log_discriminants`, from the conductor
+column), which evaluates the closed form elementwise over them.
 Each batched value is bit for bit its one-field value (`prime_sum`,
 `gamma_term`), because every term sees the same floating-point operations
 and math.fsum rounds the exact sum once.
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -318,15 +319,19 @@ def _lerch_sum(u: np.ndarray, a: float) -> np.ndarray:
     return tail
 
 
-def gamma_terms(labels: Sequence[FieldLabel], tf: TestFunctionPair) -> list[float]:
-    """gamma_term of every label, as one numpy column over the labels.
+def log_discriminants(conductors: Iterable[int]) -> np.ndarray:
+    """log Delta = math.log(f * f) of every conductor f, squared exactly as a Python int."""
+    return np.array([math.log(f * f) for f in conductors])
+
+
+def gamma_terms(log_discs: np.ndarray, tf: TestFunctionPair) -> list[float]:
+    """gamma_term at every log discriminant, as one numpy column.
 
     Every operation acts elementwise, so each value is bit for bit the
     one-label value.  A beta so small that the term overflows gives inf,
     without a warning.
     """
-    log_discs = np.array([math.log(conductor_discriminant(label)[1]) for label in labels])
-    out = np.zeros(len(labels))
+    out = np.zeros(len(log_discs))
     with np.errstate(over="ignore"):
         for coeff, beta in tf.fejer:
             u = 2.0 * beta * log_discs  # U = 4 pi L beta
@@ -353,7 +358,7 @@ def gamma_term(label: FieldLabel, tf: TestFunctionPair) -> float:
     needs a tolerance.  A combine_pairs mixture gets the same combination of
     its Fejer components' terms.  This is gamma_terms for one label.
     """
-    return gamma_terms([label], tf)[0]
+    return gamma_terms(log_discriminants([conductor_discriminant(label)[0]]), tf)[0]
 
 
 # beta * W for the oracle's window [0, W]: a whole number, so sin(2 pi beta W) = 0
@@ -436,7 +441,7 @@ def prime_sums(family: Family, tf: TestFunctionPair) -> list[float]:
     """
     if not family:
         return []
-    log_discs = np.array([math.log(f * f) for f in family.conductor.tolist()])
+    log_discs = log_discriminants(family.conductor.tolist())
     cuts = tf.beta * log_discs
     primes, pf, logp = _primes_and_logs(math.exp(cuts.max()) + 1)
     lam = lambda_table(family, primes)
@@ -511,11 +516,11 @@ def family_average(family: Family, tf: TestFunctionPair) -> FamilySummary:
     if not family:
         raise ValueError("the family is empty")
     firsts, lengths = _discriminant_runs(family)
-    labels = family.labels()
-    gammas = np.repeat(gamma_terms([labels[i] for i in firsts.tolist()], tf), lengths)
+    gammas = np.repeat(gamma_terms(log_discriminants(family.conductor[firsts].tolist()), tf),
+                       lengths)
     arch = tf.fhat_at_0
     rows = tuple(DensityBreakdown(label, arch, gam, ps, arch - ps + gam) for label, gam, ps
-                 in zip(labels, gammas.tolist(), prime_sums(family, tf)))
+                 in zip(family.labels(), gammas.tolist(), prime_sums(family, tf)))
     n = len(rows)
     avg = math.fsum(r.total for r in rows) / n
     t_stat = math.fsum(r.prime_sum for r in rows) / n
@@ -537,7 +542,7 @@ def reference_statistics(family: Family, tf: TestFunctionPair) -> dict[str, floa
     if not family:
         raise ValueError("the family is empty")
     firsts, lengths = _discriminant_runs(family)
-    log_discs = np.array([math.log(f * f) for f in family.conductor[firsts].tolist()])
+    log_discs = log_discriminants(family.conductor[firsts].tolist())
     _, pf, logp = _primes_and_logs(math.exp(tf.beta * log_discs.max() / 2) + 1)
     arg = 2.0 * logp
     per_run = _row_fsums(len(firsts), len(arg),
@@ -545,8 +550,8 @@ def reference_statistics(family: Family, tf: TestFunctionPair) -> dict[str, floa
                          lambda rows, cols: 2.0 * logp[cols] / (pf[cols] * log_discs[rows])
                          * tf.fhat(arg[cols] / log_discs[rows]))
     square_sum = math.fsum(np.repeat(per_run, lengths).tolist()) / len(family)
-    return {"U": 0.0, "Sp": square_sum, "O": -square_sum,
-            "SOeven": -square_sum, "SOodd": -square_sum}
+    minus = 0.0 - square_sum  # -square_sum would print -0.0 for an empty sum
+    return {"U": 0.0, "Sp": square_sum, "O": minus, "SOeven": minus, "SOodd": minus}
 
 
 @dataclass(frozen=True)

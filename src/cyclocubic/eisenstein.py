@@ -26,13 +26,15 @@ numpy pass over the lattice rows b = 3, 6, ... inside the ellipse
 a^2 - ab + b^2 <= n, keeping the points of prime norm; `prime_above` reads
 that table for p up to its bound and solves the norm equation beyond it.
 
-Cubic residue symbols are evaluated by modular exponentiation in the residue
-field of the chosen prime: one element at a time (`cubic_residue_symbol`,
-exact at any size), many elements at one prime (`cubic_residue_exponents`,
-numpy int64 for p < 2**31, from elements or straight from coefficient arrays
-such as the table's), or many elements at many primes
-(`cubic_residue_exponent_blocks`, whose blocks of columns share one
-square-and-multiply).
+A cubic residue symbol (a / P)_3 = omega^k is given by its exponent k in
+{0, 1, 2}, or EXPONENT_ZERO when P divides a, and is evaluated by modular
+exponentiation mod the chosen prime (omega -> omega_mod(P) at a split p):
+one element at a time (`cubic_residue_symbol`, Python ints, exact at any
+size), many elements at one prime (`cubic_residue_exponents`, numpy int64
+for p < 2**31, from elements or straight from coefficient arrays such as the
+table's), or many elements at many primes (`cubic_residue_exponent_blocks`,
+whose blocks of columns share one square-and-multiply).  All three return
+the same ints.
 
 All values are immutable after construction, and the registry table is only
 ever replaced whole by a larger read-only one, so every operation is safe
@@ -238,9 +240,6 @@ class PrimeAbove(NamedTuple):
     residue_degree: int  # 1 or 2
     kind: str  # "split" | "inert" | "ramified"
 
-    def residue_norm(self) -> int:
-        return self.p if self.residue_degree == 1 else self.p * self.p
-
     def conjugate(self) -> "PrimeAbove":
         """The conjugate prime (same prime for inert p and for p = 3 as an ideal)."""
         return PrimeAbove(self.p, self.generator.conjugate(), self.residue_degree, self.kind)
@@ -359,132 +358,59 @@ def prime_above(p: int) -> PrimeAbove:
     return PrimeAbove(p, solve_split_generator(p), 1, "split")
 
 
-# -- residue fields and cubic symbols ------------------------------------------
+# -- cubic residue symbols ------------------------------------------------------
 
 
-class ResidueField:
-    """O_K / P presented concretely, with a ring-homomorphism reduction map.
+def omega_mod(P: PrimeAbove) -> int:
+    """The image -a/b mod p of omega in Z[omega]/P = Z/p, for P = (a + b omega) of degree 1.
 
-    residue_degree 1: integers mod p, omega mapped to the root of x^2+x+1
-    determined by the generator (for p = 3 the root is 1).
-    residue_degree 2: pairs (x, y) = x + y*omega mod p with omega^2 = -1-omega.
+    It is the root of x^2 + x + 1 mod p that the generator picks; ValueError
+    if p divides b, where no generator of a degree-1 prime can sit.
     """
-
-    __slots__ = ("p", "degree", "omega", "_roots")
-
-    def __init__(self, P: PrimeAbove):
-        self.p = P.p
-        self.degree = P.residue_degree
-        if self.degree == 1:
-            g = P.generator
-            if g.b % self.p == 0:
-                raise ValueError(f"invalid degree-1 generator {g}")
-            self.omega = (-g.a) * pow(g.b, -1, self.p) % self.p
-            self._roots = {1: 0, self.omega: 1, self.omega * self.omega % self.p: 2}
-        else:
-            self.omega = (0, 1)
-            self._roots = {(1, 0): 0, (0, 1): 1, (self.p - 1, self.p - 1): 2}
-
-    def reduce(self, z: EisensteinInteger):
-        if self.degree == 1:
-            return (z.a + z.b * self.omega) % self.p
-        return (z.a % self.p, z.b % self.p)
-
-    def is_zero(self, x) -> bool:
-        return x == 0 if self.degree == 1 else x == (0, 0)
-
-    def mul(self, x, y):
-        if self.degree == 1:
-            return x * y % self.p
-        a, b = x
-        c, d = y
-        return ((a * c - b * d) % self.p, (a * d + b * c - b * d) % self.p)
-
-    def power(self, x, n: int):
-        if self.degree == 1:
-            return pow(x, n, self.p)
-        return _power(x, n, (1, 0), self.mul)
-
-    def cube_root_index(self, x) -> int:
-        """k with x = omega^k in the residue field; raises if x is not one."""
-        try:
-            return self._roots[x]
-        except KeyError:
-            raise RuntimeError(
-                f"{x} is not a cube root of unity mod the prime above {self.p}; "
-                "the registry generator is corrupt"
-            ) from None
+    g = P.generator
+    if g.b % P.p == 0:
+        raise ValueError(f"invalid degree-1 generator {g}")
+    return (-g.a) * pow(g.b, -1, P.p) % P.p
 
 
-@lru_cache(maxsize=None)
-def residue_map(P: PrimeAbove) -> ResidueField:
-    """The residue field of P with its reduction homomorphism."""
-    return ResidueField(P)
+EXPONENT_ZERO = -1  # the exponent that marks a zero symbol, P | a
 
 
-class CubicSymbol(NamedTuple):
-    """Value of a cubic residue symbol: 0 or omega^k, k in {0, 1, 2}."""
+def cubic_residue_symbol(a: EisensteinInteger, P: PrimeAbove) -> int:
+    """The exponent k of (a / P)_3 = omega^k, k in {0, 1, 2}, or EXPONENT_ZERO if P | a.
 
-    exponent: int | None  # None encodes 0
-
-    @property
-    def is_zero(self) -> bool:
-        return self.exponent is None
-
-    @property
-    def is_one(self) -> bool:
-        return self.exponent == 0
-
-    def __mul__(self, other: "CubicSymbol") -> "CubicSymbol":
-        if self.is_zero or other.is_zero:
-            return SYMBOL_ZERO
-        return _SYMBOLS[(self.exponent + other.exponent) % 3]
-
-    def __pow__(self, n: int) -> "CubicSymbol":
-        if self.is_zero:
-            return SYMBOL_ZERO
-        return _SYMBOLS[self.exponent * n % 3]
-
-    def conjugate(self) -> "CubicSymbol":
-        return self**2
-
-    def real_double(self) -> int:
-        """value + conjugate: 2 for omega^0, -1 otherwise, 0 for the zero symbol."""
-        if self.is_zero:
-            return 0
-        return 2 if self.exponent == 0 else -1
-
-    def complex_value(self) -> complex:
-        if self.is_zero:
-            return 0j
-        return (1, -0.5 + 0.8660254037844386j, -0.5 - 0.8660254037844386j)[self.exponent]
-
-    def __repr__(self) -> str:
-        return "CubicSymbol(0)" if self.is_zero else f"CubicSymbol(w^{self.exponent})"
-
-
-_SYMBOLS = (CubicSymbol(0), CubicSymbol(1), CubicSymbol(2))
-SYMBOL_ZERO = CubicSymbol(None)
-SYMBOL_ONE, SYMBOL_OMEGA, SYMBOL_OMEGA2 = _SYMBOLS
-
-
-def cubic_residue_symbol(a: EisensteinInteger, P: PrimeAbove) -> CubicSymbol:
-    """(a / P)_3: zero if P | a, else the omega-power a^((N(P)-1)/3) mod P.
-
+    omega^k is a^((N(P)-1)/3) mod P, by Python int arithmetic, exact at any
+    size.  At a split p, Z[omega]/P is Z/p with omega -> omega_mod(P); at an
+    inert p it holds the pairs x + y*omega mod p with omega^2 = -1 - omega.
     Not defined at the ramified prime above 3 (every unit class there is a
-    cube only up to a finer filtration; callers handle 3 explicitly).
+    cube only up to a finer filtration; callers handle 3 explicitly).  A
+    power that is no cube root of unity raises RuntimeError: the generator
+    is corrupt.
     """
     if P.kind == "ramified":
         raise ValueError("the cubic symbol is not defined at the prime above 3")
-    field = residue_map(P)
-    x = field.reduce(a)
-    if field.is_zero(x):
-        return SYMBOL_ZERO
-    t = field.power(x, (P.residue_norm() - 1) // 3)
-    return _SYMBOLS[field.cube_root_index(t)]
+    p = P.p
+    if P.residue_degree == 1:
+        w = omega_mod(P)
+        x = (a.a + a.b * w) % p
+        if x == 0:
+            return EXPONENT_ZERO
+        t, roots = pow(x, (p - 1) // 3, p), (1, w, w * w % p)
+    else:
+        x = (a.a % p, a.b % p)
+        if x == (0, 0):
+            return EXPONENT_ZERO
+        # (a + b w)(c + d w) = (ac - bd) + (ad + bc - bd) w, as EisensteinInteger.__mul__
+        t = _power(x, (p * p - 1) // 3, (1, 0),
+                   lambda u, v: ((u[0] * v[0] - u[1] * v[1]) % p,
+                                 (u[0] * v[1] + u[1] * v[0] - u[1] * v[1]) % p))
+        roots = ((1, 0), (0, 1), (p - 1, p - 1))
+    if t not in roots:
+        raise RuntimeError(f"{t} is not a cube root of unity mod the prime above {p}; "
+                           "the registry generator is corrupt")
+    return roots.index(t)
 
 
-EXPONENT_ZERO = -1  # cubic_residue_exponents' mark for a zero symbol
 INT64_PRIME_BOUND = 2**31  # p below it keeps every product of residues under 2**63
 _NOT_A_ROOT = -2  # _exponent_block's mark for a power that is no cube root of unity
 
@@ -494,29 +420,28 @@ _NOT_A_ROOT = -2  # _exponent_block's mark for a power that is no cube root of u
 _SYMBOLS_PER_PASS = 1 << 12
 
 
-def _symbol_field(P: PrimeAbove) -> ResidueField:
-    """The residue field of P, or ValueError where the vectorized symbol is undefined."""
+def _check_vectorized(P: PrimeAbove) -> None:
+    """ValueError where the vectorized symbol is undefined: at 3, and from p = 2**31 on."""
     if P.kind == "ramified":
         raise ValueError("the cubic symbol is not defined at the prime above 3")
     if P.p >= INT64_PRIME_BOUND:
         raise ValueError(f"vectorized cubic symbols need p < 2**31, got p = {P.p}")
-    return residue_map(P)
 
 
 def cubic_residue_exponents(elements: Sequence[EisensteinInteger] | np.ndarray,
                             P: PrimeAbove) -> np.ndarray:
-    """The exponents k of (a / P)_3 = omega^k for every a in `elements`, at once.
+    """cubic_residue_symbol of every a in `elements`, at once, as an int64 array.
 
     `elements` is a sequence of EisensteinInteger, or an integer array of
     shape (n, 2) holding coefficient pairs (a, b), such as registry_table's
-    generators.  The vectorized cubic_residue_symbol: the same residue field
-    and power (N(P)-1)/3, by numpy int64 square-and-multiply on coefficients
-    reduced mod p first.  EXPONENT_ZERO marks the elements that P divides.
-    Raises ValueError unless p < 2**31, so no product can wrap, and the
-    RuntimeError of cube_root_index if a power is not a cube root of unity.
-    This is the one-column case of cubic_residue_exponent_blocks.
+    generators.  The same power (N(P)-1)/3 is taken by numpy int64
+    square-and-multiply on coefficients reduced mod p first, and gives the
+    same exponents, EXPONENT_ZERO where P divides the element.  Raises
+    ValueError unless p < 2**31, so no product can wrap, and the scalar's
+    RuntimeError if a power is not a cube root of unity.  This is the
+    one-column case of cubic_residue_exponent_blocks.
     """
-    _symbol_field(P)
+    _check_vectorized(P)
     if not isinstance(elements, np.ndarray):
         p = P.p
         elements = np.array([(z.a % p, z.b % p) for z in elements], dtype=np.int64)
@@ -528,25 +453,25 @@ def cubic_residue_exponent_blocks(coeffs: np.ndarray, primes: Sequence[PrimeAbov
     """Yield (columns, exponents) until every column of the symbol table is given.
 
     The table has one row per coefficient pair (a, b) of `coeffs` and one
-    column per P in `primes`; exponents[i, c] is the k of
-    (a_i / P_j)_3 = omega^k for j = columns[c], or EXPONENT_ZERO where P_j
-    divides a_i, as cubic_residue_exponents gives it column by column.  The
-    split and the inert columns go in separate blocks of at most
-    _SYMBOLS_PER_PASS entries (one column when the rows pass that), and
+    column per P in `primes`; exponents[i, c] is cubic_residue_symbol of
+    a_i at P_j for j = columns[c], as cubic_residue_exponents gives it column
+    by column.  The split and the inert columns go in separate blocks of at
+    most _SYMBOLS_PER_PASS entries (one column when the rows pass that), and
     each block is one int64 square-and-multiply in which column j has its
     own modulus p_j and its own exponent (N(P_j) - 1)/3.  Every P is checked
     (ValueError, as in cubic_residue_exponents) before anything is yielded,
-    and a power that is not a cube root of unity raises the RuntimeError of
-    cube_root_index.
+    and a power that is not a cube root of unity raises the scalar's
+    RuntimeError.
     """
-    fields = [_symbol_field(P) for P in primes]
+    for P in primes:
+        _check_vectorized(P)
     coeffs = np.asarray(coeffs, dtype=np.int64)
     step = max(1, _SYMBOLS_PER_PASS // max(1, len(coeffs)))
     for degree in (1, 2):
         columns = [j for j, P in enumerate(primes) if P.residue_degree == degree]
         for lo in range(0, len(columns), step):
             block = columns[lo:lo + step]
-            exponents = _exponent_block(coeffs, [fields[j] for j in block], degree)
+            exponents = _exponent_block(coeffs, [primes[j] for j in block], degree)
             bad = np.argwhere(exponents.T == _NOT_A_ROOT)
             if bad.size:
                 c, i = bad[0].tolist()
@@ -555,21 +480,21 @@ def cubic_residue_exponent_blocks(coeffs: np.ndarray, primes: Sequence[PrimeAbov
             yield block, exponents
 
 
-def _exponent_block(coeffs: np.ndarray, fields: list[ResidueField], degree: int) -> np.ndarray:
-    """The exponents of every row of `coeffs` at residue fields of one degree, one column each.
+def _exponent_block(coeffs: np.ndarray, primes: list[PrimeAbove], degree: int) -> np.ndarray:
+    """The exponents of every row of `coeffs` at primes of one degree, one column each.
 
-    At a split p the power is x^((p - 1)/3) in Z/p, matched against the
-    roots of ResidueField in their order.  At an inert p the power is only
-    z = x^((p + 1)/3): Frobenius is conjugation on Z[omega]/(p), so
-    x^((p^2 - 1)/3) = z^(p - 1) = conj(z) / z, which is omega^k exactly
-    when conj(z) = omega^k z.  With z = c + d w, conj(z) = (c - d) - d w
-    equals z, omega z = -d + (c - d) w or omega^2 z = (d - c) - c w exactly
-    when d = 0, c = 0 or c = d.
+    At a split p the power is x^((p - 1)/3) in Z/p, with omega -> omega_mod(P),
+    matched against 1, omega and omega^2, the order of cubic_residue_symbol's
+    roots.  At an inert p the power is only z = x^((p + 1)/3): Frobenius is
+    conjugation on Z[omega]/(p), so x^((p^2 - 1)/3) = z^(p - 1) = conj(z) / z,
+    which is omega^k exactly when conj(z) = omega^k z.  With z = c + d w,
+    conj(z) = (c - d) - d w equals z, omega z = -d + (c - d) w or
+    omega^2 z = (d - c) - c w exactly when d = 0, c = 0 or c = d.
     """
-    p = np.array([field.p for field in fields], dtype=np.int64)
+    p = np.array([P.p for P in primes], dtype=np.int64)
     a, b = coeffs[:, :1] % p, coeffs[:, 1:] % p
     if degree == 1:
-        omega = np.array([field.omega for field in fields], dtype=np.int64)
+        omega = np.array([omega_mod(P) for P in primes], dtype=np.int64)
         x = (a + b * omega) % p
         zero = x == 0
         (t,) = _power_columns((x,), (p - 1) // 3, (np.ones_like(x),),

@@ -77,7 +77,6 @@ import numpy as np
 from .eisenstein import (
     EXPONENT_ZERO,
     LAMBDA,
-    CubicSymbol,
     EisensteinInteger,
     conjugate_coefficients,
     cubic_residue_exponent_blocks,
@@ -109,11 +108,13 @@ RAMIFIED = SplittingType(3, 1, 1)
 
 
 def character_symbol(p: int, label: FieldLabel, element: tuple[int, int] = KUMMER, *,
-                     conjugate_prime: bool = False) -> CubicSymbol:
+                     conjugate_prime: bool = False) -> int:
     """(D1^g * D2^c / P)_3 for element = (g, c), at the registry prime P above p.
 
-    `conjugate_prime` takes it at the conjugate of P.  For the Kummer element
-    it is zero exactly when p | D, and the splitting it induces is the same
+    The value is cubic_residue_symbol's: the exponent k of omega^k, or
+    EXPONENT_ZERO where P divides the element.  `conjugate_prime` takes it
+    at the conjugate of P.  For the Kummer element it is EXPONENT_ZERO
+    exactly when p | D, and the splitting it induces is the same
     under either prime and with (g, c) reversed, which the verification
     probes exercise.
     """
@@ -152,9 +153,9 @@ def splitting_type(p: int, label: FieldLabel, element: tuple[int, int] = KUMMER,
     if p == 3:
         return splitting_at_three(label)
     s = character_symbol(p, label, element, conjugate_prime=conjugate_prime)
-    if s.is_zero:
+    if s == EXPONENT_ZERO:
         return RAMIFIED
-    return SPLIT if s.is_one else INERT
+    return SPLIT if s == 0 else INERT
 
 
 def lambda_coefficient(p: int, m: int, label: FieldLabel, element: tuple[int, int] = KUMMER, *,

@@ -51,10 +51,6 @@ from ._primes import prime_sieve, primes_up_to, smallest_factor_sieve
 from .eisenstein import (
     EXPONENT_ZERO,
     LAMBDA,
-    SYMBOL_OMEGA,
-    SYMBOL_OMEGA2,
-    SYMBOL_ONE,
-    SYMBOL_ZERO,
     EisensteinInteger,
     conjugate_coefficients,
     cubic_residue_exponents,
@@ -573,7 +569,7 @@ def charsum_decade_envelope(p: int, y_max: int = 10**5) -> dict[int, float]:
 
 
 # chi, chi^2 and (chi + chi^2).real as CPython computes them, at exponents 0, 1, 2 and -1 (zero)
-_CHI = [symbol.complex_value() for symbol in (SYMBOL_ONE, SYMBOL_OMEGA, SYMBOL_OMEGA2, SYMBOL_ZERO)]
+_CHI = [1, -0.5 + 0.8660254037844386j, -0.5 - 0.8660254037844386j, 0j]
 _CHI_POWERS = np.array([_CHI, [chi**2 for chi in _CHI]], dtype=complex)
 _TRACE = np.array([(chi + chi**2).real for chi in _CHI])
 _WALK_BLOCK = 4096  # rows of primes whose factors are built, and folded, at once

@@ -69,8 +69,10 @@ def test_usage_errors(capsys):
     code, _, err = run(["charsum", "--primes", "2147483659"], capsys)  # a prime > 2^31
     assert code == cli.EXIT_USAGE and "2**31" in err
     # below s = 2 or p0 = 10**6 the generating-series probes cannot be Cauchy
-    # to 1e-8 between p0 // 10 and p0, so these were false FAILs (exit 2)
-    for s in ("1", "0", "-2", "1.1", "1.5", "1.999"):
+    # to 1e-8 between p0 // 10 and p0, so these were false FAILs (exit 2); at
+    # s = inf (1e400 parses to it) every Euler factor is 1, so both probes
+    # passed with lhs = rhs = 1.0 and checked nothing
+    for s in ("1", "0", "-2", "1.1", "1.5", "1.999", "inf", "1e400"):
         code, out, err = run(["verify", "--s", s], capsys)
         assert code == cli.EXIT_USAGE and out == "" and "--s" in err, s
         assert err.count("\n") == 1, s
@@ -121,6 +123,8 @@ def test_tiny_beta_writes_only_its_message(capsys):
     assert len(rows) == 2
     assert all(math.isfinite(float(v)) for row in rows for v in row[5:])
     assert "# average=" in out and "# classification=U" in out
+    # no p^2 < Delta^beta, so every square sum is empty: 0.0, never -0.0
+    assert "# references=U:0.0 Sp:0.0 O:0.0 SOeven:0.0 SOodd:0.0" in out.splitlines()
 
 
 def test_density_table(tmp_path, capsys):
@@ -275,7 +279,7 @@ def test_empty_family(capsys):
 def test_density_surfaces_other_runtime_errors(monkeypatch):
     # only a table value that is not finite is a usage error; corrupt
     # arithmetic must still raise
-    def corrupt(labels, tf):
+    def corrupt(log_discs, tf):
         raise RuntimeError("arithmetic is corrupt")
 
     monkeypatch.setattr(cli.density_mod, "gamma_terms", corrupt)

@@ -20,6 +20,7 @@ from cyclocubic.density import (
     kernel_integral,
     kernel_integral_quadrature,
     kernel_value,
+    log_discriminants,
     one_level_density,
     panel_gauss,
     prime_sum,
@@ -245,12 +246,14 @@ def test_cubic_character_gamma_factor_is_gamma_r_of_s():
 
 
 def test_gamma_terms_match_one_label_at_a_time():
-    # the closed form acts elementwise on the labels, so a batch never moves a bit
-    labels = enumerate_family(10**8).labels()
+    # the closed form acts elementwise on the log discriminants, so a batch
+    # never moves a bit
+    family = enumerate_family(10**8)
+    log_discs = log_discriminants(family.conductor.tolist())
     for beta in (1e-6, 0.2, 0.4):
         tf = fejer_pair(beta)
-        assert gamma_terms(labels, tf) == [gamma_term(label, tf) for label in labels]
-    assert gamma_terms([], fejer_pair(0.2)) == []
+        assert gamma_terms(log_discs, tf) == [gamma_term(label, tf) for label in family.labels()]
+    assert gamma_terms(log_discriminants([]), fejer_pair(0.2)) == []
 
 
 def test_family_average_rows_match_one_level_density():

@@ -8,8 +8,7 @@ import pytest
 
 from cyclocubic import eisenstein
 from cyclocubic._primes import primes_up_to
-from cyclocubic.eisenstein import EisensteinInteger, PrimeAbove
-from cyclocubic.eisenstein import SYMBOL_OMEGA, SYMBOL_OMEGA2, SYMBOL_ONE, SYMBOL_ZERO
+from cyclocubic.eisenstein import EXPONENT_ZERO, EisensteinInteger, PrimeAbove
 from cyclocubic.fields import (
     FieldLabel,
     defining_polynomial,
@@ -48,11 +47,11 @@ def _root_count(p, label):
 def test_kummer_symbol_values():
     # registry reduction omega -> 9 mod 13 sends D1*D2^2 = -7 - 21w to -1,
     # whose fourth power is 1: 13 splits; the cubic indeed has roots mod 13
-    assert character_symbol(13, D7, KUMMER) == SYMBOL_ONE
+    assert character_symbol(13, D7, KUMMER) == 0
     assert _root_count(13, D7) == 3
-    assert character_symbol(7, D7, KUMMER) == SYMBOL_ZERO  # 7 | D
+    assert character_symbol(7, D7, KUMMER) == EXPONENT_ZERO  # 7 | D
     # x^3 - 9x - 9 has the root 1 mod 17; a Galois cubic then splits
-    assert character_symbol(17, D3, KUMMER) == SYMBOL_ONE
+    assert character_symbol(17, D3, KUMMER) == 0
     assert _root_count(17, D3) == 3
     with pytest.raises(ValueError, match="local cube test"):
         character_symbol(3, D7, KUMMER)
@@ -60,11 +59,11 @@ def test_kummer_symbol_values():
 
 def test_paper_chi_values():
     # (D1 / P13): D1 = 2 + 3w maps to 3, and 3^4 = 81 = 3 = omega^2 mod 13
-    assert character_symbol(13, D7, PAPER_LITERAL) == SYMBOL_OMEGA2
+    assert character_symbol(13, D7, PAPER_LITERAL) == 2
     # D = 49 carries the squared factorization, so the symbol squares
-    assert character_symbol(13, FieldLabel(0, 1, 7), PAPER_LITERAL) == SYMBOL_OMEGA
+    assert character_symbol(13, FieldLabel(0, 1, 7), PAPER_LITERAL) == 1
     for p in (7, 13):
-        assert character_symbol(p, FieldLabel(0, p, 1), PAPER_LITERAL) == SYMBOL_ZERO
+        assert character_symbol(p, FieldLabel(0, p, 1), PAPER_LITERAL) == EXPONENT_ZERO
 
 
 def test_paper_chi_multiplicative():
@@ -73,7 +72,7 @@ def test_paper_chi_multiplicative():
         a = character_symbol(p, FieldLabel(0, 7, 1), PAPER_LITERAL)
         b = character_symbol(p, FieldLabel(0, 19, 1), PAPER_LITERAL)
         ab = character_symbol(p, FieldLabel(0, 7 * 19, 1), PAPER_LITERAL)
-        assert ab == a * b
+        assert ab == (EXPONENT_ZERO if EXPONENT_ZERO in (a, b) else (a + b) % 3)
 
 
 def test_splitting_type_examples():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from cyclocubic._primes import primes_up_to
 from cyclocubic.eisenstein import (
+    EXPONENT_ZERO,
     ONE,
-    SYMBOL_OMEGA,
     ZERO,
     EisensteinInteger,
     euclidean_gcd,
@@ -91,8 +91,6 @@ def test_values_hash_by_value_and_stay_immutable(x, y):
     with pytest.raises(AttributeError):
         x.b = 0
     with pytest.raises(AttributeError):
-        SYMBOL_OMEGA.exponent = 0
-    with pytest.raises(AttributeError):
         SPLIT.g = 1
     with pytest.raises(AttributeError):
         prime_above(7).generator = ONE
@@ -134,11 +132,12 @@ def test_kummer_variants_agree_on_large_labels(label, p):
     c = kummer_argument(label)
     assert max(abs(c.a), abs(c.b)) > 2**63
     base = character_symbol(p, label, KUMMER)
+    square = EXPONENT_ZERO if base == EXPONENT_ZERO else 2 * base % 3
     for conj in (False, True):
         for element in (KUMMER, KUMMER[::-1]):
             # swapping D1 and D2 squares the symbol; the splitting never moves
             s = character_symbol(p, label, element, conjugate_prime=conj)
-            assert s in (base, base.conjugate())
+            assert s in (base, square)
     oracle = polynomial_splitting_oracle(p, label)
     if oracle is not None:
         assert splitting_type(p, label) == oracle

@@ -7,6 +7,7 @@ import pytest
 import cyclocubic.eisenstein as eisenstein
 from cyclocubic._primes import factorize, primes_up_to
 from cyclocubic.eisenstein import (
+    EXPONENT_ZERO,
     LAMBDA,
     EisensteinInteger,
     PrimeAbove,
@@ -320,9 +321,9 @@ def _char_sum_term_by_term(p: int, y: int,
             z = EisensteinInteger(1)
             for q in fac1 + fac2 + fac2:
                 z = z * generator(q)
-            symbol = cubic_residue_symbol(z, P)
-            if not symbol.is_zero:
-                counts[symbol.exponent] += 1
+            k = cubic_residue_symbol(z, P)
+            if k != EXPONENT_ZERO:
+                counts[k] += 1
     return EisensteinInteger(counts[0] - counts[2], counts[1] - counts[2]), pairs
 
 
@@ -364,12 +365,16 @@ def test_log_grid_stays_within_ymax():
         assert log_grid(y_max) == [y for y in full if y <= y_max]
 
 
+# omega^k at k = 0, 1, 2, and 0 at EXPONENT_ZERO = -1, as the scalar code writes them
+_CHI_VALUES = [1, -0.5 + 0.8660254037844386j, -0.5 - 0.8660254037844386j, 0j]
+
+
 def _genseries_sides_per_ell(p: int, s: float, p0: int) -> tuple[float, float]:
     """genseries_sides with one registry prime and one scalar symbol per ell."""
     P = prime_above(p)
 
     def chi_of(x):
-        return cubic_residue_symbol(x, P).complex_value()
+        return _CHI_VALUES[cubic_residue_symbol(x, P)]
 
     lhs, l_chi, l_chi2, h = 1.0, complex(1.0), complex(1.0), complex(1.0)
     x3 = 3.0 ** (-s)
