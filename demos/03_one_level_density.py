@@ -29,16 +29,16 @@ for g in ("U", "Sp", "O", "SOeven", "SOodd"):
     print(f"  {g:<7} {kernel_integral(g, tf):.4f}")
 print()
 
-records = enumerate_family(X)
-summary = family_average(records, tf)
-refs = reference_statistics(records, tf)
+family = enumerate_family(X)
+summary = family_average(family, tf)
+refs = reference_statistics(family, tf)
 verdict = classify_symmetry(summary.t_statistic, refs)
 
 print(f"Family: {summary.count} fields with discriminant in [{X}, {2*X}]")
 print("First few per-field breakdowns (archimedean, gamma, prime sum, total):")
-for row in summary.breakdowns[:5]:
-    print(f"  D = {row.label.D:>6}: {row.archimedean:+.4f} {row.gamma_term:+.4f} "
-          f"{row.prime_sum:+.4f} -> {row.total:+.4f}")
+for D, gam, ps, total in zip(family.D[:5].tolist(), summary.gamma_term[:5].tolist(),
+                             summary.prime_sum[:5].tolist(), summary.total[:5].tolist()):
+    print(f"  D = {D:>6}: {tf.fhat_at_0:+.4f} {gam:+.4f} {ps:+.4f} -> {total:+.4f}")
 print()
 print(f"average density   = {summary.average:+.6f}")
 print(f"T (avg prime sum) = {summary.t_statistic:+.6f}")

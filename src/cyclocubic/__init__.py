@@ -42,7 +42,6 @@ from .lfunctions import (
     splitting_type,
 )
 from .density import (
-    DensityBreakdown,
     TestFunctionPair,
     classify_symmetry,
     digamma,
@@ -51,7 +50,6 @@ from .density import (
     gamma_term,
     kernel_integral,
     kernel_value,
-    one_level_density,
     prime_sum,
     reference_statistics,
 )

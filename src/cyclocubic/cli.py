@@ -150,12 +150,12 @@ def cmd_density(cfg: argparse.Namespace) -> int:
     cls = density_mod.classify_symmetry(summary.t_statistic, refs)
 
     # mode=kummer names the one character the table reads; readers match the line verbatim
-    lines = [f"# cyclocubic density table", f"# x={cfg.x} beta={cfg.beta} mode=kummer",
-             "D,e3,d1,d2,conductor,archimedean,gamma_term,prime_sum,total"]
-    for (e3, d1, d2, D, f, _), row in zip(family.rows(), summary.breakdowns):
-        lines.append(f"{D},{e3},{d1},{d2},{f},{row.archimedean!r},{row.gamma_term!r},"
-                     f"{row.prime_sum!r},{row.total!r}")
-    lines += [
+    header = [f"# cyclocubic density table", f"# x={cfg.x} beta={cfg.beta} mode=kummer",
+              "D,e3,d1,d2,conductor,archimedean,gamma_term,prime_sum,total"]
+    columns = (summary.gamma_term.tolist(), summary.prime_sum.tolist(), summary.total.tolist())
+    rows = (f"{D},{e3},{d1},{d2},{f},{tf.fhat_at_0!r},{gam!r},{ps!r},{total!r}"
+            for (e3, d1, d2, D, f, _), gam, ps, total in zip(family.rows(), *columns))
+    footer = [
         "# summary",
         f"# count={summary.count}",
         f"# average={summary.average!r}",
@@ -163,7 +163,7 @@ def cmd_density(cfg: argparse.Namespace) -> int:
         f"# references=" + " ".join(f"{g}:{refs[g]!r}" for g in density_mod.KERNELS),
         f"# classification={cls.kernel} margin={cls.margin!r} ambiguous={cls.ambiguous}",
     ]
-    _write(cfg.out, lines)
+    _write(cfg.out, itertools.chain(header, rows, footer))
     return EXIT_OK
 
 

@@ -325,7 +325,7 @@ def log_discriminants(conductors: Iterable[int]) -> np.ndarray:
 
 
 def gamma_terms(log_discs: np.ndarray, tf: TestFunctionPair) -> list[float]:
-    """gamma_term at every log discriminant, as one numpy column.
+    """gamma_term at every log discriminant, computed as one numpy column.
 
     Every operation acts elementwise, so each value is bit for bit the
     one-label value.  A beta so small that the term overflows gives inf,
@@ -462,35 +462,27 @@ def prime_sum(label: FieldLabel, tf: TestFunctionPair) -> float:
     Each term is lambda(p) log(p) / sqrt(p^m) * fhat(log(p^m) / log Delta).
     The terms are summed with math.fsum, which rounds the exact sum once, so
     the value is reproducible bit for bit whatever the order of the terms.
-    This is prime_sums for one field.
+    This is prime_sums for one field, whose Family comes from
+    fields.family_of: a label with D above 2^61 raises ValueError there.
     """
     return prime_sums(family_of([label]), tf)[0]
 
 
 @dataclass(frozen=True)
-class DensityBreakdown:
-    label: FieldLabel
-    archimedean: float
-    gamma_term: float
-    prime_sum: float
-    total: float
-
-
-def one_level_density(label: FieldLabel, tf: TestFunctionPair) -> DensityBreakdown:
-    """Per-field breakdown; total = archimedean - prime_sum + gamma_term."""
-    arch = tf.fhat_at_0
-    gam = gamma_term(label, tf)
-    ps = prime_sum(label, tf)
-    return DensityBreakdown(label, arch, gam, ps, arch - ps + gam)
-
-
-@dataclass(frozen=True)
 class FamilySummary:
+    """Averages over a family, with the per-field columns they reduce.
+
+    gamma_term, prime_sum and total are float64 columns aligned with the
+    family's rows; total = fhat(0) - prime_sum + gamma_term, elementwise.
+    """
+
     count: int
     average: float
     t_statistic: float
     mean_gamma: float
-    breakdowns: tuple[DensityBreakdown, ...]
+    gamma_term: np.ndarray
+    prime_sum: np.ndarray
+    total: np.ndarray
 
 
 def _discriminant_runs(family: Family) -> tuple[np.ndarray, np.ndarray]:
@@ -509,23 +501,23 @@ def family_average(family: Family, tf: TestFunctionPair) -> FamilySummary:
 
     T, the average prime sum, is the symmetry-discriminating statistic.  The
     gamma term depends on nothing but the discriminant, so one gamma_terms
-    batch computes it once per run of rows sharing a discriminant.
-    The reduction runs in row order, with compensated sums, so repeated
-    runs are byte-identical.  An empty family raises ValueError.
+    batch computes it once per run of rows sharing a discriminant.  The
+    per-field values stay numpy columns, so no object is built per field,
+    and each is bit for bit its one-label value (gamma_term, prime_sum).
+    The averages are compensated sums, so repeated runs are byte-identical.
+    An empty family raises ValueError.
     """
     if not family:
         raise ValueError("the family is empty")
     firsts, lengths = _discriminant_runs(family)
     gammas = np.repeat(gamma_terms(log_discriminants(family.conductor[firsts].tolist()), tf),
                        lengths)
-    arch = tf.fhat_at_0
-    rows = tuple(DensityBreakdown(label, arch, gam, ps, arch - ps + gam) for label, gam, ps
-                 in zip(family.labels(), gammas.tolist(), prime_sums(family, tf)))
-    n = len(rows)
-    avg = math.fsum(r.total for r in rows) / n
-    t_stat = math.fsum(r.prime_sum for r in rows) / n
-    mean_gamma = math.fsum(r.gamma_term for r in rows) / n
-    return FamilySummary(n, avg, t_stat, mean_gamma, rows)
+    sums = np.array(prime_sums(family, tf))
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf or nan, silently
+        totals = tf.fhat_at_0 - sums + gammas
+    n = len(family)
+    return FamilySummary(n, math.fsum(totals.tolist()) / n, math.fsum(sums.tolist()) / n,
+                         math.fsum(gammas.tolist()) / n, gammas, sums, totals)
 
 
 def reference_statistics(family: Family, tf: TestFunctionPair) -> dict[str, float]:

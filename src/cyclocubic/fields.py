@@ -272,9 +272,10 @@ class Family:
     trace(D1), D1 the factor of three_split_factorization.  The primes of
     d1 * d2 form a CSR pair: those of row i are primes[offsets[i]:offsets[i + 1]],
     ascending, and in_d1 flags the ones that divide d1 (the rest divide d2).
-    len() counts the rows, so an empty family is falsy.  labels() and
-    records() give the rows as objects, for callers that want one field at
-    a time.
+    gens[j] = (a, b) is the registry generator pi_q = a + b omega above
+    q = primes[j].  len() counts the rows, so an empty family is falsy.
+    labels() and records() give the rows as objects, for callers that want
+    one field at a time.
     """
 
     e3: np.ndarray
@@ -286,6 +287,7 @@ class Family:
     offsets: np.ndarray
     primes: np.ndarray
     in_d1: np.ndarray
+    gens: np.ndarray
 
     def __len__(self) -> int:
         return self.D.size
@@ -337,7 +339,7 @@ def _family(e3: np.ndarray, d1: np.ndarray, d2: np.ndarray, offsets: np.ndarray,
         label = FieldLabel(int(e3[i]), int(d1[i]), int(d2[i]))
         raise RuntimeError(f"N(D1) != D for {label}; the registry generators are corrupt")
     conductor = np.where(e3 > 0, 9, 1) * d1 * d2
-    return Family(e3, d1, d2, D, conductor, 2 * a - b, offsets, primes, in_d1)
+    return Family(e3, d1, d2, D, conductor, 2 * a - b, offsets, primes, in_d1, gens)
 
 
 # a label's D up to this keeps every value of the int64 product of D1 below 4 * D < 2^63

@@ -182,10 +182,11 @@ def lambda_from_splitting(st: SplittingType, m: int) -> int:
 _ZERO_ENTRY = 1 << 20
 
 
-def _exponent_table(qs: Sequence[int], primes: Sequence[int], element: tuple[int, int],
+def _exponent_table(gens: np.ndarray, primes: Sequence[int], element: tuple[int, int],
                     conjugate_prime: bool = False) -> np.ndarray:
-    """k[r, j] of the module docstring: row 0 for lambda, row i + 1 for qs[i].
+    """k[r, j] of the module docstring: row 0 for lambda, row i + 1 for pi_q = gens[i].
 
+    gens holds the (a, b) of the registry generators of the distinct q.
     Column j belongs to primes[j], and element = (g, c) names D1^g * D2^c.
     Zero symbols enter the sum g e + c e' as _ZERO_ENTRY, and so does the
     lambda row of the column for p = 3.  The other columns come in blocks
@@ -194,7 +195,7 @@ def _exponent_table(qs: Sequence[int], primes: Sequence[int], element: tuple[int
     of each registry prime, as in character_symbol.
     """
     g, c = element
-    gens = np.array([LAMBDA] + [prime_above(q).generator for q in qs], dtype=np.int64)
+    gens = np.concatenate((np.array([LAMBDA], dtype=np.int64), gens))
     both = np.concatenate((gens, conjugate_coefficients(gens)))
     table = np.empty((len(gens), len(primes)), dtype=np.int64)
     columns = []
@@ -229,8 +230,10 @@ def lambda_table(family: Family | Sequence[FieldLabel], primes: Sequence[int],
     element, conjugate_prime=...), read off one exponent table of the
     family (see the module docstring) instead of a Z[omega] product per
     pair.  A list of labels becomes a Family first (fields.family_of, which
-    checks each label); a Family's CSR primes name its table rows by one
-    np.searchsorted against the distinct q, so nothing is factored.  The
+    checks each label).  The table rows are the distinct q of a Family's CSR
+    primes, with their generators read off Family.gens, and one
+    np.searchsorted names the row of every prime position, so nothing is
+    factored and no generator is looked up.  The
     rows of every field (lambda, then its q) are laid end to end with their
     weights (e3, then 1 for q | d1 and 2 for q | d2); one gather of those
     table rows, scaled by the weights and summed per field by
@@ -239,15 +242,16 @@ def lambda_table(family: Family | Sequence[FieldLabel], primes: Sequence[int],
     """
     if not isinstance(family, Family):
         family = family_of(family)
-    qs = np.sort(family.primes)
-    qs = qs[np.diff(qs, prepend=0) != 0]  # np.unique would import numpy.ma, 0.8 MB
-    table = _exponent_table(qs.tolist(), primes, element, conjugate_prime)
+    order = np.argsort(family.primes)
+    # a position of each distinct q, ascending; np.unique would import numpy.ma, 0.8 MB
+    first = order[np.diff(family.primes[order], prepend=0) != 0]
+    table = _exponent_table(family.gens[first], primes, element, conjugate_prime)
     n, offsets = len(family), family.offsets
     starts = offsets[:-1] + np.arange(n)  # each field's lambda row, then its q
     at_q = np.ones(offsets[-1] + n, dtype=bool)
     at_q[starts] = False
     rows = np.zeros(at_q.size, dtype=np.intp)
-    rows[at_q] = np.searchsorted(qs, family.primes) + 1
+    rows[at_q] = np.searchsorted(family.primes[first], family.primes) + 1
     weights = np.empty(at_q.size, dtype=np.int64)
     weights[starts] = family.e3
     weights[at_q] = np.where(family.in_d1, 1, 2)

@@ -120,8 +120,9 @@ def test_criterion_06_identity_bookkeeping():
     x = 10**6
     tf = fejer_pair(0.2)
     summary = family_average(enumerate_family(x), tf)
-    worst = max(abs(r.total - (r.archimedean - r.prime_sum + r.gamma_term))
-                for r in summary.breakdowns)
+    worst = max(abs(total - (tf.fhat_at_0 - ps + gam)) for total, ps, gam
+                in zip(summary.total.tolist(), summary.prime_sum.tolist(),
+                       summary.gamma_term.tolist()))
     assert worst < 1e-12
     residual = summary.average - (tf.fhat_at_0 + summary.mean_gamma) + summary.t_statistic
     assert abs(residual) < 1e-12

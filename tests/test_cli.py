@@ -6,8 +6,9 @@ import warnings
 
 import pytest
 
-from cyclocubic import cli
-from cyclocubic.fields import enumerate_family, record_from_line
+from cyclocubic import cli, lfunctions
+from cyclocubic._primes import primes_up_to
+from cyclocubic.fields import Family, enumerate_family, record_from_line
 
 
 def run(argv, capsys):
@@ -265,6 +266,26 @@ def test_density_factors_nothing(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == "5b5c331bae25eb8ee0f01ad66ccd3f47a11161a3420b4dd99c90870d5b588251")
+
+
+def test_density_keeps_its_family_as_columns(tmp_path, capsys, monkeypatch):
+    # no label is built per field, and lambda_table reads the generators above
+    # the q | d1 d2 off Family.gens: prime_above is asked for the column
+    # primes p < Delta^beta only, once each; same pinned bytes
+    def no_labels(self):
+        raise AssertionError("the density path built a label per field")
+
+    calls = []
+    real = lfunctions.prime_above
+    monkeypatch.setattr(Family, "labels", no_labels)
+    monkeypatch.setattr(lfunctions, "prime_above", lambda p: calls.append(p) or real(p))
+    out = tmp_path / "out.txt"
+    code, _, _ = run(["density", "--x", "100000000", "--beta", "0.4", "--out", str(out)], capsys)
+    assert code == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "5b5c331bae25eb8ee0f01ad66ccd3f47a11161a3420b4dd99c90870d5b588251")
+    column_primes = primes_up_to(int((2 * 10**8) ** 0.4) + 1)  # Delta <= 2X
+    assert calls and len(calls) == len(set(calls)) and set(calls) <= set(column_primes)
 
 
 def test_empty_family(capsys):

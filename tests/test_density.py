@@ -21,7 +21,6 @@ from cyclocubic.density import (
     kernel_integral_quadrature,
     kernel_value,
     log_discriminants,
-    one_level_density,
     panel_gauss,
     prime_sum,
     prime_sums,
@@ -257,10 +256,20 @@ def test_gamma_terms_match_one_label_at_a_time():
 
 
 def test_family_average_rows_match_one_level_density():
+    # the columns are the one-label values bit for bit, and total is the
+    # explicit-formula identity exactly
     family = enumerate_family(10**6)
+    labels = family.labels()
     for tf in (fejer_pair(0.2), fejer_pair(0.4)):
-        rows = family_average(family, tf).breakdowns
-        assert list(rows) == [one_level_density(label, tf) for label in family.labels()]
+        summary = family_average(family, tf)
+        for name in ("gamma_term", "prime_sum", "total"):
+            column = getattr(summary, name)
+            assert column.dtype == np.float64 and column.shape == (len(family),), name
+        assert summary.prime_sum.tolist() == [prime_sum(label, tf) for label in labels]
+        assert summary.gamma_term.tolist() == [gamma_term(label, tf) for label in labels]
+        assert summary.total.tolist() == [tf.fhat_at_0 - ps + gam for ps, gam in
+                                          zip(summary.prime_sum.tolist(),
+                                              summary.gamma_term.tolist())]
 
 
 def test_prime_sums_match_per_term_reference():
@@ -317,11 +326,11 @@ def test_prime_sum_hand_oracle_d61():
 
 def test_one_level_density_identity():
     tf = fejer_pair(0.2)
+    assert tf.fhat_at_0 == 5.0
     for label in (FieldLabel(0, 61, 1), FieldLabel(1, 7, 1), FieldLabel(0, 13, 7)):
-        bd = one_level_density(label, tf)
-        assert bd.archimedean == 5.0
-        assert bd.total == pytest.approx(bd.archimedean - bd.prime_sum + bd.gamma_term,
-                                         abs=1e-12)
+        bd = family_average(family_of([label]), tf)
+        assert bd.total[0] == pytest.approx(5.0 - bd.prime_sum[0] + bd.gamma_term[0],
+                                            abs=1e-12)
 
 
 def test_one_level_density_linear_in_f():
@@ -329,9 +338,10 @@ def test_one_level_density_linear_in_f():
     f1 = fejer_pair(0.2)
     f2 = combine_pairs((1.0, 0.5), (fejer_pair(0.1), fejer_pair(0.2)))
     mix = combine_pairs((0.5, 2.0), (f1, f2))
-    lhs = one_level_density(label, mix).total
-    rhs = (0.5 * one_level_density(label, f1).total
-           + 2.0 * one_level_density(label, f2).total)
+    family = family_of([label])
+    lhs = family_average(family, mix).total[0]
+    rhs = (0.5 * family_average(family, f1).total[0]
+           + 2.0 * family_average(family, f2).total[0])
     assert abs(lhs - rhs) < 1e-8
 
 

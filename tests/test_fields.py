@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cyclocubic._primes import factorize, smallest_factor_sieve
-from cyclocubic.eisenstein import EisensteinInteger, PrimeAbove, registry_table
+from cyclocubic.eisenstein import EisensteinInteger, PrimeAbove, prime_above, registry_table
 from cyclocubic.fields import (
     X_MAX,
     FieldLabel,
@@ -195,8 +195,22 @@ def test_family_rows_match_the_per_label_reference(x):
             label_primes(label)
     # a list of labels reaches the same columns through family_of
     rebuilt = family_of(labels)
-    for name in ("e3", "d1", "d2", "D", "conductor", "trace", "offsets", "primes", "in_d1"):
+    for name in ("e3", "d1", "d2", "D", "conductor", "trace", "offsets", "primes", "in_d1",
+                 "gens"):
         assert np.array_equal(getattr(rebuilt, name), getattr(family, name)), name
+
+
+def test_family_gens_are_the_registry_generators():
+    # both builders keep the generator above q at every CSR position, the
+    # enumeration from the registry table and family_of from prime_above,
+    # here also past the table for the prime 4471123
+    for family in (enumerate_family(10**8),
+                   family_of(labels_up_to_conductor(400) + [FieldLabel(0, 1, 4471123)])):
+        assert family.gens.shape == (family.primes.size, 2) and family.gens.dtype == np.int64
+        assert family.gens.tolist() == [list(prime_above(q).generator)
+                                        for q in family.primes.tolist()]
+    assert family.primes[-1] == 4471123
+    assert family_of([]).gens.shape == (0, 2)
 
 
 def test_family_of_checks_labels():
