@@ -115,15 +115,17 @@ def combine_pairs(coeffs: Sequence[float], pairs: Sequence[TestFunctionPair]) ->
 
 # -- quadrature helpers ---------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-
-
 def panel_gauss(func: Callable, a: float, b: float, panels: int) -> float:
-    """Composite 20-point Gauss-Legendre over equal panels of [a, b]."""
+    """Composite 20-point Gauss-Legendre over equal panels of [a, b].
+
+    Only the test oracles integrate numerically, so the nodes are computed
+    (and numpy.polynomial loaded) per call, not at import.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(20)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    return float(half * np.sum(func(mid[:, None] + half * _GL_NODES) @ _GL_WEIGHTS))
+    return float(half * np.sum(func(mid[:, None] + half * nodes) @ weights))
 
 
 def refine_panels(func: Callable, a: float, b: float, tol: float, start_panels: int) -> float:
@@ -244,9 +246,8 @@ def digamma(x: float) -> float:
     return float(_digamma_array(np.array([x], dtype=complex))[0].real)
 
 
-# (weight, a, psi(a)) of each Re psi(a + ix/2) in the archimedean bracket
-_BRACKET_PAIRS = ((2.0, 0.25, -np.euler_gamma - math.pi / 2.0 - 3.0 * math.log(2.0)),)
-_BRACKET_WEIGHT = sum(w for w, _, _ in _BRACKET_PAIRS)
+# psi(1/4): the archimedean bracket is 2 Re psi(1/4 + ix/2) less 2 log(pi)
+_PSI_QUARTER = -np.euler_gamma - math.pi / 2.0 - 3.0 * math.log(2.0)
 
 
 def _archimedean_bracket(x: np.ndarray) -> np.ndarray:
@@ -257,12 +258,10 @@ def _archimedean_bracket(x: np.ndarray) -> np.ndarray:
     (mpmath checks the functional equation for the cubic character mod 7 in
     test_cubic_character_gamma_factor_is_gamma_r_of_s).  Gamma_R(s) =
     pi^(-s/2) Gamma(s/2) gives G(s) = -log(pi)/2 + psi(s/2)/2, and conjugate
-    pairing makes the sum real: the bracket is the sum over _BRACKET_PAIRS of
-    w * Re psi(a + ix/2), minus 2 log(pi).
+    pairing makes the sum real: the bracket is 2 Re psi(1/4 + ix/2) - 2 log(pi).
     """
     half_ix = 0.5j * np.asarray(x, dtype=float)
-    val = sum(w * _digamma_array(a + half_ix).real for w, a, _ in _BRACKET_PAIRS)
-    return val - _BRACKET_WEIGHT * math.log(math.pi)
+    return 2.0 * _digamma_array(0.25 + half_ix).real - 2.0 * math.log(math.pi)
 
 
 # terms of D_a(U) summed one by one before its Euler-Maclaurin tail
@@ -335,8 +334,8 @@ def gamma_terms(log_discs: np.ndarray, tf: TestFunctionPair) -> list[float]:
     with np.errstate(over="ignore"):
         for coeff, beta in tf.fejer:
             u = 2.0 * beta * log_discs  # U = 4 pi L beta
-            pairs = sum(w * (psi + _lerch_sum(u, a) / u) for w, a, psi in _BRACKET_PAIRS)
-            out = out + coeff * ((pairs - _BRACKET_WEIGHT * math.log(math.pi))
+            pair = 2.0 * (_PSI_QUARTER + _lerch_sum(u, 0.25) / u)
+            out = out + coeff * ((pair - 2.0 * math.log(math.pi))
                                  / (beta * log_discs))
     return out.tolist()
 
@@ -345,7 +344,7 @@ def gamma_term(label: FieldLabel, tf: TestFunctionPair) -> float:
     """Rescaled archimedean term (1/2pi) integral f(L x) bracket(x) dx, in closed form.
 
     With L = log(Delta)/(2 pi), Re psi(a + it) = -gamma_E + integral_0^inf
-    (e^-u - e^-au cos tu) / (1 - e^-u) du and Parseval turn each pair into an
+    (e^-u - e^-au cos tu) / (1 - e^-u) du and Parseval turn the a = 1/4 term into an
     integral of fhat(u/(4 pi L)).  For the Fejer pair of support beta, with
     U = 4 pi L beta, expanding 1/(1 - e^-u) = sum_k e^-ku integrates it term
     by term:
@@ -353,7 +352,7 @@ def gamma_term(label: FieldLabel, tf: TestFunctionPair) -> float:
         integral f(y) Re psi(a + iy/(2L)) dy = (1/beta) [psi(a) + D_a(U)/U],
         D_a(U) = sum_{k >= 0} (1 - e^-(k+a)U) / (k+a)^2.
 
-    The weighted pairs, less 2 log(pi)/beta, are divided by 2 pi L = log Delta.
+    Twice that, less 2 log(pi)/beta, is divided by 2 pi L = log Delta.
     _lerch_sum gives D_a to about 1e-15 relative for every U > 0, so no beta
     needs a tolerance.  A combine_pairs mixture gets the same combination of
     its Fejer components' terms.  This is gamma_terms for one label.
@@ -371,7 +370,7 @@ def gamma_term_quadrature(label: FieldLabel, tf: TestFunctionPair) -> float:
     Integrates (1/pi L) f(y) bracket(y/L) over [0, W], W = _ORACLE_PERIODS/beta,
     and adds the analytic tail over y > W.  There f = (1 - cos wy) h0(y) with
     w = 2 pi beta, h0 = 1/(2 pi^2 beta^2 y^2), and the bracket is
-    sum w_a (log(y/(2 pi L)) + 2 B2(a) L^2/y^2) + O(y^-4), B2(a) = a^2 - a + 1/6.
+    2 (log(y/(2 pi L)) + 2 B2(a) L^2/y^2) + O(y^-4), B2(a) = a^2 - a + 1/6, a = 1/4.
     The mean h0 * bracket integrates in closed form; the oscillating part
     keeps its first non-vanishing integration-by-parts term, h'(W)/w^2 with
     h = h0 * bracket, since sin(wW) = 0 (the remainder is O(W^-5 log W)).
@@ -390,12 +389,12 @@ def gamma_term_quadrature(label: FieldLabel, tf: TestFunctionPair) -> float:
     scale = 1.0 / (math.pi * big_l)  # 2/(2 pi L): doubled for the even half
     body = refine_panels(integrand, 0.0, width, 1e-12 / scale, start_panels=2 * _ORACLE_PERIODS)
     log_w = math.log(width / (TWO_PI * big_l))
-    mean = h0 * math.fsum(w * ((log_w + 1.0) / width
-                               + 2.0 * (a * a - a + 1.0 / 6.0) * big_l**2 / (3.0 * width**3))
-                          for w, a, _ in _BRACKET_PAIRS)
-    # h'(W) = h0 (bracket'(W) W - 2 bracket(W)) / W^3, bracket'(y) ~ (sum w_a) / y
+    a = 0.25
+    mean = h0 * (2.0 * ((log_w + 1.0) / width
+                        + 2.0 * (a * a - a + 1.0 / 6.0) * big_l**2 / (3.0 * width**3)))
+    # h'(W) = h0 (bracket'(W) W - 2 bracket(W)) / W^3, bracket'(y) ~ 2 / y
     bracket_w = float(_archimedean_bracket(width / big_l))
-    slope = h0 * (_BRACKET_WEIGHT - 2.0 * bracket_w) / width**3
+    slope = h0 * (2.0 - 2.0 * bracket_w) / width**3
     return scale * (body + mean + slope / omega**2)
 
 

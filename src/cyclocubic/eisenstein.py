@@ -30,11 +30,10 @@ A cubic residue symbol (a / P)_3 = omega^k is given by its exponent k in
 {0, 1, 2}, or EXPONENT_ZERO when P divides a, and is evaluated by modular
 exponentiation mod the chosen prime (omega -> omega_mod(P) at a split p):
 one element at a time (`cubic_residue_symbol`, Python ints, exact at any
-size), many elements at one prime (`cubic_residue_exponents`, numpy int64
-for p < 2**31, from elements or straight from coefficient arrays such as the
-table's), or many elements at many primes (`cubic_residue_exponent_blocks`,
-whose blocks of columns share one square-and-multiply).  All three return
-the same ints.
+size), or as a whole table (`cubic_residue_exponents`, numpy, for p < 2**31:
+one int8 row per coefficient pair, such as the registry table's, and one
+column per prime, in blocks of columns that share one square-and-multiply).
+Both give the same ints.
 
 All values are immutable after construction, and the registry table is only
 ever replaced whole by a larger read-only one, so every operation is safe
@@ -414,9 +413,9 @@ def cubic_residue_symbol(a: EisensteinInteger, P: PrimeAbove) -> int:
 INT64_PRIME_BOUND = 2**31  # p below it keeps every product of residues under 2**63
 _NOT_A_ROOT = -2  # _exponent_block's mark for a power that is no cube root of unity
 
-# (element, prime) symbols per numpy pass of cubic_residue_exponent_blocks:
-# its int64 arrays stay near 32 kB.  A pass never splits the rows, so rows
-# past this bound take one column per pass.
+# (element, prime) symbols per numpy pass of cubic_residue_exponents: its
+# int64 arrays stay near 32 kB.  A pass never splits the rows, so rows past
+# this bound take one column per pass.
 _SYMBOLS_PER_PASS = 1 << 12
 
 
@@ -428,44 +427,24 @@ def _check_vectorized(P: PrimeAbove) -> None:
         raise ValueError(f"vectorized cubic symbols need p < 2**31, got p = {P.p}")
 
 
-def cubic_residue_exponents(elements: Sequence[EisensteinInteger] | np.ndarray,
-                            P: PrimeAbove) -> np.ndarray:
-    """cubic_residue_symbol of every a in `elements`, at once, as an int64 array.
+def cubic_residue_exponents(coeffs: np.ndarray, primes: Sequence[PrimeAbove]) -> np.ndarray:
+    """The int8 table of cubic_residue_symbol of every row of `coeffs` at every P in `primes`.
 
-    `elements` is a sequence of EisensteinInteger, or an integer array of
-    shape (n, 2) holding coefficient pairs (a, b), such as registry_table's
-    generators.  The same power (N(P)-1)/3 is taken by numpy int64
-    square-and-multiply on coefficients reduced mod p first, and gives the
-    same exponents, EXPONENT_ZERO where P divides the element.  Raises
-    ValueError unless p < 2**31, so no product can wrap, and the scalar's
-    RuntimeError if a power is not a cube root of unity.  This is the
-    one-column case of cubic_residue_exponent_blocks.
-    """
-    _check_vectorized(P)
-    if not isinstance(elements, np.ndarray):
-        p = P.p
-        elements = np.array([(z.a % p, z.b % p) for z in elements], dtype=np.int64)
-    ((_, exponents),) = cubic_residue_exponent_blocks(elements.reshape(-1, 2), [P])
-    return exponents[:, 0]
-
-
-def cubic_residue_exponent_blocks(coeffs: np.ndarray, primes: Sequence[PrimeAbove]):
-    """Yield (columns, exponents) until every column of the symbol table is given.
-
-    The table has one row per coefficient pair (a, b) of `coeffs` and one
-    column per P in `primes`; exponents[i, c] is cubic_residue_symbol of
-    a_i at P_j for j = columns[c], as cubic_residue_exponents gives it column
-    by column.  The split and the inert columns go in separate blocks of at
-    most _SYMBOLS_PER_PASS entries (one column when the rows pass that), and
-    each block is one int64 square-and-multiply in which column j has its
-    own modulus p_j and its own exponent (N(P_j) - 1)/3.  Every P is checked
-    (ValueError, as in cubic_residue_exponents) before anything is yielded,
-    and a power that is not a cube root of unity raises the scalar's
-    RuntimeError.
+    `coeffs` is an integer array of shape (n, 2) holding coefficient pairs
+    (a, b), such as registry_table's generators; entry [i, j] is the
+    exponent of ((a_i + b_i omega) / P_j)_3, EXPONENT_ZERO where P_j divides
+    it.  The split and the inert columns go in separate blocks of at most
+    _SYMBOLS_PER_PASS entries (one column when the rows pass that), and each
+    block is one int64 square-and-multiply on coefficients reduced mod p
+    first, in which column j has its own modulus p_j and its own exponent
+    (N(P_j) - 1)/3.  Every P is checked before any row is read: ValueError
+    at 3 and unless p < 2**31, so no product can wrap.  A power that is not
+    a cube root of unity raises the scalar's RuntimeError.
     """
     for P in primes:
         _check_vectorized(P)
     coeffs = np.asarray(coeffs, dtype=np.int64)
+    out = np.empty((len(coeffs), len(primes)), dtype=np.int8)
     step = max(1, _SYMBOLS_PER_PASS // max(1, len(coeffs)))
     for degree in (1, 2):
         columns = [j for j, P in enumerate(primes) if P.residue_degree == degree]
@@ -477,7 +456,8 @@ def cubic_residue_exponent_blocks(coeffs: np.ndarray, primes: Sequence[PrimeAbov
                 c, i = bad[0].tolist()
                 cubic_residue_symbol(EisensteinInteger(*coeffs[i].tolist()), primes[block[c]])
                 raise AssertionError("the vectorized and the scalar cubic symbol disagree")
-            yield block, exponents
+            out[:, block] = exponents
+    return out
 
 
 def _exponent_block(coeffs: np.ndarray, primes: list[PrimeAbove], degree: int) -> np.ndarray:

@@ -48,16 +48,16 @@ and e' = e(conj(pi_q) / P), the exponent of P's symbol for a row r
     k_r = g e + c e'
 
 and a field's symbol is omega^s with s = sum_{q | d1} k_q + 2 sum_{q | d2} k_q
-+ e3 k_lambda (mod 3).  A zero symbol enters k_r as _ZERO_ENTRY before the
-sum, so the field's symbol is zero exactly when a zero entry enters its sum
-with a positive weight; for the Kummer element, exactly when p | D.  The
-table holds one row per distinct q of the family and one for lambda, and
-one column per prime p.  The column for p = 3 holds k_q = b_q/3 (mod 3),
-so that s = -beta, for every (g, c), and _ZERO_ENTRY at lambda, which the
-weight e3 turns on exactly when 3 | D.  The other columns come from
-eisenstein.cubic_residue_exponent_blocks, which raises a block of primes
-at once; `conjugate_prime` takes every symbol at the conjugate of the
-registry prime above p, as in `character_symbol`.
++ e3 k_lambda (mod 3).  A zero symbol makes k_r _ZERO_ENTRY when it enters
+with a positive g or c, so the field's symbol is zero exactly when a zero
+entry enters its sum with a positive weight; for the Kummer element, exactly
+when p | D.  The table holds one int16 row per distinct q of the family and
+one for lambda, and one column per prime p.  The column for p = 3 holds
+k_q = b_q/3 (mod 3), so that s = -beta, for every (g, c), and _ZERO_ENTRY at
+lambda, which the weight e3 turns on exactly when 3 | D.  The other columns
+come from one eisenstein.cubic_residue_exponents table over the generators
+and their conjugates; `conjugate_prime` takes every symbol at the conjugate
+of the registry prime above p, as in `character_symbol`.
 
 `density` and the `verify` probes read lambda off this table, and the
 probes check it against oracles that share none of its arithmetic
@@ -76,13 +76,15 @@ import numpy as np
 
 from .eisenstein import (
     EXPONENT_ZERO,
+    INT64_PRIME_BOUND,
     LAMBDA,
     EisensteinInteger,
     conjugate_coefficients,
-    cubic_residue_exponent_blocks,
+    cubic_residue_exponents,
     cubic_residue_symbol,
     lambda_valuation,
     prime_above,
+    registry_table,
 )
 from .fields import Family, FieldLabel, family_of, three_split_factorization
 
@@ -177,40 +179,47 @@ def lambda_from_splitting(st: SplittingType, m: int) -> int:
 
 
 # a zero symbol's entry in the exponent table: any sum holding it reaches this
-# bound, while sums of entries 0..6 (g e + c e' with g, c, e, e' <= 2) with
-# weights up to 2 stay far below it
-_ZERO_ENTRY = 1 << 20
+# bound, while a field's other entries (g e + c e' <= 8 with g, c, e, e' <= 2)
+# sum to at most 2*8 + 11*2*8 = 192 over lambda and its at most 11 primes
+# (D <= 2^61), with weights up to 2; and it fits the int16 table
+_ZERO_ENTRY = 1 << 12
 
 
 def _exponent_table(gens: np.ndarray, primes: Sequence[int], element: tuple[int, int],
                     conjugate_prime: bool = False) -> np.ndarray:
-    """k[r, j] of the module docstring: row 0 for lambda, row i + 1 for pi_q = gens[i].
+    """k[r, j] of the module docstring, int16: row 0 for lambda, row i + 1 for pi_q = gens[i].
 
     gens holds the (a, b) of the registry generators of the distinct q.
     Column j belongs to primes[j], and element = (g, c) names D1^g * D2^c.
-    Zero symbols enter the sum g e + c e' as _ZERO_ENTRY, and so does the
-    lambda row of the column for p = 3.  The other columns come in blocks
-    from cubic_residue_exponent_blocks, each over the generators and their
-    conjugates at once; conjugate_prime takes the symbols at the conjugate
-    of each registry prime, as in character_symbol.
+    k is _ZERO_ENTRY wherever a zero symbol enters g e + c e' with a positive
+    g or c, and in the lambda row of the column for p = 3.  The other columns
+    come from one cubic_residue_exponents table over the generators and
+    their conjugates; conjugate_prime takes the symbols at the conjugate of
+    each registry prime, as in character_symbol.  Once every p is below
+    2**31, the registry table is read up to the largest p, so that no split
+    column needs a norm-equation solve.
     """
+    top = max(primes, default=0)
+    if top >= INT64_PRIME_BOUND:
+        raise ValueError(f"vectorized cubic symbols need p < 2**31, got p = {top}")
+    registry_table(top)
     g, c = element
     gens = np.concatenate((np.array([LAMBDA], dtype=np.int64), gens))
-    both = np.concatenate((gens, conjugate_coefficients(gens)))
-    table = np.empty((len(gens), len(primes)), dtype=np.int64)
-    columns = []
-    for j, p in enumerate(primes):
-        if p == 3:
-            table[:, j] = gens[:, 1] // 3 % 3
-            table[0, j] = _ZERO_ENTRY
-        else:
-            columns.append(j)
+    table = np.empty((len(gens), len(primes)), dtype=np.int16)
+    at_three = [j for j, p in enumerate(primes) if p == 3]
+    table[:, at_three] = (gens[:, 1] // 3 % 3)[:, None]
+    table[0, at_three] = _ZERO_ENTRY
+    columns = [j for j, p in enumerate(primes) if p != 3]
     above = [prime_above(primes[j]) for j in columns]
     if conjugate_prime:
         above = [P.conjugate() for P in above]
-    for block, exponents in cubic_residue_exponent_blocks(both, above):
-        e, e_conj = np.split(np.where(exponents == EXPONENT_ZERO, _ZERO_ENTRY, exponents), 2)
-        table[:, [columns[i] for i in block]] = g * e + c * e_conj
+    e, e_conj = np.split(cubic_residue_exponents(
+        np.concatenate((gens, conjugate_coefficients(gens))), above), 2)
+    k = e.astype(np.int16)  # widened first: an int8 cannot hold _ZERO_ENTRY
+    k *= g
+    k += c * e_conj
+    k[(g > 0) & (e == EXPONENT_ZERO) | (c > 0) & (e_conj == EXPONENT_ZERO)] = _ZERO_ENTRY
+    table[:, columns] = k
     return table
 
 
@@ -232,13 +241,12 @@ def lambda_table(family: Family | Sequence[FieldLabel], primes: Sequence[int],
     pair.  A list of labels becomes a Family first (fields.family_of, which
     checks each label).  The table rows are the distinct q of a Family's CSR
     primes, with their generators read off Family.gens, and one
-    np.searchsorted names the row of every prime position, so nothing is
-    factored and no generator is looked up.  The
-    rows of every field (lambda, then its q) are laid end to end with their
-    weights (e3, then 1 for q | d1 and 2 for q | d2); one gather of those
-    table rows, scaled by the weights and summed per field by
-    np.add.reduceat, gives the exponent sums of many fields at once: as
-    many per pass as fit in _ENTRIES_PER_PASS sums.
+    np.searchsorted names the row of every CSR position, so nothing is
+    factored and no generator is looked up.  One gather of those rows,
+    scaled by the weights 1 (q | d1) and 2 (q | d2) and summed cumulatively,
+    gives each field's sum over its q as a difference of two cumulative
+    rows, to which e3 times the lambda row is added: as many fields per pass
+    as fit in _ENTRIES_PER_PASS sums.
     """
     if not isinstance(family, Family):
         family = family_of(family)
@@ -246,22 +254,17 @@ def lambda_table(family: Family | Sequence[FieldLabel], primes: Sequence[int],
     # a position of each distinct q, ascending; np.unique would import numpy.ma, 0.8 MB
     first = order[np.diff(family.primes[order], prepend=0) != 0]
     table = _exponent_table(family.gens[first], primes, element, conjugate_prime)
-    n, offsets = len(family), family.offsets
-    starts = offsets[:-1] + np.arange(n)  # each field's lambda row, then its q
-    at_q = np.ones(offsets[-1] + n, dtype=bool)
-    at_q[starts] = False
-    rows = np.zeros(at_q.size, dtype=np.intp)
-    rows[at_q] = np.searchsorted(family.primes[first], family.primes) + 1
-    weights = np.empty(at_q.size, dtype=np.int64)
-    weights[starts] = family.e3
-    weights[at_q] = np.where(family.in_d1, 1, 2)
-    starts = np.append(starts, at_q.size)
+    rows = np.searchsorted(family.primes[first], family.primes) + 1
+    weights = np.where(family.in_d1, 1, 2)
+    n, ends = len(family), family.offsets
     out = np.empty((n, len(primes)), dtype=np.int8)
     step = max(1, _ENTRIES_PER_PASS // max(1, len(primes)))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        part = slice(starts[lo], starts[hi])
-        s = np.add.reduceat(table[rows[part]] * weights[part, None], starts[lo:hi] - starts[lo],
-                            axis=0)
+        part = slice(ends[lo], ends[hi])
+        cums = np.zeros((ends[hi] - ends[lo] + 1, len(primes)), dtype=np.int64)
+        np.cumsum(table[rows[part]] * weights[part, None], axis=0, out=cums[1:])
+        bounds = ends[lo:hi + 1] - ends[lo]
+        s = cums[bounds[1:]] - cums[bounds[:-1]] + family.e3[lo:hi, None] * table[0]
         out[lo:hi] = np.where(s >= _ZERO_ENTRY, 0, np.where(s % 3 == 0, 2, -1))
     return out

@@ -493,7 +493,7 @@ def char_sums(p: int, y_values: Sequence[int], *,
     qs, gens = registry_table(y_top)  # every q of every squarefree 3-split n <= y_top
     if conjugate_prime:
         gens = conjugate_coefficients(gens)
-    exponents = cubic_residue_exponents(gens, P)
+    exponents = cubic_residue_exponents(gens, [P])[:, 0]
     lam = np.where(exponents == EXPONENT_ZERO, 0, np.where(exponents == 0, 2, -1))
     columns = squarefree_3split_columns(1, y_top, smallest_factor_sieve(y_top))
     rows = [(ns, lam[np.searchsorted(qs, primes)].prod(axis=1), np.full(ns.size, 1 << k))
@@ -601,7 +601,7 @@ def genseries_symbols(p: int, p0: int) -> GenseriesSymbols:
     inert = [ell for ell in primes_up_to(math.isqrt(p0)) if ell % 3 == 2]
     coeffs = np.concatenate([[LAMBDA], gens, conjugate_coefficients(gens),
                              np.array([[ell, 0] for ell in inert], dtype=np.int64).reshape(-1, 2)])
-    e, m = cubic_residue_exponents(coeffs, prime_above(p)), len(gens)
+    e, m = cubic_residue_exponents(coeffs, [prime_above(p)])[:, 0], len(gens)
     return GenseriesSymbols(int(e[0]), e[1:2 * m + 1].reshape(2, m).T, e[2 * m + 1:])
 
 

@@ -318,39 +318,49 @@ def test_lambda_valuation():
 
 
 def test_cubic_residue_exponents_match_scalar():
-    # coefficients far past 2^63 are reduced mod p before the int64 arithmetic
+    # coefficients far past 2^63 enter reduced mod p; each column of one
+    # table is the scalar symbol at its prime, and so is a one-column table
     rng = random.Random(77)
     elems = [E(rng.randint(-10**30, 10**30), rng.randint(-10**30, 10**30)) for _ in range(40)]
+    primes = [P for q in primes_up_to(200) if q != 3 for P in (prime_above(q),
+                                                             prime_above(q).conjugate())]
     for p in [q for q in primes_up_to(200) if q != 3] + [2**31 - 1]:  # 2^31 - 1 is prime
         for P in (prime_above(p), prime_above(p).conjugate()):
             batch = elems + [P.generator, P.generator * elems[0], E(0), E(p)]
-            assert (cubic_residue_exponents(batch, P).tolist()
-                    == [cubic_residue_symbol(z, P) for z in batch]), p
+            coeffs = np.array([(z.a % p, z.b % p) for z in batch], dtype=np.int64)
+            table = cubic_residue_exponents(coeffs, [P])
+            assert table.dtype == np.int8 and table.shape == (len(batch), 1)
+            assert table[:, 0].tolist() == [cubic_residue_symbol(z, P) for z in batch], p
+    batch = [E(z.a % 10**18, z.b % 10**18) for z in elems] + [P.generator for P in primes]
+    table = cubic_residue_exponents(np.array(batch, dtype=np.int64), primes)
+    assert table.shape == (len(batch), len(primes))
+    assert table.tolist() == [[cubic_residue_symbol(z, P) for P in primes] for z in batch]
 
 
 def test_cubic_residue_exponents_take_coefficient_arrays():
     _, gens = registry_table(3000)
     conj = conjugate_coefficients(gens)
     assert conj.tolist() == [list(E(a, b).conjugate()) for a, b in gens.tolist()]
-    for p in (2, 5, 7, 13, 1999, 2999):
-        P = prime_above(p)
-        for coeffs in (gens, conj, conj.astype(np.int32)):
-            elements = [E(a, b) for a, b in coeffs.tolist()]
-            assert np.array_equal(cubic_residue_exponents(coeffs, P),
-                                  cubic_residue_exponents(elements, P)), p
+    primes = [prime_above(p) for p in (2, 5, 7, 13, 1999, 2999)]
+    for coeffs in (gens, conj, conj.astype(np.int32)):
+        want = [[cubic_residue_symbol(E(a, b), P) for P in primes] for a, b in coeffs.tolist()]
+        assert cubic_residue_exponents(coeffs, primes).tolist() == want
     corrupt = PrimeAbove(13, E(5, 1), 1, "split")
     with pytest.raises(RuntimeError, match="cube root of unity"):
-        cubic_residue_exponents(gens, corrupt)
+        cubic_residue_exponents(gens, [prime_above(7), corrupt])
 
 
 def test_cubic_residue_exponents_rejects_p_beyond_int64_envelope():
     p = next(n for n in range(2**31, 2**31 + 200) if n % 3 == 2 and is_prime(n))
 
-    def untouched():
-        raise AssertionError("the elements were read before p was checked")
-        yield
+    class Untouched:
+        def __len__(self):
+            raise AssertionError("the rows were read before p was checked")
+
+        def __array__(self, *args, **kwargs):
+            raise AssertionError("the rows were read before p was checked")
 
     with pytest.raises(ValueError, match="2\\*\\*31"):
-        cubic_residue_exponents(untouched(), prime_above(p))
+        cubic_residue_exponents(Untouched(), [prime_above(7), prime_above(p)])
     with pytest.raises(ValueError):
-        cubic_residue_exponents([ONE], prime_above(3))
+        cubic_residue_exponents(Untouched(), [prime_above(5), prime_above(3)])

@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from cyclocubic import eisenstein
-from cyclocubic._primes import primes_up_to
+from cyclocubic import eisenstein, lfunctions
+from cyclocubic._primes import is_prime, primes_up_to
 from cyclocubic.eisenstein import EXPONENT_ZERO, EisensteinInteger, PrimeAbove
 from cyclocubic.fields import (
     FieldLabel,
@@ -221,6 +221,37 @@ def test_lambda_table_blocks_match_one_column_passes(monkeypatch):
                 assert np.array_equal(lambda_table(family, primes, element), want), (element, cap)
 
 
+def test_lambda_table_pass_sizes_agree_around_fields_without_q(monkeypatch):
+    # D = 3 and D = 9 have no q | d1 d2: their segments of the cumulative sums
+    # are empty, and here they open, close or sit inside a pass of fields
+    bare = (FieldLabel(1, 1, 1), FieldLabel(2, 1, 1))
+    rest = [label for label in labels_up_to_conductor(200) if label.d1 * label.d2 > 1]
+    labels = [bare[1], *rest[:2], bare[0], rest[2], bare[1], *rest[3:8], bare[0], bare[0],
+              *rest[8:], bare[1]]
+    family = family_of(labels)
+    for primes in ([3, 7], primes_up_to(100)):
+        want = [[lambda_coefficient(p, 1, label) for p in primes] for label in labels]
+        for entries in (1, 2, 7, 4096):
+            monkeypatch.setattr("cyclocubic.lfunctions._ENTRIES_PER_PASS", entries)
+            assert lambda_table(family, primes).tolist() == want, (primes, entries)
+
+
+def test_lambda_table_at_eleven_primes():
+    # the most q a label with D <= 2^61 can have: its sums stay below the
+    # zero entry, which fits the int16 table
+    assert 2 * 8 + 11 * 2 * 8 < lfunctions._ZERO_ENTRY < 2**15
+    qs = [q for q in primes_up_to(97) if q % 3 == 1]
+    label = FieldLabel(0, math.prod(qs), 1)
+    assert len(qs) == 11 and label.D < 2**61
+    primes = primes_up_to(200)
+    for element in ELEMENTS:
+        for conj in (False, True):
+            want = [lambda_coefficient(p, 1, label, element, conjugate_prime=conj)
+                    for p in primes]
+            assert lambda_table([label], primes, element, conjugate_prime=conj)[0].tolist() \
+                == want, (element, conj)
+
+
 def test_lambda_table_at_three_matches_local_cube_test():
     # the p = 3 column is read off the generators' omega coefficients; the
     # reference tests c = D1 * D2^2 mod (1 - omega)^4 for every field
@@ -243,6 +274,25 @@ def test_lambda_table_builds_no_product_per_field(monkeypatch):
     monkeypatch.setattr("cyclocubic.lfunctions.three_split_factorization", refuse)
     for element, table in want.items():
         assert (lambda_table(labels, primes, element) == table).all(), element
+
+
+def test_lambda_table_reads_the_registry_before_any_column(monkeypatch):
+    # the split column primes come off one registry table up to the largest,
+    # not from a norm-equation solve each; a p past 2**31 is refused before
+    # any table is sized by it
+    def refuse(*args):
+        raise AssertionError("lambda_table asked for a norm-equation solve or a table")
+
+    empty = eisenstein._SplitTable(0, np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64))
+    monkeypatch.setattr(eisenstein, "_TABLE", empty)
+    monkeypatch.setattr(eisenstein, "solve_split_generator", refuse)
+    primes = [p for p in range(2 * 10**6 + 1, 2 * 10**6 + 3000, 2) if is_prime(p)]
+    table = lambda_table([D7], primes)
+    assert table.tolist() == [[lambda_coefficient(p, 1, D7) for p in primes]]
+    big = next(n for n in range(2**31, 2**31 + 200) if n % 3 == 1 and is_prime(n))
+    monkeypatch.setattr("cyclocubic.lfunctions.registry_table", refuse)
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        lambda_table([D7], [7, big])
 
 
 def test_lambda_table_corrupt_registry_raises(monkeypatch):

@@ -5,6 +5,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from cyclocubic import cli, fields, lfunctions, verify
@@ -90,3 +93,14 @@ def test_package_imports_neither_scipy_nor_mpmath():
             found += [f"{path.name}: {name}" for name in names
                       if name.split(".")[0] in ("scipy", "mpmath")]
     assert found == []
+
+
+def test_cli_import_loads_no_quadrature():
+    # numpy.polynomial (Gauss-Legendre nodes) serves the test oracles only;
+    # a command that never integrates numerically must not pay its import
+    code = "import sys, cyclocubic.cli; print('numpy.polynomial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
