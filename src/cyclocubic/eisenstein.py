@@ -27,13 +27,11 @@ a^2 - ab + b^2 <= n, keeping the points of prime norm; `prime_above` reads
 that table for p up to its bound and solves the norm equation beyond it.
 
 A cubic residue symbol (a / P)_3 = omega^k is given by its exponent k in
-{0, 1, 2}, or EXPONENT_ZERO when P divides a, and is evaluated by modular
-exponentiation mod the chosen prime (omega -> omega_mod(P) at a split p):
-one element at a time (`cubic_residue_symbol`, Python ints, exact at any
-size), or as a whole table (`cubic_residue_exponents`, numpy, for p < 2**31:
-one int8 row per coefficient pair, such as the registry table's, and one
-column per prime, in blocks of columns that share one square-and-multiply).
-Both give the same ints.
+{0, 1, 2}, or EXPONENT_ZERO when P divides a.  `cubic_residue_symbol` takes
+one element by the definition, a power mod P (Z/p with omega -> omega_mod(P)
+at a split p, F_{p^2} at an inert p), in Python ints.  The numpy int8 table
+`cubic_residue_exponents` (p < 2**31) gives the same ints by powers in Z/m
+only: the definition's at a split p, cubic reciprocity at an inert p.
 
 All values are immutable after construction, and the registry table is only
 ever replaced whole by a larger read-only one, so every operation is safe
@@ -141,7 +139,7 @@ class EisensteinInteger(NamedTuple):
 
 
 def _power(x, n: int, one, mul):
-    """x^n by square-and-multiply under `mul` with identity `one` (elementwise for arrays)."""
+    """x^n by square-and-multiply under `mul` with identity `one`."""
     out, base = one, x
     while n:
         if n & 1:
@@ -411,46 +409,38 @@ def cubic_residue_symbol(a: EisensteinInteger, P: PrimeAbove) -> int:
 
 
 INT64_PRIME_BOUND = 2**31  # p below it keeps every product of residues under 2**63
-_NOT_A_ROOT = -2  # _exponent_block's mark for a power that is no cube root of unity
+_NOT_A_ROOT = -2  # a pass's mark for a power that is no cube root of unity
 
-# (element, prime) symbols per numpy pass of cubic_residue_exponents: its
-# int64 arrays stay near 32 kB.  A pass never splits the rows, so rows past
-# this bound take one column per pass.
+# (element, prime) symbols per numpy pass of cubic_residue_exponents, so its
+# int64 arrays stay near 32 kB; a pass never splits the rows, past it one column
 _SYMBOLS_PER_PASS = 1 << 12
-
-
-def _check_vectorized(P: PrimeAbove) -> None:
-    """ValueError where the vectorized symbol is undefined: at 3, and from p = 2**31 on."""
-    if P.kind == "ramified":
-        raise ValueError("the cubic symbol is not defined at the prime above 3")
-    if P.p >= INT64_PRIME_BOUND:
-        raise ValueError(f"vectorized cubic symbols need p < 2**31, got p = {P.p}")
 
 
 def cubic_residue_exponents(coeffs: np.ndarray, primes: Sequence[PrimeAbove]) -> np.ndarray:
     """The int8 table of cubic_residue_symbol of every row of `coeffs` at every P in `primes`.
 
-    `coeffs` is an integer array of shape (n, 2) holding coefficient pairs
-    (a, b), such as registry_table's generators; entry [i, j] is the
-    exponent of ((a_i + b_i omega) / P_j)_3, EXPONENT_ZERO where P_j divides
-    it.  The split and the inert columns go in separate blocks of at most
-    _SYMBOLS_PER_PASS entries (one column when the rows pass that), and each
-    block is one int64 square-and-multiply on coefficients reduced mod p
-    first, in which column j has its own modulus p_j and its own exponent
-    (N(P_j) - 1)/3.  Every P is checked before any row is read: ValueError
-    at 3 and unless p < 2**31, so no product can wrap.  A power that is not
-    a cube root of unity raises the scalar's RuntimeError.
+    `coeffs` is an (n, 2) integer array of coefficient pairs (a, b), such as
+    registry_table's generators; entry [i, j] is the exponent of
+    ((a_i + b_i omega) / P_j)_3, EXPONENT_ZERO where P_j divides it.  Any row
+    is allowed at a split P_j.  At an inert P_j a row must be rational,
+    lambda = 1 - omega, its conjugate or a primary prime (a = 2, b = 0 (mod 3),
+    b != 0, of a prime norm the caller vouches for, as a registry generator
+    and its conjugate), else ValueError.  ValueError at 3 and unless p < 2**31,
+    before any row is read.  A power that is no cube root of unity raises the
+    scalar's RuntimeError, else AssertionError.
     """
     for P in primes:
-        _check_vectorized(P)
+        if P.kind == "ramified":
+            raise ValueError("the cubic symbol is not defined at the prime above 3")
+        if P.p >= INT64_PRIME_BOUND:
+            raise ValueError(f"vectorized cubic symbols need p < 2**31, got p = {P.p}")
     coeffs = np.asarray(coeffs, dtype=np.int64)
     out = np.empty((len(coeffs), len(primes)), dtype=np.int8)
     step = max(1, _SYMBOLS_PER_PASS // max(1, len(coeffs)))
-    for degree in (1, 2):
+    for degree, passes in ((1, _split_passes), (2, _inert_passes)):
         columns = [j for j, P in enumerate(primes) if P.residue_degree == degree]
-        for lo in range(0, len(columns), step):
-            block = columns[lo:lo + step]
-            exponents = _exponent_block(coeffs, [primes[j] for j in block], degree)
+        blocks = [columns[lo:lo + step] for lo in range(0, len(columns), step)]
+        for block, exponents in zip(blocks, passes(coeffs, primes, blocks)):
             bad = np.argwhere(exponents.T == _NOT_A_ROOT)
             if bad.size:
                 c, i = bad[0].tolist()
@@ -460,54 +450,64 @@ def cubic_residue_exponents(coeffs: np.ndarray, primes: Sequence[PrimeAbove]) ->
     return out
 
 
-def _exponent_block(coeffs: np.ndarray, primes: list[PrimeAbove], degree: int) -> np.ndarray:
-    """The exponents of every row of `coeffs` at primes of one degree, one column each.
+def _split_passes(coeffs: np.ndarray, primes: Sequence[PrimeAbove], blocks: list[list[int]]):
+    """Per block of split columns: x^((p - 1)/3) in Z/p, x = a + b omega_mod(P), matched
+    against 1, omega and omega^2, the order of cubic_residue_symbol's roots."""
+    for block in blocks:
+        p = np.array([primes[j].p for j in block], dtype=np.int64)
+        omega = np.array([omega_mod(primes[j]) for j in block], dtype=np.int64)
+        x = (coeffs[:, :1] % p + coeffs[:, 1:] % p * omega) % p
+        t = _power_mod(x, (p - 1) // 3, p)
+        exponents = np.where(x == 0, EXPONENT_ZERO, _NOT_A_ROOT)
+        for k, root in enumerate((1, omega, omega * omega % p)):  # no root is 0 mod p
+            exponents[t == root] = k
+        yield exponents
 
-    At a split p the power is x^((p - 1)/3) in Z/p, with omega -> omega_mod(P),
-    matched against 1, omega and omega^2, the order of cubic_residue_symbol's
-    roots.  At an inert p the power is only z = x^((p + 1)/3): Frobenius is
-    conjugation on Z[omega]/(p), so x^((p^2 - 1)/3) = z^(p - 1) = conj(z) / z,
-    which is omega^k exactly when conj(z) = omega^k z.  With z = c + d w,
-    conj(z) = (c - d) - d w equals z, omega z = -d + (c - d) w or
-    omega^2 z = (d - c) - c w exactly when d = 0, c = 0 or c = d.
+
+def _inert_passes(coeffs: np.ndarray, primes: Sequence[PrimeAbove], blocks: list[list[int]]):
+    """Per block of inert columns, with no power in F_{p^2}; the rows are sorted out once.
+
+    A rational n is a cube in F_{p^2}: k = 0, or EXPONENT_ZERO where p | n.
+    lambda has k = 2m, its conjugate k = m (mod 3), m = (p + 1)/3 (the
+    supplementary law).  A primary prime x = a + b omega of norm q has
+    (x / p)_3 = (p / x)_3 (cubic reciprocity), t = p^((q - 1)/3) in Z/q where
+    omega = -a/b: t = omega^k when t b + c = 0 (mod q), c = -b, a, b - a for
+    k = 0, 1, 2.  Each such row has its own exponent and modulus, on Python
+    ints (object arrays) once a norm reaches 2**31.
     """
-    p = np.array([P.p for P in primes], dtype=np.int64)
-    a, b = coeffs[:, :1] % p, coeffs[:, 1:] % p
-    if degree == 1:
-        omega = np.array([omega_mod(P) for P in primes], dtype=np.int64)
-        x = (a + b * omega) % p
-        zero = x == 0
-        (t,) = _power_columns((x,), (p - 1) // 3, (np.ones_like(x),),
-                              lambda u, v: (u[0] * v[0] % p,))
-        tests = ((t, 1), (t, omega), (t, omega * omega % p))
-    else:
-        zero = (a == 0) & (b == 0)
-        # (a + b w)(c + d w) = (ac - bd) + (ad + b(c - d)) w; each sum stays below 2**63
-        c, d = _power_columns((a, b), (p + 1) // 3, (np.ones_like(a), np.zeros_like(b)),
-                              lambda u, v: ((u[0] * v[0] - u[1] * v[1]) % p,
-                                            (u[0] * v[1] + u[1] * (v[0] - v[1])) % p))
-        tests = ((d, 0), (c, 0), (c, d))
-    exponents = np.where(zero, EXPONENT_ZERO, _NOT_A_ROOT)
-    nonzero = ~zero
-    for k, (u, v) in enumerate(tests):  # one comparison at a time keeps wide blocks small
-        exponents[(u == v) & nonzero] = k
-    return exponents
+    a, b = coeffs[:, 0], coeffs[:, 1]
+    rational, lam, lam_conj = b == 0, (a == 1) & (b == -1), (a == 2) & (b == 1)
+    prime = ~rational & (a % 3 == 2) & (b % 3 == 0)
+    outside = np.flatnonzero(~(rational | lam | lam_conj | prime))
+    if outside.size:
+        raise ValueError(f"no symbol of {EisensteinInteger(*coeffs[outside[0]].tolist())} at "
+                         f"the inert {primes[blocks[0][0]].p}: not rational, lambda or primary")
+    a, b = coeffs[prime, :1], coeffs[prime, 1:]
+    q = a * a - a * b + b * b  # exact while |a|, |b| < 2**16; past it q >= 3 * 2**30
+    if a.size and (np.abs(coeffs[prime]).max() >= 1 << 16 or q.max() >= INT64_PRIME_BOUND):
+        a, b = a.astype(object), b.astype(object)
+        q = a * a - a * b + b * b
+    n, tests = (q - 1) // 3, (-b, a, b - a)
+    for block in blocks:
+        p = np.array([primes[j].p for j in block], dtype=np.int64)
+        exponents = np.where(coeffs[:, :1] % p == 0, EXPONENT_ZERO, 0)  # the rational rows'
+        exponents[lam], exponents[lam_conj] = 2 * (p + 1) // 3 % 3, (p + 1) // 3 % 3
+        t, roots = _power_mod(p % q, n, q), np.full((len(q), len(block)), _NOT_A_ROOT)
+        for k, c in enumerate(tests):
+            roots[(t * b + c) % q == 0] = k
+        exponents[prime] = roots
+        yield exponents
 
 
-def _power_columns(x: tuple, n: np.ndarray, one: tuple, mul) -> tuple:
-    """x^n by square-and-multiply under `mul`, column j of every array of x raised to n[j].
-
-    A step multiplies the columns whose exponent has that bit; when all of
-    them do, as a single column always does, no select is needed, so a
-    one-column block does exactly the products of _power.
-    """
-    bits = (n >> np.arange(int(n.max()).bit_length())[:, None]) & 1 == 1
-    out, base = one, x
-    for i, (every, some) in enumerate(zip(bits.all(axis=1).tolist(), bits.any(axis=1).tolist())):
+def _power_mod(x: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x^n mod m by square-and-multiply, n and m broadcast; int64 is exact while m < 2**31."""
+    out, base = np.ones_like(x), x
+    for i in range(int(n.max(initial=0)).bit_length()):
         if i:
-            base = mul(base, base)
-        if every:
-            out = mul(out, base)
-        elif some:
-            out = tuple(np.where(bits[i], new, old) for new, old in zip(mul(out, base), out))
+            base = base * base % m
+        bit = (n >> i) & 1 == 1  # one bit at a time: n may have a row per element
+        if bit.all():
+            out = out * base % m
+        elif bit.any():
+            out = np.where(bit, out * base % m, out)
     return out

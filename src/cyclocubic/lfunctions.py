@@ -55,9 +55,9 @@ when p | D.  The table holds one int16 row per distinct q of the family and
 one for lambda, and one column per prime p.  The column for p = 3 holds
 k_q = b_q/3 (mod 3), so that s = -beta, for every (g, c), and _ZERO_ENTRY at
 lambda, which the weight e3 turns on exactly when 3 | D.  The other columns
-come from one eisenstein.cubic_residue_exponents table over the generators
-and their conjugates; `conjugate_prime` takes every symbol at the conjugate
-of the registry prime above p, as in `character_symbol`.
+come from one eisenstein.cubic_residue_exponents table over those rows and
+their conjugates (primary primes, lambda and its conjugate: an inert p takes
+them by cubic reciprocity); `conjugate_prime` takes them at conj(P).
 
 `density` and the `verify` probes read lambda off this table, and the
 probes check it against oracles that share none of its arithmetic

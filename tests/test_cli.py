@@ -244,6 +244,8 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
      "483ea9c1117529ec161901723e81bf67c91831b28c6c642de404aeb56f818bf6"),
     (["charsum", "--primes", "7,13,31", "--ymax", "100000"],
      "85fc1cb22a76242c6ab9d36bd29c8bab12ec2aa17f92275472fb6e238f1fd1ec"),
+    (["charsum", "--primes", "2,5,11,17,97", "--ymax", "100000"],
+     "d4a377cd451a1aa34d5ae9de56dc64df59dabdabc81d7aec1422de7e324da408"),
 ])
 def test_golden_outputs(tmp_path, capsys, argv, sha256):
     # pinned bytes: refactors must leave these outputs identical

@@ -34,7 +34,7 @@ from cyclocubic.eisenstein import (
 )
 from cyclocubic.fields import FieldLabel
 from cyclocubic.lfunctions import INERT, SPLIT, kummer_argument, splitting_at_three, splitting_type
-from cyclocubic.verify import polynomial_splitting_oracle
+from cyclocubic.verify import genseries_symbols, polynomial_splitting_oracle
 
 E = EisensteinInteger
 
@@ -318,13 +318,13 @@ def test_lambda_valuation():
 
 
 def test_cubic_residue_exponents_match_scalar():
-    # coefficients far past 2^63 enter reduced mod p; each column of one
-    # table is the scalar symbol at its prime, and so is a one-column table
+    # split P: coefficients far past 2^63 enter reduced mod p; each column
+    # of one table is the scalar symbol at its prime, and so is a one-column table
     rng = random.Random(77)
     elems = [E(rng.randint(-10**30, 10**30), rng.randint(-10**30, 10**30)) for _ in range(40)]
-    primes = [P for q in primes_up_to(200) if q != 3 for P in (prime_above(q),
-                                                             prime_above(q).conjugate())]
-    for p in [q for q in primes_up_to(200) if q != 3] + [2**31 - 1]:  # 2^31 - 1 is prime
+    split = [q for q in primes_up_to(200) if q % 3 == 1]
+    primes = [P for q in split for P in (prime_above(q), prime_above(q).conjugate())]
+    for p in split + [2**31 - 1]:  # 2^31 - 1 is prime, = 1 (mod 3)
         for P in (prime_above(p), prime_above(p).conjugate()):
             batch = elems + [P.generator, P.generator * elems[0], E(0), E(p)]
             coeffs = np.array([(z.a % p, z.b % p) for z in batch], dtype=np.int64)
@@ -335,6 +335,35 @@ def test_cubic_residue_exponents_match_scalar():
     table = cubic_residue_exponents(np.array(batch, dtype=np.int64), primes)
     assert table.shape == (len(batch), len(primes))
     assert table.tolist() == [[cubic_residue_symbol(z, P) for P in primes] for z in batch]
+
+
+def test_cubic_residue_exponents_at_inert_primes_match_scalar():
+    # inert P: the rows of the table's contract (registry generators, their
+    # conjugates, lambda, its conjugate, rational integers) by reciprocity and
+    # the supplementary law, against the scalar's power in F_{p^2}
+    top = next(n for n in range(2**31 - 3, 0, -3) if is_prime(n))  # the largest inert p < 2^31
+    inert = [q for q in primes_up_to(200) if q % 3 == 2] + [top]
+    _, gens = registry_table(3000)
+    rational = [(n, 0) for n in [0, -1, 7, 13, *inert]]  # 0, p and l != p at every column
+    rows = np.concatenate((gens, conjugate_coefficients(gens), [LAMBDA, LAMBDA.conjugate()],
+                           rational))
+    primes = [prime_above(p) for p in inert]
+    for P in primes:
+        assert P.kind == "inert"
+    table = cubic_residue_exponents(rows, primes)
+    assert table.tolist() == [[cubic_residue_symbol(E(a, b), P) for P in primes]
+                              for a, b in rows.tolist()]
+    assert table[-len(inert):].tolist() == [[EXPONENT_ZERO if p == q else 0 for p in inert]
+                                            for q in inert]
+    # a row that is neither primary nor rational has no symbol here, but has at a split P
+    for bad in ([4, 3], [2, 4], [-2, 3]):
+        row = np.array([bad], dtype=np.int64)
+        with pytest.raises(ValueError, match="the inert 5"):
+            cubic_residue_exponents(row, [prime_above(7), prime_above(5)])
+        assert cubic_residue_exponents(row, [prime_above(7)]).tolist() == [
+            [cubic_residue_symbol(E(*bad), prime_above(7))]]
+    # the inert rational row l = 5 at P = 5 is a zero symbol
+    assert genseries_symbols(5, 10**6).inert[1] == EXPONENT_ZERO
 
 
 def test_cubic_residue_exponents_take_coefficient_arrays():

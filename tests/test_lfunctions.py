@@ -252,6 +252,19 @@ def test_lambda_table_at_eleven_primes():
                 == want, (element, conj)
 
 
+def test_lambda_table_at_a_prime_past_int64_squares():
+    # q near 2^33: at an inert p the rows of norm q raise p to (q - 1)/3 mod q,
+    # whose products pass 2^63, so those rows go on Python ints
+    q = next(n for n in range(2**33 + 2, 2**34, 3) if is_prime(n))
+    label, primes = FieldLabel(0, q, 1), [2, 5, 7, 11, 13]
+    for element in (KUMMER, PAPER_LITERAL):
+        for conj in (False, True):
+            want = [lambda_coefficient(p, 1, label, element, conjugate_prime=conj)
+                    for p in primes]
+            assert lambda_table([label], primes, element, conjugate_prime=conj)[0].tolist() \
+                == want, (element, conj)
+
+
 def test_lambda_table_at_three_matches_local_cube_test():
     # the p = 3 column is read off the generators' omega coefficients; the
     # reference tests c = D1 * D2^2 mod (1 - omega)^4 for every field
