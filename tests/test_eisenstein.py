@@ -348,8 +348,7 @@ def test_cubic_residue_exponents_at_inert_primes_match_scalar():
     rows = np.concatenate((gens, conjugate_coefficients(gens), [LAMBDA, LAMBDA.conjugate()],
                            rational))
     primes = [prime_above(p) for p in inert]
-    for P in primes:
-        assert P.kind == "inert"
+    assert all(P.kind == "inert" for P in primes)
     table = cubic_residue_exponents(rows, primes)
     assert table.tolist() == [[cubic_residue_symbol(E(a, b), P) for P in primes]
                               for a, b in rows.tolist()]
