@@ -15,16 +15,24 @@ codes: 0 success, 1 usage, 2 assertion failure, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import itertools
 import math
 import sys
 from collections.abc import Iterable
 
 from . import density as density_mod
-from . import verify as verify_mod
 from ._primes import is_prime
 from .eisenstein import INT64_PRIME_BOUND
 from .fields import X_MAX, catalog_lines, enumerate_family
+
+# only verify and charsum read it: a lazy module, listed but compiled at first use
+if f"{__package__}.verify" not in sys.modules:
+    _spec = importlib.util.find_spec(f"{__package__}.verify")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_spec.name])
+verify_mod = sys.modules[f"{__package__}.verify"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1

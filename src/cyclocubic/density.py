@@ -31,16 +31,13 @@ Everything is deterministic: fixed summation orders, compensated sums and
 closed forms; quadrature serves only the oracles.
 
 A family is a `fields.Family` of numpy columns, computed in batches, never
-one field at a time.  `prime_sums` evaluates the kept terms of many fields
-in one numpy pass and gives each field one math.fsum.  What depends on the
-discriminant alone is computed once per run of rows sharing one (a family
-sorted by conductor has one run per discriminant): `reference_statistics`
-gives each run one math.fsum, and `family_average` calls `gamma_terms` once
-with the runs' log discriminants (`log_discriminants`, from the conductor
-column), which evaluates the closed form elementwise over them.
-Each batched value is bit for bit its one-field value (`prime_sum`,
-`gamma_term`), because every term sees the same floating-point operations
-and math.fsum rounds the exact sum once.
+one field at a time: `prime_sums` gives each field one math.fsum of its kept
+terms, prefixes of the primes, and what depends on the discriminant alone
+is computed once per run of rows sharing one (`reference_statistics`, and
+`gamma_terms` over the runs' `log_discriminants` in `family_average`).  Each
+batched value is bit for bit its one-field value (`prime_sum`, `gamma_term`),
+because every term sees the same floating-point operations and math.fsum
+rounds the exact sum once.
 """
 
 from __future__ import annotations
@@ -407,36 +404,18 @@ def _primes_and_logs(bound: float) -> tuple[list[int], np.ndarray, np.ndarray]:
     return primes, np.array(primes, dtype=float), np.array([math.log(p) for p in primes])
 
 
-# mask entries per numpy pass of _row_fsums: its arrays stay near 128 kB, so
-# a family's peak memory does not grow with its size
+# terms per numpy pass of prime_sums and reference_statistics: their arrays
+# stay near 128 kB, so a family's peak memory does not grow with its size
 _TERMS_PER_PASS = 1 << 14
-
-
-def _row_fsums(count: int, width: int, keep: Callable, terms: Callable) -> list[float]:
-    """math.fsum of the kept terms of each of `count` fields, `width` terms each.
-
-    keep(rows), for a slice of fields, gives their (fields x terms) mask, and
-    terms(rows, cols) the values of the kept entries at those indices, which
-    np.nonzero lists field by field.  Each pass takes as many fields as fit
-    in _TERMS_PER_PASS entries of the mask.
-    """
-    step = max(1, _TERMS_PER_PASS // max(1, width))
-    sums = []
-    for lo in range(0, count, step):
-        part = keep(slice(lo, lo + step))
-        rows, cols = np.nonzero(part)
-        flat = terms(rows + lo, cols).tolist()
-        ends = np.cumsum(np.count_nonzero(part, axis=1)).tolist()
-        sums += [math.fsum(flat[i:j]) for i, j in zip([0] + ends, ends)]
-    return sums
 
 
 def prime_sums(family: Family, tf: TestFunctionPair) -> list[float]:
     """prime_sum of every row of `family`, from one sieve and one lambda_table.
 
-    The kept m = 1 and m = 2 terms of many fields are evaluated in one numpy
-    pass, with the same floating-point operations per term as the formula
-    in prime_sum, and each field's kept terms are reduced by math.fsum.
+    m log p ascends, so a field's kept p^m < Delta^beta are a prefix of the
+    primes for each m, cut by np.searchsorted.  Many fields' terms are one
+    numpy pass, with prime_sum's floating-point operations per term; a
+    field's row, 0.0 past each prefix (no change to the exact sum), is one math.fsum.
     """
     if not family:
         return []
@@ -444,14 +423,16 @@ def prime_sums(family: Family, tf: TestFunctionPair) -> list[float]:
     cuts = tf.beta * log_discs
     primes, pf, logp = _primes_and_logs(math.exp(cuts.max()) + 1)
     lam = lambda_table(family, primes)
-    # column j is p^m for the prime primes[col[j]], m = 1 then m = 2; lambda(p) = lambda(p^2)
-    col = np.tile(np.arange(len(primes)), 2)
-    arg = np.concatenate([m * logp for m in (1, 2)])
-    root = np.concatenate([np.sqrt(pf ** m) for m in (1, 2)])
-    sums = _row_fsums(len(family), len(col),
-                      lambda rows: (lam[rows, col] != 0) & (arg < cuts[rows, None]),
-                      lambda rows, cols: lam[rows, col[cols]] * logp[col[cols]] / root[cols]
-                      * tf.fhat(arg[cols] / log_discs[rows]))
+    ends = [np.searchsorted(m * logp, cuts) for m in (1, 2)]
+    sums, step = [], max(1, _TERMS_PER_PASS // max(1, int(ends[0].max())))
+    for rows in (slice(lo, lo + step) for lo in range(0, len(family), step)):
+        kept = []
+        for m, end in zip((1, 2), ends):
+            w = int(end[rows].max())
+            terms = (lam[rows, :w] * logp[:w] / np.sqrt(pf[:w] ** m)
+                     * tf.fhat(m * logp[:w] / log_discs[rows, None]))
+            kept.append(np.where(np.arange(w) < end[rows, None], terms, 0.0))
+        sums += map(math.fsum, np.hstack(kept).tolist())
     return [2.0 / log_disc * s for log_disc, s in zip(log_discs.tolist(), sums)]
 
 
@@ -536,10 +517,13 @@ def reference_statistics(family: Family, tf: TestFunctionPair) -> dict[str, floa
     log_discs = log_discriminants(family.conductor[firsts].tolist())
     _, pf, logp = _primes_and_logs(math.exp(tf.beta * log_discs.max() / 2) + 1)
     arg = 2.0 * logp
-    per_run = _row_fsums(len(firsts), len(arg),
-                         lambda rows: arg < tf.beta * log_discs[rows, None],
-                         lambda rows, cols: 2.0 * logp[cols] / (pf[cols] * log_discs[rows])
-                         * tf.fhat(arg[cols] / log_discs[rows]))
+    ends = np.searchsorted(arg, tf.beta * log_discs)  # the squares p^2 < Delta^beta
+    per_run, step = [], max(1, _TERMS_PER_PASS // max(1, int(ends.max())))
+    for rows in (slice(lo, lo + step) for lo in range(0, len(firsts), step)):
+        w = int(ends[rows].max())
+        terms = (2.0 * logp[:w] / (pf[:w] * log_discs[rows, None])
+                 * tf.fhat(arg[:w] / log_discs[rows, None]))
+        per_run += map(math.fsum, np.where(np.arange(w) < ends[rows, None], terms, 0.0).tolist())
     square_sum = math.fsum(np.repeat(per_run, lengths).tolist()) / len(family)
     minus = 0.0 - square_sum  # -square_sum would print -0.0 for an empty sum
     return {"U": 0.0, "Sp": square_sum, "O": minus, "SOeven": minus, "SOodd": minus}

@@ -29,9 +29,12 @@ that table for p up to its bound and solves the norm equation beyond it.
 A cubic residue symbol (a / P)_3 = omega^k is given by its exponent k in
 {0, 1, 2}, or EXPONENT_ZERO when P divides a.  `cubic_residue_symbol` takes
 one element by the definition, a power mod P (Z/p with omega -> omega_mod(P)
-at a split p, F_{p^2} at an inert p), in Python ints.  The numpy int8 table
-`cubic_residue_exponents` (p < 2**31) gives the same ints by powers in Z/m
-only: the definition's at a split p, cubic reciprocity at an inert p.
+at a split p, F_{p^2} at an inert p), in Python ints, and never uses
+reciprocity.  The numpy int8 tables take one power in Z/q per entry, a row
+per prime of norm q: `registry_indices` gives ind_q(n), the symbol of a
+rational n at a registry prime above q, which is chi_q(n); and
+`cubic_residue_exponents` (p < 2**31) gives the definition's at a split p
+and cubic reciprocity's ind_q(p) at an inert p.
 
 All values are immutable after construction, and the registry table is only
 ever replaced whole by a larger read-only one, so every operation is safe
@@ -411,23 +414,22 @@ def cubic_residue_symbol(a: EisensteinInteger, P: PrimeAbove) -> int:
 INT64_PRIME_BOUND = 2**31  # p below it keeps every product of residues under 2**63
 _NOT_A_ROOT = -2  # a pass's mark for a power that is no cube root of unity
 
-# (element, prime) symbols per numpy pass of cubic_residue_exponents, so its
-# int64 arrays stay near 32 kB; a pass never splits the rows, past it one column
-_SYMBOLS_PER_PASS = 1 << 12
+# symbols per numpy pass of _symbol_table, whose int64 arrays stay near 256 kB
+_SYMBOLS_PER_PASS = 1 << 15
 
 
 def cubic_residue_exponents(coeffs: np.ndarray, primes: Sequence[PrimeAbove]) -> np.ndarray:
     """The int8 table of cubic_residue_symbol of every row of `coeffs` at every P in `primes`.
 
-    `coeffs` is an (n, 2) integer array of coefficient pairs (a, b), such as
-    registry_table's generators; entry [i, j] is the exponent of
-    ((a_i + b_i omega) / P_j)_3, EXPONENT_ZERO where P_j divides it.  Any row
-    is allowed at a split P_j.  At an inert P_j a row must be rational,
-    lambda = 1 - omega, its conjugate or a primary prime (a = 2, b = 0 (mod 3),
-    b != 0, of a prime norm the caller vouches for, as a registry generator
-    and its conjugate), else ValueError.  ValueError at 3 and unless p < 2**31,
-    before any row is read.  A power that is no cube root of unity raises the
-    scalar's RuntimeError, else AssertionError.
+    Entry [i, j] is the exponent of ((a_i + b_i omega) / P_j)_3, EXPONENT_ZERO
+    where P_j divides it: by the definition at a split P_j.  At an inert P_j
+    a rational row is a cube (k = 0, or EXPONENT_ZERO where p | a), lambda =
+    1 - omega and its conjugate take 2m and m, m = (p + 1)/3 (the supplementary
+    law), a primary prime x (a = 2, b = 0 (mod 3), b != 0, of a prime norm the
+    caller vouches for) takes its registry_indices entry (p / x)_3 by cubic
+    reciprocity, and any other row raises ValueError.  ValueError at 3 and
+    unless p < 2**31, before any row is read.  A power that is no cube root
+    of unity raises the scalar's RuntimeError, else AssertionError.
     """
     for P in primes:
         if P.kind == "ramified":
@@ -436,67 +438,77 @@ def cubic_residue_exponents(coeffs: np.ndarray, primes: Sequence[PrimeAbove]) ->
             raise ValueError(f"vectorized cubic symbols need p < 2**31, got p = {P.p}")
     coeffs = np.asarray(coeffs, dtype=np.int64)
     out = np.empty((len(coeffs), len(primes)), dtype=np.int8)
-    step = max(1, _SYMBOLS_PER_PASS // max(1, len(coeffs)))
-    for degree, passes in ((1, _split_passes), (2, _inert_passes)):
-        columns = [j for j, P in enumerate(primes) if P.residue_degree == degree]
-        blocks = [columns[lo:lo + step] for lo in range(0, len(columns), step)]
-        for block, exponents in zip(blocks, passes(coeffs, primes, blocks)):
-            bad = np.argwhere(exponents.T == _NOT_A_ROOT)
-            if bad.size:
-                c, i = bad[0].tolist()
-                cubic_residue_symbol(EisensteinInteger(*coeffs[i].tolist()), primes[block[c]])
-                raise AssertionError("the vectorized and the scalar cubic symbol disagree")
-            out[:, block] = exponents
-    return out
-
-
-def _split_passes(coeffs: np.ndarray, primes: Sequence[PrimeAbove], blocks: list[list[int]]):
-    """Per block of split columns: x^((p - 1)/3) in Z/p, x = a + b omega_mod(P), matched
-    against 1, omega and omega^2, the order of cubic_residue_symbol's roots."""
-    for block in blocks:
-        p = np.array([primes[j].p for j in block], dtype=np.int64)
-        omega = np.array([omega_mod(primes[j]) for j in block], dtype=np.int64)
-        x = (coeffs[:, :1] % p + coeffs[:, 1:] % p * omega) % p
-        t = _power_mod(x, (p - 1) // 3, p)
-        exponents = np.where(x == 0, EXPONENT_ZERO, _NOT_A_ROOT)
-        for k, root in enumerate((1, omega, omega * omega % p)):  # no root is 0 mod p
-            exponents[t == root] = k
-        yield exponents
-
-
-def _inert_passes(coeffs: np.ndarray, primes: Sequence[PrimeAbove], blocks: list[list[int]]):
-    """Per block of inert columns, with no power in F_{p^2}; the rows are sorted out once.
-
-    A rational n is a cube in F_{p^2}: k = 0, or EXPONENT_ZERO where p | n.
-    lambda has k = 2m, its conjugate k = m (mod 3), m = (p + 1)/3 (the
-    supplementary law).  A primary prime x = a + b omega of norm q has
-    (x / p)_3 = (p / x)_3 (cubic reciprocity), t = p^((q - 1)/3) in Z/q where
-    omega = -a/b: t = omega^k when t b + c = 0 (mod q), c = -b, a, b - a for
-    k = 0, 1, 2.  Each such row has its own exponent and modulus, on Python
-    ints (object arrays) once a norm reaches 2**31.
-    """
+    split = [j for j, P in enumerate(primes) if P.residue_degree == 1]
+    gens = np.array([primes[j].generator for j in split], dtype=np.int64).reshape(-1, 2)
+    out[:, split] = _symbol_table(gens, [primes[j].p for j in split], coeffs).T
+    inert = [j for j, P in enumerate(primes) if P.residue_degree == 2]
+    if not inert:
+        return out
+    p = np.array([primes[j].p for j in inert], dtype=np.int64)
     a, b = coeffs[:, 0], coeffs[:, 1]
     rational, lam, lam_conj = b == 0, (a == 1) & (b == -1), (a == 2) & (b == 1)
     prime = ~rational & (a % 3 == 2) & (b % 3 == 0)
     outside = np.flatnonzero(~(rational | lam | lam_conj | prime))
     if outside.size:
         raise ValueError(f"no symbol of {EisensteinInteger(*coeffs[outside[0]].tolist())} at "
-                         f"the inert {primes[blocks[0][0]].p}: not rational, lambda or primary")
-    a, b = coeffs[prime, :1], coeffs[prime, 1:]
-    q = a * a - a * b + b * b  # exact while |a|, |b| < 2**16; past it q >= 3 * 2**30
-    if a.size and (np.abs(coeffs[prime]).max() >= 1 << 16 or q.max() >= INT64_PRIME_BOUND):
+                         f"the inert {p[0]}: not rational, lambda or primary")
+    k = np.empty((len(coeffs), p.size), dtype=np.int8)
+    k[rational] = np.where(coeffs[rational, :1] % p == 0, EXPONENT_ZERO, 0)
+    k[lam], k[lam_conj] = 2 * (p + 1) // 3 % 3, (p + 1) // 3 % 3
+    k[prime] = registry_indices(coeffs[prime], p)
+    out[:, inert] = k
+    return out
+
+
+def registry_indices(gens: np.ndarray, n: Sequence[int]) -> np.ndarray:
+    """ind_q(n): the int8 k with n^((q - 1)/3) = omega_q^k (mod q), for each row of gens and n.
+
+    A row (a, b) is a primary prime pi = a + b omega of norm q, as every registry
+    generator is, and omega_q = -a/b.  So entry [i, j] is cubic_residue_symbol(n_j,
+    (pi_i)), EXPONENT_ZERO where q | n_j, and (pi_i / n_j)_3 at an inert prime n_j.
+    """
+    gens, n = np.asarray(gens, dtype=np.int64), np.asarray(n, dtype=np.int64)
+    a, b = gens[:, 0], gens[:, 1]
+    if np.abs(gens).max(initial=0) >= 1 << 16:  # an int64 norm is exact below it
         a, b = a.astype(object), b.astype(object)
-        q = a * a - a * b + b * b
-    n, tests = (q - 1) // 3, (-b, a, b - a)
-    for block in blocks:
-        p = np.array([primes[j].p for j in block], dtype=np.int64)
-        exponents = np.where(coeffs[:, :1] % p == 0, EXPONENT_ZERO, 0)  # the rational rows'
-        exponents[lam], exponents[lam_conj] = 2 * (p + 1) // 3 % 3, (p + 1) // 3 % 3
-        t, roots = _power_mod(p % q, n, q), np.full((len(q), len(block)), _NOT_A_ROOT)
-        for k, c in enumerate(tests):
-            roots[(t * b + c) % q == 0] = k
-        exponents[prime] = roots
-        yield exponents
+    return _symbol_table(gens, a * a - a * b + b * b, np.column_stack((n, np.zeros_like(n))))
+
+
+def _symbol_table(gens: np.ndarray, q: Sequence[int], coeffs: np.ndarray) -> np.ndarray:
+    """(x / (pi))_3 for each prime pi = a + b omega (gens) of norm q and x = c + d omega (coeffs).
+
+    Z[omega]/(pi) is Z/q with omega -> omega_q = -a/b, so entry [i, j] is the
+    int8 k with x^((q - 1)/3) = omega_q^k (mod q), or EXPONENT_ZERO where q | x:
+    one power per entry, on Python ints from a modulus of 2**31 up.  A power
+    that is no cube root of unity raises the scalar's RuntimeError, else
+    AssertionError.
+    """
+    q = np.asarray(q)[:, None]
+    wide = object if q.max(initial=0) >= INT64_PRIME_BOUND else np.int64
+    a, b, q = gens[:, :1].astype(wide), gens[:, 1:].astype(wide), q.astype(wide)
+    omega = -a * _power_mod(b % q, q - 2, q) % q  # 1/b = b^(q - 2)
+    c, d = coeffs[:, 0], coeffs[:, 1]
+    out = np.empty((len(gens), len(coeffs)), dtype=np.int8)
+    step = max(1, _SYMBOLS_PER_PASS // max(1, len(coeffs)))
+    for lo in range(0, len(gens), step):
+        rows = slice(lo, lo + step)
+        m, w = q[rows], omega[rows]
+        x = (c % m + d % m * w) % m if d.any() else c % m  # d = 0: a rational column
+        if m.dtype != object and m.max() < 1 << 16:  # squares fit uint32, with a faster %
+            x, m = x.astype(np.uint32), m.astype(np.uint32)
+        t = _power_mod(x, (m - 1) // 3, m)
+        k = np.full(x.shape, _NOT_A_ROOT, dtype=np.int8)
+        for e, root in enumerate((1, w, w * w % m)):
+            k[t == root] = e
+        k[x == 0] = EXPONENT_ZERO
+        bad = np.argwhere(k == _NOT_A_ROOT)
+        if bad.size:
+            i, j = bad[0].tolist()
+            cubic_residue_symbol(EisensteinInteger(*coeffs[j].tolist()), PrimeAbove(
+                int(m[i, 0]), EisensteinInteger(int(a[lo + i, 0]), int(b[lo + i, 0])), 1, "split"))
+            raise AssertionError("the vectorized and the scalar cubic symbol disagree")
+        out[rows] = k
+    return out
 
 
 def _power_mod(x: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -509,5 +521,5 @@ def _power_mod(x: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
         if bit.all():
             out = out * base % m
         elif bit.any():
-            out = np.where(bit, out * base % m, out)
+            np.remainder(out * base, m, out=out, where=bit)
     return out

@@ -42,22 +42,29 @@ only one `density` reads; `verify`'s registry findings read the others.
 The symbol is multiplicative and D1 = lambda^e3 * prod_{q | d1} pi_q *
 prod_{q | d2} pi_q^2, with pi_q the registry generator above q and
 lambda = 1 - omega, while D2 is its conjugate.  So with e = e(pi_q / P)
-and e' = e(conj(pi_q) / P), the exponent of P's symbol for a row r
-(a prime q, or lambda) is
+and e' = e(conj(pi_q) / P), P's symbol is omega^s with
+s = sum_{q | d1} k_q + 2 sum_{q | d2} k_q + e3 k_lambda (mod 3), where a
+row r (a prime q, or lambda) has k_r = g e + c e'.
 
-    k_r = g e + c e'
+A Kummer element has c = -g (mod 3), so k_q = g (e - e') needs one index
+per (q, p), ind_q(p) = (p / pi_q)_3: the k with p^((q-1)/3) = omega_q^k
+(mod q), omega_q = -a_q/b_q.  Cubic reciprocity swaps primary primes of
+different norms, and conjugation squares a symbol.  At a split p,
+e = (pi_p / pi_q) and e' = -(conj(pi_p) / pi_q) (at conj(P), e and -e' trade
+places), so k_q = g ind_q(p).  At an inert p, P = conj(P) gives
+e' = -e = -(p / pi_q), so k_q = (g - c) ind_q(p).  At p = q the index is a
+zero, as is e or e'.
 
-and a field's symbol is omega^s with s = sum_{q | d1} k_q + 2 sum_{q | d2} k_q
-+ e3 k_lambda (mod 3).  A zero symbol makes k_r _ZERO_ENTRY when it enters
-with a positive g or c, so the field's symbol is zero exactly when a zero
-entry enters its sum with a positive weight; for the Kummer element, exactly
-when p | D.  The table holds one int16 row per distinct q of the family and
-one for lambda, and one column per prime p.  The column for p = 3 holds
-k_q = b_q/3 (mod 3), so that s = -beta, for every (g, c), and _ZERO_ENTRY at
-lambda, which the weight e3 turns on exactly when 3 | D.  The other columns
-come from one eisenstein.cubic_residue_exponents table over those rows and
-their conjugates (primary primes, lambda and its conjugate: an inert p takes
-them by cubic reciprocity); `conjugate_prime` takes them at conj(P).
+A zero symbol makes k_r _ZERO_ENTRY when it enters with a positive weight,
+so the field's symbol is zero exactly when a zero entry enters its sum with
+a positive weight; for the Kummer element, exactly when p | D.  The table
+holds one int16 row per distinct q of the family and one for lambda, and
+one column per prime p.  The column for p = 3 holds k_q = b_q/3 (mod 3), so
+that s = -beta, for every (g, c), and _ZERO_ENTRY at lambda, which the
+weight e3 turns on exactly when 3 | D.  The q rows of a Kummer table are one
+eisenstein.registry_indices table; its lambda row, and every row of another
+element, is g e + c e' of one eisenstein.cubic_residue_exponents table over
+those rows and their conjugates (at conj(P) for `conjugate_prime`).
 
 `density` and the `verify` probes read lambda off this table, and the
 probes check it against oracles that share none of its arithmetic
@@ -84,6 +91,7 @@ from .eisenstein import (
     cubic_residue_symbol,
     lambda_valuation,
     prime_above,
+    registry_indices,
     registry_table,
 )
 from .fields import Family, FieldLabel, family_of, three_split_factorization
@@ -189,37 +197,37 @@ def _exponent_table(gens: np.ndarray, primes: Sequence[int], element: tuple[int,
                     conjugate_prime: bool = False) -> np.ndarray:
     """k[r, j] of the module docstring, int16: row 0 for lambda, row i + 1 for pi_q = gens[i].
 
-    gens holds the (a, b) of the registry generators of the distinct q.
-    Column j belongs to primes[j], and element = (g, c) names D1^g * D2^c.
-    k is _ZERO_ENTRY wherever a zero symbol enters g e + c e' with a positive
-    g or c, and in the lambda row of the column for p = 3.  The other columns
-    come from one cubic_residue_exponents table over the generators and
-    their conjugates; conjugate_prime takes the symbols at the conjugate of
-    each registry prime, as in character_symbol.  Once every p is below
-    2**31, the registry table is read up to the largest p, so that no split
-    column needs a norm-equation solve.
+    gens holds the (a, b) of the generators of the distinct q, column j is
+    primes[j], and element = (g, c) names D1^g * D2^c.  The registry table is
+    read up to the largest p < 2**31: no split column solves a norm equation.
     """
     top = max(primes, default=0)
     if top >= INT64_PRIME_BOUND:
         raise ValueError(f"vectorized cubic symbols need p < 2**31, got p = {top}")
     registry_table(top)
     g, c = element
-    gens = np.concatenate((np.array([LAMBDA], dtype=np.int64), gens))
-    table = np.empty((len(gens), len(primes)), dtype=np.int16)
-    at_three = [j for j, p in enumerate(primes) if p == 3]
-    table[:, at_three] = (gens[:, 1] // 3 % 3)[:, None]
-    table[0, at_three] = _ZERO_ENTRY
+    kummer = (g + c) % 3 == 0
+    rows = np.concatenate((np.array([LAMBDA], dtype=np.int64), gens[:0] if kummer else gens))
     columns = [j for j, p in enumerate(primes) if p != 3]
     above = [prime_above(primes[j]) for j in columns]
     if conjugate_prime:
         above = [P.conjugate() for P in above]
     e, e_conj = np.split(cubic_residue_exponents(
-        np.concatenate((gens, conjugate_coefficients(gens))), above), 2)
+        np.concatenate((rows, conjugate_coefficients(rows))), above), 2)
     k = e.astype(np.int16)  # widened first: an int8 cannot hold _ZERO_ENTRY
     k *= g
     k += c * e_conj
     k[(g > 0) & (e == EXPONENT_ZERO) | (c > 0) & (e_conj == EXPONENT_ZERO)] = _ZERO_ENTRY
-    table[:, columns] = k
+    table = np.empty((len(gens) + 1, len(primes)), dtype=np.int16)
+    table[:len(rows), columns] = k
+    if kummer:
+        p = np.array([primes[j] for j in columns], dtype=np.int64)
+        ind = registry_indices(gens, p)  # times g at a split p, g - c at an inert p
+        k = ind * np.where(p % 3 == 1, g, (g - c) % 3).astype(np.int16)
+        table[1:, columns] = np.where(ind == EXPONENT_ZERO, _ZERO_ENTRY, k)
+    at_three = [j for j, p in enumerate(primes) if p == 3]
+    table[1:, at_three] = (gens[:, 1] // 3 % 3)[:, None]
+    table[0, at_three] = _ZERO_ENTRY
     return table
 
 
@@ -234,19 +242,15 @@ def lambda_table(family: Family | Sequence[FieldLabel], primes: Sequence[int],
                  conjugate_prime: bool = False) -> np.ndarray:
     """lambda(p) for every row of the family (rows) and every prime in `primes` (columns).
 
-    `element` = (g, c) reads the symbol of D1^g * D2^c: the Kummer (1, 2)
-    by default.  Entry by entry this is lambda_coefficient(p, 1, label,
-    element, conjugate_prime=...), read off one exponent table of the
-    family (see the module docstring) instead of a Z[omega] product per
-    pair.  A list of labels becomes a Family first (fields.family_of, which
-    checks each label).  The table rows are the distinct q of a Family's CSR
-    primes, with their generators read off Family.gens, and one
-    np.searchsorted names the row of every CSR position, so nothing is
-    factored and no generator is looked up.  One gather of those rows,
-    scaled by the weights 1 (q | d1) and 2 (q | d2) and summed cumulatively,
-    gives each field's sum over its q as a difference of two cumulative
-    rows, to which e3 times the lambda row is added: as many fields per pass
-    as fit in _ENTRIES_PER_PASS sums.
+    `element` = (g, c) reads the symbol of D1^g * D2^c, the Kummer (1, 2) by
+    default.  Entry by entry this is lambda_coefficient(p, 1, label, element,
+    conjugate_prime=...), read off one exponent table (module docstring)
+    whose rows are the distinct q of the Family's CSR primes, generators off
+    Family.gens, so nothing is factored; a list of labels becomes a Family
+    first (fields.family_of).  One gather of those rows per CSR position,
+    weighted 1 (q | d1) or 2 (q | d2) and summed cumulatively, gives each
+    field's sum as a difference of two cumulative rows, plus e3 times the
+    lambda row: as many fields per pass as fit in _ENTRIES_PER_PASS sums.
     """
     if not isinstance(family, Family):
         family = family_of(family)

@@ -26,9 +26,7 @@ The hard oracles check the character data that `density` uses, the
 exponent table of lfunctions.lambda_table, against computations that share
 none of its arithmetic: each probe reads lambda for all its (label, p)
 pairs off one table (per registry variant), so no Z[omega] product is
-built per pair.  The per-call functions of lfunctions (character_symbol,
-splitting_type, lambda_coefficient) take the table's arguments and are the
-reference the tests hold the table to.
+built per pair.
 
 Probes return ProbeReports.  A report Fails only when an asserted invariant
 breaks; exploratory discrepancies (the paper-literal lambda, which genuinely
@@ -107,26 +105,27 @@ def polynomial_splitting_oracle(p: int, label: FieldLabel) -> SplittingType | No
     Galois group is cyclic, so the root count is 0 (inert) or 3 (split);
     anything else means corrupted arithmetic.
     """
-    return _root_count_splitting(p, label, *defining_polynomial(label))
+    return _root_count_splittings([p], label, *defining_polynomial(label))[0]
 
 
-def _root_count_splitting(p: int, label: FieldLabel, a_coef: int,
-                          b_coef: int) -> SplittingType | None:
-    """polynomial_splitting_oracle for the cubic x^3 - 3 a_coef x - b_coef of `label`."""
+def _root_count_splittings(primes: Sequence[int], label: FieldLabel, a_coef: int,
+                           b_coef: int) -> list[SplittingType | None]:
+    """polynomial_splitting_oracle at every p of `primes`, for the cubic x^3 - 3 a_coef x - b_coef
+    of `label`: one array pass evaluates it at every x mod every p."""
+    p = np.array(primes, dtype=np.int64)
+    starts = np.cumsum(p) - p
+    mod, a3, b = (np.repeat(v, p) for v in (p, [3 * a_coef % q for q in primes],
+                                            [b_coef % q for q in primes]))
+    x = np.arange(mod.size) - np.repeat(starts, p)
+    roots = np.add.reduceat(((x * x % mod) * x - a3 * x - b) % mod == 0, starts, dtype=np.int64)
     gate = 3 * (4 * a_coef**3 - b_coef**2)
-    if gate % p == 0:
-        return None
-    x = np.arange(p, dtype=np.int64)
-    vals = ((x * x % p) * x - (3 * a_coef % p) * x - b_coef % p) % p
-    roots = int(np.count_nonzero(vals == 0))
-    if roots == 3:
-        return SPLIT
-    if roots == 0:
-        return INERT
-    raise RuntimeError(
-        f"cubic for {label} has {roots} roots mod {p} inside the gate; "
-        "arithmetic is corrupt"
-    )
+    out = []
+    for q, count in zip(primes, roots.tolist()):
+        if gate % q and count not in (0, 3):
+            raise RuntimeError(f"cubic for {label} has {count} roots mod {q} inside the gate; "
+                               "arithmetic is corrupt")
+        out.append(None if gate % q == 0 else SPLIT if count == 3 else INERT)
+    return out
 
 
 # the splitting type of p read off lambda(p), the inverse of lambda_from_splitting(., 1)
@@ -137,7 +136,7 @@ def splitting_oracle_probe(max_conductor: int = 200, max_p: int = 500) -> ProbeR
     """Kummer splitting must equal the root-count oracle on every gated pair.
 
     The Kummer side is one lambda_table of every label and prime; the oracle
-    counts the roots of each label's defining cubic, built once per label.
+    counts the roots of each label's defining cubic at all primes in one pass.
     A table that cannot be built (a corrupt registry) counts as a mismatch.
     """
     labels = labels_up_to_conductor(max_conductor)
@@ -151,8 +150,7 @@ def splitting_oracle_probe(max_conductor: int = 200, max_p: int = 500) -> ProbeR
     rows = []
     for label, lam in zip(labels, table):
         try:
-            poly = defining_polynomial(label)
-            oracles = [_root_count_splitting(p, label, *poly) for p in primes]
+            oracles = _root_count_splittings(primes, label, *defining_polynomial(label))
         except Exception as exc:  # corrupted arithmetic surfaces here
             mismatches += 1
             rows.append({"label": label, "error": repr(exc)})
@@ -234,17 +232,11 @@ def paper_literal_findings(label: FieldLabel, max_p: int) -> list[dict]:
 # -- ramification audit at 3 ------------------------------------------------------------
 
 
-def _lambda_power_residues(k: int):
-    """Coefficient ranges covering Z[omega] / (1-omega)^k exactly once or more."""
-    half = (k + 1) // 2
-    return range(3**half), range(3**half)
-
-
 def cube_solvable_mod_lambda(c: EisensteinInteger, k: int) -> bool:
-    """Brute-force solvability of x^3 = c mod (1-omega)^k."""
-    ra, rb = _lambda_power_residues(k)
-    for a in ra:
-        for b in rb:
+    """Brute-force x^3 = c mod (1-omega)^k over x = a + b omega, a, b < 3^ceil(k/2)."""
+    residues = range(3 ** ((k + 1) // 2))
+    for a in residues:
+        for b in residues:
             x = EisensteinInteger(a, b)
             diff = x * x * x - c
             if diff.is_zero() or lambda_valuation(diff) >= k:

@@ -296,6 +296,20 @@ def test_prime_sums_match_per_term_reference():
     assert prime_sums(family_of([]), fejer_pair(0.2)) == []
 
 
+def test_prefix_sums_agree_across_pass_sizes(monkeypatch):
+    # each field's kept terms are prefixes cut by np.searchsorted; a pass of
+    # fields with different widths pads the shorter rows with 0.0, so no pass
+    # size changes a bit, in either order of the fields
+    family = enumerate_family(10**8)
+    shuffled = family_of(list(reversed(labels_up_to_conductor(300))))
+    tf = fejer_pair(0.4)
+    want = [(prime_sums(fam, tf), reference_statistics(fam, tf)) for fam in (family, shuffled)]
+    for terms in (1, 97, 1 << 20):
+        monkeypatch.setattr("cyclocubic.density._TERMS_PER_PASS", terms)
+        got = [(prime_sums(fam, tf), reference_statistics(fam, tf)) for fam in (family, shuffled)]
+        assert got == want, terms
+
+
 def test_prime_sum_support():
     label = FieldLabel(0, 7, 1)
     assert prime_sum(label, fejer_pair(0.01)) == 0.0  # 49^0.01 < 2

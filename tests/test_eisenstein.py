@@ -29,6 +29,7 @@ from cyclocubic.eisenstein import (
     primary_associate,
     prime_above,
     registry_bound,
+    registry_indices,
     registry_table,
     solve_split_generator,
 )
@@ -376,6 +377,50 @@ def test_cubic_residue_exponents_take_coefficient_arrays():
     corrupt = PrimeAbove(13, E(5, 1), 1, "split")
     with pytest.raises(RuntimeError, match="cube root of unity"):
         cubic_residue_exponents(gens, [prime_above(7), corrupt])
+
+
+def test_registry_indices_match_scalar_and_reciprocity(monkeypatch):
+    # ind_q(p) is (p / pi_q)_3 by definition, a power mod q.  By cubic
+    # reciprocity the scalar, which never uses it, gives the same index as
+    # (pi_q / p)_3 at an inert p and as (pi_q / P) / (conj(pi_q) / P) at a
+    # split p != q; on the diagonal q = p it is a zero
+    qs, gens = registry_table(3000)
+    primes = [2] + [p for p in primes_up_to(199) if p >= 5]
+    table = registry_indices(gens, primes)
+    assert table.dtype == np.int8 and table.shape == (len(gens), len(primes))
+    for q, (a, b), row in zip(qs.tolist(), gens.tolist(), table.tolist()):
+        pi = E(a, b)
+        assert row == [cubic_residue_symbol(E(p), PrimeAbove(q, pi, 1, "split")) for p in primes]
+        for p, k in zip(primes, row):
+            P = prime_above(p)
+            if p == q:
+                assert k == EXPONENT_ZERO
+            elif P.kind == "inert":
+                assert k == cubic_residue_symbol(pi, P)
+            else:
+                assert k == (cubic_residue_symbol(pi, P)
+                             - cubic_residue_symbol(pi.conjugate(), P)) % 3, (q, p)
+    assert np.diagonal(registry_indices(gens, qs)).tolist() == [EXPONENT_ZERO] * len(qs)
+    # passes of one row, or of a few that do not divide the row count, agree
+    for entries in (1, 7 * len(primes) + 3):
+        monkeypatch.setattr(eisenstein, "_SYMBOLS_PER_PASS", entries)
+        assert np.array_equal(registry_indices(gens, primes), table), entries
+
+
+def test_registry_indices_past_int64_squares_and_corrupt_rows():
+    # a norm past 2**31 takes Python ints, as does every row of its table
+    big = next(n for n in range(2**31 + 2, 2**31 + 300, 3) if is_prime(n))
+    pi = prime_above(big).generator
+    columns = [2, 5, 7, 11, 13, big, 3 * big]
+    rows = np.array([list(pi), [2, 3]], dtype=np.int64)
+    want = [[cubic_residue_symbol(E(n), PrimeAbove(z.norm(), z, 1, "split")) for n in columns]
+            for z in (pi, E(2, 3))]
+    assert registry_indices(rows, columns).tolist() == want
+    assert want[0][-2:] == [EXPONENT_ZERO, EXPONENT_ZERO]
+    # 8 + 3 omega is primary of norm 49, no prime: its power is no cube root of unity
+    corrupt = np.concatenate((registry_table(100)[1], [[8, 3]]))
+    with pytest.raises(RuntimeError, match="cube root of unity"):
+        registry_indices(corrupt, [2, 5, 7, 11])
 
 
 def test_cubic_residue_exponents_rejects_p_beyond_int64_envelope():

@@ -289,6 +289,46 @@ def test_lambda_table_builds_no_product_per_field(monkeypatch):
         assert (lambda_table(labels, primes, element) == table).all(), element
 
 
+def test_kummer_table_is_one_index_per_q_and_p(monkeypatch):
+    # the q rows of a Kummer table come from one registry_indices call of
+    # len(q) x len(columns) entries, with no conjugate rows; the symbol
+    # kernel sees lambda and its conjugate alone, and the lambda row is
+    # g e + c e' of the scalar symbols at P (or at its conjugate)
+    family = family_of(labels_up_to_conductor(400))
+    qs = sorted(set(family.primes.tolist()))
+    registry = eisenstein.registry_table(max(qs))
+    gens = registry[1][np.searchsorted(registry[0], qs)]
+    primes = primes_up_to(300)
+    columns = [p for p in primes if p != 3]
+    calls = []
+
+    def spy(name):
+        real = getattr(lfunctions, name)
+
+        def kernel(rows, cols):
+            calls.append((name, len(rows), len(cols)))
+            return real(rows, cols)
+
+        monkeypatch.setattr(lfunctions, name, kernel)
+
+    spy("registry_indices")
+    spy("cubic_residue_exponents")
+    for g, c in (KUMMER, KUMMER[::-1]):
+        for conj in (False, True):
+            calls.clear()
+            table = lfunctions._exponent_table(gens, primes, (g, c), conj)
+            assert calls == [("cubic_residue_exponents", 2, len(columns)),
+                             ("registry_indices", len(qs), len(columns))]
+            for j, p in enumerate(primes):
+                if p == 3:
+                    continue
+                P = eisenstein.prime_above(p)
+                P = P.conjugate() if conj else P
+                e = eisenstein.cubic_residue_symbol(eisenstein.LAMBDA, P)
+                e_conj = eisenstein.cubic_residue_symbol(eisenstein.LAMBDA.conjugate(), P)
+                assert table[0, j] % 3 == (g * e + c * e_conj) % 3, (p, g, c, conj)
+
+
 def test_lambda_table_reads_the_registry_before_any_column(monkeypatch):
     # the split column primes come off one registry table up to the largest,
     # not from a norm-equation solve each; a p past 2**31 is refused before

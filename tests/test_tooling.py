@@ -104,3 +104,17 @@ def test_cli_import_loads_no_quadrature():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_runs_no_verify():
+    # only the verify and charsum commands read cyclocubic.verify; importing the
+    # CLI lists it in sys.modules (a lazy module, so tools that look it up there
+    # still find it) but compiles and runs none of it until an attribute is read
+    code = ("import sys, cyclocubic.cli as cli; m = sys.modules['cyclocubic.verify']; "
+            "print('run_probe_suite' in object.__getattribute__(m, '__dict__'), "
+            "cli.verify_mod.run_probe_suite.__module__)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "cyclocubic.verify"]

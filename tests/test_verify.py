@@ -56,6 +56,23 @@ def test_polynomial_oracle_values():
     assert polynomial_splitting_oracle(3, D7) is None
 
 
+def test_root_counts_in_one_pass_match_brute_force():
+    # one array pass over every x mod every p gives each p's count by brute force
+    from cyclocubic.fields import defining_polynomial, labels_up_to_conductor
+    from cyclocubic.verify import _root_count_splittings
+
+    primes = primes_up_to(200)
+    for label in labels_up_to_conductor(100):
+        a, b = defining_polynomial(label)
+        counts = [sum((x**3 - 3 * a * x - b) % p == 0 for x in range(p)) for p in primes]
+        want = [None if 3 * (4 * a**3 - b * b) % p == 0 else {3: SPLIT, 0: INERT}[n]
+                for p, n in zip(primes, counts)]
+        assert _root_count_splittings(primes, label, a, b) == want, label
+    # x^3 - 2 has no root mod 7 but exactly one mod 5, inside the gate 3 * -4
+    with pytest.raises(RuntimeError, match="1 roots mod 5 inside the gate"):
+        _root_count_splittings([7, 5], D7, 0, 2)
+
+
 def test_splitting_oracle_probe_clean():
     report = splitting_oracle_probe(max_conductor=200, max_p=500)
     assert report.status == PASS
