@@ -30,10 +30,9 @@ def primes_up_to(n: int) -> list[int]:
 def smallest_factor_sieve(n: int) -> np.ndarray:
     """spf[k] = smallest prime factor of k, for 0 <= k <= n (spf[0] = spf[1] = 0)."""
     spf = np.zeros(max(n + 1, 0), dtype=np.int64)
-    for p in range(2, math.isqrt(max(n, 0)) + 1):
-        if spf[p] == 0:  # p is prime: every smaller prime has marked its multiples
-            multiples = spf[p * p :: p]
-            multiples[multiples == 0] = p
+    # descending, so the smallest prime dividing k is the last to write spf[k]
+    for p in np.flatnonzero(prime_sieve(math.isqrt(max(n, 0))))[::-1].tolist():
+        spf[p * p :: p] = p
     unmarked = np.flatnonzero(spf == 0)[2:]  # the primes, after 0 and 1
     spf[unmarked] = unmarked
     return spf

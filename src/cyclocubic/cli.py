@@ -2,14 +2,15 @@
 
 Subcommands:
 
-* enumerate  -- write the field catalog for discriminants in [X, 2X]
+* enumerate  -- write the field catalog for discriminants in [X, 2X], in blocks of lines
 * density    -- per-field density table (CSV) plus the family summary
 * verify     -- run the probe battery; exit 2 if an asserted probe fails
 * charsum    -- character pair-sums over a log-spaced Y grid
 
 All outputs are plain text with a config echo in the header, and every
-command is deterministic: rerunning writes byte-identical files.  Exit
-codes: 0 success, 1 usage, 2 assertion failure, 3 I/O.
+command is deterministic: rerunning writes byte-identical files.  A command
+compiles only the modules it runs (`_lazy`).  Exit codes: 0 success,
+1 usage, 2 assertion failure, 3 I/O.
 """
 
 from __future__ import annotations
@@ -21,18 +22,24 @@ import math
 import sys
 from collections.abc import Iterable
 
-from . import density as density_mod
 from ._primes import is_prime
 from .eisenstein import INT64_PRIME_BOUND
 from .fields import X_MAX, catalog_lines, enumerate_family
 
-# only verify and charsum read it: a lazy module, listed but compiled at first use
-if f"{__package__}.verify" not in sys.modules:
-    _spec = importlib.util.find_spec(f"{__package__}.verify")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(sys.modules[_spec.name])
-verify_mod = sys.modules[f"{__package__}.verify"]
+
+def _lazy(name: str):
+    """The submodule `name`: listed in sys.modules, where tools look, but run at first use."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[fullname])
+    return sys.modules[fullname]
+
+
+# only `density` runs density, only `verify` and `charsum` run verify; all three run lfunctions
+_, density_mod, verify_mod = map(_lazy, ("lfunctions", "density", "verify"))
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,6 +49,7 @@ EXIT_IO = 3
 # --p0 and --ymax each size a sieve with that many entries, a terabyte at this
 # bound; past 2**63 numpy could not even index one
 SIEVE_MAX = 2**40
+_LINE = "{}\n".format  # a line as _write takes it, with its newline
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,19 +130,19 @@ def _validate(cfg: argparse.Namespace) -> str | None:
     return None
 
 
-def _write(path: str | None, lines: Iterable[str]) -> None:
-    """Write each line and a newline; no output-size string is ever built."""
+def _write(path: str | None, pieces: Iterable[str]) -> None:
+    """Write each piece, whole lines with their newlines, as it is (no output-size string)."""
     if path is None:
-        sys.stdout.writelines(f"{line}\n" for line in lines)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w") as fh:
-            fh.writelines(f"{line}\n" for line in lines)
+            fh.writelines(pieces)
 
 
 def cmd_enumerate(cfg: argparse.Namespace) -> int:
     family = enumerate_family(cfg.x)
-    header = [f"# cyclocubic catalog", f"# x={cfg.x}", f"# count={len(family)}"]
-    _write(cfg.out, itertools.chain(header, catalog_lines(family)))
+    header = ["# cyclocubic catalog", f"# x={cfg.x}", f"# count={len(family)}"]
+    _write(cfg.out, itertools.chain(map(_LINE, header), catalog_lines(family)))
     return EXIT_OK
 
 
@@ -161,7 +169,7 @@ def cmd_density(cfg: argparse.Namespace) -> int:
     header = [f"# cyclocubic density table", f"# x={cfg.x} beta={cfg.beta} mode=kummer",
               "D,e3,d1,d2,conductor,archimedean,gamma_term,prime_sum,total"]
     columns = (summary.gamma_term.tolist(), summary.prime_sum.tolist(), summary.total.tolist())
-    rows = (f"{D},{e3},{d1},{d2},{f},{tf.fhat_at_0!r},{gam!r},{ps!r},{total!r}"
+    rows = (f"{D},{e3},{d1},{d2},{f},{tf.fhat_at_0!r},{gam!r},{ps!r},{total!r}\n"
             for (e3, d1, d2, D, f, _), gam, ps, total in zip(family.rows(), *columns))
     footer = [
         "# summary",
@@ -171,7 +179,7 @@ def cmd_density(cfg: argparse.Namespace) -> int:
         f"# references=" + " ".join(f"{g}:{refs[g]!r}" for g in density_mod.KERNELS),
         f"# classification={cls.kernel} margin={cls.margin!r} ambiguous={cls.ambiguous}",
     ]
-    _write(cfg.out, itertools.chain(header, rows, footer))
+    _write(cfg.out, itertools.chain(map(_LINE, header), rows, map(_LINE, footer)))
     return EXIT_OK
 
 
@@ -188,7 +196,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         if rep.status == verify_mod.FAIL:
             failed += 1
     lines.append(f"# probes={len(reports)} failed={failed}")
-    _write(cfg.out, lines)
+    _write(cfg.out, map(_LINE, lines))
     return EXIT_ASSERTION if failed else EXIT_OK
 
 
@@ -201,7 +209,7 @@ def cmd_charsum(cfg: argparse.Namespace) -> int:
         rows, exponent = verify_mod.char_sum_grid(p, grid)
         for y, cs in rows:
             lines.append(f"{p},{y},{cs.value.a},{cs.value.b},{cs.magnitude!r},{exponent!r}")
-    _write(cfg.out, lines)
+    _write(cfg.out, map(_LINE, lines))
     return EXIT_OK
 
 

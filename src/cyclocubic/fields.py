@@ -15,10 +15,10 @@ conductor, trace(D1)) plus each row's primes in CSR form, sorted by
 smallest-prime-factor sieve finds the squarefree 3-split n of each
 conductor scale (n and 9n) with their primes, every splitting n = d1 * d2
 is one bit mask over those primes, and D1 is multiplied out one prime
-position at a time from the registry generators.  The catalog lines and
-the density statistics are read off the columns, so no label is factored
-and no record object is built.  `family_of` turns a list of labels into a
-Family, checking each by `label_primes`.  `make_record`,
+position at a time from the registry generators.  The catalog, a string
+per block of rows, and the density statistics are read off the columns, so
+no label is factored and no record object is built.  `family_of` turns a
+list of labels into a Family, checking each by `label_primes`.  `make_record`,
 `defining_polynomial` and `three_split_factorization` build the same
 values one label at a time and are the reference the columns are tested
 against.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -171,7 +172,7 @@ def make_record(label: FieldLabel) -> FieldRecord:
 
 _BLOCK = 1 << 16  # numbers factored per sieve pass; bounds the window's working set
 X_MAX = 2**79  # conductors up to isqrt(2 * X_MAX) = 2^40 keep the int64 columns below 2^62
-_ROWS_PER_PASS = 1 << 12  # rows per conversion to Python ints in Family.rows
+_ROWS_PER_PASS = 1 << 12  # rows per conversion to Python ints (Family.rows, catalog_lines)
 _LAMBDA_POWERS = ((1, 0), (1, -1), (0, -3))  # (1 - omega)^e3 as (a, b)
 
 
@@ -415,24 +416,29 @@ def labels_up_to_conductor(f_max: int) -> list[FieldLabel]:
 # -- catalog serialization ------------------------------------------------------
 
 _FIELDS = ("D", "e3", "d1", "d2", "conductor", "discriminant", "polyA", "polyB")
-
-
-def _catalog_line(D: int, e3: int, d1: int, d2: int, conductor: int, discriminant: int,
-                  poly_a: int, poly_b: int) -> str:
-    return (f"D={D} e3={e3} d1={d1} d2={d2} conductor={conductor} "
-            f"discriminant={discriminant} polyA={poly_a} polyB={poly_b}")
+_CATALOG_LINE = " ".join(f"{name}=%s" for name in _FIELDS)
 
 
 def record_to_line(rec: FieldRecord) -> str:
     label = rec.label
-    return _catalog_line(rec.D, label.e3, label.d1, label.d2, rec.conductor,
-                         rec.discriminant, rec.poly_a, rec.poly_b)
+    return _CATALOG_LINE % (rec.D, label.e3, label.d1, label.d2, rec.conductor,
+                            rec.discriminant, rec.poly_a, rec.poly_b)
 
 
 def catalog_lines(family: Family):
-    """record_to_line of every row of `family`, lazily, straight from its columns."""
-    return (_catalog_line(D, e3, d1, d2, f, f * f, D, D * t)
-            for e3, d1, d2, D, f, t in family.rows())
+    """record_to_line of every row of `family`, newline included, _ROWS_PER_PASS rows a string.
+
+    Each block is one % over the line format repeated once per row, filled
+    straight from the columns: tolist() gives Python ints, so the
+    discriminant f * f and B = D * trace(D1) are exact past the int64 range.
+    """
+    for lo in range(0, len(family), _ROWS_PER_PASS):
+        e3, d1, d2, D, f, t = (column[lo:lo + _ROWS_PER_PASS].tolist() for column in (
+            family.e3, family.d1, family.d2, family.D, family.conductor, family.trace))
+        values = [None] * (len(_FIELDS) * len(D))
+        for i, column in enumerate((D, e3, d1, d2, f, map(mul, f, f), D, map(mul, D, t))):
+            values[i::len(_FIELDS)] = column
+        yield f"{_CATALOG_LINE}\n" * len(D) % tuple(values)
 
 
 def record_from_line(line: str) -> FieldRecord:

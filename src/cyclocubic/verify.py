@@ -588,13 +588,18 @@ def genseries_symbols(p: int, p0: int) -> GenseriesSymbols:
 
     The split generators come straight off the registry table as coefficient
     arrays; each exponent is the one a per-ell cubic_residue_symbol would give.
+    An inert P is its own conjugate, so there a conjugate takes -k (mod 3), a
+    zero staying EXPONENT_ZERO, and needs no power of its own.
     """
-    _, gens = registry_table(p0)
+    (_, gens), P = registry_table(p0), prime_above(p)
+    conj = conjugate_coefficients(gens) if P.kind == "split" else gens[:0]
     inert = [ell for ell in primes_up_to(math.isqrt(p0)) if ell % 3 == 2]
-    coeffs = np.concatenate([[LAMBDA], gens, conjugate_coefficients(gens),
+    coeffs = np.concatenate([[LAMBDA], gens, conj,
                              np.array([[ell, 0] for ell in inert], dtype=np.int64).reshape(-1, 2)])
-    e, m = cubic_residue_exponents(coeffs, [prime_above(p)])[:, 0], len(gens)
-    return GenseriesSymbols(int(e[0]), e[1:2 * m + 1].reshape(2, m).T, e[2 * m + 1:])
+    e = cubic_residue_exponents(coeffs, [P])[:, 0]
+    k, rest = e[1:len(gens) + 1], e[len(gens) + 1:]
+    k_conj = rest[:len(conj)] if len(conj) else np.where(k == EXPONENT_ZERO, k, -k % 3)
+    return GenseriesSymbols(int(e[0]), np.column_stack((k, k_conj)), rest[len(conj):])
 
 
 @lru_cache(maxsize=1)

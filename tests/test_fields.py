@@ -168,6 +168,20 @@ def test_enumerate_family_window_and_order():
         assert r.label.D < partner(r.label).D
 
 
+def test_catalog_blocks_split_at_rows_per_pass(monkeypatch):
+    # 3 rows a block over a family whose length is no multiple of 3: every
+    # block but the last holds 3 whole lines, and the blocks join to the catalog
+    family = enumerate_family(10**6)
+    assert len(family) % 3 != 0
+    monkeypatch.setattr("cyclocubic.fields._ROWS_PER_PASS", 3)
+    blocks = list(catalog_lines(family))
+    assert len(blocks) == -(-len(family) // 3)
+    assert [block.count("\n") for block in blocks] == [3] * (len(blocks) - 1) + [len(family) % 3]
+    assert all(block.endswith("\n") for block in blocks)
+    assert "".join(blocks) == "".join(record_to_line(r) + "\n" for r in family.records())
+    assert list(catalog_lines(family_of([]))) == []
+
+
 def test_enumeration_carries_primes_instead_of_factoring(monkeypatch):
     def no_factoring(n):
         raise AssertionError(f"the enumeration factored {n}")
@@ -186,7 +200,8 @@ def test_family_rows_match_the_per_label_reference(x):
     labels = family.labels()
     assert len(family) == len(labels) == len(family.records())
     assert family.records() == [make_record(label) for label in labels]
-    assert list(catalog_lines(family)) == list(map(record_to_line, family.records()))
+    assert "".join(catalog_lines(family)) == "".join(record_to_line(r) + "\n"
+                                                    for r in family.records())
     # each row's CSR primes, split by in_d1, are the primes of d1 and of d2
     for i, label in enumerate(labels):
         primes = family.primes[family.offsets[i]:family.offsets[i + 1]]

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cyclocubic import cli, fields, lfunctions, verify
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,3 +120,37 @@ def test_cli_import_runs_no_verify():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["False", "cyclocubic.verify"]
+
+
+def test_cli_import_runs_no_density_or_lfunctions():
+    # density and lfunctions run only under the commands that read them; the
+    # CLI lists both in sys.modules as lazy modules but runs neither on import
+    code = ("import sys, cyclocubic.cli as cli; "
+            "d, l = (sys.modules[f'cyclocubic.{n}'] for n in ('density', 'lfunctions')); "
+            "print('family_average' in object.__getattribute__(d, '__dict__'), "
+            "'lambda_table' in object.__getattribute__(l, '__dict__'), "
+            "cli.density_mod.family_average.__module__, d.lambda_table.__module__)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "False", "cyclocubic.density", "cyclocubic.lfunctions"]
+
+
+def test_package_names_are_their_submodules_objects():
+    # the package resolves its names at first read (PEP 562); each is the very
+    # object of the submodule that defines it, and each submodule is itself
+    import cyclocubic
+
+    submodules = {name: importlib.import_module(f"cyclocubic.{name}")
+                  for name in ("eisenstein", "fields", "lfunctions", "density")}
+    assert set(submodules) < set(cyclocubic.__all__)
+    for name in cyclocubic.__all__:
+        if name in submodules:
+            assert getattr(cyclocubic, name) is submodules[name]
+        else:
+            owners = [m for m in submodules.values() if name in vars(m)]
+            assert owners and all(getattr(cyclocubic, name) is getattr(m, name)
+                                  for m in owners), name
+    with pytest.raises(AttributeError):
+        cyclocubic.no_such_name

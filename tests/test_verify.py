@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import cyclocubic.eisenstein as eisenstein
@@ -31,6 +32,7 @@ from cyclocubic.verify import (
     family_count_scaling,
     genseries_compare,
     genseries_sides,
+    genseries_symbols,
     ideal_count_crosscheck,
     log_grid,
     paper_literal_findings,
@@ -459,6 +461,22 @@ def test_genseries_sides_one_walk_equals_separate_walks(p):
     walk = genseries_sides(p, 2.0, cutoffs)
     assert [_bits(sides) for sides in walk] == [_bits(genseries_sides(p, 2.0, (p0,))[0])
                                                 for p0 in cutoffs]
+
+
+@pytest.mark.parametrize("p", [2, 5, 11, 17])
+def test_inert_genseries_symbols_match_the_two_row_kernel(p):
+    # at an inert P the conjugate generators take -k (mod 3) without a power of
+    # their own; the kernel over both rows, as at a split P, is the reference
+    p0 = 10**4
+    _, gens = eisenstein.registry_table(p0)
+    inert = [ell for ell in primes_up_to(math.isqrt(p0)) if ell % 3 == 2]
+    coeffs = np.concatenate([[LAMBDA], gens, eisenstein.conjugate_coefficients(gens),
+                             np.array([[ell, 0] for ell in inert], dtype=np.int64)])
+    e, m = eisenstein.cubic_residue_exponents(coeffs, [prime_above(p)])[:, 0], len(gens)
+    symbols = genseries_symbols(p, p0)
+    assert symbols.at_three == e[0]
+    assert symbols.split.tolist() == e[1:2 * m + 1].reshape(2, m).T.tolist()
+    assert symbols.inert.tolist() == e[2 * m + 1:].tolist()
 
 
 def test_genseries_inert_base():
