@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic to 3.3e24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least composite passing every base (Sorenson, Webster, Math. Comp. 86 (2017))
+MR_PROOF_BOUND = 3317044064679887385961981
 
 
 def prime_sieve(n: int) -> np.ndarray:
@@ -39,7 +41,9 @@ def smallest_factor_sieve(n: int) -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the 64-bit range used here."""
+    """Miller-Rabin to the bases 2..41: a proof below MR_PROOF_BOUND, ValueError from it on."""
+    if n >= MR_PROOF_BOUND:
+        raise ValueError(f"primality is proven only below {MR_PROOF_BOUND}, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -22,8 +22,7 @@ import math
 import sys
 from collections.abc import Iterable
 
-from ._primes import is_prime
-from .eisenstein import INT64_PRIME_BOUND
+from ._primes import MR_PROOF_BOUND, is_prime
 from .fields import X_MAX, catalog_lines, enumerate_family
 
 
@@ -116,12 +115,11 @@ def _validate(cfg: argparse.Namespace) -> str | None:
             return "--primes must name at least one prime"
         if 3 in cfg.primes:
             return "chi_p is undefined at p = 3; drop it from --primes"
-        not_prime = [p for p in cfg.primes if not is_prime(p)]
-        if not_prime:
-            return f"--primes takes primes only; {not_prime[0]} is not prime"
-        too_large = [p for p in cfg.primes if p >= INT64_PRIME_BOUND]
-        if too_large:
-            return f"--primes takes primes below 2**31; {too_large[0]} is too large"
+        for p in cfg.primes:  # the bound first: is_prime refuses past it
+            if p >= MR_PROOF_BOUND:
+                return f"--primes takes primes below {MR_PROOF_BOUND}; {p} is too large"
+            if not is_prime(p):
+                return f"--primes takes primes only; {p} is not prime"
     if cfg.command in ("verify", "charsum"):
         if cfg.ymax < 10:
             return "--ymax must be at least 10"
@@ -188,13 +186,9 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
                                          genseries_p0=(cfg.p0 // 10, cfg.p0), s=cfg.s)
     lines = [f"# cyclocubic verification report",
              f"# p0={cfg.p0} ymax={cfg.ymax} s={cfg.s}"]
-    failed = 0
     for rep in reports:
-        lines.append(rep.summary_line())
-        for row in rep.details[:10]:
-            lines.append(f"    {row}")
-        if rep.status == verify_mod.FAIL:
-            failed += 1
+        lines += [rep.summary_line(), *(f"    {row}" for row in rep.details[:10])]
+    failed = sum(rep.status == verify_mod.FAIL for rep in reports)
     lines.append(f"# probes={len(reports)} failed={failed}")
     _write(cfg.out, map(_LINE, lines))
     return EXIT_ASSERTION if failed else EXIT_OK

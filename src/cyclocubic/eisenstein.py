@@ -33,8 +33,8 @@ at a split p, F_{p^2} at an inert p), in Python ints, and never uses
 reciprocity.  The numpy int8 tables take one power in Z/q per entry, a row
 per prime of norm q: `registry_indices` gives ind_q(n), the symbol of a
 rational n at a registry prime above q, which is chi_q(n); and
-`cubic_residue_exponents` (p < 2**31) gives the definition's at a split p
-and cubic reciprocity's ind_q(p) at an inert p.
+`cubic_residue_exponents` gives the definition's at a split p and cubic
+reciprocity's ind_q(p) at an inert p, for any p (Python ints from 2**31 on).
 
 All values are immutable after construction, and the registry table is only
 ever replaced whole by a larger read-only one, so every operation is safe
@@ -273,14 +273,11 @@ def _lattice_pass(n: int) -> _SplitTable:
         rows.append(np.column_stack((norm[keep], a[keep], np.full(norm[keep].size, b))))
         b += 3
     found = np.concatenate(rows)
-    slot = np.searchsorted(primes, found[:, 0])
-    hit = np.zeros(primes.size, dtype=bool)
-    hit[slot] = True
     # one point per split prime, or the uniqueness argument is broken
-    if found.shape[0] != primes.size or not hit.all() or np.any(primes[slot] != found[:, 0]):
+    if not np.array_equal(np.sort(found[:, 0]), primes):
         raise AssertionError(f"the lattice pass up to {n} missed or repeated a split prime")
     gens = np.empty((primes.size, 2), dtype=np.int64)
-    gens[slot] = found[:, 1:]
+    gens[np.searchsorted(primes, found[:, 0])] = found[:, 1:]
     primes.flags.writeable = gens.flags.writeable = False
     return _SplitTable(n, primes, gens)
 
@@ -411,7 +408,7 @@ def cubic_residue_symbol(a: EisensteinInteger, P: PrimeAbove) -> int:
     return roots.index(t)
 
 
-INT64_PRIME_BOUND = 2**31  # p below it keeps every product of residues under 2**63
+_INT64_PRIME_BOUND = 2**31  # p below it keeps every product of residues under 2**63
 _NOT_A_ROOT = -2  # a pass's mark for a power that is no cube root of unity
 
 # symbols per numpy pass of _symbol_table, whose int64 arrays stay near 256 kB
@@ -427,24 +424,21 @@ def cubic_residue_exponents(coeffs: np.ndarray, primes: Sequence[PrimeAbove]) ->
     1 - omega and its conjugate take 2m and m, m = (p + 1)/3 (the supplementary
     law), a primary prime x (a = 2, b = 0 (mod 3), b != 0, of a prime norm the
     caller vouches for) takes its registry_indices entry (p / x)_3 by cubic
-    reciprocity, and any other row raises ValueError.  ValueError at 3 and
-    unless p < 2**31, before any row is read.  A power that is no cube root
-    of unity raises the scalar's RuntimeError, else AssertionError.
+    reciprocity, and any other row raises ValueError.  ValueError at 3, before
+    any row is read.  A power that is no cube root of unity raises the
+    scalar's RuntimeError, else AssertionError.
     """
-    for P in primes:
-        if P.kind == "ramified":
-            raise ValueError("the cubic symbol is not defined at the prime above 3")
-        if P.p >= INT64_PRIME_BOUND:
-            raise ValueError(f"vectorized cubic symbols need p < 2**31, got p = {P.p}")
+    if any(P.kind == "ramified" for P in primes):
+        raise ValueError("the cubic symbol is not defined at the prime above 3")
     coeffs = np.asarray(coeffs, dtype=np.int64)
     out = np.empty((len(coeffs), len(primes)), dtype=np.int8)
     split = [j for j, P in enumerate(primes) if P.residue_degree == 1]
-    gens = np.array([primes[j].generator for j in split], dtype=np.int64).reshape(-1, 2)
+    gens = _int_array([primes[j].generator for j in split]).reshape(-1, 2)
     out[:, split] = _symbol_table(gens, [primes[j].p for j in split], coeffs).T
     inert = [j for j, P in enumerate(primes) if P.residue_degree == 2]
     if not inert:
         return out
-    p = np.array([primes[j].p for j in inert], dtype=np.int64)
+    p = _int_array([primes[j].p for j in inert])
     a, b = coeffs[:, 0], coeffs[:, 1]
     rational, lam, lam_conj = b == 0, (a == 1) & (b == -1), (a == 2) & (b == 1)
     prime = ~rational & (a % 3 == 2) & (b % 3 == 0)
@@ -467,10 +461,9 @@ def registry_indices(gens: np.ndarray, n: Sequence[int]) -> np.ndarray:
     generator is, and omega_q = -a/b.  So entry [i, j] is cubic_residue_symbol(n_j,
     (pi_i)), EXPONENT_ZERO where q | n_j, and (pi_i / n_j)_3 at an inert prime n_j.
     """
-    gens, n = np.asarray(gens, dtype=np.int64), np.asarray(n, dtype=np.int64)
-    a, b = gens[:, 0], gens[:, 1]
-    if np.abs(gens).max(initial=0) >= 1 << 16:  # an int64 norm is exact below it
-        a, b = a.astype(object), b.astype(object)
+    gens, n = np.asarray(gens, dtype=np.int64), _int_array(n)
+    wide = object if np.abs(gens).max(initial=0) >= 1 << 16 else np.int64  # exact norms
+    a, b = gens.T.astype(wide)
     return _symbol_table(gens, a * a - a * b + b * b, np.column_stack((n, np.zeros_like(n))))
 
 
@@ -483,8 +476,8 @@ def _symbol_table(gens: np.ndarray, q: Sequence[int], coeffs: np.ndarray) -> np.
     that is no cube root of unity raises the scalar's RuntimeError, else
     AssertionError.
     """
-    q = np.asarray(q)[:, None]
-    wide = object if q.max(initial=0) >= INT64_PRIME_BOUND else np.int64
+    q = _int_array(q)[:, None]
+    wide = object if q.max(initial=0) >= _INT64_PRIME_BOUND else np.int64
     a, b, q = gens[:, :1].astype(wide), gens[:, 1:].astype(wide), q.astype(wide)
     omega = -a * _power_mod(b % q, q - 2, q) % q  # 1/b = b^(q - 2)
     c, d = coeffs[:, 0], coeffs[:, 1]
@@ -509,6 +502,14 @@ def _symbol_table(gens: np.ndarray, q: Sequence[int], coeffs: np.ndarray) -> np.
             raise AssertionError("the vectorized and the scalar cubic symbol disagree")
         out[rows] = k
     return out
+
+
+def _int_array(values) -> np.ndarray:
+    """values as int64, or as Python ints (dtype object) where one is past int64."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:  # numpy would take float64 or uint64 for these
+        return np.array(values, dtype=object)
 
 
 def _power_mod(x: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -83,7 +83,6 @@ import numpy as np
 
 from .eisenstein import (
     EXPONENT_ZERO,
-    INT64_PRIME_BOUND,
     LAMBDA,
     EisensteinInteger,
     conjugate_coefficients,
@@ -199,11 +198,12 @@ def _exponent_table(gens: np.ndarray, primes: Sequence[int], element: tuple[int,
 
     gens holds the (a, b) of the generators of the distinct q, column j is
     primes[j], and element = (g, c) names D1^g * D2^c.  The registry table is
-    read up to the largest p < 2**31: no split column solves a norm equation.
+    read up to the largest column, so no split column solves a norm equation;
+    ValueError from 2**31 on, where its prime sieve would take gigabytes.
     """
     top = max(primes, default=0)
-    if top >= INT64_PRIME_BOUND:
-        raise ValueError(f"vectorized cubic symbols need p < 2**31, got p = {top}")
+    if top >= 2**31:
+        raise ValueError(f"the registry is read to the largest column, so p < 2**31; got {top}")
     registry_table(top)
     g, c = element
     kummer = (g + c) % 3 == 0

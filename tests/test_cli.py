@@ -6,8 +6,8 @@ import warnings
 
 import pytest
 
-from cyclocubic import cli, lfunctions
-from cyclocubic._primes import primes_up_to
+from cyclocubic import cli, lfunctions, verify
+from cyclocubic._primes import MR_PROOF_BOUND, primes_up_to
 from cyclocubic.fields import Family, enumerate_family, record_from_line
 
 
@@ -67,8 +67,12 @@ def test_usage_errors(capsys):
     assert code == cli.EXIT_USAGE and "8 is not prime" in err
     code, _, err = run(["charsum", "--ymax", "1"], capsys)
     assert code == cli.EXIT_USAGE and "--ymax" in err
-    code, _, err = run(["charsum", "--primes", "2147483659"], capsys)  # a prime > 2^31
-    assert code == cli.EXIT_USAGE and "2**31" in err
+    # psi_12 fooled Miller-Rabin to the bases 2..37; from psi_13 on no answer is proven
+    code, _, err = run(["charsum", "--primes", "7,318665857834031151167461"], capsys)
+    assert code == cli.EXIT_USAGE and "318665857834031151167461 is not prime" in err
+    code, out, err = run(["charsum", "--primes", "7,3317044064679887385961981"], capsys)
+    assert code == cli.EXIT_USAGE and out == "" and str(MR_PROOF_BOUND) in err
+    assert "Traceback" not in err and err.count("\n") == 1
     # below s = 2 or p0 = 10**6 the generating-series probes cannot be Cauchy
     # to 1e-8 between p0 // 10 and p0, so these were false FAILs (exit 2); at
     # s = inf (1e400 parses to it) every Euler factor is 1, so both probes
@@ -179,6 +183,20 @@ def test_charsum_output(tmp_path, capsys):
     assert (ten[2], ten[3]) == ("0", "0")  # S_13(10) = 0 exactly
     for r in rows:
         assert float(r[5]) <= 1.1  # trivial bound on the fitted exponent
+
+
+def test_charsum_at_primes_past_int64(tmp_path, capsys):
+    # a split and an inert prime past 2^31, and an inert one past 2^63
+    primes = [2147483659, 2147483693, 9223372036854775907]
+    out = tmp_path / "charsum.csv"
+    code, _, _ = run(["charsum", "--primes", ",".join(map(str, primes)), "--ymax", "1000",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()[3:]]
+    assert [int(r[0]) for r in rows] == [p for p in primes for _ in verify.log_grid(1000)]
+    for p, y, a, b, magnitude, _ in rows:
+        cs = verify.char_sum(int(p), int(y))
+        assert (int(a), int(b), float(magnitude)) == (cs.value.a, cs.value.b, cs.magnitude)
 
 
 @pytest.mark.parametrize("ymax, top", [(50000, 39811), (30000, 25119), (100000, 100000)])

@@ -11,7 +11,7 @@ import pytest
 import cyclocubic.eisenstein as eisenstein
 from cyclocubic._primes import primes_up_to
 from cyclocubic.density import fejer_pair, prime_sum
-from cyclocubic._primes import is_prime
+from cyclocubic._primes import MR_PROOF_BOUND, is_prime
 from cyclocubic.eisenstein import (
     EXPONENT_ZERO,
     LAMBDA,
@@ -229,6 +229,20 @@ def test_prime_above_reads_table_then_solves(monkeypatch):
         fresh(next(q for q in range(bound + 1, 2 * bound + 100, 3) if not is_prime(q)))
 
 
+def test_is_prime_is_a_proof_or_refuses():
+    # psi_12 = 399165290221 * 798330580441 is a strong probable prime to every
+    # base 2..37, so base 41 is what rejects it; psi_13 passes 2..41 as well
+    psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
+    assert psi12 == 399165290221 * 798330580441 and psi13 == 1287836182261 * 2575672364521
+    assert not is_prime(psi12) and MR_PROOF_BOUND == psi13
+    assert is_prime(2**61 - 1) and is_prime(41) and not is_prime(41 * 43)
+    for n in (psi13, psi13 + 2, 2**127 - 1):
+        with pytest.raises(ValueError, match=str(psi13)):
+            is_prime(n)
+    with pytest.raises(ValueError, match="not prime"):
+        prime_above(psi12)
+
+
 def test_registry_table_grows_under_concurrent_callers(monkeypatch):
     monkeypatch.setattr(eisenstein, "_TABLE", eisenstein._lattice_pass(0))
     sizes = [3000 * (k + 1) for k in range(8)]  # more threads than cores
@@ -325,13 +339,19 @@ def test_cubic_residue_exponents_match_scalar():
     elems = [E(rng.randint(-10**30, 10**30), rng.randint(-10**30, 10**30)) for _ in range(40)]
     split = [q for q in primes_up_to(200) if q % 3 == 1]
     primes = [P for q in split for P in (prime_above(q), prime_above(q).conjugate())]
-    for p in split + [2**31 - 1]:  # 2^31 - 1 is prime, = 1 (mod 3)
+    # past 2^31 and 2^63 the powers take Python ints; past 2^63 a residue
+    # passes int64, so those rows enter reduced mod 10^18 instead
+    big = [next(n for n in range(2**e, 2**e + 10**4) if n % 3 == 1 and is_prime(n))
+           for e in (31, 62, 63)]
+    for p in split + [2**31 - 1] + big:  # 2^31 - 1 is prime, = 1 (mod 3)
+        m = min(p, 10**18)
         for P in (prime_above(p), prime_above(p).conjugate()):
-            batch = elems + [P.generator, P.generator * elems[0], E(0), E(p)]
-            coeffs = np.array([(z.a % p, z.b % p) for z in batch], dtype=np.int64)
-            table = cubic_residue_exponents(coeffs, [P])
+            batch = [E(z.a % m, z.b % m) for z in
+                     elems + [P.generator, P.generator * elems[0], E(0), E(p)]]
+            table = cubic_residue_exponents(np.array(batch, dtype=np.int64), [P])
             assert table.dtype == np.int8 and table.shape == (len(batch), 1)
             assert table[:, 0].tolist() == [cubic_residue_symbol(z, P) for z in batch], p
+    primes += [prime_above(p) for p in big]  # one table of moduli on both sides of int64
     batch = [E(z.a % 10**18, z.b % 10**18) for z in elems] + [P.generator for P in primes]
     table = cubic_residue_exponents(np.array(batch, dtype=np.int64), primes)
     assert table.shape == (len(batch), len(primes))
@@ -343,9 +363,12 @@ def test_cubic_residue_exponents_at_inert_primes_match_scalar():
     # conjugates, lambda, its conjugate, rational integers) by reciprocity and
     # the supplementary law, against the scalar's power in F_{p^2}
     top = next(n for n in range(2**31 - 3, 0, -3) if is_prime(n))  # the largest inert p < 2^31
-    inert = [q for q in primes_up_to(200) if q % 3 == 2] + [top]
+    big = [next(n for n in range(2**e, 2**e + 10**4) if n % 3 == 2 and is_prime(n))
+           for e in (31, 63)]
+    inert = [q for q in primes_up_to(200) if q % 3 == 2] + [top] + big
     _, gens = registry_table(3000)
-    rational = [(n, 0) for n in [0, -1, 7, 13, *inert]]  # 0, p and l != p at every column
+    rows_p = inert[:-1]  # an int64 row holds every p but the one past 2^63
+    rational = [(n, 0) for n in [0, -1, 7, 13, *rows_p]]  # 0, p and l != p at every column
     rows = np.concatenate((gens, conjugate_coefficients(gens), [LAMBDA, LAMBDA.conjugate()],
                            rational))
     primes = [prime_above(p) for p in inert]
@@ -353,8 +376,8 @@ def test_cubic_residue_exponents_at_inert_primes_match_scalar():
     table = cubic_residue_exponents(rows, primes)
     assert table.tolist() == [[cubic_residue_symbol(E(a, b), P) for P in primes]
                               for a, b in rows.tolist()]
-    assert table[-len(inert):].tolist() == [[EXPONENT_ZERO if p == q else 0 for p in inert]
-                                            for q in inert]
+    assert table[-len(rows_p):].tolist() == [[EXPONENT_ZERO if p == q else 0 for p in inert]
+                                             for q in rows_p]
     # a row that is neither primary nor rational has no symbol here, but has at a split P
     for bad in ([4, 3], [2, 4], [-2, 3]):
         row = np.array([bad], dtype=np.int64)
@@ -423,9 +446,7 @@ def test_registry_indices_past_int64_squares_and_corrupt_rows():
         registry_indices(corrupt, [2, 5, 7, 11])
 
 
-def test_cubic_residue_exponents_rejects_p_beyond_int64_envelope():
-    p = next(n for n in range(2**31, 2**31 + 200) if n % 3 == 2 and is_prime(n))
-
+def test_cubic_residue_exponents_rejects_3_before_reading_rows():
     class Untouched:
         def __len__(self):
             raise AssertionError("the rows were read before p was checked")
@@ -433,7 +454,5 @@ def test_cubic_residue_exponents_rejects_p_beyond_int64_envelope():
         def __array__(self, *args, **kwargs):
             raise AssertionError("the rows were read before p was checked")
 
-    with pytest.raises(ValueError, match="2\\*\\*31"):
-        cubic_residue_exponents(Untouched(), [prime_above(7), prime_above(p)])
     with pytest.raises(ValueError):
         cubic_residue_exponents(Untouched(), [prime_above(5), prime_above(3)])

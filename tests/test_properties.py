@@ -166,8 +166,11 @@ def test_catalog_line_round_trip(label):
 
 
 # tokens that have broken argument handling before, or might: non-numbers,
-# negatives, empty strings, a prime past 2**31, and a few valid values
-TOKENS = ("nan", "inf", "-1", "", "abc", "0", "1", "2", "7", "0.3", "1e3", "3,7", "2147483659")
+# negatives, empty strings, a prime past 2**31, psi_12 (a composite that
+# fooled Miller-Rabin to the bases 2..37), psi_13 (from which primality is
+# not proven), and a few valid values
+TOKENS = ("nan", "inf", "-1", "", "abc", "0", "1", "2", "7", "0.3", "1e3", "3,7", "2147483659",
+          "318665857834031151167461", "3317044064679887385961981")
 # --x and --ymax only take small values, so no drawn run is long
 SMALL = ("nan", "-1", "", "abc", "10", "50", "1000", "2000")
 OPTIONS = {
