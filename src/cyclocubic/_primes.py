@@ -6,12 +6,19 @@ Everything here is deterministic; no randomized primality or root finding.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# psi_13, the least composite passing every base (Sorenson, Webster, Math. Comp. 86 (2017))
-MR_PROOF_BOUND = 3317044064679887385961981
+# psi_k, the least composite that is a strong probable prime to each of the
+# first k bases, for k = 1..12 (Sorenson, Webster, Math. Comp. 86 (2017), and
+# the earlier values they cite): below psi_k the first k bases are a proof.
+# psi_8 = psi_7 and psi_11 = psi_10 = psi_9.
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461)
+MR_PROOF_BOUND = 3317044064679887385961981  # psi_13, which passes every base
 
 
 def prime_sieve(n: int) -> np.ndarray:
@@ -41,7 +48,12 @@ def smallest_factor_sieve(n: int) -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2..41: a proof below MR_PROOF_BOUND, ValueError from it on."""
+    """Miller-Rabin to the first k bases 2, 3, ..., 41, with psi_(k-1) <= n < psi_k.
+
+    That shortest proven prefix (_PSI) makes the answer exact at the least
+    cost: n < 2047 takes base 2 alone, n < 1373653 bases 2 and 3.  ValueError
+    from MR_PROOF_BOUND = psi_13 on, where no prefix of the 13 bases proves.
+    """
     if n >= MR_PROOF_BOUND:
         raise ValueError(f"primality is proven only below {MR_PROOF_BOUND}, got {n}")
     if n < 2:
@@ -53,7 +65,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -23,7 +23,7 @@ import sys
 from collections.abc import Iterable
 
 from ._primes import MR_PROOF_BOUND, is_prime
-from .fields import X_MAX, catalog_lines, enumerate_family
+from .fields import _ROWS_PER_PASS, X_MAX, catalog_lines, enumerate_family, format_rows
 
 
 def _lazy(name: str):
@@ -166,9 +166,13 @@ def cmd_density(cfg: argparse.Namespace) -> int:
     # mode=kummer names the one character the table reads; readers match the line verbatim
     header = [f"# cyclocubic density table", f"# x={cfg.x} beta={cfg.beta} mode=kummer",
               "D,e3,d1,d2,conductor,archimedean,gamma_term,prime_sum,total"]
-    columns = (summary.gamma_term.tolist(), summary.prime_sum.tolist(), summary.total.tolist())
-    rows = (f"{D},{e3},{d1},{d2},{f},{tf.fhat_at_0!r},{gam!r},{ps!r},{total!r}\n"
-            for (e3, d1, d2, D, f, _), gam, ps, total in zip(family.rows(), *columns))
+    # _ROWS_PER_PASS rows a string, as catalog_lines
+    line = f"%d,%d,%d,%d,%d,{tf.fhat_at_0!r},%r,%r,%r\n"
+    columns = (family.D, family.e3, family.d1, family.d2, family.conductor,
+               summary.gamma_term, summary.prime_sum, summary.total)
+    blocks = ([column[lo:lo + _ROWS_PER_PASS].tolist() for column in columns]
+              for lo in range(0, len(family), _ROWS_PER_PASS))
+    rows = (format_rows(line, len(block[0]), block) for block in blocks)
     footer = [
         "# summary",
         f"# count={summary.count}",

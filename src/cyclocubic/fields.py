@@ -428,17 +428,28 @@ def record_to_line(rec: FieldRecord) -> str:
 def catalog_lines(family: Family):
     """record_to_line of every row of `family`, newline included, _ROWS_PER_PASS rows a string.
 
-    Each block is one % over the line format repeated once per row, filled
-    straight from the columns: tolist() gives Python ints, so the
-    discriminant f * f and B = D * trace(D1) are exact past the int64 range.
+    Each block is one format_rows, filled straight from the columns: tolist()
+    gives Python ints, so the discriminant f * f and B = D * trace(D1) are
+    exact past the int64 range.
     """
     for lo in range(0, len(family), _ROWS_PER_PASS):
         e3, d1, d2, D, f, t = (column[lo:lo + _ROWS_PER_PASS].tolist() for column in (
             family.e3, family.d1, family.d2, family.D, family.conductor, family.trace))
-        values = [None] * (len(_FIELDS) * len(D))
-        for i, column in enumerate((D, e3, d1, d2, f, map(mul, f, f), D, map(mul, D, t))):
-            values[i::len(_FIELDS)] = column
-        yield f"{_CATALOG_LINE}\n" * len(D) % tuple(values)
+        yield format_rows(f"{_CATALOG_LINE}\n", len(D),
+                          (D, e3, d1, d2, f, map(mul, f, f), D, map(mul, D, t)))
+
+
+def format_rows(line: str, rows: int, columns) -> str:
+    """`line` % (row i of every column), for i < rows, as one string from one %.
+
+    Each column is an iterable of `rows` values, a list from tolist() or a map
+    over such lists, so %d, %s and %r print Python ints and floats as str and
+    repr do.
+    """
+    values = [None] * (len(columns) * rows)
+    for i, column in enumerate(columns):
+        values[i::len(columns)] = column
+    return line * rows % tuple(values)
 
 
 def record_from_line(line: str) -> FieldRecord:

@@ -62,9 +62,12 @@ holds one int16 row per distinct q of the family and one for lambda, and
 one column per prime p.  The column for p = 3 holds k_q = b_q/3 (mod 3), so
 that s = -beta, for every (g, c), and _ZERO_ENTRY at lambda, which the
 weight e3 turns on exactly when 3 | D.  The q rows of a Kummer table are one
-eisenstein.registry_indices table; its lambda row, and every row of another
-element, is g e + c e' of one eisenstein.cubic_residue_exponents table over
-those rows and their conjugates (at conj(P) for `conjugate_prime`).
+eisenstein.registry_indices table.  Those of another element are g e + c e'
+of eisenstein.cubic_residue_exponents over the generators, and over their
+conjugates at the split columns only: an inert P is its own conjugate, so
+there e' = -e.  The lambda row of every element takes no power: the
+supplementary law reads e and e' off P's primary generator (at conj(P) for
+`conjugate_prime`), and a corrupt generator raises.
 
 `density` and the `verify` probes read lambda off this table, and the
 probes check it against oracles that share none of its arithmetic
@@ -85,6 +88,7 @@ from .eisenstein import (
     EXPONENT_ZERO,
     LAMBDA,
     EisensteinInteger,
+    PrimeAbove,
     conjugate_coefficients,
     cubic_residue_exponents,
     cubic_residue_symbol,
@@ -206,29 +210,56 @@ def _exponent_table(gens: np.ndarray, primes: Sequence[int], element: tuple[int,
         raise ValueError(f"the registry is read to the largest column, so p < 2**31; got {top}")
     registry_table(top)
     g, c = element
-    kummer = (g + c) % 3 == 0
-    rows = np.concatenate((np.array([LAMBDA], dtype=np.int64), gens[:0] if kummer else gens))
     columns = [j for j, p in enumerate(primes) if p != 3]
     above = [prime_above(primes[j]) for j in columns]
     if conjugate_prime:
         above = [P.conjugate() for P in above]
-    e, e_conj = np.split(cubic_residue_exponents(
-        np.concatenate((rows, conjugate_coefficients(rows))), above), 2)
-    k = e.astype(np.int16)  # widened first: an int8 cannot hold _ZERO_ENTRY
-    k *= g
-    k += c * e_conj
-    k[(g > 0) & (e == EXPONENT_ZERO) | (c > 0) & (e_conj == EXPONENT_ZERO)] = _ZERO_ENTRY
     table = np.empty((len(gens) + 1, len(primes)), dtype=np.int16)
-    table[:len(rows), columns] = k
-    if kummer:
+    e, e_conj = _lambda_exponents(above)
+    table[0, columns] = g * e + c * e_conj
+    if (g + c) % 3 == 0:  # a Kummer element
         p = np.array([primes[j] for j in columns], dtype=np.int64)
         ind = registry_indices(gens, p)  # times g at a split p, g - c at an inert p
         k = ind * np.where(p % 3 == 1, g, (g - c) % 3).astype(np.int16)
         table[1:, columns] = np.where(ind == EXPONENT_ZERO, _ZERO_ENTRY, k)
+    else:
+        e = cubic_residue_exponents(gens, above)
+        # an inert P is its own conjugate, so there (conj(x) / P) = (x / P)^2
+        e_conj = np.where(e == EXPONENT_ZERO, e, -e % 3)
+        split = [i for i, P in enumerate(above) if P.residue_degree == 1]
+        e_conj[:, split] = cubic_residue_exponents(conjugate_coefficients(gens),
+                                                   [above[i] for i in split])
+        k = e.astype(np.int16)  # widened first: an int8 cannot hold _ZERO_ENTRY
+        k *= g
+        k += c * e_conj
+        k[(g > 0) & (e == EXPONENT_ZERO) | (c > 0) & (e_conj == EXPONENT_ZERO)] = _ZERO_ENTRY
+        table[1:, columns] = k
     at_three = [j for j, p in enumerate(primes) if p == 3]
     table[1:, at_three] = (gens[:, 1] // 3 % 3)[:, None]
     table[0, at_three] = _ZERO_ENTRY
     return table
+
+
+def _lambda_exponents(above: Sequence[PrimeAbove]) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents of (lambda / P)_3 and (conj(lambda) / P)_3 at each P of `above`, no power.
+
+    By the supplementary law (Ireland-Rosen ch. 9), a primary generator
+    a + b omega of P, m = (a + 1)/3 and n = b/3 give (lambda / P)_3 = omega^(2m)
+    and (omega / P)_3 = omega^(m + n); as conj(lambda) = -omega^2 lambda and -1
+    is a cube, (conj(lambda) / P)_3 = omega^(m + 2n).  A generator that is no
+    primary element of norm N(P) raises: the scalar symbol's RuntimeError where
+    the generator is corrupt, else ValueError.
+    """
+    gens = np.array([P.generator for P in above], dtype=np.int64).reshape(-1, 2)
+    a, b = gens.T
+    norms = np.array([P.p ** P.residue_degree for P in above], dtype=np.int64)
+    wrong = np.flatnonzero((a % 3 != 2) | (b % 3 != 0) | (a * a - a * b + b * b != norms))
+    if wrong.size:
+        P = above[wrong[0]]
+        cubic_residue_symbol(LAMBDA, P)
+        raise ValueError(f"{P.generator} above {P.p} is no primary element of norm N(P)")
+    m, n = (a + 1) // 3, b // 3
+    return 2 * m % 3, (m + 2 * n) % 3
 
 
 # (label, prime) exponent sums per numpy pass of lambda_table: its int64

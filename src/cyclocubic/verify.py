@@ -108,16 +108,15 @@ def polynomial_splitting_oracle(p: int, label: FieldLabel) -> SplittingType | No
     return _root_count_splittings([p], label, *defining_polynomial(label))[0]
 
 
-def _root_count_splittings(primes: Sequence[int], label: FieldLabel, a_coef: int,
-                           b_coef: int) -> list[SplittingType | None]:
+def _root_count_splittings(primes: Sequence[int], label: FieldLabel, a_coef: int, b_coef: int,
+                           cubes: tuple[np.ndarray, ...] | None = None,
+                           ) -> list[SplittingType | None]:
     """polynomial_splitting_oracle at every p of `primes`, for the cubic x^3 - 3 a_coef x - b_coef
-    of `label`: one array pass evaluates it at every x mod every p."""
-    p = np.array(primes, dtype=np.int64)
-    starts = np.cumsum(p) - p
-    mod, a3, b = (np.repeat(v, p) for v in (p, [3 * a_coef % q for q in primes],
-                                            [b_coef % q for q in primes]))
-    x = np.arange(mod.size) - np.repeat(starts, p)
-    roots = np.add.reduceat(((x * x % mod) * x - a3 * x - b) % mod == 0, starts, dtype=np.int64)
+    of `label`: one array pass evaluates it at every x mod every p.  `cubes` is
+    _cubes_mod_primes(primes), which a caller with many cubics builds once."""
+    mod, x, cubes, starts = _cubes_mod_primes(primes) if cubes is None else cubes
+    a3, b = (np.repeat([v % q for q in primes], primes) for v in (3 * a_coef, b_coef))
+    roots = np.add.reduceat((cubes - a3 * x - b) % mod == 0, starts, dtype=np.int64)
     gate = 3 * (4 * a_coef**3 - b_coef**2)
     out = []
     for q, count in zip(primes, roots.tolist()):
@@ -126,6 +125,16 @@ def _root_count_splittings(primes: Sequence[int], label: FieldLabel, a_coef: int
                                "arithmetic is corrupt")
         out.append(None if gate % q == 0 else SPLIT if count == 3 else INERT)
     return out
+
+
+def _cubes_mod_primes(primes: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """(mod, x, x^3 mod p, starts): every x mod every p of `primes`, laid end to end, with
+    the start of each p's run; no label enters, so every cubic of a probe can share it."""
+    p = np.array(primes, dtype=np.int64)
+    starts = np.cumsum(p) - p
+    mod = np.repeat(p, p)
+    x = np.arange(mod.size) - np.repeat(starts, p)
+    return mod, x, x * x % mod * x % mod, starts
 
 
 # the splitting type of p read off lambda(p), the inverse of lambda_from_splitting(., 1)
@@ -148,9 +157,10 @@ def splitting_oracle_probe(max_conductor: int = 200, max_p: int = 500) -> ProbeR
                            {"labels": len(labels), "pairs": 0, "mismatches": 1})
     checked = mismatches = 0
     rows = []
+    cubes = _cubes_mod_primes(primes)
     for label, lam in zip(labels, table):
         try:
-            oracles = _root_count_splittings(primes, label, *defining_polynomial(label))
+            oracles = _root_count_splittings(primes, label, *defining_polynomial(label), cubes)
         except Exception as exc:  # corrupted arithmetic surfaces here
             mismatches += 1
             rows.append({"label": label, "error": repr(exc)})
@@ -234,30 +244,36 @@ def paper_literal_findings(label: FieldLabel, max_p: int) -> list[dict]:
 
 def cube_solvable_mod_lambda(c: EisensteinInteger, k: int) -> bool:
     """Brute-force x^3 = c mod (1-omega)^k over x = a + b omega, a, b < 3^ceil(k/2)."""
+    return any(diff.is_zero() or lambda_valuation(diff) >= k
+               for diff in (cube - c for cube in _cubes_mod_lambda(k)))
+
+
+@lru_cache(maxsize=None)
+def _cubes_mod_lambda(k: int) -> tuple[EisensteinInteger, ...]:
+    """x^3 for every x = a + b omega of cube_solvable_mod_lambda's box at k, shared by all c."""
     residues = range(3 ** ((k + 1) // 2))
-    for a in residues:
-        for b in residues:
-            x = EisensteinInteger(a, b)
-            diff = x * x * x - c
-            if diff.is_zero() or lambda_valuation(diff) >= k:
-                return True
-    return False
+    return tuple(x * x * x for x in (EisensteinInteger(a, b) for a in residues for b in residues))
+
+
+_ROOT_LIFTS = 12  # stable_root_count_mod_3k lifts its roots up to 3^12
 
 
 def stable_root_count_mod_3k(a_coef: int, b_coef: int) -> int | None:
     """Number of roots of x^3 - 3Ax - B mod 3^k once the count stabilizes.
 
     Counts solutions by lifting digit by digit; returns None if the count is
-    still moving at k = 12 (not observed for any label in range).
+    still moving at k = 12 (not observed for any label in range).  3A and B
+    are reduced mod 3^12 first, so the lifts are int64 arrays whose every
+    product stays below 3^24.
     """
-    sols = [x for x in range(3) if (x**3 - 3 * a_coef * x - b_coef) % 3 == 0]
-    mod = 3
-    history = [len(sols)]
-    for _ in range(2, 13):
+    top = 3**_ROOT_LIFTS
+    a3, b = 3 * a_coef % top, b_coef % top
+    sols, mod, history = np.zeros(1, dtype=np.int64), 1, []
+    for _ in range(_ROOT_LIFTS):
         step, mod = mod, mod * 3
-        sols = [x + t * step for x in sols for t in range(3)
-                if ((x + t * step) ** 3 - 3 * a_coef * (x + t * step) - b_coef) % mod == 0]
-        history.append(len(sols))
+        x = (sols[:, None] + step * np.arange(3)).ravel()
+        sols = x[(x * x % mod * x - a3 * x - b) % mod == 0]
+        history.append(sols.size)
     if history[-1] == history[-2] == history[-3]:
         return history[-1]
     return None
@@ -404,10 +420,13 @@ def _prime_power_passes(n_max: int) -> tuple[tuple[np.ndarray, np.ndarray, np.nd
     return tuple(passes)
 
 
-def ideal_count_crosscheck(label: FieldLabel, n_max: int = 10**4) -> ProbeReport:
+def ideal_count_crosscheck(label: FieldLabel, n_max: int = 10**4, *,
+                           row: np.ndarray | None = None) -> ProbeReport:
     """zeta_D coefficients two ways: ideal counts vs the zeta * L convolution.
 
-    The splitting of every p <= n_max is one lambda_table row.  Route 1
+    The splitting of every p <= n_max is one lambda_table row: `row` if given
+    (the label's row of a table over the primes <= n_max, so many labels
+    share one table), else the call builds it.  Route 1
     fills a multiplicative array from per-prime ideal counts; route 2 builds
     L_D coefficients out of the lambda recurrence and convolves with the
     all-ones zeta coefficients.  Both are exact int64
@@ -424,7 +443,7 @@ def ideal_count_crosscheck(label: FieldLabel, n_max: int = 10**4) -> ProbeReport
     zeta_pp = np.array([[_zeta_prime_power_coefficient(st, j) for j in range(j_cap + 1)]
                         for st in types], dtype=np.int64)
     l_pp = np.array([_l_prime_power_coefficients(st, j_cap) for st in types], dtype=np.int64)
-    lam = lambda_table([label], primes.tolist())[0]
+    lam = lambda_table([label], primes.tolist())[0] if row is None else row
     type_of = np.full(n_max + 1, -1, dtype=np.intp)  # index into `types` of each prime
     for value, st in _SPLITTING_OF_LAMBDA.items():
         type_of[primes[lam == value]] = types.index(st)
@@ -467,14 +486,16 @@ class CharSumValue:
 
 def char_sums(p: int, y_values: Sequence[int], *,
               conjugate_prime: bool = False) -> list[CharSumValue]:
-    """S_p(Y) for every Y in `y_values`, from one sieve up to the largest.
+    """S_p(Y) for every Y in `y_values`, from the rows of _char_sum_rows up to the largest.
 
     The 2^k splittings n = d1 * d2 of a squarefree 3-split n with k primes
     multiply out: their terms sum to the product over q | n of
     chi_p(q) + chi_p(q)^2 = lambda_p(q), which is 2, -1 or 0 as chi_p(q) is
     1, a primitive cube root of unity or 0.  So S_p(Y) is the sum over
     n <= Y of the multiplicative h(n) = prod lambda_p(q), and the pair count
-    the sum of 2^k; both are read off cumulative sums over n ascending.
+    the sum of 2^k; both are read off cumulative sums over n ascending.  Only
+    lambda_p depends on p: the rows of n, and their pair counts, are built
+    once per largest Y and shared by every p.
     """
     if p == 3:
         raise ValueError("chi_p is not defined at p = 3")
@@ -482,25 +503,43 @@ def char_sums(p: int, y_values: Sequence[int], *,
     if conjugate_prime:
         P = P.conjugate()
     y_top = max([1, *y_values])  # n = 1 is always a row
-    qs, gens = registry_table(y_top)  # every q of every squarefree 3-split n <= y_top
+    _, gens = registry_table(y_top)  # every q of every squarefree 3-split n <= y_top
     if conjugate_prime:
         gens = conjugate_coefficients(gens)
     exponents = cubic_residue_exponents(gens, [P])[:, 0]
     lam = np.where(exponents == EXPONENT_ZERO, 0, np.where(exponents == 0, 2, -1))
-    columns = squarefree_3split_columns(1, y_top, smallest_factor_sieve(y_top))
-    rows = [(ns, lam[np.searchsorted(qs, primes)].prod(axis=1), np.full(ns.size, 1 << k))
-            for k, (ns, primes) in columns.items()]  # n, h(n) and its 2^k splittings
-    n, h, splittings = map(np.concatenate, zip(*rows))
-    order = np.argsort(n)
-    n = n[order]
+    n, positions, order, pair_counts = _char_sum_rows(y_top)
+    h = np.concatenate([lam[rows].prod(axis=1) for rows in positions])  # h(n), n as `order`
     h_sums = np.concatenate(([0], np.cumsum(h[order])))
-    pair_counts = np.concatenate(([0], np.cumsum(splittings[order])))
     out = []
     for y in y_values:
         i = int(np.searchsorted(n, y, side="right"))
         value = EisensteinInteger(int(h_sums[i]), 0)
         out.append(CharSumValue(value, math.sqrt(value.norm()), int(pair_counts[i])))
     return out
+
+
+@lru_cache(maxsize=1)
+def _char_sum_rows(y_top: int) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
+    """What char_sums reads of the squarefree 3-split n <= y_top, for every p alike.
+
+    (n, positions, order, pair_counts): n ascending; for each k, the registry
+    positions (in registry_table(y_top)) of the k primes of each n with k
+    prime factors, the rows of one squarefree_3split_columns column; the
+    order that takes those rows, laid end to end, to n ascending; and the
+    cumulative pair counts, the sum of 2^k, 0 first.  Read-only, shared.
+    """
+    qs, _ = registry_table(y_top)
+    columns = squarefree_3split_columns(1, y_top, smallest_factor_sieve(y_top))
+    positions = [np.searchsorted(qs, primes) for _, primes in columns.values()]
+    n = np.concatenate([ns for ns, _ in columns.values()])
+    splittings = np.concatenate([np.full(ns.size, 1 << k) for k, (ns, _) in columns.items()])
+    order = np.argsort(n)
+    n = n[order]
+    pair_counts = np.concatenate(([0], np.cumsum(splittings[order])))
+    for array in (n, order, pair_counts, *positions):
+        array.flags.writeable = False
+    return n, positions, order, pair_counts
 
 
 def char_sum(p: int, y: int, *, conjugate_prime: bool = False) -> CharSumValue:
@@ -605,9 +644,10 @@ def genseries_symbols(p: int, p0: int) -> GenseriesSymbols:
 @lru_cache(maxsize=1)
 def _walk_rows(p0: int, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ell, inert, x): the split ell <= p0 and the inert ell <= sqrt(p0), ascending,
-    which of them are inert, and x = ell^-s (ell^-2s if inert) by the builtin pow."""
-    ell = np.flatnonzero(prime_sieve(p0))
-    ell = ell[(ell % 3 == 1) | (ell % 3 == 2) & (ell <= math.isqrt(p0))]
+    which of them are inert, and x = ell^-s (ell^-2s if inert) by the builtin pow.  The
+    split ell are the registry table's, which genseries_symbols reads to p0 as well."""
+    small = np.flatnonzero(prime_sieve(math.isqrt(p0)))
+    ell = np.sort(np.concatenate((registry_table(p0)[0], small[small % 3 == 2])))
     inert = ell % 3 == 2
     x = np.array(list(map(pow, ell.tolist(), np.where(inert, -2.0 * s, -s).tolist())))
     ell.flags.writeable = inert.flags.writeable = x.flags.writeable = False  # shared by every walk
@@ -716,7 +756,8 @@ def run_probe_suite(charsum_y: int = 10**3,
     generating-series probes at p = 5 and 13 truncate at the two cutoffs
     `genseries_p0` and evaluate their Euler products at real `s`.  The rest
     is fixed: 1000 choice-invariance pairs, a 50-label ramification audit,
-    ideal counts to 1e4 for 10 labels, and family counts at X = 1e6, 1e7, 1e8.
+    ideal counts to 1e4 for 10 labels (rows of one lambda_table), and family
+    counts at X = 1e6, 1e7, 1e8.
     """
     # the generating-series probes need this table anyway; built first, it
     # serves the table probes too, which would otherwise solve a norm
@@ -725,8 +766,9 @@ def run_probe_suite(charsum_y: int = 10**3,
     reports = [splitting_oracle_probe()]
     reports.append(choice_invariance_probe(probe_pairs(1000)))
     reports.append(ramification_audit_suite(50))
-    for label in audit_corpus(10):
-        reports.append(ideal_count_crosscheck(label, 10**4))
+    corpus = audit_corpus(10)
+    for label, row in zip(corpus, lambda_table(corpus, primes_up_to(10**4))):
+        reports.append(ideal_count_crosscheck(label, 10**4, row=row))
     for p in (7, 13):
         plain = char_sum(p, charsum_y)
         conj = char_sum(p, charsum_y, conjugate_prime=True)

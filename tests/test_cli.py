@@ -264,6 +264,8 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
      "85fc1cb22a76242c6ab9d36bd29c8bab12ec2aa17f92275472fb6e238f1fd1ec"),
     (["charsum", "--primes", "2,5,11,17,97", "--ymax", "100000"],
      "d4a377cd451a1aa34d5ae9de56dc64df59dabdabc81d7aec1422de7e324da408"),
+    (["verify", "--p0", "10000000"],  # the generating-series symbols of 665k split ell
+     "a02c8a314e548ebb6c6af99e2d563e17bd1a0b5067dadddb2e15f79d51959e0f"),
 ])
 def test_golden_outputs(tmp_path, capsys, argv, sha256):
     # pinned bytes: refactors must leave these outputs identical

@@ -11,7 +11,7 @@ import pytest
 import cyclocubic.eisenstein as eisenstein
 from cyclocubic._primes import primes_up_to
 from cyclocubic.density import fejer_pair, prime_sum
-from cyclocubic._primes import MR_PROOF_BOUND, is_prime
+from cyclocubic._primes import MR_PROOF_BOUND, is_prime, prime_sieve
 from cyclocubic.eisenstein import (
     EXPONENT_ZERO,
     LAMBDA,
@@ -241,6 +241,16 @@ def test_is_prime_is_a_proof_or_refuses():
             is_prime(n)
     with pytest.raises(ValueError, match="not prime"):
         prime_above(psi12)
+
+
+def test_is_prime_rejects_every_psi_and_agrees_with_the_sieve():
+    # psi_k passes the first k bases, so is_prime must reach base k + 1 there:
+    # a base prefix cut one entry short of its proof accepts that composite
+    for psi in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(psi), psi
+    sieve = prime_sieve(2 * 10**6)
+    assert [is_prime(n) for n in range(sieve.size)] == sieve.tolist()
 
 
 def test_registry_table_grows_under_concurrent_callers(monkeypatch):

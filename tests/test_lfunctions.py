@@ -291,9 +291,9 @@ def test_lambda_table_builds_no_product_per_field(monkeypatch):
 
 def test_kummer_table_is_one_index_per_q_and_p(monkeypatch):
     # the q rows of a Kummer table come from one registry_indices call of
-    # len(q) x len(columns) entries, with no conjugate rows; the symbol
-    # kernel sees lambda and its conjugate alone, and the lambda row is
-    # g e + c e' of the scalar symbols at P (or at its conjugate)
+    # len(q) x len(columns) entries, with no conjugate rows; the lambda row
+    # takes no kernel call (the supplementary law), and it is g e + c e' of
+    # the scalar symbols at P (or at its conjugate)
     family = family_of(labels_up_to_conductor(400))
     qs = sorted(set(family.primes.tolist()))
     registry = eisenstein.registry_table(max(qs))
@@ -317,8 +317,7 @@ def test_kummer_table_is_one_index_per_q_and_p(monkeypatch):
         for conj in (False, True):
             calls.clear()
             table = lfunctions._exponent_table(gens, primes, (g, c), conj)
-            assert calls == [("cubic_residue_exponents", 2, len(columns)),
-                             ("registry_indices", len(qs), len(columns))]
+            assert calls == [("registry_indices", len(qs), len(columns))]
             for j, p in enumerate(primes):
                 if p == 3:
                     continue
@@ -346,6 +345,25 @@ def test_lambda_table_reads_the_registry_before_any_column(monkeypatch):
     monkeypatch.setattr("cyclocubic.lfunctions.registry_table", refuse)
     with pytest.raises(ValueError, match="2\\*\\*31"):
         lambda_table([D7], [7, big])
+
+
+def test_lambda_row_is_the_supplementary_law():
+    # (lambda / P)_3 and (conj(lambda) / P)_3 read off P's primary generator
+    # with no power equal the scalar symbols, at P and at its conjugate, for
+    # every split p <= 2e5 (and every inert p <= 1e4)
+    eisenstein.registry_table(2 * 10**5)
+    above = [eisenstein.prime_above(p) for p in primes_up_to(2 * 10**5)
+             if p % 3 == 1 or p % 3 == 2 and p <= 10**4]
+    lam, lam_conj = eisenstein.LAMBDA, eisenstein.LAMBDA.conjugate()
+    for conj in (False, True):
+        at = [P.conjugate() for P in above] if conj else above
+        e, e_conj = lfunctions._lambda_exponents(at)
+        assert e.tolist() == [eisenstein.cubic_residue_symbol(lam, P) for P in at], conj
+        assert e_conj.tolist() == [eisenstein.cubic_residue_symbol(lam_conj, P) for P in at], conj
+    # the law holds for primary generators only: another one of the same prime is refused
+    P = eisenstein.prime_above(7)
+    with pytest.raises(ValueError, match="no primary element"):
+        lfunctions._lambda_exponents([P._replace(generator=-P.generator)])
 
 
 def test_lambda_table_corrupt_registry_raises(monkeypatch):

@@ -252,7 +252,9 @@ def test_ideal_count_crosscheck_fails_a_lambda_no_splitting_gives(monkeypatch):
 
 
 def test_probe_suite_ideal_counts_equal_standalone_checks():
-    # the suite's calls share the factorization of 2..1e4 and nothing else
+    # the suite's calls share the factorization of 2..1e4 and one lambda_table
+    # of the ten labels, while a standalone call builds its own row: the same
+    # reports either way
     corpus = audit_corpus(10)
     reports = {r.subject: r for r in run_probe_suite() if r.subject.startswith("ideal_count")}
     standalone = [ideal_count_crosscheck(label, 10**4) for label in corpus]
@@ -369,6 +371,20 @@ def test_char_sum_grid_equals_per_y_char_sum():
         envelope[d] = max(envelope.get(d, 0.0), char_sum(13, y).magnitude / y**0.75)
     assert charsum_decade_envelope(13, 3000) == envelope
     assert log_grid(5) == [] and char_sum_grid(7, log_grid(5)) == ([], 0.0)
+
+
+def test_char_sums_shared_rows_equal_a_cold_cache():
+    # the rows of n are built once per top Y and shared by every p; calls that
+    # interleave primes, tops and registry variants must read what a cold
+    # cache gives
+    import cyclocubic.verify as verify_mod
+
+    warm = [(p, grid, conj, char_sums(p, grid, conjugate_prime=conj))
+            for grid in (log_grid(10**3), log_grid(10**5), log_grid(10**3))
+            for p in (7, 13, 2) for conj in (False, True)]
+    for p, grid, conj, values in warm:
+        verify_mod._char_sum_rows.cache_clear()
+        assert char_sums(p, grid, conjugate_prime=conj) == values, (p, grid[-1], conj)
 
 
 def test_log_grid_stays_within_ymax():
