@@ -19,8 +19,12 @@ import argparse
 import importlib.util
 import itertools
 import math
+import os
 import sys
 from collections.abc import Iterable
+
+# set before numpy loads, so OpenBLAS starts no worker to spin on the other cores
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from ._primes import MR_PROOF_BOUND, is_prime
 from .fields import _ROWS_PER_PASS, X_MAX, catalog_lines, enumerate_family, format_rows

@@ -80,6 +80,7 @@ product; they are the reference the tests compare the table against.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -196,48 +197,64 @@ def lambda_from_splitting(st: SplittingType, m: int) -> int:
 _ZERO_ENTRY = 1 << 12
 
 
-def _exponent_table(gens: np.ndarray, primes: Sequence[int], element: tuple[int, int],
-                    conjugate_prime: bool = False) -> np.ndarray:
-    """k[r, j] of the module docstring, int16: row 0 for lambda, row i + 1 for pi_q = gens[i].
+def _exponent_tables(gens: np.ndarray, primes: Sequence[int],
+                     variants: Sequence[tuple[tuple[int, int], bool]]) -> list[np.ndarray]:
+    """k[r, j] of the module docstring, int16, for each (element, conjugate_prime) of `variants`.
 
-    gens holds the (a, b) of the generators of the distinct q, column j is
-    primes[j], and element = (g, c) names D1^g * D2^c.  The registry table is
-    read up to the largest column, so no split column solves a norm equation;
-    ValueError from 2**31 on, where its prime sieve would take gigabytes.
+    Row 0 is for lambda, row i + 1 for pi_q = gens[i], column j for primes[j],
+    and element = (g, c) names D1^g * D2^c.  The variants share their symbols:
+    one registry_indices table serves every Kummer element at either prime,
+    and one (e, e') pair of tables every other element at one prime.  The
+    registry table is read up to the largest column, so no split column solves
+    a norm equation; ValueError from 2**31 on, where its sieve would take gigabytes.
     """
     top = max(primes, default=0)
     if top >= 2**31:
         raise ValueError(f"the registry is read to the largest column, so p < 2**31; got {top}")
     registry_table(top)
-    g, c = element
     columns = [j for j, p in enumerate(primes) if p != 3]
-    above = [prime_above(primes[j]) for j in columns]
-    if conjugate_prime:
-        above = [P.conjugate() for P in above]
-    table = np.empty((len(gens) + 1, len(primes)), dtype=np.int16)
-    e, e_conj = _lambda_exponents(above)
-    table[0, columns] = g * e + c * e_conj
-    if (g + c) % 3 == 0:  # a Kummer element
-        p = np.array([primes[j] for j in columns], dtype=np.int64)
-        ind = registry_indices(gens, p)  # times g at a split p, g - c at an inert p
-        k = ind * np.where(p % 3 == 1, g, (g - c) % 3).astype(np.int16)
-        table[1:, columns] = np.where(ind == EXPONENT_ZERO, _ZERO_ENTRY, k)
-    else:
-        e = cubic_residue_exponents(gens, above)
+    at_three = [j for j, p in enumerate(primes) if p == 3]
+    p = np.array([primes[j] for j in columns], dtype=np.int64)
+    registry = [prime_above(primes[j]) for j in columns]
+
+    @cache
+    def above(conjugate_prime: bool) -> list[PrimeAbove]:
+        return [P.conjugate() for P in registry] if conjugate_prime else registry
+
+    @cache
+    def symbols(conjugate_prime: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(e, e') of every q row at every P, for an element that is not Kummer."""
+        at = above(conjugate_prime)
+        e = cubic_residue_exponents(gens, at)
         # an inert P is its own conjugate, so there (conj(x) / P) = (x / P)^2
         e_conj = np.where(e == EXPONENT_ZERO, e, -e % 3)
-        split = [i for i, P in enumerate(above) if P.residue_degree == 1]
+        split = [i for i, P in enumerate(at) if P.residue_degree == 1]
         e_conj[:, split] = cubic_residue_exponents(conjugate_coefficients(gens),
-                                                   [above[i] for i in split])
-        k = e.astype(np.int16)  # widened first: an int8 cannot hold _ZERO_ENTRY
-        k *= g
-        k += c * e_conj
-        k[(g > 0) & (e == EXPONENT_ZERO) | (c > 0) & (e_conj == EXPONENT_ZERO)] = _ZERO_ENTRY
-        table[1:, columns] = k
-    at_three = [j for j, p in enumerate(primes) if p == 3]
-    table[1:, at_three] = (gens[:, 1] // 3 % 3)[:, None]
-    table[0, at_three] = _ZERO_ENTRY
-    return table
+                                                   [at[i] for i in split])
+        return e, e_conj
+
+    # ind_q(p): times g at a split p, g - c at an inert p
+    indices = cache(lambda: registry_indices(gens, p))
+    tables = []
+    for (g, c), conjugate_prime in variants:
+        table = np.empty((len(gens) + 1, len(primes)), dtype=np.int16)
+        e, e_conj = _lambda_exponents(above(conjugate_prime))
+        table[0, columns] = g * e + c * e_conj
+        if (g + c) % 3 == 0:  # a Kummer element
+            ind = indices()
+            k = ind * np.where(p % 3 == 1, g, (g - c) % 3).astype(np.int16)
+            table[1:, columns] = np.where(ind == EXPONENT_ZERO, _ZERO_ENTRY, k)
+        else:
+            e, e_conj = symbols(conjugate_prime)
+            k = e.astype(np.int16)  # widened first: an int8 cannot hold _ZERO_ENTRY
+            k *= g
+            k += c * e_conj
+            k[(g > 0) & (e == EXPONENT_ZERO) | (c > 0) & (e_conj == EXPONENT_ZERO)] = _ZERO_ENTRY
+            table[1:, columns] = k
+        table[1:, at_three] = (gens[:, 1] // 3 % 3)[:, None]
+        table[0, at_three] = _ZERO_ENTRY
+        tables.append(table)
+    return tables
 
 
 def _lambda_exponents(above: Sequence[PrimeAbove]) -> tuple[np.ndarray, np.ndarray]:
@@ -283,23 +300,32 @@ def lambda_table(family: Family | Sequence[FieldLabel], primes: Sequence[int],
     field's sum as a difference of two cumulative rows, plus e3 times the
     lambda row: as many fields per pass as fit in _ENTRIES_PER_PASS sums.
     """
+    return _lambda_tables(family, primes, [(element, conjugate_prime)])[0]
+
+
+def _lambda_tables(family: Family | Sequence[FieldLabel], primes: Sequence[int],
+                   variants: Sequence[tuple[tuple[int, int], bool]]) -> list[np.ndarray]:
+    """lambda_table(family, primes, element, conjugate_prime=...) of each pair of `variants`."""
     if not isinstance(family, Family):
         family = family_of(family)
     order = np.argsort(family.primes)
     # a position of each distinct q, ascending; np.unique would import numpy.ma, 0.8 MB
     first = order[np.diff(family.primes[order], prepend=0) != 0]
-    table = _exponent_table(family.gens[first], primes, element, conjugate_prime)
+    tables = _exponent_tables(family.gens[first], primes, variants)
     rows = np.searchsorted(family.primes[first], family.primes) + 1
     weights = np.where(family.in_d1, 1, 2)
     n, ends = len(family), family.offsets
-    out = np.empty((n, len(primes)), dtype=np.int8)
     step = max(1, _ENTRIES_PER_PASS // max(1, len(primes)))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        part = slice(ends[lo], ends[hi])
-        cums = np.zeros((ends[hi] - ends[lo] + 1, len(primes)), dtype=np.int64)
-        np.cumsum(table[rows[part]] * weights[part, None], axis=0, out=cums[1:])
-        bounds = ends[lo:hi + 1] - ends[lo]
-        s = cums[bounds[1:]] - cums[bounds[:-1]] + family.e3[lo:hi, None] * table[0]
-        out[lo:hi] = np.where(s >= _ZERO_ENTRY, 0, np.where(s % 3 == 0, 2, -1))
-    return out
+    outs = []
+    for table in tables:
+        out = np.empty((n, len(primes)), dtype=np.int8)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            part = slice(ends[lo], ends[hi])
+            cums = np.zeros((ends[hi] - ends[lo] + 1, len(primes)), dtype=np.int64)
+            np.cumsum(table[rows[part]] * weights[part, None], axis=0, out=cums[1:])
+            bounds = ends[lo:hi + 1] - ends[lo]
+            s = cums[bounds[1:]] - cums[bounds[:-1]] + family.e3[lo:hi, None] * table[0]
+            out[lo:hi] = np.where(s >= _ZERO_ENTRY, 0, np.where(s % 3 == 0, 2, -1))
+        outs.append(out)
+    return outs

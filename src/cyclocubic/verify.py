@@ -72,6 +72,7 @@ from .lfunctions import (
     RAMIFIED,
     SPLIT,
     SplittingType,
+    _lambda_tables,
     lambda_from_splitting,
     lambda_table,
     splitting_at_three,
@@ -192,10 +193,11 @@ def _variant_tables(family: Family, primes: list[int], element: tuple[int, int])
     """lambda_table of `element` under the four registry variants, stacked along a first axis.
 
     In order: the registry prime above p, then its conjugate, each first with
-    D1 and then with D2 in the role of D1, which reverses (g, c).
+    D1 and then with D2 in the role of D1, which reverses (g, c).  The four
+    tables share their symbols (lfunctions._exponent_tables).
     """
-    return np.stack([lambda_table(family, primes, el, conjugate_prime=conj)
-                     for el in (element, element[::-1]) for conj in (False, True)])
+    return np.stack(_lambda_tables(family, primes, [(el, conj) for el in (element, element[::-1])
+                                                    for conj in (False, True)]))
 
 
 def choice_invariance_probe(pairs: list[tuple[FieldLabel, int]]) -> ProbeReport:

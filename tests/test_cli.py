@@ -9,6 +9,7 @@ import pytest
 from cyclocubic import cli, lfunctions, verify
 from cyclocubic._primes import MR_PROOF_BOUND, primes_up_to
 from cyclocubic.fields import Family, enumerate_family, record_from_line
+from test_tooling import _fresh_python
 
 
 def run(argv, capsys):
@@ -244,35 +245,48 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_ASSERTION
 
 
-@pytest.mark.parametrize("argv, sha256", [
-    (["enumerate", "--x", "100000000"],
-     "547203777580b4a1a7691d78257f0ea8fa19d27287e281a3e76a8c7513ce8f2c"),
-    (["charsum", "--primes", "7,13", "--ymax", "1000"],
-     "979875225a0335c8528c91606fff4e6c5b532ecce186059ac3cd2f028a091032"),
-    (["density", "--x", "1000000", "--beta", "0.4"],
-     "7798225375ee0e8b828dedaabd3b1e522d80b59ba34c4cc5bc9afa508fa1d263"),
-    (["density", "--x", "1000000"],
-     "24874544d84ef8c7b3382fb60fa382c055ee8fff7a63c3bd24e9502a3917e8f7"),
-    (["verify"], "51b5e682d0b96ecf85e3c1ffec1913f95c341f1089c6626b32ad4a806a6a7a45"),
-    (["enumerate", "--x", "10000000000"],
-     "d3b81d4e4d8576211a824016e4a696097c241257c48ec86d9d3afcfaa397525b"),
-    (["density", "--x", "100000000", "--beta", "0.4"],
-     "5b5c331bae25eb8ee0f01ad66ccd3f47a11161a3420b4dd99c90870d5b588251"),
-    (["density", "--x", "10000000000", "--beta", "0.2"],
-     "483ea9c1117529ec161901723e81bf67c91831b28c6c642de404aeb56f818bf6"),
-    (["charsum", "--primes", "7,13,31", "--ymax", "100000"],
-     "85fc1cb22a76242c6ab9d36bd29c8bab12ec2aa17f92275472fb6e238f1fd1ec"),
-    (["charsum", "--primes", "2,5,11,17,97", "--ymax", "100000"],
-     "d4a377cd451a1aa34d5ae9de56dc64df59dabdabc81d7aec1422de7e324da408"),
-    (["verify", "--p0", "10000000"],  # the generating-series symbols of 665k split ell
-     "a02c8a314e548ebb6c6af99e2d563e17bd1a0b5067dadddb2e15f79d51959e0f"),
-])
+DENSITY_1E8 = ("density", "--x", "100000000", "--beta", "0.4")
+# pinned bytes: refactors must leave these outputs identical
+GOLDEN = {
+    ("enumerate", "--x", "100000000"):
+        "547203777580b4a1a7691d78257f0ea8fa19d27287e281a3e76a8c7513ce8f2c",
+    ("charsum", "--primes", "7,13", "--ymax", "1000"):
+        "979875225a0335c8528c91606fff4e6c5b532ecce186059ac3cd2f028a091032",
+    ("density", "--x", "1000000", "--beta", "0.4"):
+        "7798225375ee0e8b828dedaabd3b1e522d80b59ba34c4cc5bc9afa508fa1d263",
+    ("density", "--x", "1000000"):
+        "24874544d84ef8c7b3382fb60fa382c055ee8fff7a63c3bd24e9502a3917e8f7",
+    ("verify",): "51b5e682d0b96ecf85e3c1ffec1913f95c341f1089c6626b32ad4a806a6a7a45",
+    ("enumerate", "--x", "10000000000"):
+        "d3b81d4e4d8576211a824016e4a696097c241257c48ec86d9d3afcfaa397525b",
+    DENSITY_1E8: "5b5c331bae25eb8ee0f01ad66ccd3f47a11161a3420b4dd99c90870d5b588251",
+    ("density", "--x", "10000000000", "--beta", "0.2"):
+        "483ea9c1117529ec161901723e81bf67c91831b28c6c642de404aeb56f818bf6",
+    ("charsum", "--primes", "7,13,31", "--ymax", "100000"):
+        "85fc1cb22a76242c6ab9d36bd29c8bab12ec2aa17f92275472fb6e238f1fd1ec",
+    ("charsum", "--primes", "2,5,11,17,97", "--ymax", "100000"):
+        "d4a377cd451a1aa34d5ae9de56dc64df59dabdabc81d7aec1422de7e324da408",
+    ("verify", "--p0", "10000000"):  # the generating-series symbols of 665k split ell
+        "a02c8a314e548ebb6c6af99e2d563e17bd1a0b5067dadddb2e15f79d51959e0f",
+}
+
+
+@pytest.mark.parametrize("argv, sha256", [(list(argv), sha) for argv, sha in GOLDEN.items()])
 def test_golden_outputs(tmp_path, capsys, argv, sha256):
-    # pinned bytes: refactors must leave these outputs identical
     out = tmp_path / "out.txt"
     code, _, _ = run(argv + ["--out", str(out)], capsys)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv", [DENSITY_1E8, ("verify",)])
+def test_golden_outputs_under_the_cli_start_up(tmp_path, argv):
+    # the cases above run in this process, under pytest's numpy; these run as
+    # `python -m cyclocubic.cli`, which starts numpy with one BLAS thread, and
+    # verify's polyfits are the package's LAPACK calls
+    out = tmp_path / "out.txt"
+    _fresh_python("-m", "cyclocubic.cli", *argv, "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv]
 
 
 def test_density_factors_nothing(tmp_path, capsys, monkeypatch):
@@ -284,10 +298,9 @@ def test_density_factors_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("cyclocubic.fields.factorize", no_factoring)
     monkeypatch.setattr("cyclocubic._primes.factorize", no_factoring)
     out = tmp_path / "out.txt"
-    code, _, _ = run(["density", "--x", "100000000", "--beta", "0.4", "--out", str(out)], capsys)
+    code, _, _ = run([*DENSITY_1E8, "--out", str(out)], capsys)
     assert code == 0
-    assert (hashlib.sha256(out.read_bytes()).hexdigest()
-            == "5b5c331bae25eb8ee0f01ad66ccd3f47a11161a3420b4dd99c90870d5b588251")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[DENSITY_1E8]
 
 
 def test_density_keeps_its_family_as_columns(tmp_path, capsys, monkeypatch):
@@ -302,10 +315,9 @@ def test_density_keeps_its_family_as_columns(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(Family, "labels", no_labels)
     monkeypatch.setattr(lfunctions, "prime_above", lambda p: calls.append(p) or real(p))
     out = tmp_path / "out.txt"
-    code, _, _ = run(["density", "--x", "100000000", "--beta", "0.4", "--out", str(out)], capsys)
+    code, _, _ = run([*DENSITY_1E8, "--out", str(out)], capsys)
     assert code == 0
-    assert (hashlib.sha256(out.read_bytes()).hexdigest()
-            == "5b5c331bae25eb8ee0f01ad66ccd3f47a11161a3420b4dd99c90870d5b588251")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[DENSITY_1E8]
     column_primes = primes_up_to(int((2 * 10**8) ** 0.4) + 1)  # Delta <= 2X
     assert calls and len(calls) == len(set(calls)) and set(calls) <= set(column_primes)
 

@@ -1,11 +1,10 @@
 """Every demo script runs to completion as a process of its own."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from test_tooling import _fresh_python
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
@@ -19,9 +18,4 @@ def test_every_demo_is_listed():
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo), *ARGS.get(demo, [])],
-                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert _fresh_python(str(ROOT / "demos" / demo), *ARGS.get(demo, []))

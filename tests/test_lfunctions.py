@@ -313,19 +313,46 @@ def test_kummer_table_is_one_index_per_q_and_p(monkeypatch):
 
     spy("registry_indices")
     spy("cubic_residue_exponents")
-    for g, c in (KUMMER, KUMMER[::-1]):
-        for conj in (False, True):
-            calls.clear()
-            table = lfunctions._exponent_table(gens, primes, (g, c), conj)
-            assert calls == [("registry_indices", len(qs), len(columns))]
-            for j, p in enumerate(primes):
-                if p == 3:
-                    continue
-                P = eisenstein.prime_above(p)
-                P = P.conjugate() if conj else P
-                e = eisenstein.cubic_residue_symbol(eisenstein.LAMBDA, P)
-                e_conj = eisenstein.cubic_residue_symbol(eisenstein.LAMBDA.conjugate(), P)
-                assert table[0, j] % 3 == (g * e + c * e_conj) % 3, (p, g, c, conj)
+    variants = [(element, conj) for element in (KUMMER, KUMMER[::-1]) for conj in (False, True)]
+    for variant in variants:
+        calls.clear()
+        lfunctions._exponent_tables(gens, primes, [variant])
+        assert calls == [("registry_indices", len(qs), len(columns))]
+    calls.clear()
+    tables = lfunctions._exponent_tables(gens, primes, variants)  # all four share that call
+    assert calls == [("registry_indices", len(qs), len(columns))]
+    for ((g, c), conj), table in zip(variants, tables):
+        for j, p in enumerate(primes):
+            if p == 3:
+                continue
+            P = eisenstein.prime_above(p)
+            P = P.conjugate() if conj else P
+            e = eisenstein.cubic_residue_symbol(eisenstein.LAMBDA, P)
+            e_conj = eisenstein.cubic_residue_symbol(eisenstein.LAMBDA.conjugate(), P)
+            assert table[0, j] % 3 == (g * e + c * e_conj) % 3, (p, g, c, conj)
+
+
+def test_registry_variants_share_their_symbols(monkeypatch):
+    # the four registry variants of an element, as verify's choice-invariance
+    # probe reads them, come from one _lambda_tables call: the Kummer ones off
+    # one registry_indices table, the paper-literal ones off two
+    # cubic_residue_exponents tables per prime (the generators, and their
+    # conjugates at the split columns); each equals its own lambda_table
+    family = family_of(labels_up_to_conductor(400))
+    primes = primes_up_to(300)
+    calls = []
+    for name in ("registry_indices", "cubic_residue_exponents"):
+        real = getattr(lfunctions, name)
+        monkeypatch.setattr(lfunctions, name, lambda rows, cols, name=name, real=real:
+                            calls.append(name) or real(rows, cols))
+    for element, kernels in ((KUMMER, ["registry_indices"]),
+                             (PAPER_LITERAL, ["cubic_residue_exponents"] * 4)):
+        variants = [(el, conj) for el in (element, element[::-1]) for conj in (False, True)]
+        want = [lambda_table(family, primes, el, conjugate_prime=conj).tolist()
+                for el, conj in variants]
+        calls.clear()
+        assert [t.tolist() for t in lfunctions._lambda_tables(family, primes, variants)] == want
+        assert calls == kernels, element
 
 
 def test_lambda_table_reads_the_registry_before_any_column(monkeypatch):

@@ -1,5 +1,6 @@
-"""The benchmark's span tracer still finds every function it wraps, and the
-package imports nothing past numpy that tests alone need."""
+"""The benchmark's span tracer still finds every function it wraps, the
+package imports nothing past numpy that tests alone need, and the CLI starts
+numpy with one BLAS thread."""
 
 import ast
 import importlib
@@ -16,6 +17,21 @@ from cyclocubic import cli, fields, lfunctions, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def _fresh_python(*argv: str, **env: str) -> str:
+    """The standard output of `python *argv`, run to success as a process of its own.
+
+    The package is on its path, `env` is laid over this process's environment,
+    and OPENBLAS_NUM_THREADS is unset unless `env` names it: importing the CLI
+    set it here, and a child that inherited it would not start as a user's does.
+    """
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, *argv], env={**inherited, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def _load_tracing():
@@ -101,10 +117,7 @@ def test_cli_import_loads_no_quadrature():
     # numpy.polynomial (Gauss-Legendre nodes) serves the test oracles only;
     # a command that never integrates numerically must not pay its import
     code = "import sys, cyclocubic.cli; print('numpy.polynomial' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    out = _fresh_python("-c", code)
     assert out.strip() == "False"
 
 
@@ -115,10 +128,7 @@ def test_cli_import_runs_no_verify():
     code = ("import sys, cyclocubic.cli as cli; m = sys.modules['cyclocubic.verify']; "
             "print('run_probe_suite' in object.__getattribute__(m, '__dict__'), "
             "cli.verify_mod.run_probe_suite.__module__)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    out = _fresh_python("-c", code)
     assert out.split() == ["False", "cyclocubic.verify"]
 
 
@@ -130,11 +140,21 @@ def test_cli_import_runs_no_density_or_lfunctions():
             "print('family_average' in object.__getattribute__(d, '__dict__'), "
             "'lambda_table' in object.__getattribute__(l, '__dict__'), "
             "cli.density_mod.family_average.__module__, d.lambda_table.__module__)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    out = _fresh_python("-c", code)
     assert out.split() == ["False", "False", "cyclocubic.density", "cyclocubic.lfunctions"]
+
+
+def test_cli_runs_blas_on_one_thread():
+    # numpy's OpenBLAS starts a worker for every further core at import, and
+    # it spins through commands whose only BLAS calls are on a few tiny arrays:
+    # the CLI asks for one thread before numpy loads, unless the user set a number
+    code = ("import cyclocubic.cli, numpy, os; print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else '-')")
+    value, threads = _fresh_python("-c", code).split()
+    assert value == "1"
+    if Path("/proc/self/task").is_dir():
+        assert threads == "1"
+    assert _fresh_python("-c", code, OPENBLAS_NUM_THREADS="2").split()[0] == "2"
 
 
 def test_package_names_are_their_submodules_objects():
