@@ -258,26 +258,26 @@ def _lattice_pass(n: int) -> _SplitTable:
 
     Row b holds the a = 2 (mod 3) with |2a - b| <= isqrt(4n - 3b^2), which is
     exactly a^2 - ab + b^2 <= n; a boolean sieve keeps the prime norms, and
-    each point goes to the slot of its norm among the split primes.
+    each row writes its points into the slots of their norms among the split
+    primes: a slot left at a = 0, or a point count other than the slot count, raises.
     """
     sieve = prime_sieve(n)
     primes = 3 * np.flatnonzero(sieve[1::3]) + 1  # every split p <= n, ascending
-    rows = [np.zeros((0, 3), dtype=np.int64)]  # (norm, a, b) of every point kept
-    b = 3
+    gens = np.zeros((primes.size, 2), dtype=np.int64)
+    written, b = 0, 3
     while 3 * b * b <= 4 * n:
         r = math.isqrt(4 * n - 3 * b * b)
         lo = (b - r + 1) // 2
         a = np.arange(lo + (2 - lo) % 3, (b + r) // 2 + 1, 3, dtype=np.int64)
         norm = a * a - a * b + b * b
         keep = sieve[norm]
-        rows.append(np.column_stack((norm[keep], a[keep], np.full(norm[keep].size, b))))
+        slots = np.searchsorted(primes, norm[keep])  # a kept norm is 1 (mod 3), so listed
+        gens[slots, 0], gens[slots, 1] = a[keep], b
+        written += slots.size
         b += 3
-    found = np.concatenate(rows)
     # one point per split prime, or the uniqueness argument is broken
-    if not np.array_equal(np.sort(found[:, 0]), primes):
+    if written != primes.size or not gens[:, 0].all():
         raise AssertionError(f"the lattice pass up to {n} missed or repeated a split prime")
-    gens = np.empty((primes.size, 2), dtype=np.int64)
-    gens[np.searchsorted(primes, found[:, 0])] = found[:, 1:]
     primes.flags.writeable = gens.flags.writeable = False
     return _SplitTable(n, primes, gens)
 
@@ -462,27 +462,34 @@ def registry_indices(gens: np.ndarray, n: Sequence[int]) -> np.ndarray:
     (pi_i)), EXPONENT_ZERO where q | n_j, and (pi_i / n_j)_3 at an inert prime n_j.
     """
     gens, n = np.asarray(gens, dtype=np.int64), _int_array(n)
-    wide = object if np.abs(gens).max(initial=0) >= 1 << 16 else np.int64  # exact norms
-    a, b = gens.T.astype(wide)
-    return _symbol_table(gens, a * a - a * b + b * b, np.column_stack((n, np.zeros_like(n))))
+    return _symbol_table(gens, None, np.column_stack((n, np.zeros_like(n))))
 
 
-def _symbol_table(gens: np.ndarray, q: Sequence[int], coeffs: np.ndarray) -> np.ndarray:
+def _symbol_table(gens: np.ndarray, q: Sequence[int] | None, coeffs: np.ndarray) -> np.ndarray:
     """(x / (pi))_3 for each prime pi = a + b omega (gens) of norm q and x = c + d omega (coeffs).
 
     Z[omega]/(pi) is Z/q with omega -> omega_q = -a/b, so entry [i, j] is the
     int8 k with x^((q - 1)/3) = omega_q^k (mod q), or EXPONENT_ZERO where q | x:
-    one power per entry, on Python ints from a modulus of 2**31 up.  A power
-    that is no cube root of unity raises the scalar's RuntimeError, else
-    AssertionError.
+    one power per entry, on Python ints from a modulus of 2**31 up.  q None
+    takes each row's norm.  A power that is no cube root of unity raises the
+    scalar's RuntimeError, else AssertionError.
     """
+    out = np.empty((len(gens), len(coeffs)), dtype=np.int8)
+    step = max(1, _SYMBOLS_PER_PASS // max(1, len(coeffs)))
+    chunk = step * (_SYMBOLS_PER_PASS // step)  # rows whose a, b, q and omega_q are made at once
+    if len(gens) > chunk:
+        for lo in range(0, len(gens), chunk):
+            rows = slice(lo, lo + chunk)
+            out[rows] = _symbol_table(gens[rows], None if q is None else q[rows], coeffs)
+        return out
+    if q is None:  # exact norms: Python ints from a coefficient of 2**16 up
+        a, b = gens.T.astype(object if np.abs(gens).max(initial=0) >= 1 << 16 else np.int64)
+        q = a * a - a * b + b * b
     q = _int_array(q)[:, None]
     wide = object if q.max(initial=0) >= _INT64_PRIME_BOUND else np.int64
     a, b, q = gens[:, :1].astype(wide), gens[:, 1:].astype(wide), q.astype(wide)
     omega = -a * _power_mod(b % q, q - 2, q) % q  # 1/b = b^(q - 2)
     c, d = coeffs[:, 0], coeffs[:, 1]
-    out = np.empty((len(gens), len(coeffs)), dtype=np.int8)
-    step = max(1, _SYMBOLS_PER_PASS // max(1, len(coeffs)))
     for lo in range(0, len(gens), step):
         rows = slice(lo, lo + step)
         m, w = q[rows], omega[rows]

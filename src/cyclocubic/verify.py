@@ -40,6 +40,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import repeat
 from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
@@ -605,13 +606,14 @@ def charsum_decade_envelope(p: int, y_max: int = 10**5) -> dict[int, float]:
 _CHI = [1, -0.5 + 0.8660254037844386j, -0.5 - 0.8660254037844386j, 0j]
 _CHI_POWERS = np.array([_CHI, [chi**2 for chi in _CHI]], dtype=complex)
 _TRACE = np.array([(chi + chi**2).real for chi in _CHI])
-_WALK_BLOCK = 4096  # rows of primes whose factors are built, and folded, at once
+_KERNEL_BLOCK = 1 << 14  # registry rows per symbol-kernel call of genseries_symbols
+_WALK_BLOCK = 2048  # rows of primes whose factors are built, and folded, at once
 
 
 class GenseriesSymbols(NamedTuple):
     """Exponents of chi = (. / P)_3, for every ell an Euler product up to p0 uses.
 
-    `split` holds in two columns those of chi(pi_ell) and chi(conj(pi_ell))
+    `split` holds in two int8 columns those of chi(pi_ell) and chi(conj(pi_ell))
     for the registry factor pi_ell of each split ell <= p0, ascending; `inert`
     that of chi(ell) for each ell = 2 (mod 3) with ell <= sqrt(p0), ascending;
     `at_three` that of chi(1 - omega).  A smaller cutoff uses a prefix of each.
@@ -625,35 +627,44 @@ class GenseriesSymbols(NamedTuple):
 
 
 def genseries_symbols(p: int, p0: int) -> GenseriesSymbols:
-    """Every symbol genseries_sides needs up to p0, from one cubic_residue_exponents call.
+    """Every symbol genseries_sides needs up to p0, by cubic_residue_exponents.
 
-    The split generators come straight off the registry table as coefficient
-    arrays; each exponent is the one a per-ell cubic_residue_symbol would give.
-    An inert P is its own conjugate, so there a conjugate takes -k (mod 3), a
-    zero staying EXPONENT_ZERO, and needs no power of its own.
+    The split generators come straight off the registry table, _KERNEL_BLOCK
+    rows per kernel call with their conjugates made per block; each exponent
+    is the one a per-ell cubic_residue_symbol would give.  An inert P is its
+    own conjugate, so there a conjugate takes -k (mod 3), a zero staying
+    EXPONENT_ZERO, and needs no power of its own.
     """
     (_, gens), P = registry_table(p0), prime_above(p)
-    conj = conjugate_coefficients(gens) if P.kind == "split" else gens[:0]
-    inert = [ell for ell in primes_up_to(math.isqrt(p0)) if ell % 3 == 2]
-    coeffs = np.concatenate([[LAMBDA], gens, conj,
-                             np.array([[ell, 0] for ell in inert], dtype=np.int64).reshape(-1, 2)])
-    e = cubic_residue_exponents(coeffs, [P])[:, 0]
-    k, rest = e[1:len(gens) + 1], e[len(gens) + 1:]
-    k_conj = rest[:len(conj)] if len(conj) else np.where(k == EXPONENT_ZERO, k, -k % 3)
-    return GenseriesSymbols(int(e[0]), np.column_stack((k, k_conj)), rest[len(conj):])
+    split = np.empty((len(gens), 2), dtype=np.int8)
+    for lo in range(0, len(gens), _KERNEL_BLOCK):
+        block = gens[lo:lo + _KERNEL_BLOCK]
+        conj = conjugate_coefficients(block) if P.kind == "split" else block[:0]
+        k = cubic_residue_exponents(np.concatenate((block, conj)), [P])[:, 0]
+        if not len(conj):
+            k = np.concatenate((k, np.where(k == EXPONENT_ZERO, k, -k % 3)))
+        split[lo:lo + len(block)] = k.reshape(2, -1).T
+    inert = [(ell, 0) for ell in primes_up_to(math.isqrt(p0)) if ell % 3 == 2]
+    e = cubic_residue_exponents(np.array([LAMBDA, *inert], dtype=np.int64), [P])[:, 0]
+    return GenseriesSymbols(int(e[0]), split, e[1:])
 
 
 @lru_cache(maxsize=1)
 def _walk_rows(p0: int, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ell, inert, x): the split ell <= p0 and the inert ell <= sqrt(p0), ascending,
-    which of them are inert, and x = ell^-s (ell^-2s if inert) by the builtin pow.  The
-    split ell are the registry table's, which genseries_symbols reads to p0 as well."""
+    """(x, inert, at): x = ell^-s (ell^-2s if inert) by the builtin pow, a block at a time,
+    over the split ell <= p0 (the registry table's) and the inert ell <= sqrt(p0), ascending;
+    the inert ell, and their rows of x."""
     small = np.flatnonzero(prime_sieve(math.isqrt(p0)))
-    ell = np.sort(np.concatenate((registry_table(p0)[0], small[small % 3 == 2])))
-    inert = ell % 3 == 2
-    x = np.array(list(map(pow, ell.tolist(), np.where(inert, -2.0 * s, -s).tolist())))
-    ell.flags.writeable = inert.flags.writeable = x.flags.writeable = False  # shared by every walk
-    return ell, inert, x
+    split, inert = registry_table(p0)[0], small[small % 3 == 2]
+    at = np.searchsorted(split, inert) + np.arange(inert.size)
+    x = np.empty(split.size + inert.size)
+    x[at] = list(map(pow, inert.tolist(), repeat(-2.0 * s)))
+    for lo in range(0, split.size, _WALK_BLOCK):
+        ell = split[lo:lo + _WALK_BLOCK]
+        x[np.searchsorted(inert, ell) + np.arange(lo, lo + ell.size)] = list(
+            map(pow, ell.tolist(), repeat(-s)))
+    x.flags.writeable = inert.flags.writeable = at.flags.writeable = False  # shared by every walk
+    return x, inert, at
 
 
 def genseries_sides(p: int, s: float, cutoffs: Sequence[int]) -> list[tuple[float, float]]:
@@ -676,26 +687,27 @@ def genseries_sides(p: int, s: float, cutoffs: Sequence[int]) -> list[tuple[floa
     reduce with truediv), in the loop's order, chi_reg before chi_conj.
     """
     top = max(cutoffs)
-    symbols = genseries_symbols(p, top)
-    ell, inert, x = _walk_rows(top, s)
-    e = np.full((ell.size, 2), EXPONENT_ZERO)
-    e[~inert] = symbols.split[:np.count_nonzero(~inert)]
-    e[inert, 0] = symbols.inert[:np.count_nonzero(inert)]
-    event = e != EXPONENT_ZERO  # a zero chi at a split ell drops out
-    event[inert] = (True, False)  # an inert ell has one factor, zero chi or not
-    uses = [(ell <= p0) & (~inert | (ell <= math.isqrt(p0))) for p0 in cutoffs]
+    symbols, (x, inert_ell, at), split = (genseries_symbols(p, top), _walk_rows(top, s),
+                                          registry_table(top)[0])
     x3, chi3 = 3.0 ** (-s), _CHI[symbols.at_three]
     a3, b3 = 1.0 - chi3 * x3, 1.0 - chi3**2 * x3
     states = [(1.0, complex(1.0) / a3, complex(1.0) / b3, complex(1.0) * (a3 * b3))] * len(cutoffs)
-    for lo in range(0, ell.size, _WALK_BLOCK):
-        rows, cols = np.nonzero(event[lo:lo + _WALK_BLOCK])
-        rows += lo
-        exps, xs = e[rows, cols], x[rows]
+    for lo in range(0, x.size, _WALK_BLOCK):
+        hi = min(lo + _WALK_BLOCK, x.size)
+        i0, i1 = np.searchsorted(at, (lo, hi))  # the block's inert ell are at rows at[i0:i1]
+        inert = np.isin(np.arange(lo, hi), at[i0:i1])
+        ell, e = np.empty(hi - lo, dtype=np.int64), np.full((hi - lo, 2), EXPONENT_ZERO, np.int8)
+        ell[inert], e[inert, 0] = inert_ell[i0:i1], symbols.inert[i0:i1]
+        ell[~inert], e[~inert] = split[lo - i0:hi - i1], symbols.split[lo - i0:hi - i1]
+        event = e != EXPONENT_ZERO  # a zero chi at a split ell drops out
+        event[inert] = (True, False)  # an inert ell has one factor, zero chi or not
+        rows, cols = np.nonzero(event)
+        exps, xs = e[rows, cols], x[lo + rows]
         l_factors, l2_factors = 1.0 - _CHI_POWERS[:, exps] * xs
         c_factors = 1.0 + _TRACE[exps] * xs
         lhs_event = (cols == 0) & ~inert[rows]  # chi_reg at a split ell; 1.0 where it is zero
-        for i, (used, (lhs, l_chi, l_chi2, h)) in enumerate(zip(uses, states)):
-            keep = used[rows]
+        for i, (p0, (lhs, l_chi, l_chi2, h)) in enumerate(zip(cutoffs, states)):
+            keep = ((ell <= p0) & (~inert | (ell <= math.isqrt(p0))))[rows]
             a, b, c = (factors[keep].tolist() for factors in (l_factors, l2_factors, c_factors))
             terms = list(map(mul, map(mul, a, b), c))
             done = 0

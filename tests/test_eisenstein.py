@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,30 @@ def test_registry_table_grows_under_concurrent_callers(monkeypatch):
         assert np.array_equal(gens, reference_gens[:len(primes)])
 
 
+def test_lattice_pass_raises_on_a_repeated_or_a_missed_slot(monkeypatch):
+    # each row writes its points straight into their slots.  A sieve that calls
+    # 91 = 7 * 13 prime lists 91 with two primary points (11 + 6w, -1 + 9w), a
+    # repeated slot; one that calls 25 = 5^2 prime lists 25 with none, a missed
+    # slot; one that calls both prime has as many points as slots.  The pass
+    # must refuse all three
+    real = prime_sieve
+    assert eisenstein._lattice_pass(1000).primes.tolist() == [
+        p for p in primes_up_to(1000) if p % 3 == 1]
+    for composite, points in ((91, 2), (25, 0)):
+        assert sum(a * a - a * b + b * b == composite
+                   for b in range(3, 40, 3) for a in range(-40, 41) if a % 3 == 2) == points
+    for composites in ([91], [25], [25, 91]):
+
+        def sieve(n, composites=composites):
+            out = real(n)
+            out[composites] = True
+            return out
+
+        monkeypatch.setattr(eisenstein, "prime_sieve", sieve)
+        with pytest.raises(AssertionError, match="missed or repeated a split prime"):
+            eisenstein._lattice_pass(1000)
+
+
 def test_omega_mod():
     # a non-registry generator pins the other root of x^2 + x + 1 mod 13
     custom = PrimeAbove(13, E(4, 3), 1, "split")
@@ -438,6 +463,22 @@ def test_registry_indices_match_scalar_and_reciprocity(monkeypatch):
     for entries in (1, 7 * len(primes) + 3):
         monkeypatch.setattr(eisenstein, "_SYMBOLS_PER_PASS", entries)
         assert np.array_equal(registry_indices(gens, primes), table), entries
+
+
+def test_registry_indices_peak_memory_is_flat_in_rows():
+    # the rows' a, b, norms and omega_q, like every pass's arrays, live one chunk
+    # of _SYMBOLS_PER_PASS rows at a time, so past a chunk only the int8 table grows
+    _, gens = registry_table(10**6)
+    registry_indices(gens[:100], [5])
+    peaks = []
+    for rows in (gens, np.tile(gens, (4, 1))):  # 39,231 rows, then four times as many
+        tracemalloc.start()
+        try:
+            table = registry_indices(rows, [5])
+            peaks.append(tracemalloc.get_traced_memory()[1] - table.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_registry_indices_past_int64_squares_and_corrupt_rows():

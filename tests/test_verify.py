@@ -1,6 +1,7 @@
 """Oracles, audits, and cancellation experiments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,7 +460,7 @@ def test_genseries_sides_match_per_ell_reference_bit_for_bit(p):
 
 @pytest.mark.parametrize("p, s", [(5, 2.0), (13, 3.5)])
 def test_genseries_sides_across_blocks_bit_for_bit(p, s, monkeypatch):
-    # the about 4,800 primes a product to 1e5 uses fill two blocks; at 2000
+    # the about 4,800 primes a product to 1e5 uses fill three blocks; at 2000
     # and 7 primes a block, the inert ell <= 44 and their divisions straddle
     # block edges
     assert _bits(genseries_sides(p, s, (10**5,))[0]) == _bits(_genseries_sides_per_ell(p, s, 10**5))
@@ -467,6 +468,42 @@ def test_genseries_sides_across_blocks_bit_for_bit(p, s, monkeypatch):
 
     monkeypatch.setattr(verify_mod, "_WALK_BLOCK", 7)
     assert _bits(genseries_sides(p, s, (2000,))[0]) == _bits(_genseries_sides_per_ell(p, s, 2000))
+    # a walk to 101,000 takes the inert 317, which the cutoff 1e5 leaves out.
+    # Kernel blocks cut the split rows and walk blocks the rows of every ell.
+    # At each size pair, each kind of block starts at some inert ell and holds
+    # others inside, and one block holds the last ell <= 1e5 and the next
+    cutoffs = (10**5, 101_000)
+    want = [_bits(_genseries_sides_per_ell(p, s, p0)) for p0 in cutoffs]
+    split = eisenstein.registry_table(10**5)[0]
+    inert = [ell for ell in primes_up_to(317) if ell % 3 == 2]
+    after = np.searchsorted(split, inert)  # the split row after each inert ell
+    for kernel, walk in ((5, 7), (9, 4)):
+        for edge, size, last in ((after, kernel, split.size),
+                                 (after + np.arange(len(inert)), walk, split.size + len(inert))):
+            assert 0 < np.count_nonzero(edge % size == 0) < len(inert) and last % size
+        monkeypatch.setattr(verify_mod, "_KERNEL_BLOCK", kernel)
+        monkeypatch.setattr(verify_mod, "_WALK_BLOCK", walk)
+        verify_mod._walk_rows.cache_clear()  # x too is filled a walk block at a time
+        assert [_bits(sides) for sides in genseries_sides(p, s, cutoffs)] == want
+
+
+def test_genseries_sides_peak_memory_is_flat_in_p0():
+    # the int8 symbols are all that grows with p0 (2 bytes per split ell): the
+    # kernel's arrays and the walk's factors and lists live a block at a time.
+    # The cached x = ell^-s and the registry table are made before the count
+    import cyclocubic.verify as verify_mod
+
+    peaks = []
+    for p0 in (250_000, 10**6):
+        eisenstein.registry_table(p0)
+        verify_mod._walk_rows(p0, 2.0)
+        tracemalloc.start()
+        try:
+            genseries_sides(5, 2.0, (p0 // 10, p0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 3 * 2**20 and peaks[1] - peaks[0] < 2**20, peaks
 
 
 @pytest.mark.parametrize("p", [5, 13])
