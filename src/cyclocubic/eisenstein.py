@@ -32,9 +32,11 @@ one element by the definition, a power mod P (Z/p with omega -> omega_mod(P)
 at a split p, F_{p^2} at an inert p), in Python ints, and never uses
 reciprocity.  The numpy int8 tables take one power in Z/q per entry, a row
 per prime of norm q: `registry_indices` gives ind_q(n), the symbol of a
-rational n at a registry prime above q, which is chi_q(n); and
-`cubic_residue_exponents` gives the definition's at a split p and cubic
-reciprocity's ind_q(p) at an inert p, for any p (Python ints from 2**31 on).
+rational n at a registry prime above q, which is chi_q(n), and so by cubic
+reciprocity (pi_q / p)_3 at an inert p; `cubic_residue_exponents` gives the
+definition's at a split p only, for any p (Python ints from 2**31 on).
+`lambda_exponents` gives lambda = 1 - omega and its conjugate at any P != 3
+by the supplementary law, with no power.
 
 All values are immutable after construction, and the registry table is only
 ever replaced whole by a larger read-only one, so every operation is safe
@@ -416,42 +418,43 @@ _SYMBOLS_PER_PASS = 1 << 15
 
 
 def cubic_residue_exponents(coeffs: np.ndarray, primes: Sequence[PrimeAbove]) -> np.ndarray:
-    """The int8 table of cubic_residue_symbol of every row of `coeffs` at every P in `primes`.
+    """The int8 table of cubic_residue_symbol of every row of `coeffs` at every split P in `primes`.
 
-    Entry [i, j] is the exponent of ((a_i + b_i omega) / P_j)_3, EXPONENT_ZERO
-    where P_j divides it: by the definition at a split P_j.  At an inert P_j
-    a rational row is a cube (k = 0, or EXPONENT_ZERO where p | a), lambda =
-    1 - omega and its conjugate take 2m and m, m = (p + 1)/3 (the supplementary
-    law), a primary prime x (a = 2, b = 0 (mod 3), b != 0, of a prime norm the
-    caller vouches for) takes its registry_indices entry (p / x)_3 by cubic
-    reciprocity, and any other row raises ValueError.  ValueError at 3, before
-    any row is read.  A power that is no cube root of unity raises the
-    scalar's RuntimeError, else AssertionError.
+    Entry [i, j] is the exponent of ((a_i + b_i omega) / P_j)_3 by the
+    definition, EXPONENT_ZERO where P_j divides it.  ValueError at an inert
+    or ramified P, before any row is read: at an inert P a registry
+    generator's symbol is its registry_indices entry, by cubic reciprocity,
+    and lambda's comes from lambda_exponents.  A power that is no cube root
+    of unity raises the scalar's RuntimeError, else AssertionError.
     """
-    if any(P.kind == "ramified" for P in primes):
-        raise ValueError("the cubic symbol is not defined at the prime above 3")
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    out = np.empty((len(coeffs), len(primes)), dtype=np.int8)
-    split = [j for j, P in enumerate(primes) if P.residue_degree == 1]
-    gens = _int_array([primes[j].generator for j in split]).reshape(-1, 2)
-    out[:, split] = _symbol_table(gens, [primes[j].p for j in split], coeffs).T
-    inert = [j for j, P in enumerate(primes) if P.residue_degree == 2]
-    if not inert:
-        return out
-    p = _int_array([primes[j].p for j in inert])
-    a, b = coeffs[:, 0], coeffs[:, 1]
-    rational, lam, lam_conj = b == 0, (a == 1) & (b == -1), (a == 2) & (b == 1)
-    prime = ~rational & (a % 3 == 2) & (b % 3 == 0)
-    outside = np.flatnonzero(~(rational | lam | lam_conj | prime))
-    if outside.size:
-        raise ValueError(f"no symbol of {EisensteinInteger(*coeffs[outside[0]].tolist())} at "
-                         f"the inert {p[0]}: not rational, lambda or primary")
-    k = np.empty((len(coeffs), p.size), dtype=np.int8)
-    k[rational] = np.where(coeffs[rational, :1] % p == 0, EXPONENT_ZERO, 0)
-    k[lam], k[lam_conj] = 2 * (p + 1) // 3 % 3, (p + 1) // 3 % 3
-    k[prime] = registry_indices(coeffs[prime], p)
-    out[:, inert] = k
-    return out
+    for P in primes:
+        if P.kind != "split":
+            raise ValueError(f"the kernel takes split primes only, not the {P.kind} {P.p}")
+    gens = _int_array([P.generator for P in primes]).reshape(-1, 2)
+    return _symbol_table(gens, [P.p for P in primes], np.asarray(coeffs, dtype=np.int64)).T
+
+
+def lambda_exponents(primes: Sequence[PrimeAbove]) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents of (lambda / P)_3 and (conj(lambda) / P)_3 at each P of `primes`, no power.
+
+    By the supplementary law (Ireland-Rosen ch. 9), a primary generator
+    a + b omega of P, m = (a + 1)/3 and n = b/3 give (lambda / P)_3 = omega^(2m)
+    and (omega / P)_3 = omega^(m + n); as conj(lambda) = -omega^2 lambda and -1
+    is a cube, (conj(lambda) / P)_3 = omega^(m + 2n).  Exact at any size: a
+    norm past int64 takes Python ints.  A generator that is no primary element
+    of norm N(P) raises: the scalar symbol's RuntimeError where the generator
+    is corrupt, else ValueError.
+    """
+    gens = _int_array([P.generator for P in primes]).reshape(-1, 2)
+    norms = _int_array([P.p ** P.residue_degree for P in primes])
+    a, b = gens.T.astype(object) if norms.dtype == object else gens.T
+    wrong = np.flatnonzero((a % 3 != 2) | (b % 3 != 0) | (a * a - a * b + b * b != norms))
+    if wrong.size:
+        P = primes[wrong[0]]
+        cubic_residue_symbol(LAMBDA, P)
+        raise ValueError(f"{P.generator} above {P.p} is no primary element of norm N(P)")
+    m, n = ((a + 1) // 3 % 3).astype(np.int64), (b // 3 % 3).astype(np.int64)
+    return 2 * m % 3, (m + 2 * n) % 3
 
 
 def registry_indices(gens: np.ndarray, n: Sequence[int]) -> np.ndarray:

@@ -172,7 +172,7 @@ def make_record(label: FieldLabel) -> FieldRecord:
 
 _BLOCK = 1 << 16  # numbers factored per sieve pass; bounds the window's working set
 X_MAX = 2**79  # conductors up to isqrt(2 * X_MAX) = 2^40 keep the int64 columns below 2^62
-_ROWS_PER_PASS = 1 << 12  # rows per conversion to Python ints (Family.rows, catalog_lines)
+_ROWS_PER_PASS = 1 << 12  # rows per conversion to Python ints (catalog_lines, the density CSV)
 _LAMBDA_POWERS = ((1, 0), (1, -1), (0, -3))  # (1 - omega)^e3 as (a, b)
 
 
@@ -293,16 +293,6 @@ class Family:
     def __len__(self) -> int:
         return self.D.size
 
-    def rows(self):
-        """(e3, d1, d2, D, conductor, trace) of every row, as Python ints.
-
-        The columns are converted _ROWS_PER_PASS rows at a time, so a
-        family's Python ints never all exist at once.
-        """
-        columns = (self.e3, self.d1, self.d2, self.D, self.conductor, self.trace)
-        for lo in range(0, len(self), _ROWS_PER_PASS):
-            yield from zip(*(column[lo:lo + _ROWS_PER_PASS].tolist() for column in columns))
-
     def labels(self) -> list[FieldLabel]:
         return list(map(FieldLabel, self.e3.tolist(), self.d1.tolist(), self.d2.tolist()))
 
@@ -312,8 +302,9 @@ class Family:
         The discriminant f^2 and B = D * trace(D1) are Python ints: near
         X_MAX they pass the int64 range.
         """
+        columns = (self.e3, self.d1, self.d2, self.D, self.conductor, self.trace)
         return [FieldRecord(FieldLabel(e3, d1, d2), D, f, f * f, D, D * t)
-                for e3, d1, d2, D, f, t in self.rows()]
+                for e3, d1, d2, D, f, t in zip(*(column.tolist() for column in columns))]
 
 
 def _family(e3: np.ndarray, d1: np.ndarray, d2: np.ndarray, offsets: np.ndarray,

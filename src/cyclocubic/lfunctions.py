@@ -62,12 +62,13 @@ holds one int16 row per distinct q of the family and one for lambda, and
 one column per prime p.  The column for p = 3 holds k_q = b_q/3 (mod 3), so
 that s = -beta, for every (g, c), and _ZERO_ENTRY at lambda, which the
 weight e3 turns on exactly when 3 | D.  The q rows of a Kummer table are one
-eisenstein.registry_indices table.  Those of another element are g e + c e'
-of eisenstein.cubic_residue_exponents over the generators, and over their
-conjugates at the split columns only: an inert P is its own conjugate, so
-there e' = -e.  The lambda row of every element takes no power: the
-supplementary law reads e and e' off P's primary generator (at conj(P) for
-`conjugate_prime`), and a corrupt generator raises.
+eisenstein.registry_indices table.  Those of another element are g e + c e':
+at the split columns e and e' come from eisenstein.cubic_residue_exponents
+over the generators and over their conjugates, and at the inert columns from
+one registry_indices table of those columns alone, e = ind_q(p) and e' = -e.
+The lambda row of every element takes no power: eisenstein.lambda_exponents
+reads e and e' off P's primary generator by the supplementary law (at
+conj(P) for `conjugate_prime`), and a corrupt generator raises.
 
 `density` and the `verify` probes read lambda off this table, and the
 probes check it against oracles that share none of its arithmetic
@@ -87,12 +88,12 @@ import numpy as np
 
 from .eisenstein import (
     EXPONENT_ZERO,
-    LAMBDA,
     EisensteinInteger,
     PrimeAbove,
     conjugate_coefficients,
     cubic_residue_exponents,
     cubic_residue_symbol,
+    lambda_exponents,
     lambda_valuation,
     prime_above,
     registry_indices,
@@ -215,6 +216,7 @@ def _exponent_tables(gens: np.ndarray, primes: Sequence[int],
     columns = [j for j, p in enumerate(primes) if p != 3]
     at_three = [j for j, p in enumerate(primes) if p == 3]
     p = np.array([primes[j] for j in columns], dtype=np.int64)
+    split = p % 3 == 1
     registry = [prime_above(primes[j]) for j in columns]
 
     @cache
@@ -224,25 +226,26 @@ def _exponent_tables(gens: np.ndarray, primes: Sequence[int],
     @cache
     def symbols(conjugate_prime: bool) -> tuple[np.ndarray, np.ndarray]:
         """(e, e') of every q row at every P, for an element that is not Kummer."""
-        at = above(conjugate_prime)
-        e = cubic_residue_exponents(gens, at)
-        # an inert P is its own conjugate, so there (conj(x) / P) = (x / P)^2
-        e_conj = np.where(e == EXPONENT_ZERO, e, -e % 3)
-        split = [i for i, P in enumerate(at) if P.residue_degree == 1]
-        e_conj[:, split] = cubic_residue_exponents(conjugate_coefficients(gens),
-                                                   [at[i] for i in split])
+        e, e_conj = np.empty((2, len(gens), p.size), dtype=np.int8)
+        # an inert P = conj(P) gives (pi_q / P)_3 = ind_q(p), q != p, and its square at conj(pi_q)
+        e[:, ~split] = inert_indices()
+        e_conj[:, ~split] = -e[:, ~split] % 3
+        at = [P for P, s in zip(above(conjugate_prime), split) if s]
+        e[:, split] = cubic_residue_exponents(gens, at)
+        e_conj[:, split] = cubic_residue_exponents(conjugate_coefficients(gens), at)
         return e, e_conj
 
-    # ind_q(p): times g at a split p, g - c at an inert p
+    # ind_q(p): times g at a split p, g - c at an inert p; other elements read the inert p only
     indices = cache(lambda: registry_indices(gens, p))
+    inert_indices = cache(lambda: registry_indices(gens, p[~split]))
     tables = []
     for (g, c), conjugate_prime in variants:
         table = np.empty((len(gens) + 1, len(primes)), dtype=np.int16)
-        e, e_conj = _lambda_exponents(above(conjugate_prime))
+        e, e_conj = lambda_exponents(above(conjugate_prime))
         table[0, columns] = g * e + c * e_conj
         if (g + c) % 3 == 0:  # a Kummer element
             ind = indices()
-            k = ind * np.where(p % 3 == 1, g, (g - c) % 3).astype(np.int16)
+            k = ind * np.where(split, g, (g - c) % 3).astype(np.int16)
             table[1:, columns] = np.where(ind == EXPONENT_ZERO, _ZERO_ENTRY, k)
         else:
             e, e_conj = symbols(conjugate_prime)
@@ -255,28 +258,6 @@ def _exponent_tables(gens: np.ndarray, primes: Sequence[int],
         table[0, at_three] = _ZERO_ENTRY
         tables.append(table)
     return tables
-
-
-def _lambda_exponents(above: Sequence[PrimeAbove]) -> tuple[np.ndarray, np.ndarray]:
-    """The exponents of (lambda / P)_3 and (conj(lambda) / P)_3 at each P of `above`, no power.
-
-    By the supplementary law (Ireland-Rosen ch. 9), a primary generator
-    a + b omega of P, m = (a + 1)/3 and n = b/3 give (lambda / P)_3 = omega^(2m)
-    and (omega / P)_3 = omega^(m + n); as conj(lambda) = -omega^2 lambda and -1
-    is a cube, (conj(lambda) / P)_3 = omega^(m + 2n).  A generator that is no
-    primary element of norm N(P) raises: the scalar symbol's RuntimeError where
-    the generator is corrupt, else ValueError.
-    """
-    gens = np.array([P.generator for P in above], dtype=np.int64).reshape(-1, 2)
-    a, b = gens.T
-    norms = np.array([P.p ** P.residue_degree for P in above], dtype=np.int64)
-    wrong = np.flatnonzero((a % 3 != 2) | (b % 3 != 0) | (a * a - a * b + b * b != norms))
-    if wrong.size:
-        P = above[wrong[0]]
-        cubic_residue_symbol(LAMBDA, P)
-        raise ValueError(f"{P.generator} above {P.p} is no primary element of norm N(P)")
-    m, n = (a + 1) // 3, b // 3
-    return 2 * m % 3, (m + 2 * n) % 3
 
 
 # (label, prime) exponent sums per numpy pass of lambda_table: its int64

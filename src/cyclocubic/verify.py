@@ -49,12 +49,13 @@ import numpy as np
 from ._primes import prime_sieve, primes_up_to, smallest_factor_sieve
 from .eisenstein import (
     EXPONENT_ZERO,
-    LAMBDA,
     EisensteinInteger,
     conjugate_coefficients,
     cubic_residue_exponents,
+    lambda_exponents,
     lambda_valuation,
     prime_above,
+    registry_indices,
     registry_table,
 )
 from .fields import (
@@ -509,7 +510,9 @@ def char_sums(p: int, y_values: Sequence[int], *,
     _, gens = registry_table(y_top)  # every q of every squarefree 3-split n <= y_top
     if conjugate_prime:
         gens = conjugate_coefficients(gens)
-    exponents = cubic_residue_exponents(gens, [P])[:, 0]
+    # at an inert P a generator's symbol is its index ind_q(p), by cubic reciprocity
+    exponents = (cubic_residue_exponents(gens, [P]) if P.kind == "split"
+                 else registry_indices(gens, [p]))[:, 0]
     lam = np.where(exponents == EXPONENT_ZERO, 0, np.where(exponents == 0, 2, -1))
     n, positions, order, pair_counts = _char_sum_rows(y_top)
     h = np.concatenate([lam[rows].prod(axis=1) for rows in positions])  # h(n), n as `order`
@@ -627,26 +630,30 @@ class GenseriesSymbols(NamedTuple):
 
 
 def genseries_symbols(p: int, p0: int) -> GenseriesSymbols:
-    """Every symbol genseries_sides needs up to p0, by cubic_residue_exponents.
+    """Every symbol genseries_sides needs up to p0, each the one cubic_residue_symbol gives.
 
-    The split generators come straight off the registry table, _KERNEL_BLOCK
-    rows per kernel call with their conjugates made per block; each exponent
-    is the one a per-ell cubic_residue_symbol would give.  An inert P is its
-    own conjugate, so there a conjugate takes -k (mod 3), a zero staying
-    EXPONENT_ZERO, and needs no power of its own.
+    The registry generators are read _KERNEL_BLOCK rows at a time: at a split P
+    the kernel takes a block and its conjugates, and at an inert P = conj(P) a
+    generator pi_q takes ind_q(p), by cubic reciprocity, and its conjugate
+    -ind_q(p).  There a rational ell is a cube, or zero at ell = p.  lambda
+    takes the supplementary law.  ValueError at p = 3, before any symbol.
     """
+    if p == 3:
+        raise ValueError("chi is not defined at p = 3")
     (_, gens), P = registry_table(p0), prime_above(p)
     split = np.empty((len(gens), 2), dtype=np.int8)
     for lo in range(0, len(gens), _KERNEL_BLOCK):
         block = gens[lo:lo + _KERNEL_BLOCK]
-        conj = conjugate_coefficients(block) if P.kind == "split" else block[:0]
-        k = cubic_residue_exponents(np.concatenate((block, conj)), [P])[:, 0]
-        if not len(conj):
-            k = np.concatenate((k, np.where(k == EXPONENT_ZERO, k, -k % 3)))
-        split[lo:lo + len(block)] = k.reshape(2, -1).T
-    inert = [(ell, 0) for ell in primes_up_to(math.isqrt(p0)) if ell % 3 == 2]
-    e = cubic_residue_exponents(np.array([LAMBDA, *inert], dtype=np.int64), [P])[:, 0]
-    return GenseriesSymbols(int(e[0]), split, e[1:])
+        if P.kind == "split":
+            k = cubic_residue_exponents(np.concatenate((block, conjugate_coefficients(block))), [P])
+            split[lo:lo + len(block)] = k.reshape(2, -1).T
+        else:  # q != p, so no index is a zero
+            k = registry_indices(block, [p])
+            split[lo:lo + len(block)] = np.column_stack((k, -k % 3))
+    ell = np.array([n for n in primes_up_to(math.isqrt(p0)) if n % 3 == 2], dtype=np.int64)
+    inert = (cubic_residue_exponents(np.column_stack((ell, np.zeros_like(ell))), [P])[:, 0]
+             if P.kind == "split" else np.where(ell == p, EXPONENT_ZERO, 0).astype(np.int8))
+    return GenseriesSymbols(int(lambda_exponents([P])[0][0]), split, inert)
 
 
 @lru_cache(maxsize=1)

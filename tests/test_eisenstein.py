@@ -25,6 +25,7 @@ from cyclocubic.eisenstein import (
     cubic_residue_exponents,
     cubic_residue_symbol,
     euclidean_gcd,
+    lambda_exponents,
     lambda_valuation,
     omega_mod,
     primary_associate,
@@ -36,7 +37,7 @@ from cyclocubic.eisenstein import (
 )
 from cyclocubic.fields import FieldLabel
 from cyclocubic.lfunctions import INERT, SPLIT, kummer_argument, splitting_at_three, splitting_type
-from cyclocubic.verify import genseries_symbols, polynomial_splitting_oracle
+from cyclocubic.verify import polynomial_splitting_oracle
 
 E = EisensteinInteger
 
@@ -393,42 +394,32 @@ def test_cubic_residue_exponents_match_scalar():
     assert table.tolist() == [[cubic_residue_symbol(z, P) for P in primes] for z in batch]
 
 
-def test_cubic_residue_exponents_at_inert_primes_match_scalar():
-    # inert P: the rows of the table's contract (registry generators, their
-    # conjugates, lambda, its conjugate, rational integers) by reciprocity and
-    # the supplementary law, against the scalar's power in F_{p^2}
-    top = next(n for n in range(2**31 - 3, 0, -3) if is_prime(n))  # the largest inert p < 2^31
+def _inert_columns():
+    """The inert p < 200, the largest inert p < 2^31, and the first past 2^31 and past 2^63."""
+    top = next(n for n in range(2**31 - 3, 0, -3) if is_prime(n))
     big = [next(n for n in range(2**e, 2**e + 10**4) if n % 3 == 2 and is_prime(n))
            for e in (31, 63)]
-    inert = [q for q in primes_up_to(200) if q % 3 == 2] + [top] + big
-    _, gens = registry_table(3000)
-    rows_p = inert[:-1]  # an int64 row holds every p but the one past 2^63
-    rational = [(n, 0) for n in [0, -1, 7, 13, *rows_p]]  # 0, p and l != p at every column
-    rows = np.concatenate((gens, conjugate_coefficients(gens), [LAMBDA, LAMBDA.conjugate()],
-                           rational))
-    primes = [prime_above(p) for p in inert]
-    assert all(P.kind == "inert" for P in primes)
-    table = cubic_residue_exponents(rows, primes)
-    assert table.tolist() == [[cubic_residue_symbol(E(a, b), P) for P in primes]
-                              for a, b in rows.tolist()]
-    assert table[-len(rows_p):].tolist() == [[EXPONENT_ZERO if p == q else 0 for p in inert]
-                                             for q in rows_p]
-    # a row that is neither primary nor rational has no symbol here, but has at a split P
-    for bad in ([4, 3], [2, 4], [-2, 3]):
-        row = np.array([bad], dtype=np.int64)
-        with pytest.raises(ValueError, match="the inert 5"):
-            cubic_residue_exponents(row, [prime_above(7), prime_above(5)])
-        assert cubic_residue_exponents(row, [prime_above(7)]).tolist() == [
-            [cubic_residue_symbol(E(*bad), prime_above(7))]]
-    # the inert rational row l = 5 at P = 5 is a zero symbol
-    assert genseries_symbols(5, 10**6).inert[1] == EXPONENT_ZERO
+    return [q for q in primes_up_to(200) if q % 3 == 2] + [top] + big
+
+
+def test_lambda_exponents_match_scalar_past_int64():
+    # lambda and its conjugate by the supplementary law, at the inert columns of
+    # the registry_indices test and at split primes past 2^33 and 2^63, whose
+    # norms pass int64, under either conjugate
+    split = [next(n for n in range(2**e, 2**e + 10**4) if n % 3 == 1 and is_prime(n))
+             for e in (33, 63)]
+    above = [prime_above(p) for p in _inert_columns() + split]
+    for at in (above, [P.conjugate() for P in above]):
+        e, e_conj = lambda_exponents(at)
+        assert e.tolist() == [cubic_residue_symbol(LAMBDA, P) for P in at]
+        assert e_conj.tolist() == [cubic_residue_symbol(LAMBDA.conjugate(), P) for P in at]
 
 
 def test_cubic_residue_exponents_take_coefficient_arrays():
     _, gens = registry_table(3000)
     conj = conjugate_coefficients(gens)
     assert conj.tolist() == [list(E(a, b).conjugate()) for a, b in gens.tolist()]
-    primes = [prime_above(p) for p in (2, 5, 7, 13, 1999, 2999)]
+    primes = [prime_above(p) for p in (7, 13, 1999)]
     for coeffs in (gens, conj, conj.astype(np.int32)):
         want = [[cubic_residue_symbol(E(a, b), P) for P in primes] for a, b in coeffs.tolist()]
         assert cubic_residue_exponents(coeffs, primes).tolist() == want
@@ -459,6 +450,15 @@ def test_registry_indices_match_scalar_and_reciprocity(monkeypatch):
                 assert k == (cubic_residue_symbol(pi, P)
                              - cubic_residue_symbol(pi.conjugate(), P)) % 3, (q, p)
     assert np.diagonal(registry_indices(gens, qs)).tolist() == [EXPONENT_ZERO] * len(qs)
+    # at an inert P = conj(P) the callers read a generator's symbol as its index and its
+    # conjugate's as minus that, at every inert column up to one past 2^63
+    inert = _inert_columns()
+    above = [prime_above(p) for p in inert]
+    assert all(P.kind == "inert" for P in above)
+    ind = registry_indices(gens, inert)
+    for rows, k in ((gens, ind), (conjugate_coefficients(gens), -ind % 3)):
+        assert k.tolist() == [[cubic_residue_symbol(E(a, b), P) for P in above]
+                              for a, b in rows.tolist()]
     # passes of one row, or of a few that do not divide the row count, agree
     for entries in (1, 7 * len(primes) + 3):
         monkeypatch.setattr(eisenstein, "_SYMBOLS_PER_PASS", entries)
@@ -505,5 +505,7 @@ def test_cubic_residue_exponents_rejects_3_before_reading_rows():
         def __array__(self, *args, **kwargs):
             raise AssertionError("the rows were read before p was checked")
 
-    with pytest.raises(ValueError):
-        cubic_residue_exponents(Untouched(), [prime_above(5), prime_above(3)])
+    # the kernel takes split primes only: the ramified 3 and an inert P are refused
+    for p in (3, 5):
+        with pytest.raises(ValueError, match="split primes only"):
+            cubic_residue_exponents(Untouched(), [prime_above(7), prime_above(p)])

@@ -335,18 +335,21 @@ def test_kummer_table_is_one_index_per_q_and_p(monkeypatch):
 def test_registry_variants_share_their_symbols(monkeypatch):
     # the four registry variants of an element, as verify's choice-invariance
     # probe reads them, come from one _lambda_tables call: the Kummer ones off
-    # one registry_indices table, the paper-literal ones off two
-    # cubic_residue_exponents tables per prime (the generators, and their
-    # conjugates at the split columns); each equals its own lambda_table
+    # one registry_indices table; the paper-literal ones off one registry_indices
+    # table of the inert columns alone (reciprocity) and two cubic_residue_exponents
+    # tables of the split columns per prime (the generators, and their
+    # conjugates); each equals its own lambda_table
     family = family_of(labels_up_to_conductor(400))
     primes = primes_up_to(300)
+    split, inert = (len([p for p in primes if p % 3 == r]) for r in (1, 2))
     calls = []
     for name in ("registry_indices", "cubic_residue_exponents"):
         real = getattr(lfunctions, name)
         monkeypatch.setattr(lfunctions, name, lambda rows, cols, name=name, real=real:
-                            calls.append(name) or real(rows, cols))
-    for element, kernels in ((KUMMER, ["registry_indices"]),
-                             (PAPER_LITERAL, ["cubic_residue_exponents"] * 4)):
+                            calls.append((name, len(cols))) or real(rows, cols))
+    for element, kernels in ((KUMMER, [("registry_indices", split + inert)]),
+                             (PAPER_LITERAL, [("registry_indices", inert)]
+                              + [("cubic_residue_exponents", split)] * 4)):
         variants = [(el, conj) for el in (element, element[::-1]) for conj in (False, True)]
         want = [lambda_table(family, primes, el, conjugate_prime=conj).tolist()
                 for el, conj in variants]
@@ -384,13 +387,13 @@ def test_lambda_row_is_the_supplementary_law():
     lam, lam_conj = eisenstein.LAMBDA, eisenstein.LAMBDA.conjugate()
     for conj in (False, True):
         at = [P.conjugate() for P in above] if conj else above
-        e, e_conj = lfunctions._lambda_exponents(at)
+        e, e_conj = eisenstein.lambda_exponents(at)
         assert e.tolist() == [eisenstein.cubic_residue_symbol(lam, P) for P in at], conj
         assert e_conj.tolist() == [eisenstein.cubic_residue_symbol(lam_conj, P) for P in at], conj
     # the law holds for primary generators only: another one of the same prime is refused
     P = eisenstein.prime_above(7)
     with pytest.raises(ValueError, match="no primary element"):
-        lfunctions._lambda_exponents([P._replace(generator=-P.generator)])
+        eisenstein.lambda_exponents([P._replace(generator=-P.generator)])
 
 
 def test_lambda_table_corrupt_registry_raises(monkeypatch):

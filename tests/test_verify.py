@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cyclocubic.eisenstein as eisenstein
-from cyclocubic._primes import factorize, primes_up_to
+from cyclocubic._primes import factorize, is_prime, primes_up_to
 from cyclocubic.eisenstein import (
     EXPONENT_ZERO,
     LAMBDA,
@@ -516,20 +516,48 @@ def test_genseries_sides_one_walk_equals_separate_walks(p):
                                                 for p0 in cutoffs]
 
 
+def _genseries_symbols_by_the_definition(p, p0):
+    """(at_three, split, inert) of genseries_symbols(p, p0), each entry a cubic_residue_symbol."""
+    P = prime_above(p)
+    pis = [EisensteinInteger(a, b) for a, b in eisenstein.registry_table(p0)[1].tolist()]
+    ells = [ell for ell in primes_up_to(math.isqrt(p0)) if ell % 3 == 2]
+    return (cubic_residue_symbol(LAMBDA, P),
+            [[cubic_residue_symbol(pi, P), cubic_residue_symbol(pi.conjugate(), P)] for pi in pis],
+            [cubic_residue_symbol(EisensteinInteger(ell), P) for ell in ells])
+
+
+def _listed(symbols):
+    return symbols.at_three, symbols.split.tolist(), symbols.inert.tolist()
+
+
 @pytest.mark.parametrize("p", [2, 5, 11, 17])
 def test_inert_genseries_symbols_match_the_two_row_kernel(p):
-    # at an inert P the conjugate generators take -k (mod 3) without a power of
-    # their own; the kernel over both rows, as at a split P, is the reference
-    p0 = 10**4
-    _, gens = eisenstein.registry_table(p0)
-    inert = [ell for ell in primes_up_to(math.isqrt(p0)) if ell % 3 == 2]
-    coeffs = np.concatenate([[LAMBDA], gens, eisenstein.conjugate_coefficients(gens),
-                             np.array([[ell, 0] for ell in inert], dtype=np.int64)])
-    e, m = eisenstein.cubic_residue_exponents(coeffs, [prime_above(p)])[:, 0], len(gens)
-    symbols = genseries_symbols(p, p0)
-    assert symbols.at_three == e[0]
-    assert symbols.split.tolist() == e[1:2 * m + 1].reshape(2, m).T.tolist()
-    assert symbols.inert.tolist() == e[2 * m + 1:].tolist()
+    # at an inert P no symbol takes the kernel: lambda comes from the supplementary
+    # law, both rows of a generator (it and its conjugate) from its index by
+    # reciprocity, and an inert ell is a cube, or a zero at ell = p; the scalar
+    # definition of every entry is the reference
+    symbols = genseries_symbols(p, 10**4)
+    assert _listed(symbols) == _genseries_symbols_by_the_definition(p, 10**4)
+    ells = [ell for ell in primes_up_to(100) if ell % 3 == 2]
+    assert symbols.inert[ells.index(p)] == EXPONENT_ZERO
+
+
+@pytest.mark.parametrize("p", [8589934609, 8589934631, 9223372036854775837, 9223372036854775907])
+def test_genseries_symbols_past_int64_match_the_definition(p):
+    # the first split and inert p past 2^33, where an inert norm p^2 passes
+    # int64, and past 2^63, where p itself does
+    assert is_prime(p) and p > 2**33
+    assert _listed(genseries_symbols(p, 10**4)) == _genseries_symbols_by_the_definition(p, 10**4)
+
+
+def test_genseries_symbols_refuse_3_first(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a symbol was computed before p = 3 was refused")
+
+    for name in ("registry_table", "registry_indices", "cubic_residue_exponents"):
+        monkeypatch.setattr(f"cyclocubic.verify.{name}", refuse)
+    with pytest.raises(ValueError, match="p = 3"):
+        genseries_symbols(3, 10**4)
 
 
 def test_genseries_inert_base():
