@@ -394,21 +394,34 @@ def test_cubic_residue_exponents_match_scalar():
     assert table.tolist() == [[cubic_residue_symbol(z, P) for P in primes] for z in batch]
 
 
-def _inert_columns():
-    """The inert p < 200, the largest inert p < 2^31, and the first past 2^31 and past 2^63."""
-    top = next(n for n in range(2**31 - 3, 0, -3) if is_prime(n))
+def test_cubic_residue_exponents_at_inert_primes_match_scalar():
+    # the kernel refuses an inert P (..._rejects_3_before_reading_rows); the inert
+    # columns of its old rows come from registry_indices by reciprocity (a
+    # generator's symbol is its index, its conjugate's minus that) and from
+    # lambda_exponents by the supplementary law, against the scalar's power in
+    # F_{p^2}, at every inert column up to one past 2^63.  A rational ell's
+    # inert symbols are genseries_symbols' (test_verify)
+    top = next(n for n in range(2**31 - 3, 0, -3) if is_prime(n))  # the largest inert p < 2^31
     big = [next(n for n in range(2**e, 2**e + 10**4) if n % 3 == 2 and is_prime(n))
            for e in (31, 63)]
-    return [q for q in primes_up_to(200) if q % 3 == 2] + [top] + big
+    inert = [q for q in primes_up_to(200) if q % 3 == 2] + [top] + big
+    above = [prime_above(p) for p in inert]
+    assert all(P.kind == "inert" for P in above)
+    _, gens = registry_table(3000)
+    ind = registry_indices(gens, inert)
+    lam, lam_conj = lambda_exponents(above)
+    rows = np.concatenate((gens, conjugate_coefficients(gens), [LAMBDA, LAMBDA.conjugate()]))
+    table = np.concatenate((ind, -ind % 3, [lam, lam_conj]))
+    assert table.tolist() == [[cubic_residue_symbol(E(a, b), P) for P in above]
+                              for a, b in rows.tolist()]
 
 
 def test_lambda_exponents_match_scalar_past_int64():
-    # lambda and its conjugate by the supplementary law, at the inert columns of
-    # the registry_indices test and at split primes past 2^33 and 2^63, whose
-    # norms pass int64, under either conjugate
+    # lambda and its conjugate by the supplementary law at split primes past 2^33
+    # and 2^63, whose norms pass int64, under either conjugate
     split = [next(n for n in range(2**e, 2**e + 10**4) if n % 3 == 1 and is_prime(n))
              for e in (33, 63)]
-    above = [prime_above(p) for p in _inert_columns() + split]
+    above = [prime_above(p) for p in split]
     for at in (above, [P.conjugate() for P in above]):
         e, e_conj = lambda_exponents(at)
         assert e.tolist() == [cubic_residue_symbol(LAMBDA, P) for P in at]
@@ -450,15 +463,6 @@ def test_registry_indices_match_scalar_and_reciprocity(monkeypatch):
                 assert k == (cubic_residue_symbol(pi, P)
                              - cubic_residue_symbol(pi.conjugate(), P)) % 3, (q, p)
     assert np.diagonal(registry_indices(gens, qs)).tolist() == [EXPONENT_ZERO] * len(qs)
-    # at an inert P = conj(P) the callers read a generator's symbol as its index and its
-    # conjugate's as minus that, at every inert column up to one past 2^63
-    inert = _inert_columns()
-    above = [prime_above(p) for p in inert]
-    assert all(P.kind == "inert" for P in above)
-    ind = registry_indices(gens, inert)
-    for rows, k in ((gens, ind), (conjugate_coefficients(gens), -ind % 3)):
-        assert k.tolist() == [[cubic_residue_symbol(E(a, b), P) for P in above]
-                              for a, b in rows.tolist()]
     # passes of one row, or of a few that do not divide the row count, agree
     for entries in (1, 7 * len(primes) + 3):
         monkeypatch.setattr(eisenstein, "_SYMBOLS_PER_PASS", entries)
