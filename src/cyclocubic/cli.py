@@ -106,9 +106,11 @@ def _validate(cfg: argparse.Namespace) -> str | None:
         if not cfg.s >= 2.0:
             return ("--s must be at least 2; below it the Euler products converge "
                     "too slowly for the 1e-8 Cauchy check")
-        if not math.isfinite(cfg.s):
-            return ("--s must be finite; at s = inf every Euler factor is 1, so the "
-                    "probes would check nothing")
+        # the left side's factors are 1 + c * ell^-s with |c| <= 2 and ell >= 7, so
+        # all are 1.0 once 1 + 2 * 7^-s rounds to 1.0: from s = 19.24 on, inf too
+        if 1.0 + 2.0 * 7.0 ** -cfg.s == 1.0:
+            return ("--s must be below 19.24; from there on every left-side Euler factor "
+                    "rounds to 1.0, so the probes would check nothing")
         if cfg.p0 < 10**6:
             return ("--p0 must be at least 1000000; below it the Euler products are "
                     "not Cauchy to 1e-8 between p0 // 10 and p0")

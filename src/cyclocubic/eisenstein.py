@@ -34,9 +34,10 @@ reciprocity.  The numpy int8 tables take one power in Z/q per entry, a row
 per prime of norm q: `registry_indices` gives ind_q(n), the symbol of a
 rational n at a registry prime above q, which is chi_q(n), and so by cubic
 reciprocity (pi_q / p)_3 at an inert p; `cubic_residue_exponents` gives the
-definition's at a split p only, for any p (Python ints from 2**31 on).
-`lambda_exponents` gives lambda = 1 - omega and its conjugate at any P != 3
-by the supplementary law, with no power.
+definition's at a split p only, for any p (Python ints from 2**31 on), and
+`generator_exponents` alone chooses between the two for a registry generator
+and its conjugate at any P != 3.  `lambda_exponents` gives lambda = 1 - omega
+and its conjugate at any P != 3 by the supplementary law, with no power.
 
 All values are immutable after construction, and the registry table is only
 ever replaced whole by a larger read-only one, so every operation is safe
@@ -468,6 +469,28 @@ def registry_indices(gens: np.ndarray, n: Sequence[int]) -> np.ndarray:
     return _symbol_table(gens, None, np.column_stack((n, np.zeros_like(n))))
 
 
+def generator_exponents(gens: np.ndarray,
+                        primes: Sequence[PrimeAbove]) -> tuple[np.ndarray, np.ndarray]:
+    """(e, e'): the int8 tables of (pi / P)_3 and (conj(pi) / P)_3, pi a row of gens, P of primes.
+
+    A row (a, b) is a registry generator, a primary prime pi = a + b omega of
+    split norm q.  At a split P both come from cubic_residue_exponents; at an
+    inert P, by cubic reciprocity, e = ind_q(p) from registry_indices and
+    e' = -e, as conjugation squares a symbol (q != p: no zero).  ValueError at
+    the prime above 3, before any row is read.
+    """
+    if any(P.kind == "ramified" for P in primes):
+        raise ValueError("the cubic symbol is not defined at the prime above 3")
+    split = np.array([P.kind == "split" for P in primes], dtype=bool)
+    at = [P for P, s in zip(primes, split) if s]
+    e, e_conj = np.empty((2, len(gens), len(primes)), dtype=np.int8)
+    e[:, ~split] = registry_indices(gens, [P.p for P, s in zip(primes, split) if not s])
+    e_conj[:, ~split] = -e[:, ~split] % 3
+    e[:, split] = cubic_residue_exponents(gens, at)
+    e_conj[:, split] = cubic_residue_exponents(conjugate_coefficients(gens), at)
+    return e, e_conj
+
+
 def _symbol_table(gens: np.ndarray, q: Sequence[int] | None, coeffs: np.ndarray) -> np.ndarray:
     """(x / (pi))_3 for each prime pi = a + b omega (gens) of norm q and x = c + d omega (coeffs).
 
@@ -478,6 +501,8 @@ def _symbol_table(gens: np.ndarray, q: Sequence[int] | None, coeffs: np.ndarray)
     scalar's RuntimeError, else AssertionError.
     """
     out = np.empty((len(gens), len(coeffs)), dtype=np.int8)
+    if not out.size:  # else an empty half would still make omega_q for every row
+        return out
     step = max(1, _SYMBOLS_PER_PASS // max(1, len(coeffs)))
     chunk = step * (_SYMBOLS_PER_PASS // step)  # rows whose a, b, q and omega_q are made at once
     if len(gens) > chunk:

@@ -50,10 +50,9 @@ A Kummer element has c = -g (mod 3), so k_q = g (e - e') needs one index
 per (q, p), ind_q(p) = (p / pi_q)_3: the k with p^((q-1)/3) = omega_q^k
 (mod q), omega_q = -a_q/b_q.  Cubic reciprocity swaps primary primes of
 different norms, and conjugation squares a symbol.  At a split p,
-e = (pi_p / pi_q) and e' = -(conj(pi_p) / pi_q) (at conj(P), e and -e' trade
-places), so k_q = g ind_q(p).  At an inert p, P = conj(P) gives
-e' = -e = -(p / pi_q), so k_q = (g - c) ind_q(p).  At p = q the index is a
-zero, as is e or e'.
+e = (pi_p / pi_q) and e' = -(conj(pi_p) / pi_q), so k_q = g ind_q(p).  At
+an inert p, P = conj(P) gives e' = -e = -(p / pi_q), so
+k_q = (g - c) ind_q(p).  At p = q the index is a zero, as is e or e'.
 
 A zero symbol makes k_r _ZERO_ENTRY when it enters with a positive weight,
 so the field's symbol is zero exactly when a zero entry enters its sum with
@@ -62,13 +61,18 @@ holds one int16 row per distinct q of the family and one for lambda, and
 one column per prime p.  The column for p = 3 holds k_q = b_q/3 (mod 3), so
 that s = -beta, for every (g, c), and _ZERO_ENTRY at lambda, which the
 weight e3 turns on exactly when 3 | D.  The q rows of a Kummer table are one
-eisenstein.registry_indices table.  Those of another element are g e + c e':
-at the split columns e and e' come from eisenstein.cubic_residue_exponents
-over the generators and over their conjugates, and at the inert columns from
-one registry_indices table of those columns alone, e = ind_q(p) and e' = -e.
-The lambda row of every element takes no power: eisenstein.lambda_exponents
-reads e and e' off P's primary generator by the supplementary law (at
-conj(P) for `conjugate_prime`), and a corrupt generator raises.
+eisenstein.registry_indices table.  Those of another element are g e + c e',
+with e and e' from eisenstein.generator_exponents, which alone chooses
+between the kernel (split p) and reciprocity (inert p).  The lambda row of
+every element takes no power: eisenstein.lambda_exponents reads e and e'
+off P's primary generator by the supplementary law, and a corrupt
+generator raises.
+
+Every table is taken at the registry prime P: as (x / conj(P))_3 is
+(conj(x) / P)_3 squared and conj(D1) = D2, `conjugate_prime` is the element
+map (g, c) -> (2c, 2g).  It is left unreduced: mod 3 it would take (0, 3) to
+(0, 0) and lose the zero entries of D2^3, while (2c, 2g) keeps which weight
+is positive, at most 4 for g, c <= 2 (see _ZERO_ENTRY).
 
 `density` and the `verify` probes read lambda off this table, and the
 probes check it against oracles that share none of its arithmetic
@@ -89,10 +93,8 @@ import numpy as np
 from .eisenstein import (
     EXPONENT_ZERO,
     EisensteinInteger,
-    PrimeAbove,
-    conjugate_coefficients,
-    cubic_residue_exponents,
     cubic_residue_symbol,
+    generator_exponents,
     lambda_exponents,
     lambda_valuation,
     prime_above,
@@ -192,22 +194,24 @@ def lambda_from_splitting(st: SplittingType, m: int) -> int:
 
 
 # a zero symbol's entry in the exponent table: any sum holding it reaches this
-# bound, while a field's other entries (g e + c e' <= 8 with g, c, e, e' <= 2)
-# sum to at most 2*8 + 11*2*8 = 192 over lambda and its at most 11 primes
-# (D <= 2^61), with weights up to 2; and it fits the int16 table
+# bound, while a field's other entries (g e + c e' <= 16 with e, e' <= 2 and
+# g, c <= 4, as the conjugate-prime map leaves them) sum to at most
+# 2*16 + 11*2*16 = 384 over lambda and its at most 11 primes (D <= 2^61),
+# with weights up to 2; and it fits the int16 table
 _ZERO_ENTRY = 1 << 12
 
 
 def _exponent_tables(gens: np.ndarray, primes: Sequence[int],
-                     variants: Sequence[tuple[tuple[int, int], bool]]) -> list[np.ndarray]:
-    """k[r, j] of the module docstring, int16, for each (element, conjugate_prime) of `variants`.
+                     elements: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """k[r, j] of the module docstring, int16, at the registry prime, for each of `elements`.
 
     Row 0 is for lambda, row i + 1 for pi_q = gens[i], column j for primes[j],
-    and element = (g, c) names D1^g * D2^c.  The variants share their symbols:
-    one registry_indices table serves every Kummer element at either prime,
-    and one (e, e') pair of tables every other element at one prime.  The
-    registry table is read up to the largest column, so no split column solves
-    a norm equation; ValueError from 2**31 on, where its sieve would take gigabytes.
+    and element = (g, c) names D1^g * D2^c.  The elements share their symbols:
+    one registry_indices table serves every Kummer element, one
+    generator_exponents pair every other element, and one lambda_exponents
+    pair the lambda rows.  The registry table is read up to the largest
+    column, so no split column solves a norm equation; ValueError from 2**31
+    on, where its sieve would take gigabytes.
     """
     top = max(primes, default=0)
     if top >= 2**31:
@@ -218,37 +222,20 @@ def _exponent_tables(gens: np.ndarray, primes: Sequence[int],
     p = np.array([primes[j] for j in columns], dtype=np.int64)
     split = p % 3 == 1
     registry = [prime_above(primes[j]) for j in columns]
-
-    @cache
-    def above(conjugate_prime: bool) -> list[PrimeAbove]:
-        return [P.conjugate() for P in registry] if conjugate_prime else registry
-
-    @cache
-    def symbols(conjugate_prime: bool) -> tuple[np.ndarray, np.ndarray]:
-        """(e, e') of every q row at every P, for an element that is not Kummer."""
-        e, e_conj = np.empty((2, len(gens), p.size), dtype=np.int8)
-        # an inert P = conj(P) gives (pi_q / P)_3 = ind_q(p), q != p, and its square at conj(pi_q)
-        e[:, ~split] = inert_indices()
-        e_conj[:, ~split] = -e[:, ~split] % 3
-        at = [P for P, s in zip(above(conjugate_prime), split) if s]
-        e[:, split] = cubic_residue_exponents(gens, at)
-        e_conj[:, split] = cubic_residue_exponents(conjugate_coefficients(gens), at)
-        return e, e_conj
-
-    # ind_q(p): times g at a split p, g - c at an inert p; other elements read the inert p only
+    lam, lam_conj = lambda_exponents(registry)
+    # ind_q(p): times g at a split p, g - c at an inert p
     indices = cache(lambda: registry_indices(gens, p))
-    inert_indices = cache(lambda: registry_indices(gens, p[~split]))
+    symbols = cache(lambda: generator_exponents(gens, registry))
     tables = []
-    for (g, c), conjugate_prime in variants:
+    for g, c in elements:
         table = np.empty((len(gens) + 1, len(primes)), dtype=np.int16)
-        e, e_conj = lambda_exponents(above(conjugate_prime))
-        table[0, columns] = g * e + c * e_conj
+        table[0, columns] = g * lam + c * lam_conj
         if (g + c) % 3 == 0:  # a Kummer element
             ind = indices()
             k = ind * np.where(split, g, (g - c) % 3).astype(np.int16)
             table[1:, columns] = np.where(ind == EXPONENT_ZERO, _ZERO_ENTRY, k)
         else:
-            e, e_conj = symbols(conjugate_prime)
+            e, e_conj = symbols()
             k = e.astype(np.int16)  # widened first: an int8 cannot hold _ZERO_ENTRY
             k *= g
             k += c * e_conj
@@ -292,7 +279,10 @@ def _lambda_tables(family: Family | Sequence[FieldLabel], primes: Sequence[int],
     order = np.argsort(family.primes)
     # a position of each distinct q, ascending; np.unique would import numpy.ma, 0.8 MB
     first = order[np.diff(family.primes[order], prepend=0) != 0]
-    tables = _exponent_tables(family.gens[first], primes, variants)
+    # conjugate_prime as the element map at P of the module docstring
+    elements = [(2 * c, 2 * g) if conjugate_prime else (g, c)
+                for (g, c), conjugate_prime in variants]
+    tables = _exponent_tables(family.gens[first], primes, elements)
     rows = np.searchsorted(family.primes[first], family.primes) + 1
     weights = np.where(family.in_d1, 1, 2)
     n, ends = len(family), family.offsets

@@ -50,8 +50,7 @@ from ._primes import prime_sieve, primes_up_to, smallest_factor_sieve
 from .eisenstein import (
     EXPONENT_ZERO,
     EisensteinInteger,
-    conjugate_coefficients,
-    cubic_residue_exponents,
+    generator_exponents,
     lambda_exponents,
     lambda_valuation,
     prime_above,
@@ -283,17 +282,12 @@ def stable_root_count_mod_3k(a_coef: int, b_coef: int) -> int | None:
     return None
 
 
-class _CubeData(NamedTuple):
-    """What both ramification probes read of a label, from one factorization."""
-
-    kummer_argument: EisensteinInteger  # c = D1 * D2^2, as lfunctions.kummer_argument
-    stable_roots: int | None  # stable_root_count_mod_3k of the defining cubic
-
-
-def _cube_data(label: FieldLabel) -> _CubeData:
-    """c and the stable root count of x^3 - 3Ax - B, with (A, B) as defining_polynomial."""
+@lru_cache(maxsize=None)
+def _cube_data(label: FieldLabel) -> tuple[EisensteinInteger, int | None]:
+    """What both ramification probes read of a label, from one factorization: c = D1 * D2^2
+    and the stable root count of x^3 - 3Ax - B, with (A, B) as defining_polynomial."""
     d1, d2 = three_split_factorization(label)
-    return _CubeData(d1 * d2 * d2, stable_root_count_mod_3k(label.D, label.D * d1.trace()))
+    return d1 * d2 * d2, stable_root_count_mod_3k(label.D, label.D * d1.trace())
 
 
 def ramification_audit_at_3(label: FieldLabel, k_star: int = 4) -> ProbeReport:
@@ -310,13 +304,8 @@ def ramification_audit_at_3(label: FieldLabel, k_star: int = 4) -> ProbeReport:
         return ProbeReport(f"ramification_audit[D={label.D}]", PASS,
                            [{"skipped": "3 divides D; the field is ramified at 3"}],
                            {"skipped": 1})
-    return _audit_at_3(label, k_star, _cube_data(label))
-
-
-def _audit_at_3(label: FieldLabel, k_star: int, data: _CubeData) -> ProbeReport:
-    """ramification_audit_at_3 of a label with 3 not dividing D, given its _cube_data."""
-    probe_i = cube_solvable_mod_lambda(data.kummer_argument, k_star)
-    stable = data.stable_roots
+    c, stable = _cube_data(label)
+    probe_i = cube_solvable_mod_lambda(c, k_star)
     if stable is None:
         return ProbeReport(f"ramification_audit[D={label.D}]", FAIL,
                            [{"error": "root count did not stabilize"}], {})
@@ -335,15 +324,11 @@ def _audit_at_3(label: FieldLabel, k_star: int, data: _CubeData) -> ProbeReport:
 
 def calibrate_cube_exponent(labels: list[FieldLabel]) -> int:
     """Smallest modulus exponent k in 3..8 making probe (i) match probe (ii) on the corpus."""
-    return _calibrate([_cube_data(label) for label in labels])
-
-
-def _calibrate(corpus: list[_CubeData]) -> int:
-    """calibrate_cube_exponent of the labels with these _cube_data."""
-    targets = [data.stable_roots is not None and data.stable_roots > 0 for data in corpus]
+    corpus = [_cube_data(label) for label in labels]
+    targets = [stable is not None and stable > 0 for _, stable in corpus]
     for k in range(3, 9):
-        if all(cube_solvable_mod_lambda(data.kummer_argument, k) == target
-               for data, target in zip(corpus, targets)):
+        if all(cube_solvable_mod_lambda(c, k) == target
+               for (c, _), target in zip(corpus, targets)):
             return k
     raise RuntimeError("no exponent in range reconciles the two probes")
 
@@ -357,15 +342,15 @@ def audit_corpus(size: int = 50) -> list[FieldLabel]:
 def ramification_audit_suite(size: int = 50) -> ProbeReport:
     """ramification_audit_at_3 of every label of audit_corpus(size) at the calibrated k.
 
-    Each label is factored once for both probes and the calibration; only
-    splitting_at_three, the reference, factors it again.
+    Each label is factored once for both probes and the calibration (they
+    share the cached _cube_data); only splitting_at_three, the reference,
+    factors it again.
     """
     corpus = audit_corpus(size)
-    data = [_cube_data(label) for label in corpus]
-    k_star = _calibrate(data)
+    k_star = calibrate_cube_exponent(corpus)
     findings = []
-    for label, label_data in zip(corpus, data):
-        rep = _audit_at_3(label, k_star, label_data)
+    for label in corpus:
+        rep = ramification_audit_at_3(label, k_star)
         if rep.status == FAIL:
             rep.numbers["k_star"] = k_star
             return rep
@@ -508,11 +493,8 @@ def char_sums(p: int, y_values: Sequence[int], *,
         P = P.conjugate()
     y_top = max([1, *y_values])  # n = 1 is always a row
     _, gens = registry_table(y_top)  # every q of every squarefree 3-split n <= y_top
-    if conjugate_prime:
-        gens = conjugate_coefficients(gens)
-    # at an inert P a generator's symbol is its index ind_q(p), by cubic reciprocity
-    exponents = (cubic_residue_exponents(gens, [P]) if P.kind == "split"
-                 else registry_indices(gens, [p]))[:, 0]
+    # the conjugate registry takes conj(pi_q) at conj(P)
+    exponents = generator_exponents(gens, [P])[conjugate_prime][:, 0]
     lam = np.where(exponents == EXPONENT_ZERO, 0, np.where(exponents == 0, 2, -1))
     n, positions, order, pair_counts = _char_sum_rows(y_top)
     h = np.concatenate([lam[rows].prod(axis=1) for rows in positions])  # h(n), n as `order`
@@ -632,27 +614,22 @@ class GenseriesSymbols(NamedTuple):
 def genseries_symbols(p: int, p0: int) -> GenseriesSymbols:
     """Every symbol genseries_sides needs up to p0, each the one cubic_residue_symbol gives.
 
-    The registry generators are read _KERNEL_BLOCK rows at a time: at a split P
-    the kernel takes a block and its conjugates, and at an inert P = conj(P) a
-    generator pi_q takes ind_q(p), by cubic reciprocity, and its conjugate
-    -ind_q(p).  There a rational ell is a cube, or zero at ell = p.  lambda
-    takes the supplementary law.  ValueError at p = 3, before any symbol.
+    The registry generators and their conjugates take generator_exponents,
+    _KERNEL_BLOCK rows at a time.  A rational ell at a split P takes its index
+    at P's generator, a power in Z/p; at an inert P it is a cube, or zero at
+    ell = p.  lambda takes the supplementary law.  ValueError at p = 3, before
+    any symbol.
     """
     if p == 3:
         raise ValueError("chi is not defined at p = 3")
     (_, gens), P = registry_table(p0), prime_above(p)
     split = np.empty((len(gens), 2), dtype=np.int8)
     for lo in range(0, len(gens), _KERNEL_BLOCK):
-        block = gens[lo:lo + _KERNEL_BLOCK]
-        if P.kind == "split":
-            k = cubic_residue_exponents(np.concatenate((block, conjugate_coefficients(block))), [P])
-            split[lo:lo + len(block)] = k.reshape(2, -1).T
-        else:  # q != p, so no index is a zero
-            k = registry_indices(block, [p])
-            split[lo:lo + len(block)] = np.column_stack((k, -k % 3))
+        rows = slice(lo, lo + _KERNEL_BLOCK)
+        split[rows] = np.hstack(generator_exponents(gens[rows], [P]))
     ell = np.array([n for n in primes_up_to(math.isqrt(p0)) if n % 3 == 2], dtype=np.int64)
-    inert = (cubic_residue_exponents(np.column_stack((ell, np.zeros_like(ell))), [P])[:, 0]
-             if P.kind == "split" else np.where(ell == p, EXPONENT_ZERO, 0).astype(np.int8))
+    inert = (registry_indices([P.generator], ell)[0] if P.kind == "split"
+             else np.where(ell == p, EXPONENT_ZERO, 0).astype(np.int8))
     return GenseriesSymbols(int(lambda_exponents([P])[0][0]), split, inert)
 
 

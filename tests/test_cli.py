@@ -75,10 +75,10 @@ def test_usage_errors(capsys):
     assert code == cli.EXIT_USAGE and out == "" and str(MR_PROOF_BOUND) in err
     assert "Traceback" not in err and err.count("\n") == 1
     # below s = 2 or p0 = 10**6 the generating-series probes cannot be Cauchy
-    # to 1e-8 between p0 // 10 and p0, so these were false FAILs (exit 2); at
-    # s = inf (1e400 parses to it) every Euler factor is 1, so both probes
-    # passed with lhs = rhs = 1.0 and checked nothing
-    for s in ("1", "0", "-2", "1.1", "1.5", "1.999", "inf", "1e400"):
+    # to 1e-8 between p0 // 10 and p0, so these were false FAILs (exit 2); from
+    # s = 19.24 on, up to inf (1e400 parses to it), every left-side Euler factor
+    # rounds to 1.0, so both probes passed with lhs = rhs = 1.0 and checked nothing
+    for s in ("1", "0", "-2", "1.1", "1.5", "1.999", "inf", "1e400", "20", "30", "1e308"):
         code, out, err = run(["verify", "--s", s], capsys)
         assert code == cli.EXIT_USAGE and out == "" and "--s" in err, s
         assert err.count("\n") == 1, s
@@ -232,6 +232,16 @@ def test_verify_command(tmp_path, capsys, monkeypatch):
     assert "s=3.0" in text
     assert "splitting_oracle: PASS" in text
     assert text.count("\n") >= 4  # one summary line per probe plus header
+
+
+def test_verify_accepts_s_below_the_rounding_bound(tmp_path, capsys):
+    # at s = 19 the left side's factor at ell = 7 is still not 1.0, so both
+    # generating-series probes compare products other than 1
+    out = tmp_path / "report.txt"
+    code, _, err = run(["verify", "--s", "19", "--out", str(out)], capsys)
+    assert code == 0 and err == ""
+    lines = [line for line in out.read_text().splitlines() if line.startswith("genseries")]
+    assert len(lines) == 2 and all(" lhs=1.0 " not in line for line in lines), lines
 
 
 def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):

@@ -25,6 +25,7 @@ from cyclocubic.eisenstein import (
     cubic_residue_exponents,
     cubic_residue_symbol,
     euclidean_gcd,
+    generator_exponents,
     lambda_exponents,
     lambda_valuation,
     omega_mod,
@@ -414,6 +415,53 @@ def test_cubic_residue_exponents_at_inert_primes_match_scalar():
     table = np.concatenate((ind, -ind % 3, [lam, lam_conj]))
     assert table.tolist() == [[cubic_residue_symbol(E(a, b), P) for P in above]
                               for a, b in rows.tolist()]
+
+
+def test_generator_exponents_match_scalar():
+    # (pi / P)_3 and (conj(pi) / P)_3 of every registry generator up to 3000, by
+    # the definition, at P and at conj(P): p = 2, every 5 <= p < 200 (so the
+    # diagonal q = p, a zero), and the split and inert p past 2^31 and 2^63
+    # where the kernel and reciprocity take Python ints
+    big = [next(n for n in range(2**e, 2**e + 10**4) if n % 3 == r and is_prime(n))
+           for e, r in ((31, 1), (62, 1), (63, 1), (31, 2), (63, 2))]
+    top = next(n for n in range(2**31 - 3, 0, -3) if is_prime(n))  # the largest inert p < 2^31
+    columns = [2] + [p for p in primes_up_to(199) if p >= 5] + [2**31 - 1, top] + big
+    primes = [P for p in columns for P in (prime_above(p), prime_above(p).conjugate())]
+    _, gens = registry_table(3000)
+    e, e_conj = generator_exponents(gens, primes)
+    assert e.dtype == e_conj.dtype == np.int8
+    assert e.shape == e_conj.shape == (len(gens), len(primes))
+    pis = [E(a, b) for a, b in gens.tolist()]
+    assert e.tolist() == [[cubic_residue_symbol(pi, P) for P in primes] for pi in pis]
+    assert e_conj.tolist() == [[cubic_residue_symbol(pi.conjugate(), P) for P in primes]
+                               for pi in pis]
+    assert (e == EXPONENT_ZERO).sum() == (e_conj == EXPONENT_ZERO).sum() > 0
+
+
+def test_generator_exponents_reject_3_before_reading_rows():
+    class Untouched:
+        def __len__(self):
+            raise AssertionError("the rows were read before p was checked")
+
+        def __array__(self, *args, **kwargs):
+            raise AssertionError("the rows were read before p was checked")
+
+    with pytest.raises(ValueError, match="prime above 3"):
+        generator_exponents(Untouched(), [prime_above(7), prime_above(5), prime_above(3)])
+
+
+def test_empty_symbol_tables_take_no_power(monkeypatch):
+    # a table with no rows or no columns is returned as it is: no omega_q is made
+    def refuse(*args):
+        raise AssertionError("an empty table took a power")
+
+    _, gens = registry_table(100)
+    none = np.zeros((0, 2), dtype=np.int64)
+    monkeypatch.setattr(eisenstein, "_power_mod", refuse)
+    assert registry_indices(gens, []).shape == (len(gens), 0)
+    assert registry_indices(none, [2, 5, 7]).shape == (0, 3)
+    assert cubic_residue_exponents(gens, []).shape == (len(gens), 0)
+    assert cubic_residue_exponents(none, [prime_above(7)]).shape == (0, 1)
 
 
 def test_lambda_exponents_match_scalar_past_int64():

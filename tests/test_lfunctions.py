@@ -237,9 +237,10 @@ def test_lambda_table_pass_sizes_agree_around_fields_without_q(monkeypatch):
 
 
 def test_lambda_table_at_eleven_primes():
-    # the most q a label with D <= 2^61 can have: its sums stay below the
-    # zero entry, which fits the int16 table
-    assert 2 * 8 + 11 * 2 * 8 < lfunctions._ZERO_ENTRY < 2**15
+    # the most q a label with D <= 2^61 can have: its sums, with the weights
+    # up to 4 of the conjugate-prime map, stay below the zero entry, which
+    # fits the int16 table
+    assert 2 * 16 + 11 * 2 * 16 < lfunctions._ZERO_ENTRY < 2**15
     qs = [q for q in primes_up_to(97) if q % 3 == 1]
     label = FieldLabel(0, math.prod(qs), 1)
     assert len(qs) == 11 and label.D < 2**61
@@ -289,11 +290,27 @@ def test_lambda_table_builds_no_product_per_field(monkeypatch):
         assert (lambda_table(labels, primes, element) == table).all(), element
 
 
+def _spy_kernels(monkeypatch, calls, names):
+    """Record (name, len of each argument) of every call to the kernels `names` = (module, name)."""
+    for module, name in names:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, real=real:
+                            calls.append((name, *map(len, args))) or real(*args))
+
+
+# every symbol kernel _exponent_tables reaches, directly or through generator_exponents
+KERNELS = ((lfunctions, "registry_indices"), (lfunctions, "generator_exponents"),
+           (lfunctions, "lambda_exponents"), (eisenstein, "registry_indices"),
+           (eisenstein, "cubic_residue_exponents"))
+
+
 def test_kummer_table_is_one_index_per_q_and_p(monkeypatch):
     # the q rows of a Kummer table come from one registry_indices call of
-    # len(q) x len(columns) entries, with no conjugate rows; the lambda row
-    # takes no kernel call (the supplementary law), and it is g e + c e' of
-    # the scalar symbols at P (or at its conjugate)
+    # len(q) x len(columns) entries, with no conjugate rows and no
+    # generator_exponents pair; the lambda row takes one lambda_exponents call
+    # (the supplementary law, no power), and it is g e + c e' of the scalar
+    # symbols at P, or at its conjugate, which the table takes as the element
+    # (2c, 2g) at P
     family = family_of(labels_up_to_conductor(400))
     qs = sorted(set(family.primes.tolist()))
     registry = eisenstein.registry_table(max(qs))
@@ -301,26 +318,17 @@ def test_kummer_table_is_one_index_per_q_and_p(monkeypatch):
     primes = primes_up_to(300)
     columns = [p for p in primes if p != 3]
     calls = []
-
-    def spy(name):
-        real = getattr(lfunctions, name)
-
-        def kernel(rows, cols):
-            calls.append((name, len(rows), len(cols)))
-            return real(rows, cols)
-
-        monkeypatch.setattr(lfunctions, name, kernel)
-
-    spy("registry_indices")
-    spy("cubic_residue_exponents")
+    _spy_kernels(monkeypatch, calls, KERNELS)
+    kernels = [("lambda_exponents", len(columns)), ("registry_indices", len(qs), len(columns))]
     variants = [(element, conj) for element in (KUMMER, KUMMER[::-1]) for conj in (False, True)]
-    for variant in variants:
+    elements = [(2 * c, 2 * g) if conj else (g, c) for (g, c), conj in variants]
+    for element in elements:
         calls.clear()
-        lfunctions._exponent_tables(gens, primes, [variant])
-        assert calls == [("registry_indices", len(qs), len(columns))]
+        lfunctions._exponent_tables(gens, primes, [element])
+        assert calls == kernels
     calls.clear()
-    tables = lfunctions._exponent_tables(gens, primes, variants)  # all four share that call
-    assert calls == [("registry_indices", len(qs), len(columns))]
+    tables = lfunctions._exponent_tables(gens, primes, elements)  # all four share those calls
+    assert calls == kernels
     for ((g, c), conj), table in zip(variants, tables):
         for j, p in enumerate(primes):
             if p == 3:
@@ -334,28 +342,28 @@ def test_kummer_table_is_one_index_per_q_and_p(monkeypatch):
 
 def test_registry_variants_share_their_symbols(monkeypatch):
     # the four registry variants of an element, as verify's choice-invariance
-    # probe reads them, come from one _lambda_tables call: the Kummer ones off
-    # one registry_indices table; the paper-literal ones off one registry_indices
-    # table of the inert columns alone (reciprocity) and two cubic_residue_exponents
-    # tables of the split columns per prime (the generators, and their
-    # conjugates); each equals its own lambda_table
+    # probe reads them, come from one _lambda_tables call, with one
+    # lambda_exponents call for every lambda row: the Kummer ones off one
+    # registry_indices table; the paper-literal ones off one generator_exponents
+    # pair at P, which is one registry_indices table of the inert columns alone
+    # (reciprocity) and two cubic_residue_exponents tables of the split columns
+    # (the generators, and their conjugates); each equals its own lambda_table
     family = family_of(labels_up_to_conductor(400))
     primes = primes_up_to(300)
     split, inert = (len([p for p in primes if p % 3 == r]) for r in (1, 2))
     calls = []
-    for name in ("registry_indices", "cubic_residue_exponents"):
-        real = getattr(lfunctions, name)
-        monkeypatch.setattr(lfunctions, name, lambda rows, cols, name=name, real=real:
-                            calls.append((name, len(cols))) or real(rows, cols))
+    _spy_kernels(monkeypatch, calls, [(module, name) for module, name in KERNELS
+                                      if name != "generator_exponents"])
     for element, kernels in ((KUMMER, [("registry_indices", split + inert)]),
                              (PAPER_LITERAL, [("registry_indices", inert)]
-                              + [("cubic_residue_exponents", split)] * 4)):
+                              + [("cubic_residue_exponents", split)] * 2)):
         variants = [(el, conj) for el in (element, element[::-1]) for conj in (False, True)]
         want = [lambda_table(family, primes, el, conjugate_prime=conj).tolist()
                 for el, conj in variants]
         calls.clear()
         assert [t.tolist() for t in lfunctions._lambda_tables(family, primes, variants)] == want
-        assert calls == kernels, element
+        assert [(name, call[-1]) for name, *call in calls] == \
+            [("lambda_exponents", split + inert)] + kernels, element
 
 
 def test_lambda_table_reads_the_registry_before_any_column(monkeypatch):

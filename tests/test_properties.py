@@ -143,6 +143,18 @@ def test_kummer_variants_agree_on_large_labels(label, p):
         assert splitting_type(p, label) == oracle
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.sampled_from(SMALL_PRIMES[:40]))
+def test_conjugate_prime_is_an_element_map(g, c, p):
+    # (x / conj(P))_3 = (conj(x) / P)_3^2 and conj(D1) = D2, so the symbol of
+    # D1^g D2^c at conj(P) is that of D1^2c D2^2g at P, which lambda_table
+    # takes in place of a second table; the scalar uses neither, zeros included
+    assume((g, c) != (0, 0))
+    for label in (FieldLabel(0, 7 * 13, 31), FieldLabel(1, 1, 19 * 37), FieldLabel(2, 61, 1)):
+        assert character_symbol(p, label, (g, c), conjugate_prime=True) \
+            == character_symbol(p, label, (2 * c, 2 * g)), label
+
+
 # -- catalog lines and the command line ----------------------------------------
 
 @st.composite

@@ -554,7 +554,7 @@ def test_genseries_symbols_refuse_3_first(monkeypatch):
     def refuse(*args):
         raise AssertionError("a symbol was computed before p = 3 was refused")
 
-    for name in ("registry_table", "registry_indices", "cubic_residue_exponents"):
+    for name in ("registry_table", "registry_indices", "generator_exponents"):
         monkeypatch.setattr(f"cyclocubic.verify.{name}", refuse)
     with pytest.raises(ValueError, match="p = 3"):
         genseries_symbols(3, 10**4)
