@@ -19,13 +19,10 @@ carries no character information (dropping them changes `total` by less
 than 2 * sum_{p^m < Delta^beta, m >= 3} 2 log p / sqrt(p^m) / log Delta).
 
 Family averages over discriminants in [X, 2X] are compared against the
-Katz-Sarnak kernels
-
-    U: 1    Sp: 1 - S(t)    O: 1 + delta_0/2    SO(even): 1 + S(t)
-    SO(odd): 1 + delta_0 - S(t),      S(t) = sin(2 pi t) / (2 pi t),
-
-through the T statistic (average prime sum): a unitary family leaves T
-near 0, symplectic/orthogonal ones push it to +-sum over p^2 terms.
+Katz-Sarnak kernels W(G) = 1 + a S(t) + mass delta_0 (`_KERNEL_TABLE`),
+S(t) = sin(2 pi t) / (2 pi t), through the T statistic (average prime sum):
+a unitary family leaves T near 0, symplectic/orthogonal ones push it to
++-sum over p^2 terms.
 
 Everything is deterministic: fixed summation orders, compensated sums and
 closed forms; quadrature serves only the oracles.
@@ -44,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -53,61 +50,40 @@ from .fields import Family, FieldLabel, conductor_discriminant, family_of
 from .lfunctions import lambda_table
 
 TWO_PI = 2.0 * math.pi
-KERNELS = ("U", "Sp", "O", "SOeven", "SOodd")
 
 
-# -- test-function pairs --------------------------------------------------------
+# -- the Fejer test function ----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TestFunctionPair:
-    """Even f and its transform fhat, supported in [-beta, beta].
+    """The Fejer pair of support beta, 0 < beta < 1, checked when it is built.
 
+    f(x) = (sin(pi beta x) / (pi beta x))^2 has the triangular transform
+    fhat(u) = (1/beta) max(0, 1 - |u|/beta), so f(0) = 1 and fhat(0) = 1/beta.
     Convention: fhat(u) = integral f(x) exp(-2 pi i x u) dx, so the prime-sum
-    arguments log(p^m)/log(Delta) carry no stray 2 pi.  Callables must accept
-    numpy arrays.  `fejer` lists the (coefficient, beta) of the Fejer pairs
-    the pair combines, which the gamma term is applied to linearly.
+    arguments log(p^m)/log(Delta) carry no stray 2 pi.  f and fhat take arrays.
     """
 
     beta: float
-    f: Callable
-    fhat: Callable
-    f_at_0: float
-    fhat_at_0: float
-    fejer: tuple[tuple[float, float], ...]
+    f_at_0 = 1.0  # a class constant, not a field: f(0) = 1 for every beta
+
+    def __post_init__(self):
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+
+    def f(self, x):
+        return np.sinc(self.beta * np.asarray(x)) ** 2
+
+    def fhat(self, u):
+        return np.maximum(0.0, 1.0 - np.abs(np.asarray(u)) / self.beta) / self.beta
+
+    @property
+    def fhat_at_0(self) -> float:
+        return 1.0 / self.beta
 
 
-def fejer_pair(beta: float) -> TestFunctionPair:
-    """f(x) = (sin(pi beta x) / (pi beta x))^2 with triangular transform.
-
-    f(0) = 1, fhat(0) = 1/beta, and fhat(u) = (1/beta) max(0, 1 - |u|/beta).
-    """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-
-    def f(x):
-        return np.sinc(beta * np.asarray(x)) ** 2
-
-    def fhat(u):
-        return np.maximum(0.0, 1.0 - np.abs(np.asarray(u)) / beta) / beta
-
-    return TestFunctionPair(beta, f, fhat, 1.0, 1.0 / beta, ((1.0, beta),))
-
-
-def combine_pairs(coeffs: Sequence[float], pairs: Sequence[TestFunctionPair]) -> TestFunctionPair:
-    """Pointwise linear combination sum(c_i * pair_i); beta is the largest."""
-
-    def f(x):
-        return sum(c * p.f(x) for c, p in zip(coeffs, pairs))
-
-    def fhat(u):
-        return sum(c * p.fhat(u) for c, p in zip(coeffs, pairs))
-
-    beta = max(p.beta for p in pairs)
-    f0 = sum(c * p.f_at_0 for c, p in zip(coeffs, pairs))
-    fh0 = sum(c * p.fhat_at_0 for c, p in zip(coeffs, pairs))
-    fejer = tuple((c * ci, b) for c, p in zip(coeffs, pairs) for ci, b in p.fejer)
-    return TestFunctionPair(beta, f, fhat, f0, fh0, fejer)
+fejer_pair = TestFunctionPair  # the constructor callers use: fejer_pair(beta)
 
 
 # -- quadrature helpers ---------------------------------------------------------
@@ -140,47 +116,43 @@ def refine_panels(func: Callable, a: float, b: float, tol: float, start_panels: 
 
 # -- Katz-Sarnak kernels ---------------------------------------------------------
 
+# (a, mass) of each kernel W(G)(t) = 1 + a S(t) + mass delta_0, in the order
+# that breaks classify_symmetry's ties and prints the CSV footer
+_KERNEL_TABLE = {"U": (0.0, 0.0), "Sp": (-1.0, 0.0), "O": (0.0, 0.5),
+                 "SOeven": (1.0, 0.0), "SOodd": (-1.0, 1.0)}
+KERNELS = tuple(_KERNEL_TABLE)
+
+
+def _kernel(G: str) -> tuple[float, float]:
+    if G not in _KERNEL_TABLE:
+        raise ValueError(f"unknown kernel {G!r}")
+    return _KERNEL_TABLE[G]
+
+
+def _f0_weight(G: str) -> float:  # c of kernel_integral: exactly 0 or +-1/2
+    a, mass = _kernel(G)
+    return a / 2.0 + mass
+
 
 def kernel_value(G: str, t) -> tuple[float, float]:
     """(smooth part at t, point-mass coefficient at 0) for the kernel W(G).
 
-    The removable singularity of sin(2 pi t)/(2 pi t) at t = 0 evaluates to 1.
+    The removable singularity of S(t) = sin(2 pi t)/(2 pi t) at t = 0 evaluates to 1.
     """
-    s = np.sinc(2.0 * np.asarray(t, dtype=float))
-    if G == "U":
-        smooth, mass = np.ones_like(s), 0.0
-    elif G == "Sp":
-        smooth, mass = 1.0 - s, 0.0
-    elif G == "O":
-        smooth, mass = np.ones_like(s), 0.5
-    elif G == "SOeven":
-        smooth, mass = 1.0 + s, 0.0
-    elif G == "SOodd":
-        smooth, mass = 1.0 - s, 1.0
-    else:
-        raise ValueError(f"unknown kernel {G!r}")
+    a, mass = _kernel(G)
+    smooth = 1.0 + a * np.sinc(2.0 * np.asarray(t, dtype=float))
     if np.ndim(t) == 0:
         return float(smooth), mass
     return smooth, mass
 
 
-# c of each kernel integral fhat(0) + c f(0)
-_KERNEL_F0 = {"U": 0.0, "Sp": -0.5, "O": 0.5, "SOeven": 0.5, "SOodd": 0.5}
-
-
 def kernel_integral(G: str, tf: TestFunctionPair) -> float:
-    """integral f(t) W(G)(t) dt computed on the transform side.
+    """integral f(t) W(G)(t) dt on the transform side: fhat(0) + c f(0), c = a/2 + mass.
 
-    For supp(fhat) inside (-1, 1): U -> fhat(0); Sp -> fhat(0) - I/2;
-    SO(even) -> fhat(0) + I/2; O -> fhat(0) + f(0)/2;
-    SO(odd) -> fhat(0) + f(0) - I/2, with I the fhat integral over [-1, 1],
-    which is f(0) by Fourier inversion.  So each is fhat(0) + c f(0).
+    As supp(fhat) lies inside (-1, 1), integral f S = (1/2) integral of fhat
+    over [-1, 1] = f(0)/2 by Fourier inversion, and W = 1 + a S + mass delta_0.
     """
-    if not tf.beta < 1.0:
-        raise ValueError("transform side needs supp(fhat) inside (-1, 1)")
-    if G not in _KERNEL_F0:
-        raise ValueError(f"unknown kernel {G!r}")
-    return tf.fhat_at_0 + _KERNEL_F0[G] * tf.f_at_0
+    return tf.fhat_at_0 + _f0_weight(G) * tf.f_at_0
 
 
 def kernel_integral_quadrature(G: str, tf: TestFunctionPair) -> float:
@@ -327,14 +299,10 @@ def gamma_terms(log_discs: np.ndarray, tf: TestFunctionPair) -> list[float]:
     one-label value.  A beta so small that the term overflows gives inf,
     without a warning.
     """
-    out = np.zeros(len(log_discs))
     with np.errstate(over="ignore"):
-        for coeff, beta in tf.fejer:
-            u = 2.0 * beta * log_discs  # U = 4 pi L beta
-            pair = 2.0 * (_PSI_QUARTER + _lerch_sum(u, 0.25) / u)
-            out = out + coeff * ((pair - 2.0 * math.log(math.pi))
-                                 / (beta * log_discs))
-    return out.tolist()
+        u = 2.0 * tf.beta * log_discs  # U = 4 pi L beta
+        pair = 2.0 * (_PSI_QUARTER + _lerch_sum(u, 0.25) / u)
+        return ((pair - 2.0 * math.log(math.pi)) / (tf.beta * log_discs)).tolist()
 
 
 def gamma_term(label: FieldLabel, tf: TestFunctionPair) -> float:
@@ -351,8 +319,7 @@ def gamma_term(label: FieldLabel, tf: TestFunctionPair) -> float:
 
     Twice that, less 2 log(pi)/beta, is divided by 2 pi L = log Delta.
     _lerch_sum gives D_a to about 1e-15 relative for every U > 0, so no beta
-    needs a tolerance.  A combine_pairs mixture gets the same combination of
-    its Fejer components' terms.  This is gamma_terms for one label.
+    needs a tolerance.  This is gamma_terms for one label.
     """
     return gamma_terms(log_discriminants([conductor_discriminant(label)[0]]), tf)[0]
 
@@ -362,7 +329,7 @@ _ORACLE_PERIODS = 100
 
 
 def gamma_term_quadrature(label: FieldLabel, tf: TestFunctionPair) -> float:
-    """Direct-quadrature oracle for gamma_term; f must be a Fejer pair.
+    """Direct-quadrature oracle for gamma_term.
 
     Integrates (1/pi L) f(y) bracket(y/L) over [0, W], W = _ORACLE_PERIODS/beta,
     and adds the analytic tail over y > W.  There f = (1 - cos wy) h0(y) with
@@ -371,7 +338,6 @@ def gamma_term_quadrature(label: FieldLabel, tf: TestFunctionPair) -> float:
     The mean h0 * bracket integrates in closed form; the oscillating part
     keeps its first non-vanishing integration-by-parts term, h'(W)/w^2 with
     h = h0 * bracket, since sin(wW) = 0 (the remainder is O(W^-5 log W)).
-    For a combine_pairs mixture, combine the oracles: the term is linear in f.
     """
     _, disc = conductor_discriminant(label)
     big_l = math.log(disc) / TWO_PI
@@ -503,10 +469,10 @@ def family_average(family: Family, tf: TestFunctionPair) -> FamilySummary:
 def reference_statistics(family: Family, tf: TestFunctionPair) -> dict[str, float]:
     """Model T for each symmetry type over `family`, truncated as prime_sum is.
 
-    Substitutes the model means of lambda: U gives 0 at every prime power;
-    Sp gives +1 at the squares (odd powers 0); SO(even), SO(odd), and O give
-    -1 at the squares.  Only the p^2 < Delta^beta terms survive, so the
-    U prediction is exactly 0 and the others are +-(the same square sum).
+    Substitutes the model means of lambda, which vanish at the odd powers, so
+    only the p^2 < Delta^beta terms survive.  Their sum tends to f(0)/2 and T
+    to -c f(0), c = _f0_weight(G), so each prediction is -2c times the square
+    sum: 0 for U, the sum itself for Sp, its negative for O, SOeven and SOodd.
     A field's square sum depends on its discriminant alone, so it is summed
     once per run of rows sharing one, and repeated per row for the mean.
     An empty family raises ValueError.
@@ -525,8 +491,8 @@ def reference_statistics(family: Family, tf: TestFunctionPair) -> dict[str, floa
                  * tf.fhat(arg[:w] / log_discs[rows, None]))
         per_run += map(math.fsum, np.where(np.arange(w) < ends[rows, None], terms, 0.0).tolist())
     square_sum = math.fsum(np.repeat(per_run, lengths).tolist()) / len(family)
-    minus = 0.0 - square_sum  # -square_sum would print -0.0 for an empty sum
-    return {"U": 0.0, "Sp": square_sum, "O": minus, "SOeven": minus, "SOodd": minus}
+    # 0.0 + prints 0.0, not -0.0, for U (-2c = -0.0) and for an empty sum
+    return {G: 0.0 + -2.0 * _f0_weight(G) * square_sum for G in KERNELS}
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,6 @@ def _round_div(u: int, v: int) -> int:
 
 ZERO = EisensteinInteger(0, 0)
 ONE = EisensteinInteger(1, 0)
-OMEGA = EisensteinInteger(0, 1)
 LAMBDA = EisensteinInteger(1, -1)  # 1 - omega, the ramified prime above 3
 UNITS = (
     EisensteinInteger(1, 0),
@@ -240,12 +239,15 @@ class PrimeAbove(NamedTuple):
 
     p: int
     generator: EisensteinInteger
-    residue_degree: int  # 1 or 2
     kind: str  # "split" | "inert" | "ramified"
+
+    @property
+    def residue_degree(self) -> int:  # set by the kind: 2 at an inert p, else 1
+        return 2 if self.kind == "inert" else 1
 
     def conjugate(self) -> "PrimeAbove":
         """The conjugate prime (same prime for inert p and for p = 3 as an ideal)."""
-        return PrimeAbove(self.p, self.generator.conjugate(), self.residue_degree, self.kind)
+        return PrimeAbove(self.p, self.generator.conjugate(), self.kind)
 
 
 class _SplitTable(NamedTuple):
@@ -348,14 +350,14 @@ def prime_above(p: int) -> PrimeAbove:
         if i == table.primes.size or table.primes[i] != p:
             raise ValueError(f"{p} is not prime")
         a, b = table.gens[i].tolist()
-        return PrimeAbove(p, EisensteinInteger(a, b), 1, "split")
+        return PrimeAbove(p, EisensteinInteger(a, b), "split")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 3:
-        return PrimeAbove(3, LAMBDA, 1, "ramified")
+        return PrimeAbove(3, LAMBDA, "ramified")
     if p % 3 == 2:
-        return PrimeAbove(p, EisensteinInteger(p, 0), 2, "inert")
-    return PrimeAbove(p, solve_split_generator(p), 1, "split")
+        return PrimeAbove(p, EisensteinInteger(p, 0), "inert")
+    return PrimeAbove(p, solve_split_generator(p), "split")
 
 
 # -- cubic residue symbols ------------------------------------------------------
@@ -533,7 +535,7 @@ def _symbol_table(gens: np.ndarray, q: Sequence[int] | None, coeffs: np.ndarray)
         if bad.size:
             i, j = bad[0].tolist()
             cubic_residue_symbol(EisensteinInteger(*coeffs[j].tolist()), PrimeAbove(
-                int(m[i, 0]), EisensteinInteger(int(a[lo + i, 0]), int(b[lo + i, 0])), 1, "split"))
+                int(m[i, 0]), EisensteinInteger(int(a[lo + i, 0]), int(b[lo + i, 0])), "split"))
             raise AssertionError("the vectorized and the scalar cubic symbol disagree")
         out[rows] = k
     return out

@@ -444,8 +444,10 @@ def format_rows(line: str, rows: int, columns) -> str:
 
 
 def record_from_line(line: str) -> FieldRecord:
-    kv = dict(part.split("=", 1) for part in line.split())
-    if set(kv) != set(_FIELDS):
+    """The record of one catalog line: exactly one key=value part per field, in any order."""
+    parts = line.split()
+    kv = dict(part.split("=", 1) for part in parts)
+    if len(parts) != len(kv) or set(kv) != set(_FIELDS):
         raise ValueError(f"malformed catalog line: {line!r}")
     label = FieldLabel(int(kv["e3"]), int(kv["d1"]), int(kv["d2"]))
     return FieldRecord(label, int(kv["D"]), int(kv["conductor"]),

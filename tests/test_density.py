@@ -6,11 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from cyclocubic import density
 from cyclocubic._primes import primes_up_to
 from cyclocubic.density import (
     KERNELS,
     classify_symmetry,
-    combine_pairs,
     digamma,
     family_average,
     fejer_pair,
@@ -58,6 +58,10 @@ def test_fejer_pair_closed_forms():
         assert val == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         fejer_pair(1.0)
+    # the pair is its beta alone, checked when it is built
+    for beta in (1.0, 0.0):
+        with pytest.raises(ValueError):
+            density.TestFunctionPair(beta)
 
 
 def test_fejer_transform_convention():
@@ -86,6 +90,16 @@ def test_kernel_values():
     assert smooth == pytest.approx(2.0)
     with pytest.raises(ValueError):
         kernel_value("SU", 0.0)
+    # every kernel on a grid of t, against W(G) written out, S(t) = sin(2 pi t)/(2 pi t)
+    grid = (0.0, 1e-12, 0.25, 0.5, 1.25, np.array([0.0, 0.1, 0.37, 2.5, -3.75]))
+    for t in grid:
+        s = np.sinc(2.0 * np.asarray(t, dtype=float))
+        want = {"U": (1.0, 0.0), "Sp": (1.0 - s, 0.0), "O": (1.0, 0.5),
+                "SOeven": (1.0 + s, 0.0), "SOodd": (1.0 - s, 1.0)}
+        for g in KERNELS:
+            smooth, mass = kernel_value(g, t)
+            assert np.all(smooth == want[g][0]) and mass == want[g][1], (g, t)
+            assert np.ndim(smooth) == np.ndim(t) and isinstance(mass, float), (g, t)
 
 
 def test_kernel_integrals_beta_02():
@@ -155,17 +169,6 @@ def test_gamma_term_sign_and_scaling():
     assert 1.5 <= rests[0] / rests[1] <= 2.5
 
 
-def test_gamma_term_linearity():
-    # the term of a mixture is the same mixture of its Fejer components' terms
-    f1 = fejer_pair(0.2)
-    f2 = combine_pairs((1.0, 1.0), (fejer_pair(0.1), fejer_pair(0.2)))
-    mix = combine_pairs((0.6, 1.7), (f1, f2))
-    label = FieldLabel(0, 61, 1)
-    direct = gamma_term(label, mix)
-    split = 0.6 * gamma_term(label, f1) + 1.7 * gamma_term(label, f2)
-    assert abs(direct - split) < 1e-8
-
-
 def test_gamma_term_matches_quadrature_oracle():
     # the closed form against y-space quadrature plus its analytic tail; the
     # first field at X = 1e9 has Delta = 1000267129
@@ -176,11 +179,6 @@ def test_gamma_term_matches_quadrature_oracle():
             assert abs(gamma_term(label, tf) - gamma_term_quadrature(label, tf)) < 1e-9
     assert gamma_term(first_1e9, fejer_pair(0.2)) == pytest.approx(-1.7084732422380726,
                                                                   abs=1e-12)
-    # a mixture: the oracle combines linearly, since the term is linear in f
-    f1, f2 = fejer_pair(0.2), fejer_pair(0.4)
-    mix = combine_pairs((0.6, 1.7), (f1, f2))
-    oracle = 0.6 * gamma_term_quadrature(first_1e9, f1) + 1.7 * gamma_term_quadrature(first_1e9, f2)
-    assert abs(gamma_term(first_1e9, mix) - oracle) < 1e-9
 
 
 def test_gamma_term_matches_lerch_oracle():
@@ -345,18 +343,6 @@ def test_one_level_density_identity():
         bd = family_average(family_of([label]), tf)
         assert bd.total[0] == pytest.approx(5.0 - bd.prime_sum[0] + bd.gamma_term[0],
                                             abs=1e-12)
-
-
-def test_one_level_density_linear_in_f():
-    label = FieldLabel(0, 61, 1)
-    f1 = fejer_pair(0.2)
-    f2 = combine_pairs((1.0, 0.5), (fejer_pair(0.1), fejer_pair(0.2)))
-    mix = combine_pairs((0.5, 2.0), (f1, f2))
-    family = family_of([label])
-    lhs = family_average(family, mix).total[0]
-    rhs = (0.5 * family_average(family, f1).total[0]
-           + 2.0 * family_average(family, f2).total[0])
-    assert abs(lhs - rhs) < 1e-8
 
 
 def test_family_average_small():

@@ -223,7 +223,7 @@ def test_prime_above_reads_table_then_solves(monkeypatch):
     assert solved == []
     P = fresh(beyond)
     assert solved == [beyond]
-    assert P == PrimeAbove(beyond, solve_split_generator(beyond), 1, "split")
+    assert P == PrimeAbove(beyond, solve_split_generator(beyond), "split")
     assert registry_bound() == bound  # a lookup never grows the table
     for composite in (1, 25, 7 * 13):
         with pytest.raises(ValueError, match="not prime"):
@@ -308,7 +308,7 @@ def test_lattice_pass_raises_on_a_repeated_or_a_missed_slot(monkeypatch):
 
 def test_omega_mod():
     # a non-registry generator pins the other root of x^2 + x + 1 mod 13
-    custom = PrimeAbove(13, E(4, 3), 1, "split")
+    custom = PrimeAbove(13, E(4, 3), "split")
     assert omega_mod(custom) == 3
     assert (3 * 3 + 3 + 1) % 13 == 0
     assert omega_mod(prime_above(13)) == 9
@@ -328,7 +328,7 @@ def test_cubic_symbol_values():
         cubic_residue_symbol(E(2), prime_above(3))
     # omega -> 8 mod 13 is no cube root of unity, and 2^4 = 3 is no power of 8
     with pytest.raises(RuntimeError, match="cube root of unity"):
-        cubic_residue_symbol(E(2), PrimeAbove(13, E(5, 1), 1, "split"))
+        cubic_residue_symbol(E(2), PrimeAbove(13, E(5, 1), "split"))
 
 
 def test_symbol_multiplicativity():
@@ -484,7 +484,7 @@ def test_cubic_residue_exponents_take_coefficient_arrays():
     for coeffs in (gens, conj, conj.astype(np.int32)):
         want = [[cubic_residue_symbol(E(a, b), P) for P in primes] for a, b in coeffs.tolist()]
         assert cubic_residue_exponents(coeffs, primes).tolist() == want
-    corrupt = PrimeAbove(13, E(5, 1), 1, "split")
+    corrupt = PrimeAbove(13, E(5, 1), "split")
     with pytest.raises(RuntimeError, match="cube root of unity"):
         cubic_residue_exponents(gens, [prime_above(7), corrupt])
 
@@ -500,7 +500,7 @@ def test_registry_indices_match_scalar_and_reciprocity(monkeypatch):
     assert table.dtype == np.int8 and table.shape == (len(gens), len(primes))
     for q, (a, b), row in zip(qs.tolist(), gens.tolist(), table.tolist()):
         pi = E(a, b)
-        assert row == [cubic_residue_symbol(E(p), PrimeAbove(q, pi, 1, "split")) for p in primes]
+        assert row == [cubic_residue_symbol(E(p), PrimeAbove(q, pi, "split")) for p in primes]
         for p, k in zip(primes, row):
             P = prime_above(p)
             if p == q:
@@ -539,7 +539,7 @@ def test_registry_indices_past_int64_squares_and_corrupt_rows():
     pi = prime_above(big).generator
     columns = [2, 5, 7, 11, 13, big, 3 * big]
     rows = np.array([list(pi), [2, 3]], dtype=np.int64)
-    want = [[cubic_residue_symbol(E(n), PrimeAbove(z.norm(), z, 1, "split")) for n in columns]
+    want = [[cubic_residue_symbol(E(n), PrimeAbove(z.norm(), z, "split")) for n in columns]
             for z in (pi, E(2, 3))]
     assert registry_indices(rows, columns).tolist() == want
     assert want[0][-2:] == [EXPONENT_ZERO, EXPONENT_ZERO]

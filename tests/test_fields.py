@@ -330,7 +330,7 @@ def test_enumeration_checks_the_norm_of_every_d1(monkeypatch):
     with pytest.raises(RuntimeError, match="registry generators are corrupt"):
         enumerate_family(10**4)  # conductor 117 = 9 * 13
     monkeypatch.setattr("cyclocubic.fields.prime_above",
-                        lambda q: PrimeAbove(13, EisensteinInteger(5, 1), 1, "split"))
+                        lambda q: PrimeAbove(13, EisensteinInteger(5, 1), "split"))
     with pytest.raises(RuntimeError, match="registry generators are corrupt"):
         three_split_factorization(FieldLabel(0, 13, 1))
 
@@ -366,5 +366,10 @@ def test_enumeration_is_stable():
 def test_record_round_trip():
     for rec in enumerate_family(3000).records():
         assert record_from_line(record_to_line(rec)) == rec
-    with pytest.raises(ValueError):
-        record_from_line("D=7 e3=0")
+    good = "D=7 e3=0 d1=7 d2=1 conductor=7 discriminant=49 polyA=7 polyB=7"
+    assert record_from_line(good) == record_from_line(" ".join(reversed(good.split())))
+    # a repeated key is refused, wherever it sits, not resolved last-wins
+    for line in ("D=7 e3=0", "D=7 D=13 e3=0 d1=7 d2=1 conductor=7 discriminant=49 polyA=7 polyB=7",
+                 good + " D=7"):
+        with pytest.raises(ValueError):
+            record_from_line(line)

@@ -410,7 +410,7 @@ def test_lambda_table_corrupt_registry_raises(monkeypatch):
 
     def corrupted(p):
         if p == 13:
-            return PrimeAbove(13, EisensteinInteger(5, 1), 1, "split")
+            return PrimeAbove(13, EisensteinInteger(5, 1), "split")
         return true_prime_above(p)
 
     monkeypatch.setattr("cyclocubic.lfunctions.prime_above", corrupted)
