@@ -22,7 +22,7 @@ _EXPORTS = {
                "three_split_factorization"),
     "lfunctions": ("INERT", "KUMMER", "PAPER_LITERAL", "RAMIFIED", "SPLIT", "character_symbol",
                    "lambda_coefficient", "splitting_type"),
-    "density": ("TestFunctionPair", "classify_symmetry", "digamma", "family_average",
+    "density": ("FejerPair", "classify_symmetry", "digamma", "family_average",
                 "fejer_pair", "gamma_term", "kernel_integral", "kernel_value", "prime_sum",
                 "reference_statistics"),
 }

@@ -55,7 +55,7 @@ def is_prime(n: int) -> bool:
     from MR_PROOF_BOUND = psi_13 on, where no prefix of the 13 bases proves.
     """
     if n >= MR_PROOF_BOUND:
-        raise ValueError(f"primality is proven only below {MR_PROOF_BOUND}, got {n}")
+        raise ValueError(f"--primes takes primes below {MR_PROOF_BOUND}; {n} is too large")
     if n < 2:
         return False
     for p in _MR_BASES:

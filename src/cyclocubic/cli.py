@@ -9,8 +9,9 @@ Subcommands:
 
 All outputs are plain text with a config echo in the header, and every
 command is deterministic: rerunning writes byte-identical files.  A command
-compiles only the modules it runs (`_lazy`).  Exit codes: 0 success,
-1 usage, 2 assertion failure, 3 I/O.
+compiles only the modules it runs (`_lazy`) and runs the library's checks of
+its inputs before any work (`_check`).  Exit codes: 0 success, 1 usage,
+2 assertion failure, 3 I/O.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import itertools
-import math
 import os
 import sys
 from collections.abc import Iterable
@@ -26,8 +26,7 @@ from collections.abc import Iterable
 # set before numpy loads, so OpenBLAS starts no worker to spin on the other cores
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from ._primes import MR_PROOF_BOUND, is_prime
-from .fields import _ROWS_PER_PASS, X_MAX, catalog_lines, enumerate_family, format_rows
+from .fields import _ROWS_PER_PASS, catalog_lines, check_x, enumerate_family, format_rows
 
 
 def _lazy(name: str):
@@ -49,9 +48,6 @@ EXIT_USAGE = 1
 EXIT_ASSERTION = 2
 EXIT_IO = 3
 
-# --p0 and --ymax each size a sieve with that many entries, a terabyte at this
-# bound; past 2**63 numpy could not even index one
-SIEVE_MAX = 2**40
 _LINE = "{}\n".format  # a line as _write takes it, with its newline
 
 
@@ -92,46 +88,29 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _validate(cfg: argparse.Namespace) -> str | None:
+def _check(cfg: argparse.Namespace) -> None:
+    """Every check of cfg's inputs, each run by the library: a ValueError with its usage text."""
     if cfg.command in ("enumerate", "density"):
-        if cfg.x < 1000:
-            return "--x must be at least 1000"
-        if cfg.x > X_MAX:
-            return "--x must be at most 2**79; beyond it the int64 enumeration could overflow"
-    if cfg.command == "density" and not 0.0 < cfg.beta < 1.0:
-        return "--beta must lie strictly between 0 and 1"
+        check_x(cfg.x)
+    if cfg.command == "density":
+        density_mod.fejer_pair(cfg.beta)
     if cfg.command == "verify":
-        # the generating-series probes assert a 1e-8 Cauchy gap between the
-        # cutoffs p0 // 10 and p0, which holds from s = 2 and p0 = 10**6 on
-        if not cfg.s >= 2.0:
-            return ("--s must be at least 2; below it the Euler products converge "
-                    "too slowly for the 1e-8 Cauchy check")
-        # the left side's factors are 1 + c * ell^-s with |c| <= 2 and ell >= 7, so
-        # all are 1.0 once 1 + 2 * 7^-s rounds to 1.0: from s = 19.24 on, inf too
-        if 1.0 + 2.0 * 7.0 ** -cfg.s == 1.0:
-            return ("--s must be below 19.24; from there on every left-side Euler factor "
-                    "rounds to 1.0, so the probes would check nothing")
-        if cfg.p0 < 10**6:
-            return ("--p0 must be at least 1000000; below it the Euler products are "
-                    "not Cauchy to 1e-8 between p0 // 10 and p0")
-        if cfg.p0 > SIEVE_MAX:
-            return "--p0 must be at most 2**40; its sieve would need more than a terabyte"
+        verify_mod.check_probe_suite(cfg.ymax, (cfg.p0 // 10, cfg.p0), cfg.s)
     if cfg.command == "charsum":
+        try:
+            cfg.primes = tuple(int(tok) for tok in cfg.primes.split(",") if tok)
+        except ValueError:
+            raise ValueError("--primes expects a comma-separated list of integers") from None
         if not cfg.primes:
-            return "--primes must name at least one prime"
-        if 3 in cfg.primes:
-            return "chi_p is undefined at p = 3; drop it from --primes"
-        for p in cfg.primes:  # the bound first: is_prime refuses past it
-            if p >= MR_PROOF_BOUND:
-                return f"--primes takes primes below {MR_PROOF_BOUND}; {p} is too large"
-            if not is_prime(p):
-                return f"--primes takes primes only; {p} is not prime"
-    if cfg.command in ("verify", "charsum"):
-        if cfg.ymax < 10:
-            return "--ymax must be at least 10"
-        if cfg.ymax > SIEVE_MAX:
-            return "--ymax must be at most 2**40; its sieve would need more than a terabyte"
-    return None
+            raise ValueError("--primes must name at least one prime")
+        for p in cfg.primes:
+            verify_mod.chi_prime(p)
+        verify_mod.check_ymax(cfg.ymax)
+
+
+def _usage_error(message) -> int:
+    sys.stderr.write(f"{message}\n")
+    return EXIT_USAGE
 
 
 def _write(path: str | None, pieces: Iterable[str]) -> None:
@@ -153,20 +132,10 @@ def cmd_enumerate(cfg: argparse.Namespace) -> int:
 def cmd_density(cfg: argparse.Namespace) -> int:
     family = enumerate_family(cfg.x)
     if not family:
-        sys.stderr.write(f"no fields with discriminant in [{cfg.x}, {2 * cfg.x}]\n")
-        return EXIT_USAGE
+        return _usage_error(f"no fields with discriminant in [{cfg.x}, {2 * cfg.x}]")
     tf = density_mod.fejer_pair(cfg.beta)
-    try:
-        summary = density_mod.family_average(family, tf)
-    except OverflowError:  # math.fsum of finite rows past the float range
-        summary = None
+    summary = density_mod.family_average(family, tf)
     refs = density_mod.reference_statistics(family, tf)
-    # a row that is not finite makes the average inf or nan, so these cover the table
-    if summary is None or not all(map(math.isfinite, [summary.average, summary.t_statistic,
-                                                      *refs.values()])):
-        sys.stderr.write(f"--beta {cfg.beta} is too small: the density table would hold "
-                         f"values that are not finite\n")
-        return EXIT_USAGE
     cls = density_mod.classify_symmetry(summary.t_statistic, refs)
 
     # mode=kummer names the one character the table reads; readers match the line verbatim
@@ -222,18 +191,11 @@ _COMMANDS = {"enumerate": cmd_enumerate, "density": cmd_density,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    cfg = parser.parse_args(argv)
-    if cfg.command == "charsum":
-        try:
-            cfg.primes = tuple(int(tok) for tok in cfg.primes.split(",") if tok)
-        except ValueError:
-            sys.stderr.write("--primes expects a comma-separated list of integers\n")
-            return EXIT_USAGE
-    problem = _validate(cfg)
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return EXIT_USAGE
+    cfg = build_parser().parse_args(argv)
+    try:  # before any work, so past it a ValueError is a fault of the run, and propagates
+        _check(cfg)
+    except ValueError as refusal:
+        return _usage_error(refusal)
     try:
         return _COMMANDS[cfg.command](cfg)
     except OSError as exc:
@@ -241,9 +203,10 @@ def main(argv=None) -> int:
         sys.stderr.write(f"I/O failure on {target}: {exc}\n")
         return EXIT_IO
     except MemoryError:
-        sys.stderr.write(f"{cfg.command} needs more memory than this machine has; "
-                         f"try smaller arguments\n")
-        return EXIT_USAGE
+        return _usage_error(f"{cfg.command} needs more memory than this machine has; "
+                            f"try smaller arguments")
+    except density_mod.NotFiniteTable as refusal:  # family_average's, from inside the run
+        return _usage_error(refusal)
 
 
 def entry() -> None:

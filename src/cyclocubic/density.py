@@ -56,8 +56,8 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class TestFunctionPair:
-    """The Fejer pair of support beta, 0 < beta < 1, checked when it is built.
+class FejerPair:
+    """The Fejer pair of support beta, 0 < beta < 1 with 1/beta finite, checked when it is built.
 
     f(x) = (sin(pi beta x) / (pi beta x))^2 has the triangular transform
     fhat(u) = (1/beta) max(0, 1 - |u|/beta), so f(0) = 1 and fhat(0) = 1/beta.
@@ -70,7 +70,8 @@ class TestFunctionPair:
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+            raise ValueError("--beta must lie strictly between 0 and 1")
+        check_finite(self)
 
     def f(self, x):
         return np.sinc(self.beta * np.asarray(x)) ** 2
@@ -83,7 +84,21 @@ class TestFunctionPair:
         return 1.0 / self.beta
 
 
-fejer_pair = TestFunctionPair  # the constructor callers use: fejer_pair(beta)
+fejer_pair = FejerPair  # the constructor callers use: fejer_pair(beta)
+
+
+class NotFiniteTable(ValueError):
+    """A beta so small that a value of its density table is not finite (check_finite)."""
+
+
+def check_finite(tf: FejerPair, *values: float) -> None:
+    """Raise NotFiniteTable unless fhat(0) = 1/beta and every value of `values` are finite.
+
+    1/beta is inf below beta = 5.6e-309: FejerPair runs this when it is built,
+    family_average on its means, which can overflow a little above."""
+    if not all(map(math.isfinite, (tf.fhat_at_0, *values))):
+        raise NotFiniteTable(f"--beta {tf.beta} is too small: the density table would hold "
+                             f"values that are not finite")
 
 
 # -- quadrature helpers ---------------------------------------------------------
@@ -146,7 +161,7 @@ def kernel_value(G: str, t) -> tuple[float, float]:
     return smooth, mass
 
 
-def kernel_integral(G: str, tf: TestFunctionPair) -> float:
+def kernel_integral(G: str, tf: FejerPair) -> float:
     """integral f(t) W(G)(t) dt on the transform side: fhat(0) + c f(0), c = a/2 + mass.
 
     As supp(fhat) lies inside (-1, 1), integral f S = (1/2) integral of fhat
@@ -155,7 +170,7 @@ def kernel_integral(G: str, tf: TestFunctionPair) -> float:
     return tf.fhat_at_0 + _f0_weight(G) * tf.f_at_0
 
 
-def kernel_integral_quadrature(G: str, tf: TestFunctionPair) -> float:
+def kernel_integral_quadrature(G: str, tf: FejerPair) -> float:
     """Direct-quadrature oracle for kernel_integral.
 
     Integrates f * W over [-T, T], T = 2e4, by composite Gauss-Legendre and
@@ -292,7 +307,7 @@ def log_discriminants(conductors: Iterable[int]) -> np.ndarray:
     return np.array([math.log(f * f) for f in conductors])
 
 
-def gamma_terms(log_discs: np.ndarray, tf: TestFunctionPair) -> list[float]:
+def gamma_terms(log_discs: np.ndarray, tf: FejerPair) -> list[float]:
     """gamma_term at every log discriminant, computed as one numpy column.
 
     Every operation acts elementwise, so each value is bit for bit the
@@ -305,7 +320,7 @@ def gamma_terms(log_discs: np.ndarray, tf: TestFunctionPair) -> list[float]:
         return ((pair - 2.0 * math.log(math.pi)) / (tf.beta * log_discs)).tolist()
 
 
-def gamma_term(label: FieldLabel, tf: TestFunctionPair) -> float:
+def gamma_term(label: FieldLabel, tf: FejerPair) -> float:
     """Rescaled archimedean term (1/2pi) integral f(L x) bracket(x) dx, in closed form.
 
     With L = log(Delta)/(2 pi), Re psi(a + it) = -gamma_E + integral_0^inf
@@ -328,7 +343,7 @@ def gamma_term(label: FieldLabel, tf: TestFunctionPair) -> float:
 _ORACLE_PERIODS = 100
 
 
-def gamma_term_quadrature(label: FieldLabel, tf: TestFunctionPair) -> float:
+def gamma_term_quadrature(label: FieldLabel, tf: FejerPair) -> float:
     """Direct-quadrature oracle for gamma_term.
 
     Integrates (1/pi L) f(y) bracket(y/L) over [0, W], W = _ORACLE_PERIODS/beta,
@@ -375,7 +390,7 @@ def _primes_and_logs(bound: float) -> tuple[list[int], np.ndarray, np.ndarray]:
 _TERMS_PER_PASS = 1 << 14
 
 
-def prime_sums(family: Family, tf: TestFunctionPair) -> list[float]:
+def prime_sums(family: Family, tf: FejerPair) -> list[float]:
     """prime_sum of every row of `family`, from one sieve and one lambda_table.
 
     m log p ascends, so a field's kept p^m < Delta^beta are a prefix of the
@@ -402,7 +417,7 @@ def prime_sums(family: Family, tf: TestFunctionPair) -> list[float]:
     return [2.0 / log_disc * s for log_disc, s in zip(log_discs.tolist(), sums)]
 
 
-def prime_sum(label: FieldLabel, tf: TestFunctionPair) -> float:
+def prime_sum(label: FieldLabel, tf: FejerPair) -> float:
     """(2/log Delta) sum over p^m < Delta^beta, m <= 2, of the lambda terms.
 
     Each term is lambda(p) log(p) / sqrt(p^m) * fhat(log(p^m) / log Delta).
@@ -435,14 +450,16 @@ def _discriminant_runs(family: Family) -> tuple[np.ndarray, np.ndarray]:
     """(first row, length) of every run of adjacent rows that share a discriminant.
 
     enumerate_family sorts its rows by conductor, so there every
-    discriminant is one run.
+    discriminant is one run.  An empty family, which has no average, raises ValueError.
     """
+    if not family:
+        raise ValueError("the family is empty")
     f = family.conductor
     firsts = np.flatnonzero(np.concatenate(([True], f[1:] != f[:-1])))
     return firsts, np.diff(np.append(firsts, f.size))
 
 
-def family_average(family: Family, tf: TestFunctionPair) -> FamilySummary:
+def family_average(family: Family, tf: FejerPair) -> FamilySummary:
     """Averages over `family`, such as enumerate_family(X).
 
     T, the average prime sum, is the symmetry-discriminating statistic.  The
@@ -451,10 +468,8 @@ def family_average(family: Family, tf: TestFunctionPair) -> FamilySummary:
     per-field values stay numpy columns, so no object is built per field,
     and each is bit for bit its one-label value (gamma_term, prime_sum).
     The averages are compensated sums, so repeated runs are byte-identical.
-    An empty family raises ValueError.
+    An empty family raises ValueError, a mean that is not finite NotFiniteTable.
     """
-    if not family:
-        raise ValueError("the family is empty")
     firsts, lengths = _discriminant_runs(family)
     gammas = np.repeat(gamma_terms(log_discriminants(family.conductor[firsts].tolist()), tf),
                        lengths)
@@ -462,11 +477,16 @@ def family_average(family: Family, tf: TestFunctionPair) -> FamilySummary:
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf or nan, silently
         totals = tf.fhat_at_0 - sums + gammas
     n = len(family)
-    return FamilySummary(n, math.fsum(totals.tolist()) / n, math.fsum(sums.tolist()) / n,
-                         math.fsum(gammas.tolist()) / n, gammas, sums, totals)
+    try:
+        means = [math.fsum(column.tolist()) / n for column in (totals, sums, gammas)]
+    except OverflowError:  # math.fsum of finite rows past the float range
+        means = [math.inf]
+    # a row that is not finite makes its column's mean inf or nan, so these cover the table
+    check_finite(tf, *means)
+    return FamilySummary(n, *means, gammas, sums, totals)
 
 
-def reference_statistics(family: Family, tf: TestFunctionPair) -> dict[str, float]:
+def reference_statistics(family: Family, tf: FejerPair) -> dict[str, float]:
     """Model T for each symmetry type over `family`, truncated as prime_sum is.
 
     Substitutes the model means of lambda, which vanish at the odd powers, so
@@ -477,8 +497,6 @@ def reference_statistics(family: Family, tf: TestFunctionPair) -> dict[str, floa
     once per run of rows sharing one, and repeated per row for the mean.
     An empty family raises ValueError.
     """
-    if not family:
-        raise ValueError("the family is empty")
     firsts, lengths = _discriminant_runs(family)
     log_discs = log_discriminants(family.conductor[firsts].tolist())
     _, pf, logp = _primes_and_logs(math.exp(tf.beta * log_discs.max() / 2) + 1)

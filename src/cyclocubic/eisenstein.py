@@ -347,12 +347,11 @@ def prime_above(p: int) -> PrimeAbove:
     table = _TABLE
     if p % 3 == 1 and p <= table.bound:
         i = int(np.searchsorted(table.primes, p))
-        if i == table.primes.size or table.primes[i] != p:
-            raise ValueError(f"{p} is not prime")
-        a, b = table.gens[i].tolist()
-        return PrimeAbove(p, EisensteinInteger(a, b), "split")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        if i < table.primes.size and table.primes[i] == p:
+            a, b = table.gens[i].tolist()
+            return PrimeAbove(p, EisensteinInteger(a, b), "split")
+    if not is_prime(p):  # as `charsum --primes` prints it
+        raise ValueError(f"--primes takes primes only; {p} is not prime")
     if p == 3:
         return PrimeAbove(3, LAMBDA, "ramified")
     if p % 3 == 2:

@@ -361,6 +361,15 @@ def family_of(labels: list[FieldLabel]) -> Family:
                    gens.reshape(-1, 2)[np.searchsorted(qs, primes)])
 
 
+def check_x(X: int) -> None:
+    """enumerate_family's refusal, a ValueError, of an X below 1000 or above X_MAX."""
+    if X < 1000:
+        raise ValueError("--x must be at least 1000")
+    if X > X_MAX:
+        raise ValueError("--x must be at most 2**79; "
+                         "beyond it the int64 enumeration could overflow")
+
+
 def enumerate_family(X: int) -> Family:
     """The canonical fields with discriminant in [X, 2X], as a Family.
 
@@ -375,16 +384,12 @@ def enumerate_family(X: int) -> Family:
     D and its partner's D, which is at most f^1.5 for conductor f, and every
     value computed (d1, d2, D, the coefficients of D1 and the terms of
     N(D1)) is at most 4 * D < 4 * f^1.5.  Conductors up to 2^40 keep that
-    below 2^62, so X above X_MAX = 2^79 raises ValueError before anything
-    is allocated; the sieve to 2^40 alone would need 8 TiB.  The
-    discriminant and B = D * trace(D1) are left to Python ints
-    (Family.records, catalog_lines).
+    below 2^62, so X above X_MAX = 2^79 raises ValueError (check_x, which
+    also refuses X below 1000) before anything is allocated; the sieve to
+    2^40 alone would need 8 TiB.  The discriminant and B = D * trace(D1)
+    are left to Python ints (Family.records, catalog_lines).
     """
-    if X < 2:
-        raise ValueError("X must be at least 2")
-    if X > X_MAX:
-        raise ValueError("X must be at most 2^79, where conductors reach 2^40; "
-                         "beyond it the int64 columns could overflow")
+    check_x(X)
     f_hi = math.isqrt(2 * X)
     groups = _canonical_label_columns(math.isqrt(X - 1) + 1, f_hi)
     if not groups:

@@ -50,6 +50,7 @@ from ._primes import prime_sieve, primes_up_to, smallest_factor_sieve
 from .eisenstein import (
     EXPONENT_ZERO,
     EisensteinInteger,
+    PrimeAbove,
     generator_exponents,
     lambda_exponents,
     lambda_valuation,
@@ -82,6 +83,10 @@ from .lfunctions import (
 PASS = "pass"
 FAIL = "fail"
 FINDING = "finding"
+
+# --p0 and --ymax each size a sieve with that many entries, a terabyte at this
+# bound; past 2**63 numpy could not even index one
+SIEVE_MAX = 2**40
 
 
 @dataclass
@@ -464,6 +469,21 @@ def ideal_count_crosscheck(label: FieldLabel, n_max: int = 10**4, *,
 # -- character pair-sums ---------------------------------------------------------------
 
 
+def chi_prime(p: int) -> PrimeAbove:
+    """P above p, chi_p = (. / P)_3: ValueError at p = 3, and at a p prime_above refuses."""
+    if p == 3:
+        raise ValueError("chi_p is undefined at p = 3; drop it from --primes")
+    return prime_above(p)
+
+
+def check_ymax(y_max: int) -> None:
+    """ValueError unless 10 <= y_max <= SIEVE_MAX: the top Y of run_probe_suite or a log_grid."""
+    if y_max < 10:
+        raise ValueError("--ymax must be at least 10")
+    if y_max > SIEVE_MAX:
+        raise ValueError("--ymax must be at most 2**40; its sieve would need more than a terabyte")
+
+
 @dataclass(frozen=True)
 class CharSumValue:
     """Exact value in Z[omega] of a pair-sum, with its magnitude."""
@@ -484,11 +504,9 @@ def char_sums(p: int, y_values: Sequence[int], *,
     n <= Y of the multiplicative h(n) = prod lambda_p(q), and the pair count
     the sum of 2^k; both are read off cumulative sums over n ascending.  Only
     lambda_p depends on p: the rows of n, and their pair counts, are built
-    once per largest Y and shared by every p.
+    once per largest Y and shared by every p.  chi_prime refuses p before any work.
     """
-    if p == 3:
-        raise ValueError("chi_p is not defined at p = 3")
-    P = prime_above(p)
+    P = chi_prime(p)
     if conjugate_prime:
         P = P.conjugate()
     y_top = max([1, *y_values])  # n = 1 is always a row
@@ -618,12 +636,11 @@ def genseries_symbols(p: int, p0: int) -> GenseriesSymbols:
     The registry generators and their conjugates take generator_exponents,
     _KERNEL_BLOCK rows at a time.  A rational ell at a split P takes its index
     at P's generator, a power in Z/p; at an inert P it is a cube, or zero at
-    ell = p.  lambda takes the supplementary law.  ValueError at p = 3, before
-    any symbol.
+    ell = p.  lambda takes the supplementary law.  ValueError at p = 3
+    (chi_prime), before any symbol.
     """
-    if p == 3:
-        raise ValueError("chi is not defined at p = 3")
-    (_, gens), P = registry_table(p0), prime_above(p)
+    P = chi_prime(p)
+    _, gens = registry_table(p0)
     split = np.empty((len(gens), 2), dtype=np.int8)
     for lo in range(0, len(gens), _KERNEL_BLOCK):
         rows = slice(lo, lo + _KERNEL_BLOCK)
@@ -748,6 +765,26 @@ def family_count_scaling(x_grid: list[int]) -> ProbeReport:
 # -- suite driver -----------------------------------------------------------------------
 
 
+def check_probe_suite(charsum_y: int, genseries_p0: tuple[int, int], s: float) -> None:
+    """run_probe_suite's refusal, a ValueError, of inputs its probes cannot check."""
+    # the generating-series probes assert a 1e-8 Cauchy gap between the
+    # cutoffs p0 // 10 and p0, which holds from s = 2 and p0 = 10**6 on
+    if not s >= 2.0:
+        raise ValueError("--s must be at least 2; below it the Euler products converge "
+                         "too slowly for the 1e-8 Cauchy check")
+    # the left side's factors are 1 + c * ell^-s with |c| <= 2 and ell >= 7, so
+    # all are 1.0 once 1 + 2 * 7^-s rounds to 1.0: from s = 19.24 on, inf too
+    if 1.0 + 2.0 * 7.0 ** -s == 1.0:
+        raise ValueError("--s must be below 19.24; from there on every left-side Euler factor "
+                         "rounds to 1.0, so the probes would check nothing")
+    if max(genseries_p0) < 10**6:
+        raise ValueError("--p0 must be at least 1000000; below it the Euler products are "
+                         "not Cauchy to 1e-8 between p0 // 10 and p0")
+    if max(genseries_p0) > SIEVE_MAX:
+        raise ValueError("--p0 must be at most 2**40; its sieve would need more than a terabyte")
+    check_ymax(charsum_y)
+
+
 def run_probe_suite(charsum_y: int = 10**3,
                     genseries_p0: tuple[int, int] = (10**5, 10**6),
                     s: float = 2.0) -> list[ProbeReport]:
@@ -760,8 +797,9 @@ def run_probe_suite(charsum_y: int = 10**3,
     passes any gap up to 1e-9 (genseries_compare).  The rest is fixed: 1000
     choice-invariance pairs, a 50-label ramification audit, ideal counts to
     1e4 for 10 labels (rows of one lambda_table), and family counts at
-    X = 1e6, 1e7, 1e8.
+    X = 1e6, 1e7, 1e8.  check_probe_suite refuses the inputs before any probe.
     """
+    check_probe_suite(charsum_y, genseries_p0, s)
     # the generating-series probes need this table anyway; built first, it
     # serves the table probes too, which would otherwise solve a norm
     # equation for every split p they meet

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from cyclocubic import cli, lfunctions, verify
+from cyclocubic import cli, density, lfunctions, verify
 from cyclocubic._primes import MR_PROOF_BOUND, primes_up_to
 from cyclocubic.fields import Family, enumerate_family, record_from_line
 from test_tooling import _fresh_python
@@ -96,6 +96,51 @@ def test_usage_errors(capsys):
         assert "2**40" in err and "Traceback" not in err and err.count("\n") == 1, argv
     code, _, err = run(["verify", "--ymax", "1"], capsys)
     assert code == cli.EXIT_USAGE and "--ymax" in err
+
+
+def test_usage_errors_refuse_before_any_work(capsys, monkeypatch):
+    # every refusal is a check run before the enumeration's sieve and the
+    # registry that verify and charsum build first
+    def unreachable(n):
+        raise AssertionError(f"work up to {n} started before the input was refused")
+
+    monkeypatch.setattr("cyclocubic.fields.smallest_factor_sieve", unreachable)
+    monkeypatch.setattr(cli.verify_mod, "registry_table", unreachable)
+    test_usage_errors(capsys)
+
+
+# (the library call that refuses an input, the argv whose stderr line is its message)
+LIBRARY_REFUSALS = [
+    (lambda: enumerate_family(50), ["enumerate", "--x", "50"]),
+    (lambda: enumerate_family(2**79 + 1), ["enumerate", "--x", str(2**79 + 1)]),
+    (lambda: density.fejer_pair(1.5), ["density", "--x", "2000", "--beta", "1.5"]),
+    (lambda: density.fejer_pair(1e-320), ["density", "--x", "1000", "--beta", "1e-320"]),
+    (lambda: density.family_average(enumerate_family(10**6), density.fejer_pair(1e-306)),
+     ["density", "--x", "1000000", "--beta", "1e-306"]),
+    (lambda: verify.run_probe_suite(s=1.5), ["verify", "--s", "1.5"]),
+    (lambda: verify.run_probe_suite(s=20.0), ["verify", "--s", "20"]),
+    (lambda: verify.run_probe_suite(genseries_p0=(10**4, 10**5)), ["verify", "--p0", "100000"]),
+    (lambda: verify.run_probe_suite(genseries_p0=(10**19, 10**20)),
+     ["verify", "--p0", str(10**20)]),
+    (lambda: verify.run_probe_suite(charsum_y=1), ["verify", "--ymax", "1"]),
+    (lambda: verify.run_probe_suite(charsum_y=10**20), ["verify", "--ymax", str(10**20)]),
+    (lambda: verify.char_sums(3, [10]), ["charsum", "--primes", "3"]),
+    (lambda: verify.char_sums(8, [10]), ["charsum", "--primes", "8"]),
+    (lambda: verify.char_sums(MR_PROOF_BOUND, [10]),
+     ["charsum", "--primes", str(MR_PROOF_BOUND)]),
+]
+
+
+@pytest.mark.parametrize("call, argv", LIBRARY_REFUSALS,
+                         ids=[" ".join(argv) for _, argv in LIBRARY_REFUSALS])
+def test_library_refuses_as_the_cli_does(capsys, call, argv):
+    # each input rule lives in the library function that runs it: a library
+    # caller gets the ValueError whose text the command prints, exit 1
+    with pytest.raises(ValueError) as refusal:
+        call()
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == f"{refusal.value}\n"
 
 
 def test_out_of_memory_exits_cleanly(capsys, monkeypatch):
@@ -343,10 +388,12 @@ def test_empty_family(capsys):
 
 def test_density_surfaces_other_runtime_errors(monkeypatch):
     # only a table value that is not finite is a usage error; corrupt
-    # arithmetic must still raise
-    def corrupt(log_discs, tf):
-        raise RuntimeError("arithmetic is corrupt")
+    # arithmetic must still raise, a ValueError past the input checks too
+    for name, error in (("gamma_terms", RuntimeError), ("prime_sums", ValueError)):
+        def corrupt(columns, tf, error=error):
+            raise error("arithmetic is corrupt")
 
-    monkeypatch.setattr(cli.density_mod, "gamma_terms", corrupt)
-    with pytest.raises(RuntimeError, match="corrupt"):
-        cli.main(["density", "--x", "2000"])
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.density_mod, name, corrupt)
+            with pytest.raises(error, match="corrupt"):
+                cli.main(["density", "--x", "2000"])

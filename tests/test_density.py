@@ -10,6 +10,7 @@ from cyclocubic import density
 from cyclocubic._primes import primes_up_to
 from cyclocubic.density import (
     KERNELS,
+    FejerPair,
     classify_symmetry,
     digamma,
     family_average,
@@ -61,7 +62,7 @@ def test_fejer_pair_closed_forms():
     # the pair is its beta alone, checked when it is built
     for beta in (1.0, 0.0):
         with pytest.raises(ValueError):
-            density.TestFunctionPair(beta)
+            FejerPair(beta)
 
 
 def test_fejer_transform_convention():
