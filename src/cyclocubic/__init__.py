@@ -9,10 +9,15 @@ Submodules:
 * verify      -- independent oracles, audits, and cancellation experiments
 * cli         -- the `cyclocubic` command
 
-Every name is imported at its first read (PEP 562): `import cyclocubic` compiles nothing.
+`import cyclocubic` compiles nothing.  It lists each submodule but cli in
+sys.modules, bound on the package, as a lazy module (importlib.util.LazyLoader)
+that runs at the first read of one of its names; the names below are read off
+their submodule at their own first read (PEP 562).  cli is left out because
+`python -m cyclocubic.cli` runs it as __main__, which must not find it listed.
 """
 
-import importlib
+import importlib.util
+import sys
 
 _EXPORTS = {
     "eisenstein": ("EisensteinInteger", "PrimeAbove", "cubic_residue_symbol", "euclidean_gcd",
@@ -31,10 +36,14 @@ _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted([*_EXPORTS, *_SOURCE])
 __version__ = "0.1.0"
 
+for _name in ("_primes", *_EXPORTS, "verify"):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules[_spec.name] = globals()[_name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_name])
+
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
     if name in _SOURCE:
-        return getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+        return getattr(globals()[_SOURCE[name]], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,15 +9,14 @@ Subcommands:
 
 All outputs are plain text with a config echo in the header, and every
 command is deterministic: rerunning writes byte-identical files.  A command
-compiles only the modules it runs (`_lazy`) and runs the library's checks of
-its inputs before any work (`_check`).  Exit codes: 0 success, 1 usage,
-2 assertion failure, 3 I/O.
+runs only the modules it reads (`density_mod` and `verify_mod` are the
+package's lazy modules) and runs the library's checks of its inputs before any
+work (`_check`).  Exit codes: 0 success, 1 usage, 2 assertion failure, 3 I/O.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import itertools
 import os
 import sys
@@ -26,22 +25,8 @@ from collections.abc import Iterable
 # set before numpy loads, so OpenBLAS starts no worker to spin on the other cores
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from . import density as density_mod, verify as verify_mod  # lazy modules: see the package notes
 from .fields import _ROWS_PER_PASS, catalog_lines, check_x, enumerate_family, format_rows
-
-
-def _lazy(name: str):
-    """The submodule `name`: listed in sys.modules, where tools look, but run at first use."""
-    fullname = f"{__package__}.{name}"
-    if fullname not in sys.modules:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        sys.modules[fullname] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[fullname])
-    return sys.modules[fullname]
-
-
-# only `density` runs density, only `verify` and `charsum` run verify; all three run lfunctions
-_, density_mod, verify_mod = map(_lazy, ("lfunctions", "density", "verify"))
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -40,9 +40,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import repeat
 from operator import mul, truediv
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -614,24 +613,26 @@ _KERNEL_BLOCK = 1 << 14  # registry rows per symbol-kernel call of genseries_sym
 _WALK_BLOCK = 2048  # rows of primes whose factors are built, and folded, at once
 
 
-class GenseriesSymbols(NamedTuple):
-    """Exponents of chi = (. / P)_3, for every ell an Euler product up to p0 uses.
-
-    `split` holds in two int8 columns those of chi(pi_ell) and chi(conj(pi_ell))
-    for the registry factor pi_ell of each split ell <= p0, ascending; `inert`
-    that of chi(ell) for each ell = 2 (mod 3) with ell <= sqrt(p0), ascending;
-    `at_three` that of chi(1 - omega).  A smaller cutoff uses a prefix of each.
-    Exponents, not values: the walk takes chi, chi^2 and chi + chi^2 as CPython
-    computes them, and numpy only scales those by reals (see the module notes).
-    """
-
-    at_three: int
-    split: np.ndarray
-    inert: np.ndarray
+@lru_cache(maxsize=1)
+def _walk_order(p0: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ell, inert): the split ell <= p0 (the registry table's) and the inert ell <= sqrt(p0),
+    every ell an Euler product up to p0 uses, ascending; and which of them are inert."""
+    split, small = registry_table(p0)[0], np.flatnonzero(prime_sieve(math.isqrt(p0)))
+    small = small[small % 3 == 2]
+    at = np.searchsorted(split, small)  # the split row each inert ell goes before
+    ell, inert = np.insert(split, at, small), np.insert(np.zeros(split.size, bool), at, True)
+    ell.flags.writeable = inert.flags.writeable = False  # shared by every walk
+    return ell, inert
 
 
-def genseries_symbols(p: int, p0: int) -> GenseriesSymbols:
-    """Every symbol genseries_sides needs up to p0, each the one cubic_residue_symbol gives.
+def genseries_symbols(p: int, p0: int) -> tuple[int, np.ndarray]:
+    """(at_three, e): exponents of chi = (. / P)_3, each the one cubic_residue_symbol gives.
+
+    at_three is chi(1 - omega)'s.  The int8 e has a row per ell of _walk_order(p0):
+    chi(pi_ell) and chi(conj(pi_ell)) at a split ell, for its registry factor pi_ell,
+    and chi(ell) and EXPONENT_ZERO at an inert ell.  Exponents, not values: the walk
+    takes chi, chi^2 and chi + chi^2 as CPython computes them, and numpy only scales
+    those by reals (see the module notes).
 
     The registry generators and their conjugates take generator_exponents,
     _KERNEL_BLOCK rows at a time.  A rational ell at a split P takes its index
@@ -640,33 +641,29 @@ def genseries_symbols(p: int, p0: int) -> GenseriesSymbols:
     (chi_prime), before any symbol.
     """
     P = chi_prime(p)
-    _, gens = registry_table(p0)
+    ell, inert = _walk_order(p0)
+    gens = registry_table(p0)[1]
     split = np.empty((len(gens), 2), dtype=np.int8)
     for lo in range(0, len(gens), _KERNEL_BLOCK):
         rows = slice(lo, lo + _KERNEL_BLOCK)
         split[rows] = np.hstack(generator_exponents(gens[rows], [P]))
-    ell = np.array([n for n in primes_up_to(math.isqrt(p0)) if n % 3 == 2], dtype=np.int64)
-    inert = (registry_indices([P.generator], ell)[0] if P.kind == "split"
-             else np.where(ell == p, EXPONENT_ZERO, 0).astype(np.int8))
-    return GenseriesSymbols(int(lambda_exponents([P])[0][0]), split, inert)
+    e = np.full((ell.size, 2), EXPONENT_ZERO, dtype=np.int8)
+    e[~inert] = split
+    e[inert, 0] = (registry_indices([P.generator], ell[inert])[0] if P.kind == "split"
+                   else np.where(ell[inert] == p, EXPONENT_ZERO, 0))
+    return int(lambda_exponents([P])[0][0]), e
 
 
 @lru_cache(maxsize=1)
-def _walk_rows(p0: int, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, inert, at): x = ell^-s (ell^-2s if inert) by the builtin pow, a block at a time,
-    over the split ell <= p0 (the registry table's) and the inert ell <= sqrt(p0), ascending;
-    the inert ell, and their rows of x."""
-    small = np.flatnonzero(prime_sieve(math.isqrt(p0)))
-    split, inert = registry_table(p0)[0], small[small % 3 == 2]
-    at = np.searchsorted(split, inert) + np.arange(inert.size)
-    x = np.empty(split.size + inert.size)
-    x[at] = list(map(pow, inert.tolist(), repeat(-2.0 * s)))
-    for lo in range(0, split.size, _WALK_BLOCK):
-        ell = split[lo:lo + _WALK_BLOCK]
-        x[np.searchsorted(inert, ell) + np.arange(lo, lo + ell.size)] = list(
-            map(pow, ell.tolist(), repeat(-s)))
-    x.flags.writeable = inert.flags.writeable = at.flags.writeable = False  # shared by every walk
-    return x, inert, at
+def _walk_rows(p0: int, s: float) -> np.ndarray:
+    """x = ell^-s (ell^-2s if inert) by the builtin pow, over _walk_order(p0), a block at a time."""
+    ell, inert = _walk_order(p0)
+    x = np.empty(ell.size)
+    for lo in range(0, ell.size, _WALK_BLOCK):
+        rows = slice(lo, lo + _WALK_BLOCK)
+        x[rows] = list(map(pow, ell[rows].tolist(), np.where(inert[rows], -2.0 * s, -s).tolist()))
+    x.flags.writeable = False  # shared by every walk
+    return x
 
 
 def genseries_sides(p: int, s: float, cutoffs: Sequence[int]) -> list[tuple[float, float]]:
@@ -682,29 +679,26 @@ def genseries_sides(p: int, s: float, cutoffs: Sequence[int]) -> list[tuple[floa
         an extra (1 - c3 x3 + x3^2) at the prime above 3, and
         (1 + c x)^(-1) per inert rational prime (its pairs never occur on the left).
 
-    One walk over ell, in blocks, serves every cutoff.  The bits are a CPython
-    loop's over ell: numpy builds the factors 1 - chi x, 1 - chi^2 x and
-    1 + c x only by real scaling and addition, which round as in CPython, FMA
-    or not, and every complex product and quotient is CPython's (math.prod,
-    reduce with truediv), in the loop's order, chi_reg before chi_conj.
+    One walk over the ell of _walk_order(max(cutoffs)), in blocks, serves every
+    cutoff.  The bits are a CPython loop's over ell: numpy builds the factors
+    1 - chi x, 1 - chi^2 x and 1 + c x only by real scaling and addition, which
+    round as in CPython, FMA or not, and every complex product and quotient is
+    CPython's (math.prod, reduce with truediv), in the loop's order, chi_reg
+    before chi_conj.
     """
     top = max(cutoffs)
-    symbols, (x, inert_ell, at), split = (genseries_symbols(p, top), _walk_rows(top, s),
-                                          registry_table(top)[0])
-    x3, chi3 = 3.0 ** (-s), _CHI[symbols.at_three]
+    (at_three, symbols), order, walk_x = (genseries_symbols(p, top), _walk_order(top),
+                                          _walk_rows(top, s))
+    x3, chi3 = 3.0 ** (-s), _CHI[at_three]
     a3, b3 = 1.0 - chi3 * x3, 1.0 - chi3**2 * x3
     states = [(1.0, complex(1.0) / a3, complex(1.0) / b3, complex(1.0) * (a3 * b3))] * len(cutoffs)
-    for lo in range(0, x.size, _WALK_BLOCK):
-        hi = min(lo + _WALK_BLOCK, x.size)
-        i0, i1 = np.searchsorted(at, (lo, hi))  # the block's inert ell are at rows at[i0:i1]
-        inert = np.isin(np.arange(lo, hi), at[i0:i1])
-        ell, e = np.empty(hi - lo, dtype=np.int64), np.full((hi - lo, 2), EXPONENT_ZERO, np.int8)
-        ell[inert], e[inert, 0] = inert_ell[i0:i1], symbols.inert[i0:i1]
-        ell[~inert], e[~inert] = split[lo - i0:hi - i1], symbols.split[lo - i0:hi - i1]
+    for lo in range(0, walk_x.size, _WALK_BLOCK):
+        block = slice(lo, lo + _WALK_BLOCK)
+        ell, inert, e, x = (column[block] for column in (*order, symbols, walk_x))
         event = e != EXPONENT_ZERO  # a zero chi at a split ell drops out
-        event[inert] = (True, False)  # an inert ell has one factor, zero chi or not
+        event[inert, 0] = True  # an inert ell has one factor, zero chi or not
         rows, cols = np.nonzero(event)
-        exps, xs = e[rows, cols], x[lo + rows]
+        exps, xs = e[rows, cols], x[rows]
         l_factors, l2_factors = 1.0 - _CHI_POWERS[:, exps] * xs
         c_factors = 1.0 + _TRACE[exps] * xs
         lhs_event = (cols == 0) & ~inert[rows]  # chi_reg at a split ell; 1.0 where it is zero

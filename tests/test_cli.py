@@ -105,7 +105,7 @@ def test_usage_errors_refuse_before_any_work(capsys, monkeypatch):
         raise AssertionError(f"work up to {n} started before the input was refused")
 
     monkeypatch.setattr("cyclocubic.fields.smallest_factor_sieve", unreachable)
-    monkeypatch.setattr(cli.verify_mod, "registry_table", unreachable)
+    monkeypatch.setattr("cyclocubic.verify.registry_table", unreachable)
     test_usage_errors(capsys)
 
 

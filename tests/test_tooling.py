@@ -6,11 +6,13 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cyclocubic import cli, fields, lfunctions, verify
@@ -63,6 +65,21 @@ def test_character_functions_name_a_character_alike():
         assert [p.default for p in params] == [default] * len(functions), name
     assert all(inspect.signature(f).parameters["conjugate_prime"].kind
                == inspect.Parameter.KEYWORD_ONLY for f in functions)
+
+
+def test_traced_run_records_every_wrapped_function(tmp_path):
+    # `perfbench/run.py --trace 1` runs the CLI under tracing.py in a child of
+    # its own; a module the package does not list in sys.modules by the time
+    # the CLI is imported would fail only there, at Recorder.install
+    tracing = _load_tracing()
+    argv = ["enumerate", "--x", "1000000", "--out"]
+    spans, traced, plain = tmp_path / "spans.npz", tmp_path / "traced.txt", tmp_path / "plain.txt"
+    _fresh_python(str(TRACING), str(spans), *argv, str(traced))
+    _fresh_python("-m", "cyclocubic.cli", *argv, str(plain))
+    assert traced.read_bytes() == plain.read_bytes()
+    with np.load(spans) as data:
+        names = json.loads(str(data["meta"]))["names"]
+    assert sorted(names) == sorted(tracing.qualified(*entry) for entry in tracing.WRAPPED)
 
 
 def test_recorder_counts_the_enumerated_fields(monkeypatch, capsys):
@@ -124,12 +141,15 @@ def test_cli_import_loads_no_quadrature():
 def test_cli_import_runs_no_verify():
     # only the verify and charsum commands read cyclocubic.verify; importing the
     # CLI lists it in sys.modules (a lazy module, so tools that look it up there
-    # still find it) but compiles and runs none of it until an attribute is read
-    code = ("import sys, cyclocubic.cli as cli; m = sys.modules['cyclocubic.verify']; "
-            "print('run_probe_suite' in object.__getattribute__(m, '__dict__'), "
-            "cli.verify_mod.run_probe_suite.__module__)")
+    # still find it), bound on the package as the CLI's verify_mod, but compiles
+    # and runs none of it until an attribute is read; importing it by name then
+    # leaves the package's binding in place
+    code = ("import sys, cyclocubic, cyclocubic.cli as cli; m = sys.modules['cyclocubic.verify']; "
+            "print(m is cyclocubic.verify is cli.verify_mod, "
+            "'run_probe_suite' in object.__getattribute__(m, '__dict__')); "
+            "import cyclocubic.verify; print(cyclocubic.verify.run_probe_suite.__module__)")
     out = _fresh_python("-c", code)
-    assert out.split() == ["False", "cyclocubic.verify"]
+    assert out.split() == ["True", "False", "cyclocubic.verify"]
 
 
 def test_cli_import_runs_no_density_or_lfunctions():

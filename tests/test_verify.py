@@ -22,6 +22,7 @@ from cyclocubic.verify import (
     FAIL,
     FINDING,
     PASS,
+    _walk_order,
     audit_corpus,
     calibrate_cube_exponent,
     char_sum,
@@ -267,7 +268,6 @@ def test_ideal_count_coefficient_values():
     # n = 17 for D = 3: split prime, three ideals of norm 17
     label = FieldLabel(1, 1, 1)
     assert splitting_type(17, label) == SPLIT
-    from cyclocubic._primes import smallest_factor_sieve
     from cyclocubic.verify import _zeta_prime_power_coefficient
 
     assert _zeta_prime_power_coefficient(SPLIT, 1) == 3
@@ -517,7 +517,7 @@ def test_genseries_sides_one_walk_equals_separate_walks(p):
 
 
 def _genseries_symbols_by_the_definition(p, p0):
-    """(at_three, split, inert) of genseries_symbols(p, p0), each entry a cubic_residue_symbol."""
+    """(at_three, split rows, inert entries) of genseries_symbols(p, p0), by cubic_residue_symbol."""
     P = prime_above(p)
     pis = [EisensteinInteger(a, b) for a, b in eisenstein.registry_table(p0)[1].tolist()]
     ells = [ell for ell in primes_up_to(math.isqrt(p0)) if ell % 3 == 2]
@@ -526,8 +526,24 @@ def _genseries_symbols_by_the_definition(p, p0):
             [cubic_residue_symbol(EisensteinInteger(ell), P) for ell in ells])
 
 
-def _listed(symbols):
-    return symbols.at_three, symbols.split.tolist(), symbols.inert.tolist()
+def _listed(symbols, p0):
+    """genseries_symbols' (at_three, e) as the definition's triple; an inert row's second entry
+    is a zero."""
+    at_three, e = symbols
+    inert = _walk_order(p0)[1]
+    assert np.all(e[inert, 1] == EXPONENT_ZERO)
+    return at_three, e[~inert].tolist(), e[inert, 0].tolist()
+
+
+@pytest.mark.parametrize("p0", [840, 841, 10**4, 10**5])
+def test_walk_order_is_the_split_and_inert_ell_ascending(p0):
+    # the split ell <= p0 are the registry table's, the inert ell those <= sqrt(p0)
+    ell, inert = _walk_order(p0)
+    assert np.all(np.diff(ell) > 0)
+    split = eisenstein.registry_table(p0)[0].tolist()
+    small = [n for n in primes_up_to(math.isqrt(p0)) if n % 3 == 2]
+    assert ell.tolist() == sorted(split + small)
+    assert ell[~inert].tolist() == split and ell[inert].tolist() == small
 
 
 @pytest.mark.parametrize("p", [2, 5, 11, 17])
@@ -536,10 +552,10 @@ def test_inert_genseries_symbols_match_the_two_row_kernel(p):
     # law, both rows of a generator (it and its conjugate) from its index by
     # reciprocity, and an inert ell is a cube, or a zero at ell = p; the scalar
     # definition of every entry is the reference
-    symbols = genseries_symbols(p, 10**4)
-    assert _listed(symbols) == _genseries_symbols_by_the_definition(p, 10**4)
+    listed = _listed(genseries_symbols(p, 10**4), 10**4)
+    assert listed == _genseries_symbols_by_the_definition(p, 10**4)
     ells = [ell for ell in primes_up_to(100) if ell % 3 == 2]
-    assert symbols.inert[ells.index(p)] == EXPONENT_ZERO
+    assert listed[2][ells.index(p)] == EXPONENT_ZERO
 
 
 @pytest.mark.parametrize("p", [8589934609, 8589934631, 9223372036854775837, 9223372036854775907])
@@ -547,7 +563,8 @@ def test_genseries_symbols_past_int64_match_the_definition(p):
     # the first split and inert p past 2^33, where an inert norm p^2 passes
     # int64, and past 2^63, where p itself does
     assert is_prime(p) and p > 2**33
-    assert _listed(genseries_symbols(p, 10**4)) == _genseries_symbols_by_the_definition(p, 10**4)
+    assert (_listed(genseries_symbols(p, 10**4), 10**4)
+            == _genseries_symbols_by_the_definition(p, 10**4))
 
 
 def test_genseries_symbols_refuse_3_first(monkeypatch):
