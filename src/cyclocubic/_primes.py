@@ -1,6 +1,6 @@
-"""Rational-prime utilities: sieves, deterministic primality, modular square roots.
+"""Rational-prime utilities: sieves, deterministic primality, factorization.
 
-Everything here is deterministic; no randomized primality or root finding.
+Everything here is deterministic; no randomized primality.
 """
 
 from __future__ import annotations
@@ -98,38 +98,3 @@ def factorize(n: int) -> dict[int, int]:
         out[n] = out.get(n, 0) + 1
     return out
 
-
-def sqrt_mod(a: int, p: int) -> int:
-    """Smaller square root of a modulo an odd prime p (Tonelli-Shanks).
-
-    Raises ValueError if a is a non-residue.  Deterministic: the auxiliary
-    non-residue is found by ascending scan.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return min(r, p - r)

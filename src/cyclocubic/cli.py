@@ -80,7 +80,7 @@ def _check(cfg: argparse.Namespace) -> None:
     if cfg.command == "density":
         density_mod.fejer_pair(cfg.beta)
     if cfg.command == "verify":
-        verify_mod.check_probe_suite(cfg.ymax, (cfg.p0 // 10, cfg.p0), cfg.s)
+        verify_mod.check_probe_suite(cfg.ymax, cfg.p0, cfg.s)
     if cfg.command == "charsum":
         try:
             cfg.primes = tuple(int(tok) for tok in cfg.primes.split(",") if tok)
@@ -146,8 +146,7 @@ def cmd_density(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    reports = verify_mod.run_probe_suite(charsum_y=cfg.ymax,
-                                         genseries_p0=(cfg.p0 // 10, cfg.p0), s=cfg.s)
+    reports = verify_mod.run_probe_suite(charsum_y=cfg.ymax, p0=cfg.p0, s=cfg.s)
     lines = [f"# cyclocubic verification report",
              f"# p0={cfg.p0} ymax={cfg.ymax} s={cfg.s}"]
     for rep in reports:

@@ -54,7 +54,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._primes import is_prime, prime_sieve, sqrt_mod
+from ._primes import is_prime, prime_sieve
 
 
 class EisensteinInteger(NamedTuple):
@@ -318,13 +318,15 @@ def registry_bound() -> int:
 def solve_split_generator(p: int) -> EisensteinInteger:
     """The registry generator above a split prime p, by a norm-equation solve.
 
-    omega maps to a root r of x^2 + x + 1 mod p; gcd(p, r - omega) is a prime
-    above p, normalized to its primary associate with positive omega
-    coefficient.  prime_above takes this route beyond the table bound; it is
-    also the reference the table is tested against.
+    omega maps to a root r of x^2 + x + 1 mod p, a primitive cube root of unity:
+    r = x^((p - 1)/3) for the least x = 2, 3, ... with r != 1.  gcd(p, r - omega)
+    is a prime above p, normalized to its primary associate with positive omega
+    coefficient, the same whichever root r is.  prime_above takes this route
+    beyond the table bound; it is also the reference the table is tested against.
     """
-    s = sqrt_mod(p - 3, p)
-    r = (p - 1 + s) * pow(2, -1, p) % p
+    x = 2
+    while (r := pow(x, (p - 1) // 3, p)) == 1:
+        x += 1
     g = euclidean_gcd(EisensteinInteger(p, 0), EisensteinInteger(r, -1))
     if g.norm() != p:
         raise AssertionError(f"norm-equation solve failed for {p}")

@@ -615,14 +615,14 @@ _WALK_BLOCK = 2048  # rows of primes whose factors are built, and folded, at onc
 
 @lru_cache(maxsize=1)
 def _walk_order(p0: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ell, inert): the split ell <= p0 (the registry table's) and the inert ell <= sqrt(p0),
-    every ell an Euler product up to p0 uses, ascending; and which of them are inert."""
+    """(inert, small): the rows of the walk, ascending, are the split ell <= p0 (the registry
+    table's) and the inert ell <= sqrt(p0), those in small; inert marks the latter's rows."""
     split, small = registry_table(p0)[0], np.flatnonzero(prime_sieve(math.isqrt(p0)))
     small = small[small % 3 == 2]
-    at = np.searchsorted(split, small)  # the split row each inert ell goes before
-    ell, inert = np.insert(split, at, small), np.insert(np.zeros(split.size, bool), at, True)
-    ell.flags.writeable = inert.flags.writeable = False  # shared by every walk
-    return ell, inert
+    inert = np.zeros(split.size + small.size, bool)
+    inert[np.searchsorted(split, small) + np.arange(small.size)] = True
+    inert.flags.writeable = small.flags.writeable = False  # shared by every walk
+    return inert, small
 
 
 def genseries_symbols(p: int, p0: int) -> tuple[int, np.ndarray]:
@@ -641,27 +641,28 @@ def genseries_symbols(p: int, p0: int) -> tuple[int, np.ndarray]:
     (chi_prime), before any symbol.
     """
     P = chi_prime(p)
-    ell, inert = _walk_order(p0)
+    inert, small = _walk_order(p0)
     gens = registry_table(p0)[1]
     split = np.empty((len(gens), 2), dtype=np.int8)
     for lo in range(0, len(gens), _KERNEL_BLOCK):
         rows = slice(lo, lo + _KERNEL_BLOCK)
         split[rows] = np.hstack(generator_exponents(gens[rows], [P]))
-    e = np.full((ell.size, 2), EXPONENT_ZERO, dtype=np.int8)
+    e = np.full((inert.size, 2), EXPONENT_ZERO, dtype=np.int8)
     e[~inert] = split
-    e[inert, 0] = (registry_indices([P.generator], ell[inert])[0] if P.kind == "split"
-                   else np.where(ell[inert] == p, EXPONENT_ZERO, 0))
+    e[inert, 0] = (registry_indices([P.generator], small)[0] if P.kind == "split"
+                   else np.where(small == p, EXPONENT_ZERO, 0))
     return int(lambda_exponents([P])[0][0]), e
 
 
 @lru_cache(maxsize=1)
 def _walk_rows(p0: int, s: float) -> np.ndarray:
     """x = ell^-s (ell^-2s if inert) by the builtin pow, over _walk_order(p0), a block at a time."""
-    ell, inert = _walk_order(p0)
-    x = np.empty(ell.size)
-    for lo in range(0, ell.size, _WALK_BLOCK):
-        rows = slice(lo, lo + _WALK_BLOCK)
-        x[rows] = list(map(pow, ell[rows].tolist(), np.where(inert[rows], -2.0 * s, -s).tolist()))
+    (inert, small), split = _walk_order(p0), registry_table(p0)[0]
+    x = np.empty(inert.size)
+    x[inert] = [pow(ell, -2.0 * s) for ell in small.tolist()]
+    for lo in range(0, split.size, _WALK_BLOCK):
+        ell = split[lo:lo + _WALK_BLOCK]  # its row: its index plus the inert ell below
+        x[lo + np.arange(ell.size) + small.searchsorted(ell)] = [pow(n, -s) for n in ell.tolist()]
     x.flags.writeable = False  # shared by every walk
     return x
 
@@ -680,30 +681,34 @@ def genseries_sides(p: int, s: float, cutoffs: Sequence[int]) -> list[tuple[floa
         (1 + c x)^(-1) per inert rational prime (its pairs never occur on the left).
 
     One walk over the ell of _walk_order(max(cutoffs)), in blocks, serves every
-    cutoff.  The bits are a CPython loop's over ell: numpy builds the factors
-    1 - chi x, 1 - chi^2 x and 1 + c x only by real scaling and addition, which
-    round as in CPython, FMA or not, and every complex product and quotient is
-    CPython's (math.prod, reduce with truediv), in the loop's order, chi_reg
-    before chi_conj.
+    cutoff, which keeps the rows before two counts (ell ascends): of the ell <= p0,
+    and for an inert ell, of the ell <= sqrt(p0).  The bits are a CPython loop's
+    over ell: numpy builds the factors 1 - chi x, 1 - chi^2 x and 1 + c x only by
+    real scaling and addition, which round as in CPython, FMA or not, and every
+    complex product and quotient is CPython's (math.prod, reduce with truediv),
+    in the loop's order, chi_reg before chi_conj.
     """
     top = max(cutoffs)
-    (at_three, symbols), order, walk_x = (genseries_symbols(p, top), _walk_order(top),
-                                          _walk_rows(top, s))
+    (at_three, symbols), walk_x = genseries_symbols(p, top), _walk_rows(top, s)
+    (walk_inert, small), split = _walk_order(top), registry_table(top)[0]
+    counts = [[split.searchsorted(n, "right") + small.searchsorted(n, "right")
+               for n in (p0, math.isqrt(p0))] for p0 in cutoffs]
     x3, chi3 = 3.0 ** (-s), _CHI[at_three]
     a3, b3 = 1.0 - chi3 * x3, 1.0 - chi3**2 * x3
     states = [(1.0, complex(1.0) / a3, complex(1.0) / b3, complex(1.0) * (a3 * b3))] * len(cutoffs)
     for lo in range(0, walk_x.size, _WALK_BLOCK):
         block = slice(lo, lo + _WALK_BLOCK)
-        ell, inert, e, x = (column[block] for column in (*order, symbols, walk_x))
+        inert, e, x = (column[block] for column in (walk_inert, symbols, walk_x))
         event = e != EXPONENT_ZERO  # a zero chi at a split ell drops out
         event[inert, 0] = True  # an inert ell has one factor, zero chi or not
         rows, cols = np.nonzero(event)
         exps, xs = e[rows, cols], x[rows]
         l_factors, l2_factors = 1.0 - _CHI_POWERS[:, exps] * xs
         c_factors = 1.0 + _TRACE[exps] * xs
-        lhs_event = (cols == 0) & ~inert[rows]  # chi_reg at a split ell; 1.0 where it is zero
-        for i, (p0, (lhs, l_chi, l_chi2, h)) in enumerate(zip(cutoffs, states)):
-            keep = ((ell <= p0) & (~inert | (ell <= math.isqrt(p0))))[rows]
+        at_split, row = ~inert[rows], lo + rows
+        lhs_event = (cols == 0) & at_split  # chi_reg at a split ell; 1.0 where it is zero
+        for i, ((n1, n2), (lhs, l_chi, l_chi2, h)) in enumerate(zip(counts, states)):
+            keep = (row < n1) & (at_split | (row < n2))
             a, b, c = (factors[keep].tolist() for factors in (l_factors, l2_factors, c_factors))
             terms = list(map(mul, map(mul, a, b), c))
             done = 0
@@ -759,7 +764,7 @@ def family_count_scaling(x_grid: list[int]) -> ProbeReport:
 # -- suite driver -----------------------------------------------------------------------
 
 
-def check_probe_suite(charsum_y: int, genseries_p0: tuple[int, int], s: float) -> None:
+def check_probe_suite(charsum_y: int, p0: int, s: float) -> None:
     """run_probe_suite's refusal, a ValueError, of inputs its probes cannot check."""
     # the generating-series probes assert a 1e-8 Cauchy gap between the
     # cutoffs p0 // 10 and p0, which holds from s = 2 and p0 = 10**6 on
@@ -771,33 +776,32 @@ def check_probe_suite(charsum_y: int, genseries_p0: tuple[int, int], s: float) -
     if 1.0 + 2.0 * 7.0 ** -s == 1.0:
         raise ValueError("--s must be below 19.24; from there on every left-side Euler factor "
                          "rounds to 1.0, so the probes would check nothing")
-    if max(genseries_p0) < 10**6:
+    if p0 < 10**6:
         raise ValueError("--p0 must be at least 1000000; below it the Euler products are "
                          "not Cauchy to 1e-8 between p0 // 10 and p0")
-    if max(genseries_p0) > SIEVE_MAX:
+    if p0 > SIEVE_MAX:
         raise ValueError("--p0 must be at most 2**40; its sieve would need more than a terabyte")
     check_ymax(charsum_y)
 
 
-def run_probe_suite(charsum_y: int = 10**3,
-                    genseries_p0: tuple[int, int] = (10**5, 10**6),
+def run_probe_suite(charsum_y: int = 10**3, p0: int = 10**6,
                     s: float = 2.0) -> list[ProbeReport]:
     """The verification battery, deterministic end to end.
 
     The conjugation probes take S_7 and S_13 up to `charsum_y`; they hold by
     construction (char_sum), so only an exception would show there.  The
     generating-series probes at p = 5 and 13 truncate at the two cutoffs
-    `genseries_p0` and evaluate their Euler products at real `s`; p = 13
+    p0 // 10 and `p0` and evaluate their Euler products at real `s`; p = 13
     passes any gap up to 1e-9 (genseries_compare).  The rest is fixed: 1000
     choice-invariance pairs, a 50-label ramification audit, ideal counts to
     1e4 for 10 labels (rows of one lambda_table), and family counts at
     X = 1e6, 1e7, 1e8.  check_probe_suite refuses the inputs before any probe.
     """
-    check_probe_suite(charsum_y, genseries_p0, s)
+    check_probe_suite(charsum_y, p0, s)
     # the generating-series probes need this table anyway; built first, it
     # serves the table probes too, which would otherwise solve a norm
     # equation for every split p they meet
-    registry_table(max(genseries_p0))
+    registry_table(p0)
     reports = [splitting_oracle_probe()]
     reports.append(choice_invariance_probe(probe_pairs(1000)))
     reports.append(ramification_audit_suite(50))
@@ -812,6 +816,6 @@ def run_probe_suite(charsum_y: int = 10**3,
             f"charsum_conjugation[p={p}]", PASS if ok else FAIL, [],
             {"y": charsum_y, "value": str(plain.value), "magnitude": plain.magnitude}))
     for p in (5, 13):
-        reports.append(genseries_compare(p, s, genseries_p0))
+        reports.append(genseries_compare(p, s, (p0 // 10, p0)))
     reports.append(family_count_scaling([10**6, 10**7, 10**8]))
     return reports

@@ -119,9 +119,8 @@ LIBRARY_REFUSALS = [
      ["density", "--x", "1000000", "--beta", "1e-306"]),
     (lambda: verify.run_probe_suite(s=1.5), ["verify", "--s", "1.5"]),
     (lambda: verify.run_probe_suite(s=20.0), ["verify", "--s", "20"]),
-    (lambda: verify.run_probe_suite(genseries_p0=(10**4, 10**5)), ["verify", "--p0", "100000"]),
-    (lambda: verify.run_probe_suite(genseries_p0=(10**19, 10**20)),
-     ["verify", "--p0", str(10**20)]),
+    (lambda: verify.run_probe_suite(p0=10**5), ["verify", "--p0", "100000"]),
+    (lambda: verify.run_probe_suite(p0=10**20), ["verify", "--p0", str(10**20)]),
     (lambda: verify.run_probe_suite(charsum_y=1), ["verify", "--ymax", "1"]),
     (lambda: verify.run_probe_suite(charsum_y=10**20), ["verify", "--ymax", str(10**20)]),
     (lambda: verify.char_sums(3, [10]), ["charsum", "--primes", "3"]),
@@ -323,6 +322,9 @@ GOLDEN = {
         "d4a377cd451a1aa34d5ae9de56dc64df59dabdabc81d7aec1422de7e324da408",
     ("verify", "--p0", "10000000"):  # the generating-series symbols of 665k split ell
         "a02c8a314e548ebb6c6af99e2d563e17bd1a0b5067dadddb2e15f79d51959e0f",
+    # split primes past the registry table, the second past int64: the norm-equation solve
+    ("charsum", "--primes", "2305843009213693951,3317044064679887385961813", "--ymax", "1000"):
+        "ca3cfb1f350b38173a3c94d192ec25781ea03c0a7db2f82941ef41395c153003",
 }
 
 

@@ -207,6 +207,18 @@ def test_registry_table_equals_norm_equation_solve():
     assert np.array_equal(small_gens, gens[:len(small_primes)])
 
 
+def test_solve_split_generator_past_int64_meets_the_closed_description():
+    # 2^61 - 1, the first split prime past 2^63 and the last below psi_13
+    first, last = 9223372036854775837, 3317044064679887385961813
+    assert not any(q % 3 == 1 and is_prime(q) for q in range(2**63, first))
+    assert not any(q % 3 == 1 and is_prime(q) for q in range(last + 1, MR_PROOF_BOUND))
+    for p in (2**61 - 1, first, last):
+        assert is_prime(p) and p % 3 == 1
+        # primary, positive omega coefficient and norm p fix it (module docstring)
+        a, b = solve_split_generator(p)
+        assert a % 3 == 2 and b % 3 == 0 and b > 0 and a * a - a * b + b * b == p, p
+
+
 def test_prime_above_reads_table_then_solves(monkeypatch):
     registry_table(1000)
     bound = registry_bound()

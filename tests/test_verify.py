@@ -23,6 +23,7 @@ from cyclocubic.verify import (
     FINDING,
     PASS,
     _walk_order,
+    _walk_rows,
     audit_corpus,
     calibrate_cube_exponent,
     char_sum,
@@ -530,20 +531,26 @@ def _listed(symbols, p0):
     """genseries_symbols' (at_three, e) as the definition's triple; an inert row's second entry
     is a zero."""
     at_three, e = symbols
-    inert = _walk_order(p0)[1]
+    inert = _walk_order(p0)[0]
     assert np.all(e[inert, 1] == EXPONENT_ZERO)
     return at_three, e[~inert].tolist(), e[inert, 0].tolist()
 
 
 @pytest.mark.parametrize("p0", [840, 841, 10**4, 10**5])
 def test_walk_order_is_the_split_and_inert_ell_ascending(p0):
-    # the split ell <= p0 are the registry table's, the inert ell those <= sqrt(p0)
-    ell, inert = _walk_order(p0)
-    assert np.all(np.diff(ell) > 0)
+    # the split ell <= p0 are the registry table's, the inert ell those <= sqrt(p0):
+    # put in the rows inert marks, in their order, they ascend strictly
+    inert, small = _walk_order(p0)
     split = eisenstein.registry_table(p0)[0].tolist()
-    small = [n for n in primes_up_to(math.isqrt(p0)) if n % 3 == 2]
-    assert ell.tolist() == sorted(split + small)
-    assert ell[~inert].tolist() == split and ell[inert].tolist() == small
+    assert small.tolist() == [n for n in primes_up_to(math.isqrt(p0)) if n % 3 == 2]
+    assert inert.size == len(split) + small.size and np.count_nonzero(inert) == small.size
+    ell = np.empty(inert.size, dtype=np.int64)
+    ell[~inert], ell[inert] = split, small
+    assert np.all(np.diff(ell) > 0)
+    assert ell.tolist() == sorted(split + small.tolist())
+    # and the walk's x is the builtin pow over that order
+    x = [pow(n, -4.0 if at_inert else -2.0) for n, at_inert in zip(ell.tolist(), inert.tolist())]
+    assert _walk_rows(p0, 2.0).tolist() == x
 
 
 @pytest.mark.parametrize("p", [2, 5, 11, 17])
